@@ -46,7 +46,6 @@ from .exceptions import LcaError
 from .filters import (
     CosetPiecewise,
     SamplingPlan,
-    TabulatedFilter,
     TrigPolynomial,
     UepMatrix,
     assemble_uep,

@@ -23,7 +23,7 @@ import numpy as np
 from . import domains
 from .chains import LatticeChain
 from .domains import HalfOpenBox, IntegerInterval
-from .exact import cis, radical
+from .exact import cis, cis_many, radical
 from .exceptions import (
     DomainParameterError,
     SplittingError,
@@ -31,7 +31,7 @@ from .exceptions import (
     UnsupportedOrderError,
     UnsupportedRepresentationError,
 )
-from .filters import SamplingPlan, TrigPolynomial
+from .filters import SamplingPlan, TrigPolynomial, worst_residual
 from .functions import DiscreteFunction
 from .groups import CYCLIC, EUCLIDEAN, INTEGERS, TORUS, element_add, pairing_phase
 
@@ -44,7 +44,7 @@ class BSplineGenerator:
     time: DiscreteFunction | None  # explicit values on Z / Z_N, None otherwise
 
     def hat(self, gamma) -> complex:
-        return bspline_hat(self.chain, self.k, self.order, gamma)
+        return complex(bspline_hat(self.chain, self.k, self.order, gamma)[0])
 
     def time_value(self, x) -> float:
         """Time-domain value; piecewise polynomial on T / R^s."""
@@ -113,52 +113,47 @@ def bspline_time(chain: LatticeChain, k: int, order: int) -> BSplineGenerator:
     raise UnsupportedRepresentationError(f"no spline representation on {group.describe()}")
 
 
-def _window_integral(a: Fraction, b: Fraction, gamma) -> complex:
-    """integral over [a, b) of e^{-2 pi i x gamma} dx."""
-    if gamma == 0:
-        return complex(float(b - a))
-    g = float(gamma)
-    return (cis(-float(a) * g) - cis(-float(b) * g)) / (2j * math.pi * g)
+def _dirichlet(q: IntegerInterval, t: np.ndarray) -> np.ndarray:
+    """sum over x in q of e^{-2 pi i x t}, for t in [-1/2, 1/2).
+
+    The Dirichlet kernel e^{-pi i (2 lo + n - 1) t} sin(pi n t) / sin(pi t),
+    with its limit n at t = 0.  Each phase goes through `cis_many` on its own;
+    n t is exact when n is a power of two, as on the dyadic chains.
+    """
+    n = q.hi - q.lo + 1
+    half = cis_many(n * t / 2)  # e^{pi i n t}
+    s = cis_many(t / 2).imag  # sin(pi t)
+    ratio = np.divide(half.imag, s, out=np.full(t.shape, float(n)), where=s != 0)
+    return cis_many((0.5 - q.lo) * t) * half.conj() * ratio
 
 
-def bspline_hat(chain: LatticeChain, k: int, order: int, gamma) -> complex:
-    """Fourier transform of the order-N generator, by closed form.
+def _interval_integral(a: Fraction, b: Fraction, g: np.ndarray) -> np.ndarray:
+    """integral over [a, b) of e^{-2 pi i x g} dx = (b-a) e^{-pi i (a+b) g} sinc((b-a) g)."""
+    w, c = float(b - a), float(a + b)
+    return w * cis_many(-c * g / 2) * np.sinc(w * g)
 
-    measure(Q_k)^{-N+1/2} * (integral over Q_k of (-x, gamma) dx)^N, with the
-    integral a finite character sum on Z / Z_N and a closed-form interval
-    integral on T / R^s.
+
+def bspline_hat(chain: LatticeChain, k: int, order: int, gammas) -> np.ndarray:
+    """Fourier transform of the order-N generator at an array of dual points.
+
+    measure(Q_k)^{-N+1/2} * (integral over Q_k of (-x, gamma) dx)^N.  On Z and
+    Z_N the integral is a finite character sum, taken in closed form as the
+    Dirichlet kernel; on T and R^s it is a product of interval integrals.
     """
     group = chain.group
     q = chain.level(k).domain_q
-    mu = chain.density(k)
-    if group.kind in (INTEGERS, CYCLIC):
-        total = 0j
-        for x in domains.iter_points(q, group):
-            total += cis(-pairing_phase(group, x, gamma))
-        base = total
-    elif group.kind == TORUS:
-        base = _window_integral(q.lo[0], q.hi[0], gamma)
+    pts = domains.point_array(gammas, chain.dual)
+    if group.kind == CYCLIC:
+        r = pts % group.modulus  # exact: t = r / N, centred on 0
+        base = _dirichlet(q, np.where(2 * r >= group.modulus, r - group.modulus, r) / group.modulus)
+    elif group.kind == INTEGERS:
+        base = _dirichlet(q, pts - np.round(pts))
     else:
-        base = 1 + 0j
-        for a, b, g in zip(q.lo, q.hi, domains.coords(gamma)):
-            base *= _window_integral(a, b, g)
-    return float(mu) ** (-order + 0.5) * base**order
-
-
-def bspline_hat_many(chain: LatticeChain, k: int, order: int, gammas: np.ndarray) -> np.ndarray:
-    """Vectorized transform over an array of dual points (scalar duals)."""
-    group = chain.group
-    q = chain.level(k).domain_q
-    mu = float(chain.density(k))
-    gammas = np.asarray(gammas, dtype=float)
-    if group.kind == INTEGERS:
-        xs = np.arange(q.lo, q.hi + 1)
-        total = np.zeros(len(gammas), dtype=complex)
-        for start in range(0, len(xs), 128):
-            chunk = xs[start : start + 128]
-            total += np.exp(-2j * np.pi * ((chunk[None, :] * gammas[:, None]) % 1.0)).sum(axis=1)
-        return mu ** (-order + 0.5) * total**order
-    return np.array([bspline_hat(chain, k, order, g) for g in gammas])
+        x = pts.reshape(len(pts), -1)
+        base = np.ones(len(pts), dtype=complex)
+        for r, (a, b) in enumerate(zip(q.lo, q.hi)):
+            base *= _interval_integral(a, b, x[:, r])
+    return float(chain.density(k)) ** (-order + 0.5) * base**order
 
 
 def refinement_filter(chain: LatticeChain, k: int, order: int) -> TrigPolynomial:
@@ -211,49 +206,13 @@ def wavelet_filters(chain: LatticeChain, k: int, order: int) -> list:
     raise UnsupportedOrderError(f"no wavelet masks for odd order {order}")
 
 
-_CHAR_SUM_CACHE: dict = {}
-
-
-def _plan_character_sums(chain: LatticeChain, k: int, plan: SamplingPlan) -> np.ndarray:
-    """sum over Q_k of (-x, gamma) at the plan points; memoized, order-free.
-
-    Keyed by the identity of the (memoized, immutable) plan point tuple; a
-    miss only costs a recomputation.
-    """
-    key = (chain.kind, repr(sorted(chain.params.items())), k, id(plan.points))
-    hit = _CHAR_SUM_CACHE.get(key)
-    if hit is None:
-        gammas = np.array([float(p) for p in plan.points])
-        q = chain.level(k).domain_q
-        xs = np.arange(q.lo, q.hi + 1)
-        sums = np.zeros(len(gammas), dtype=complex)
-        for start in range(0, len(xs), 128):
-            chunk = xs[start : start + 128]
-            sums += np.exp(-2j * np.pi * ((chunk[None, :] * gammas[:, None]) % 1.0)).sum(axis=1)
-        sums.flags.writeable = False
-        if len(_CHAR_SUM_CACHE) > 64:
-            _CHAR_SUM_CACHE.pop(next(iter(_CHAR_SUM_CACHE)))
-        _CHAR_SUM_CACHE[key] = hit = (plan.points, sums)  # keep the keyed tuple alive
-    return hit[1]
-
-
 def refinement_residual(chain: LatticeChain, k: int, order: int, plan: SamplingPlan) -> float:
     """max over the plan of |Phi_k - H_{k+1} Phi_{k+1}| for the spline family."""
     check_refinement_splitting(chain, k)
     h = refinement_filter(chain, k, order)
-    if chain.group.kind == INTEGERS:
-        pts = np.array([float(p) for p in plan.points])
-        mu_k = float(chain.density(k)) ** (-order + 0.5)
-        mu_k1 = float(chain.density(k + 1)) ** (-order + 0.5)
-        lhs = mu_k * _plan_character_sums(chain, k, plan) ** order
-        rhs = h.eval_many(pts) * mu_k1 * _plan_character_sums(chain, k + 1, plan) ** order
-        return float(np.max(np.abs(lhs - rhs)))
-    worst = 0.0
-    for g in plan.points:
-        lhs = bspline_hat(chain, k, order, g)
-        rhs = h.eval(g) * bspline_hat(chain, k + 1, order, g)
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    lhs = bspline_hat(chain, k, order, plan.points)
+    rhs = h.eval_many(plan.points) * bspline_hat(chain, k + 1, order, plan.points)
+    return worst_residual(np.abs(lhs - rhs))[0]
 
 
 def wavelet_time(chain: LatticeChain, k: int, filt: TrigPolynomial, order: int) -> DiscreteFunction:
@@ -300,14 +259,11 @@ def lowpass_flatness_check(
     q = chain.level(k).domain_q
     mu_v = float(chain.dual_cell_measure(k))
     bound = 1 - (1 - delta) ** (2 * order)
-    held, ok = [], True
-    for g in points:
-        if _character_spread(group, q, g) <= delta:
-            held.append(g)
-            lhs = abs(mu_v * abs(bspline_hat(chain, k, order, g)) ** 2 - 1)
-            if lhs > bound + 1e-15:
-                ok = False
-    return ok, held
+    held = [g for g in points if _character_spread(group, q, g) <= delta]
+    if not held:
+        return True, held
+    lhs = np.abs(mu_v * np.abs(bspline_hat(chain, k, order, held)) ** 2 - 1)
+    return bool(np.all(lhs <= bound + 1e-15)), held
 
 
 def _character_spread(group, q, gamma) -> float:

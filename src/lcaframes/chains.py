@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import domains
 from .domains import CosetUnion, HalfOpenBox, IntegerInterval, interval
-from .exceptions import DomainParameterError, IndexRangeError
+from .exceptions import DomainParameterError, IndexRangeError, ResourceLimitError
 from .groups import (
     GroupSpec,
     cyclic_group,
@@ -27,6 +27,22 @@ from .groups import (
     torus_group,
 )
 from .lattices import ScaledLattice
+
+MAX_POINTS = 2**16  # desk-scale cap on the point sets a system enumerates
+
+
+def require_desk_scale(factors, what: str):
+    """Raise ResourceLimitError when the product of the chain factors exceeds MAX_POINTS.
+
+    The product is the largest point set a system on the chain enumerates:
+    Q_0 on Z, the group itself on Z_N, the top dual cell on T.  It is formed
+    factor by factor, so a huge depth fails before anything is built.
+    """
+    count = 1
+    for m in factors:
+        count *= m
+        if count > MAX_POINTS:
+            raise ResourceLimitError(f"{what}: more than {MAX_POINTS} points to enumerate (desk-scale cap)")
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from .chains import LatticeChain, cyclic_chain, euclidean_chain, refined_dual_do
 from .domains import Ball, CosetUnion, HalfOpenBox, IntegerInterval
 from .exact import Radical, radical, sqrt_rational
 from .exceptions import DomainParameterError, ProperSubsetError
-from .filters import CosetPiecewise, SamplingPlan
+from .filters import CosetPiecewise, SamplingPlan, worst_residual
 from .functions import DiscreteFunction
 from .groups import CYCLIC
 
@@ -172,9 +172,12 @@ class IndicatorGenerator:
         return sqrt_rational(1 / Fraction(self.band.chain.dual_cell_measure(self.k)))
 
     def hat(self, gamma) -> complex:
-        if domains.contains(self.band.omega(self.k), gamma, self.band.chain.dual):
-            return complex(self.scale)
-        return 0j
+        return complex(self.hat_many(gamma)[0])
+
+    def hat_many(self, gammas) -> np.ndarray:
+        dual = self.band.chain.dual
+        inside = domains.contains_many(self.band.omega(self.k), domains.point_array(gammas, dual), dual)
+        return np.where(inside, complex(self.scale), 0j)
 
     def hat_exact(self, gamma) -> Radical:
         if domains.contains(self.band.omega(self.k), gamma, self.band.chain.dual):
@@ -269,20 +272,21 @@ def orthonormal_wavelet_filters(band: OmegaChain, k: int) -> list:
 
 
 def indicator_refinement_residual(band: OmegaChain, k: int, plan: SamplingPlan) -> float:
-    """max over the plan of |Phi_k - H_{k+1} Phi_{k+1}| for the band family."""
+    """max over the plan of |Phi_k - H_{k+1} Phi_{k+1}| for the band family.
+
+    Exhaustive plans replace each float residual by the exact one where all
+    three values are Radicals.
+    """
     h = indicator_refinement_filter(band, k)
     gk = indicator_generator(band, k)
     gk1 = indicator_generator(band, k + 1)
-    worst = 0.0
-    for g in plan.points:
-        le = gk.hat_exact(g) if plan.exact else None
-        he = h.eval_exact(g) if plan.exact else None
-        re = gk1.hat_exact(g) if plan.exact else None
-        if le is not None and he is not None and re is not None:
-            prod = he.mul(re)
-            diff = le.add(-prod)
-            if diff is not None:
-                worst = max(worst, float(diff.abs2()) ** 0.5)
-                continue
-        worst = max(worst, abs(gk.hat(g) - h.eval(g) * gk1.hat(g)))
-    return worst
+    pts = plan.points
+    res = np.abs(gk.hat_many(pts) - h.eval_many(pts) * gk1.hat_many(pts))
+    if plan.exact:
+        for i, g in enumerate(pts.tolist()):
+            he = h.eval_exact(g)
+            if he is not None:
+                diff = gk.hat_exact(g).add(-he.mul(gk1.hat_exact(g)))
+                if diff is not None:
+                    res[i] = float(diff.abs2()) ** 0.5
+    return worst_residual(res)[0]

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -18,9 +19,9 @@ import numpy as np
 from . import charfun as cf
 from . import frame as fr
 from . import tiles
-from .chains import cyclic_chain, euclidean_chain, integer_chain, torus_chain
-from .exceptions import LcaError, SchemaError, UncertifiedLevelError
-from .filters import DEFAULT_SEED, dual_sampling_plan, verify_uep
+from .chains import cyclic_chain, euclidean_chain, integer_chain, require_desk_scale, torus_chain
+from .exceptions import LcaError, PeriodicityMismatchError, SchemaError, UncertifiedLevelError
+from .filters import DEFAULT_SEED, dual_sampling_plan, verify_uep, worst_residual
 from .functions import random_test_function
 from .groups import CYCLIC, EUCLIDEAN, INTEGERS, TORUS
 
@@ -76,6 +77,7 @@ def build_from_descriptor(desc: dict) -> fr.FrameSystem:
     _require(isinstance(chain_params, dict), "chain", "chain parameters must be an object")
     if variant == "integers":
         _require(isinstance(chain_params.get("M"), int), "chain.M", "missing integer depth M")
+        require_desk_scale(itertools.repeat(2, chain_params["M"]), "chain.M")
         chain = integer_chain(chain_params["M"])
     elif variant == "cyclic":
         modulus = params.get("modulus")
@@ -84,10 +86,13 @@ def build_from_descriptor(desc: dict) -> fr.FrameSystem:
         _require(2**m == modulus, "group.params.modulus", "modulus must be a power of two")
         if "M" in chain_params:
             _require(chain_params["M"] == m, "chain.M", f"depth must be {m} for modulus {modulus}")
+        require_desk_scale([modulus], "group.params.modulus")
         chain = cyclic_chain(m)
     elif variant == "torus":
         seq = chain_params.get("M_seq")
         _require(isinstance(seq, list) and seq, "chain.M_seq", "missing factor list")
+        if all(isinstance(m, int) for m in seq):
+            require_desk_scale(seq, "chain.M_seq")
         chain = torus_chain(seq)
     else:
         table = chain_params.get("M_table")
@@ -138,11 +143,11 @@ def cmd_construct(args) -> int:
         return _fail(2, f"cannot read descriptor: {exc}")
     try:
         system = build_from_descriptor(desc)
-    except SchemaError as exc:
+        seed = _parse_seed(desc.get("seed"))
+    except (SchemaError, PeriodicityMismatchError) as exc:
         return _fail(2, str(exc))
     except LcaError as exc:
         return _fail(3, f"precondition violated: {exc}")
-    seed = _parse_seed(desc.get("seed"))
     artifact = fr.system_to_json(system, seed=seed)
     artifact["descriptor"] = desc
     artifact["descriptor_hash"] = _descriptor_hash(desc)
@@ -165,11 +170,16 @@ def cmd_construct(args) -> int:
 
 
 def _parse_seed(value) -> int:
+    """A seed given as a nonnegative int or a hex string; SchemaError otherwise."""
     if value is None:
         return DEFAULT_SEED
-    if isinstance(value, int):
-        return value
-    return int(str(value), 16)
+    try:
+        seed = value if type(value) is int else int(value, 16)
+    except (TypeError, ValueError):
+        seed = -1
+    if seed < 0:
+        raise SchemaError(f"seed: need a nonnegative integer or hex string, got {value!r}")
+    return seed
 
 
 def _load_system(path: str):
@@ -200,10 +210,13 @@ def run_verification(system: fr.FrameSystem, suite: str, samples: int, trials: i
     chain = system.chain
     kind = chain.group.kind
     n_random = min(1024, max(16, samples // 4))
+    plans = {}
+    if suite in ("uep", "refinement", "all"):
+        for lf in system.level_filters:
+            plans[lf.k] = dual_sampling_plan(chain, lf.k, grid=samples, random=n_random, seed=seed)
     if suite in ("uep", "all"):
         for lf in system.level_filters:
-            plan = dual_sampling_plan(chain, lf.k, grid=samples, random=n_random, seed=seed)
-            rep = verify_uep(system.uep_matrix(lf.k), plan)
+            rep = verify_uep(system.uep_matrix(lf.k), plans[lf.k])
             entries.append(
                 _entry(
                     COND_UEP,
@@ -218,13 +231,12 @@ def run_verification(system: fr.FrameSystem, suite: str, samples: int, trials: i
             )
     if suite in ("refinement", "all"):
         for lf in system.level_filters:
-            plan = dual_sampling_plan(chain, lf.k, grid=samples, random=n_random, seed=seed)
             if system.family["type"] == "bspline":
                 from .bspline import refinement_residual
 
-                res = refinement_residual(chain, lf.k, system.family["order"], plan)
+                res = refinement_residual(chain, lf.k, system.family["order"], plans[lf.k])
             else:
-                res = cf.indicator_refinement_residual(system.band, lf.k, plan)
+                res = cf.indicator_refinement_residual(system.band, lf.k, plans[lf.k])
             entries.append(
                 _entry(
                     COND_REFINE,
@@ -243,7 +255,7 @@ def run_verification(system: fr.FrameSystem, suite: str, samples: int, trials: i
     if suite in ("telescope", "all"):
         if kind in (INTEGERS, CYCLIC) or (kind == TORUS and system.family["type"] == "charfun"):
             try:
-                res = _telescope_suite(system, trials or 20, seed)
+                res = _telescope_suite(system, 20 if trials is None else trials, seed)
                 entries.append(
                     _entry(COND_TELESCOPE, "pass" if res <= tol else "fail", residual=res, tolerance=tol)
                 )
@@ -252,7 +264,7 @@ def run_verification(system: fr.FrameSystem, suite: str, samples: int, trials: i
         else:
             entries.append(_entry(COND_TELESCOPE, "skip", detail="out of desk-scale scope for this group"))
     if suite in ("parseval", "all"):
-        entries.extend(_parseval_suite(system, trials or 100, seed, tol))
+        entries.extend(_parseval_suite(system, 100 if trials is None else trials, seed, tol))
     if suite == "all":
         entries.extend(_condition_suite(system, samples, seed, tol))
     status = "fail" if any(e["status"] == "fail" for e in entries) else "pass"
@@ -263,15 +275,15 @@ def _fiber_suite(system, seed, count: int = 50) -> float:
     rng = np.random.default_rng(seed)
     chain = system.chain
     n = chain.group.modulus
-    worst = 0.0
+    residuals = []
     for _ in range(count):
         k = int(rng.integers(chain.k0, chain.k1 + 1))
         lat = chain.level(k).lattice
         F = random_test_function(chain.dual, (0, n - 1), rng)
         Phi = random_test_function(chain.dual, (0, n - 1), rng)
         lhs, rhs = fr.fiber_identity_sides(lat, chain.level(k).domain_v, F, Phi)
-        worst = max(worst, abs(lhs - rhs) / (1 + abs(lhs)))
-    return worst
+        residuals.append(abs(lhs - rhs) / (1 + abs(lhs)))
+    return worst_residual(residuals)[0]
 
 
 def _test_window(system) -> tuple[int, int]:
@@ -285,16 +297,17 @@ def _test_window(system) -> tuple[int, int]:
 
 
 def _telescope_suite(system, trials: int, seed: int) -> float:
+    """Worst telescoping gap over seeded trials; each level is certified once."""
+    for lf in system.level_filters:
+        fr.ensure_certified(system, lf.k)
     rng = np.random.default_rng(seed)
-    side = None
     group = system.chain.group if system.chain.group.kind != TORUS else system.chain.dual
     window = _test_window(system)
-    worst = 0.0
+    gaps = []
     for _ in range(trials):
         f = random_test_function(group, window, rng)
-        for lf in system.level_filters:
-            worst = max(worst, fr.telescoping_residual(system, lf.k, f, side))
-    return worst
+        gaps.extend(fr._energy_gap(system, lf.k, f) for lf in system.level_filters)
+    return worst_residual(gaps)[0]
 
 
 def _parseval_suite(system, trials: int, seed: int, tol: float) -> list:
@@ -313,10 +326,8 @@ def _parseval_suite(system, trials: int, seed: int, tol: float) -> list:
     rng = np.random.default_rng(seed)
     group = chain.group if kind != TORUS else chain.dual
     window = _test_window(system)
-    worst = 0.0
-    for _ in range(trials):
-        f = random_test_function(group, window, rng)
-        worst = max(worst, fr.parseval_residual(system, f))
+    residuals = [fr.parseval_residual(system, random_test_function(group, window, rng)) for _ in range(trials)]
+    worst = worst_residual(residuals)[0]
     entries = [
         _entry(
             COND_PARSEVAL,
@@ -351,10 +362,9 @@ def _condition_suite(system, samples: int, seed: int, tol: float) -> list:
     mu_v = float(chain.dual_cell_measure(K))
     plan = dual_sampling_plan(chain, K, grid=min(samples, 512), random=128, seed=seed)
     if system.family["type"] == "charfun":
-        target = system.band.exhaustion_target
-        pts = [p for p in plan.points if domains.contains(target, p, chain.dual)]
-        gen = cf.indicator_generator(system.band, K)
-        worst = max((abs(mu_v * abs(gen.hat(p)) ** 2 - 1) for p in pts), default=0.0)
+        pts = plan.points[domains.contains_many(system.band.exhaustion_target, plan.points, chain.dual)]
+        values = cf.indicator_generator(system.band, K).hat_many(pts)
+        worst = worst_residual(np.abs(mu_v * np.abs(values) ** 2 - 1))[0]
         entries.append(
             _entry(COND_LIMIT, "pass" if worst <= tol else "fail", level=K, residual=worst, tolerance=tol)
         )
@@ -362,10 +372,8 @@ def _condition_suite(system, samples: int, seed: int, tol: float) -> list:
         # the deep-level window is a single point, so the spectrum is flat
         from .bspline import bspline_hat
 
-        order = system.family["order"]
-        worst = max(
-            abs(mu_v * abs(bspline_hat(chain, K, order, p)) ** 2 - 1) for p in plan.points
-        )
+        values = bspline_hat(chain, K, system.family["order"], plan.points)
+        worst = worst_residual(np.abs(mu_v * np.abs(values) ** 2 - 1))[0]
         entries.append(
             _entry(COND_LIMIT, "pass" if worst <= tol else "fail", level=K, residual=worst, tolerance=tol)
         )
@@ -426,13 +434,20 @@ def _translate_overlap(s_dom, ann, dual) -> bool:
 
 
 def cmd_verify(args) -> int:
+    if args.samples < 1:
+        return _fail(2, f"--samples must be positive, got {args.samples}")
+    if args.trials is not None and args.trials < 1:
+        return _fail(2, f"--trials must be positive, got {args.trials}")
     try:
         system, data = _load_system(args.system)
     except SchemaError as exc:
         return _fail(2, str(exc))
     except LcaError as exc:
         return _fail(3, f"precondition violated: {exc}")
-    seed = int(args.seed, 16) if args.seed else data.get("seed", DEFAULT_SEED)
+    try:
+        seed = _parse_seed(args.seed if args.seed is not None else data.get("seed"))
+    except SchemaError as exc:
+        return _fail(2, str(exc))
     try:
         entries, status = run_verification(
             system, args.suite, args.samples, args.trials, seed, args.tolerance

@@ -2,19 +2,27 @@
 
 Variants: IntegerInterval (inclusive endpoints, discrete groups), HalfOpenBox
 (per-axis [lo, hi), continuous groups), FiniteSubset, CosetUnion (union of
-shifted copies of a base domain) and Ball (Euclidean, closed).  Membership is
+shifted copies of a base domain) and Ball (Euclidean, closed).  `contains` is
 exact on rational coordinates; the half-open convention resolves boundaries.
+`contains_many` is its array form over the point arrays of `point_array`,
+which the float evaluation path runs on.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .exact import as_fraction
 from .exceptions import DomainParameterError, UnboundedWindowError
-from .groups import GroupSpec, element_add, element_neg
+from .groups import CYCLIC, EUCLIDEAN, TORUS, GroupSpec, element_add, element_neg
+
+#: relative slack of the closed-ball test: a rational point on the sphere
+#: rounds to floats whose squared norm can exceed the radius by a few ulps
+_BALL_SLACK = 1 + 4 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -83,6 +91,51 @@ def contains(dom, p, group: GroupSpec) -> bool:
         return sq <= dom.radius**2
     if isinstance(dom, CosetUnion):
         return any(contains(dom.base, element_add(group, p, element_neg(group, s)), group) for s in dom.shifts)
+    raise DomainParameterError(f"unknown domain {dom!r}")
+
+
+def point_array(points, group: GroupSpec) -> np.ndarray:
+    """Points of `group` as one array: int64 on discrete groups, float64 else.
+
+    The shape is (n,) on scalar groups and (n, s) on R^s; a single point
+    (a scalar, or a tuple on R^s) becomes an array with n = 1.
+    """
+    if group.kind == EUCLIDEAN:
+        return np.asarray(points, dtype=float).reshape(-1, group.dimension)
+    return np.asarray(points, dtype=np.int64 if group.is_discrete else float).reshape(-1)
+
+
+def shift_points(pts: np.ndarray, shift, group: GroupSpec) -> np.ndarray:
+    """pts + shift in the group: reduced mod N on Z_N and mod 1 on T."""
+    out = pts + point_array(shift, group)[0]
+    if group.kind == CYCLIC:
+        return out % group.modulus
+    if group.kind == TORUS:
+        return out % 1.0
+    return out
+
+
+def contains_many(dom, pts: np.ndarray, group: GroupSpec) -> np.ndarray:
+    """Membership of every row of a `point_array` in dom, as a bool array."""
+    x = pts.reshape(len(pts), -1)
+    if isinstance(dom, IntegerInterval):
+        return (dom.lo <= pts) & (pts <= dom.hi)
+    if isinstance(dom, HalfOpenBox):
+        lo = np.array([float(a) for a in dom.lo])
+        hi = np.array([float(b) for b in dom.hi])
+        return np.all((lo <= x) & (x < hi), axis=1)
+    if isinstance(dom, FiniteSubset):
+        out = np.zeros(len(pts), dtype=bool)
+        for p in dom.points:
+            out |= np.all(x == point_array(p, group), axis=1)
+        return out
+    if isinstance(dom, Ball):
+        return np.sum(x * x, axis=1) <= float(dom.radius**2) * _BALL_SLACK
+    if isinstance(dom, CosetUnion):
+        out = np.zeros(len(pts), dtype=bool)
+        for s in dom.shifts:
+            out |= contains_many(dom.base, shift_points(pts, element_neg(group, s), group), group)
+        return out
     raise DomainParameterError(f"unknown domain {dom!r}")
 
 
@@ -180,11 +233,12 @@ def is_subset(a, b, group: GroupSpec) -> bool:
     raise DomainParameterError(f"no subset test for {type(a).__name__} in {type(b).__name__}")
 
 
-def grid_points(dom, total: int, scalar: bool = True) -> list:
-    """About `total` rational grid points covering a box-like domain.
+def grid_points(dom, total: int, scalar: bool = True) -> np.ndarray:
+    """About `total` grid points covering a box-like domain, as a float array.
 
-    scalar=True unwraps 1-tuples (T and the dual of Z use scalar coordinates;
-    R^1 keeps tuples).
+    Each coordinate is the float nearest to its rational grid value.
+    scalar=True returns shape (n,) on one axis (T and the dual of Z use scalar
+    coordinates; R^1 keeps shape (n, 1)).
     """
     lo, hi = bounds(dom)
     s = len(lo)
@@ -193,21 +247,21 @@ def grid_points(dom, total: int, scalar: bool = True) -> list:
         per_axis += 1
     axes = []
     for a, b in zip(lo, hi):
-        step = (Fraction(b) - Fraction(a)) / per_axis
-        axes.append([Fraction(a) + j * step for j in range(per_axis)])
-    unwrap = scalar and s == 1
-    return [t[0] if unwrap else t for t in itertools.product(*axes)]
+        # a + j (b - a) / per_axis as one correctly rounded integer division
+        den = math.lcm(a.denominator, b.denominator)
+        num = int(a * den) * per_axis + int((b - a) * den) * np.arange(per_axis)
+        axes.append(num / (den * per_axis))
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, s)
+    return grid[:, 0] if scalar and s == 1 else grid
 
 
-def random_points(dom, n: int, rng, scalar: bool = True) -> list:
-    """n uniform float points in the bounding box of dom."""
+def random_points(dom, n: int, rng, scalar: bool = True) -> np.ndarray:
+    """n uniform float points in the bounding box of dom (shape as grid_points)."""
     lo, hi = bounds(dom)
-    unwrap = scalar and len(lo) == 1
-    out = []
-    for _ in range(n):
-        t = tuple(float(a) + rng.random() * (float(b) - float(a)) for a, b in zip(lo, hi))
-        out.append(t[0] if unwrap else t)
-    return out
+    lo_f = np.array([float(a) for a in lo])
+    hi_f = np.array([float(b) for b in hi])
+    pts = lo_f + rng.random((n, len(lo))) * (hi_f - lo_f)
+    return pts[:, 0] if scalar and len(lo) == 1 else pts
 
 
 def domain_to_json(dom) -> dict:

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 TWO_PI = 2.0 * math.pi
 
 #: character values at quarter turns, exact in IEEE arithmetic
@@ -48,6 +50,20 @@ def cis(t) -> complex:
     else:
         t = float(t) % 1.0
     return complex(math.cos(TWO_PI * t), math.sin(TWO_PI * t))
+
+
+def cis_many(t) -> np.ndarray:
+    """e^{2 pi i t} over an array of phases t in turns.
+
+    4t is split exactly into a whole number of quarter turns and a rest in
+    [-1/2, 1/2], so cos and sin only see angles up to pi/4 and quarter turns
+    come out exact, as in `cis`.
+    """
+    u = 4 * np.asarray(t, dtype=float)
+    q = np.round(u)
+    angle = (np.pi / 2) * (u - q)
+    z = np.cos(angle) + 1j * np.sin(angle)
+    return z * np.array([1, 1j, -1, -1j])[q.astype(np.int64) % 4]
 
 
 def _square_split(n: int) -> tuple[int, int]:

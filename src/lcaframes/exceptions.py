@@ -53,10 +53,6 @@ class FilterVariantError(LcaError):
     """Operation applies to a different filter variant."""
 
 
-class InterpolationUnsupportedError(LcaError):
-    """Tabulated filters never interpolate off their grid."""
-
-
 class PeriodicityMismatchError(LcaError):
     """Filter periodicity lattice does not match the chain level."""
 

@@ -1,13 +1,15 @@
 """Periodic filters on the dual group, the UEP matrix, and its verification.
 
 A filter is a function on the dual group, periodic with respect to the
-level-(k+1) annihilator lattice.  Three representations are supported:
+level-(k+1) annihilator lattice.  Two representations are supported:
 
 * TrigPolynomial  -- gamma |-> sum_j c_j * (-j*eta, gamma), automatically
   periodic when the step eta lies in Lambda_{k+1};
 * CosetPiecewise  -- constant on each piece of a fundamental domain, extended
-  periodically (first matching piece wins, pieces are listed disjointly);
-* TabulatedFilter -- values on an explicit grid, never interpolated.
+  periodically (first matching piece wins, pieces are listed disjointly).
+
+Both evaluate in floats over point arrays (`eval_many`); `eval` is the
+one-point case of it.  `eval_exact` gives Radical values where they exist.
 
 The UEP matrix P_k stacks the refinement filter over the wavelet filters and
 evaluates column l at gamma + nu_{k,l}.  Verification measures the largest
@@ -17,7 +19,6 @@ exhaustive and the arithmetic exact, so a true identity reports residual 0.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,23 +27,22 @@ import numpy as np
 
 from . import domains
 from .chains import LatticeChain
-from .exact import Radical, as_fraction, cis, radical
+from .exact import Radical, cis_many, radical
 from .exceptions import (
     EmptySamplingPlanError,
     FilterVariantError,
-    InterpolationUnsupportedError,
     LatticeMembershipError,
     PeriodicityMismatchError,
 )
 from .groups import (
     CYCLIC,
     EUCLIDEAN,
+    TORUS,
     GroupSpec,
+    dual_group,
     element_add,
-    element_neg,
     element_scale,
     pairing_exact,
-    pairing_phase,
 )
 from .lattices import ScaledLattice
 
@@ -51,6 +51,36 @@ DEFAULT_SEED = 0x5EED
 
 def as_complex(v) -> complex:
     return complex(v)
+
+
+def worst_residual(residuals) -> tuple[float, int]:
+    """Largest residual and its index; a NaN anywhere is the worst.
+
+    Comparisons such as `x > worst` and `max(worst, x)` drop a NaN, so every
+    check reduces its residuals here.  np.argmax returns the first NaN.  An
+    empty input gives (0.0, -1).
+    """
+    res = np.asarray(residuals, dtype=float).reshape(-1)
+    if res.size == 0:
+        return 0.0, -1
+    i = int(np.argmax(res))
+    return float(res[i]), i
+
+
+def _phase(group: GroupSpec, x, pts: np.ndarray) -> np.ndarray:
+    """Phase t of (x, gamma) = e^{2 pi i t} at each point, in turns.
+
+    On the discrete duals (of Z_N and T) it is reduced mod 1 in exact integer
+    arithmetic; on T and R^s it is a float product.
+    """
+    if group.kind == CYCLIC:
+        return (x * pts % group.modulus) / group.modulus
+    if group.kind == TORUS:
+        x = Fraction(x)
+        return (x.numerator * pts % x.denominator) / x.denominator
+    if group.kind == EUCLIDEAN:
+        return pts @ np.array([float(c) for c in x])
+    return float(x) * pts
 
 
 @dataclass(frozen=True)
@@ -62,10 +92,14 @@ class TrigPolynomial:
     lattice: ScaledLattice  # periodicity lattice (annihilator of level k+1)
 
     def eval(self, gamma) -> complex:
-        out = 0j
+        return complex(self.eval_many(gamma)[0])
+
+    def eval_many(self, gammas) -> np.ndarray:
+        pts = domains.point_array(gammas, dual_group(self.group))
+        out = np.zeros(len(pts), dtype=complex)
         for j, c in zip(self.shifts, self.coeffs):
             x = element_scale(self.group, -j, self.step)
-            out += as_complex(c) * cis(pairing_phase(self.group, x, gamma))
+            out += as_complex(c) * cis_many(_phase(self.group, x, pts))
         return out
 
     def eval_exact(self, gamma) -> Radical | None:
@@ -82,120 +116,58 @@ class TrigPolynomial:
                 return None
         return total
 
-    def eval_many(self, gammas: np.ndarray) -> np.ndarray:
-        out = np.zeros(gammas.shape[0] if gammas.ndim > 1 else gammas.shape, dtype=complex)
-        for j, c in zip(self.shifts, self.coeffs):
-            x = element_scale(self.group, -j, self.step)
-            out += as_complex(c) * np.exp(2j * np.pi * (_phase_array(self.group, x, gammas) % 1.0))
-        return out
-
-
-def _phase_array(group: GroupSpec, x, gammas: np.ndarray) -> np.ndarray:
-    if group.kind == CYCLIC:
-        return (float(x) / group.modulus) * gammas
-    if group.kind == EUCLIDEAN:
-        return gammas @ np.array([float(c) for c in domains.coords(x)])
-    return float(x) * gammas
-
 
 @dataclass(frozen=True)
 class CosetPiecewise:
     dual: GroupSpec  # dual group the filter lives on
     pieces: tuple  # ((domain, value), ...); first match wins, uncovered points are 0
-    domain: object  # one fundamental domain of the periodicity lattice
+    domain: object  # fundamental domain of the periodicity lattice: a box one step wide
     lattice: ScaledLattice
 
-    def _reduce(self, gamma):
-        """Representative of gamma modulo the periodicity lattice in `domain`."""
-        lat = self.lattice
-        if lat.is_finite:
-            for w in lat.points():
-                p = element_add(self.dual, gamma, element_neg(self.dual, w))
-                if domains.contains(self.domain, p, self.dual):
-                    return p
-            return None
+    def __post_init__(self):
+        # points reduce into the domain by per-axis floor arithmetic, which
+        # needs the domain to fill a box exactly one lattice step wide
         lo, hi = domains.bounds(self.domain)
-        cs = domains.coords(gamma)
-        ranges = []
-        for x, s, a, b in zip(cs, lat.step, lo, hi):
-            s = Fraction(s)
-            xf = as_fraction(x)
-            if xf is not None:
-                jlo = -((b - xf) // s)  # ceil((x-b)/s)
-                jhi = (xf - a) // s
-                ranges.append(range(int(jlo), int(jhi) + 1))
-            else:
-                jlo = math.ceil((float(x) - float(b)) / float(s))
-                jhi = math.floor((float(x) - float(a)) / float(s))
-                ranges.append(range(jlo, jhi + 2))
-        for js in itertools.product(*ranges):
-            w = [j * Fraction(s) for j, s in zip(js, lat.step)]
-            w = [int(v) if v.denominator == 1 else v for v in w]
-            w = tuple(w) if len(w) > 1 else w[0]
-            p = element_add(self.dual, gamma, element_neg(self.dual, w))
-            if domains.contains(self.domain, p, self.dual):
-                return p
-        return None
+        unit = 1 if self.dual.is_discrete else 0  # integer bounds are inclusive
+        widths = [b - a + unit for a, b in zip(lo, hi)]
+        box = math.prod(widths) * (self.dual.point_mass or 1)
+        if widths != [Fraction(s) for s in self.lattice.step] or (
+            domains.measure(self.domain, self.dual) != box
+        ):
+            raise PeriodicityMismatchError(
+                f"filter domain {self.domain!r} is not a box of the lattice steps {self.lattice.step}"
+            )
+
+    def _piece_index(self, gammas) -> np.ndarray:
+        """Index of the piece holding each point's representative (-1: none)."""
+        pts = domains.point_array(gammas, self.dual)
+        lo = domains.point_array(domains.bounds(self.domain)[0], self.dual)
+        step = domains.point_array(self.lattice.step, self.dual)
+        rep = pts - (pts - lo) // step * step
+        idx = np.full(len(pts), -1)
+        for i in reversed(range(len(self.pieces))):  # the first match wins
+            idx[domains.contains_many(self.pieces[i][0], rep, self.dual)] = i
+        return idx
 
     def eval(self, gamma) -> complex:
-        v = self._piece_value(gamma)
-        return 0j if v is None else as_complex(v)
+        return complex(self.eval_many(gamma)[0])
+
+    def eval_many(self, gammas) -> np.ndarray:
+        values = np.array([as_complex(v) for _, v in self.pieces] + [0j])
+        return values[self._piece_index(gammas)]
 
     def eval_exact(self, gamma) -> Radical | None:
-        if not all(as_fraction(c) is not None for c in domains.coords(gamma)):
+        """Exact value at a point of a discrete dual, or None."""
+        if not self.dual.is_discrete:
             return None
-        v = self._piece_value(gamma)
-        if v is None:
+        i = int(self._piece_index(gamma)[0])
+        if i < 0:
             return radical(0)
+        v = self.pieces[i][1]
         return v if isinstance(v, Radical) else None
 
-    def _piece_value(self, gamma):
-        p = self._reduce(gamma)
-        if p is None:
-            raise FilterVariantError(
-                f"point {gamma!r} has no representative in the filter's fundamental domain"
-            )
-        for dom, value in self.pieces:
-            if domains.contains(dom, p, self.dual):
-                return value
-        return None
 
-    def eval_many(self, gammas) -> np.ndarray:
-        return np.array([self.eval(g) for g in gammas], dtype=complex)
-
-
-@dataclass(frozen=True)
-class TabulatedFilter:
-    dual: GroupSpec
-    points: tuple
-    values: tuple
-    lattice: ScaledLattice
-
-    def _canon(self, gamma):
-        cs = domains.coords(gamma)
-        out = []
-        for x, s in zip(cs, self.lattice.step):
-            s = Fraction(s)
-            xf = as_fraction(x)
-            out.append(xf % s if xf is not None else float(x) % float(s))
-        return tuple(out) if len(out) > 1 else out[0]
-
-    def eval(self, gamma) -> complex:
-        key = self._canon(gamma)
-        for p, v in zip(self.points, self.values):
-            if self._canon(p) == key:
-                return as_complex(v)
-        raise InterpolationUnsupportedError(f"point {gamma!r} is off the tabulation grid")
-
-    def eval_exact(self, gamma):
-        v = self.eval(gamma)
-        return None if not isinstance(v, Radical) else v
-
-    def eval_many(self, gammas) -> np.ndarray:
-        return np.array([self.eval(g) for g in gammas], dtype=complex)
-
-
-PeriodicFilter = (TrigPolynomial, CosetPiecewise, TabulatedFilter)
+PeriodicFilter = (TrigPolynomial, CosetPiecewise)
 
 
 def eval_filter(f, gamma) -> complex:
@@ -241,10 +213,12 @@ class UepMatrix:
     def rho(self) -> int:
         return len(self.rows) - 1
 
-    def value(self, gamma) -> np.ndarray:
+    def eval_many(self, gammas) -> np.ndarray:
+        """The matrix at every point, as an array of shape (points, rows, d_k)."""
         dual = self.chain.dual
-        cols = [element_add(dual, gamma, nu) for nu in self.nu]
-        return np.array([[f.eval(g) for g in cols] for f in self.rows], dtype=complex)
+        pts = domains.point_array(gammas, dual)
+        cols = [domains.shift_points(pts, nu, dual) for nu in self.nu]
+        return np.stack([np.stack([f.eval_many(c) for c in cols], axis=-1) for f in self.rows], axis=1)
 
     def value_exact(self, gamma):
         dual = self.chain.dual
@@ -276,16 +250,19 @@ def assemble_uep(chain: LatticeChain, k: int, h, g_list) -> UepMatrix:
 
 @dataclass(frozen=True)
 class SamplingPlan:
-    points: tuple
+    points: np.ndarray  # shape (n,), or (n, s) on R^s; integers on discrete duals
     exact: bool  # exhaustive over a finite dual domain
     label: str
 
     def __post_init__(self):
-        if not self.points:
+        object.__setattr__(self, "points", np.asarray(self.points))
+        if len(self.points) == 0:
             raise EmptySamplingPlanError("sampling plan has no points")
 
-
-_PLAN_CACHE: dict = {}
+    def point(self, i: int):
+        """Point i as a plain number, or a tuple on R^s."""
+        p = self.points[i : i + 1].tolist()[0]
+        return tuple(p) if isinstance(p, list) else p
 
 
 def dual_sampling_plan(
@@ -296,32 +273,17 @@ def dual_sampling_plan(
     seed: int = DEFAULT_SEED,
     domain=None,
 ) -> SamplingPlan:
-    """Sampling plan covering V_k: exhaustive on finite duals, grid+random else.
-
-    Plans are memoized; they are pure functions of the chain parameters.
-    """
-    key = None
-    if domain is None:
-        key = (chain.kind, repr(sorted(chain.params.items())), k, grid, random, seed)
-        hit = _PLAN_CACHE.get(key)
-        if hit is not None:
-            return hit
+    """Sampling plan covering V_k: exhaustive on finite duals, grid+random else."""
     dom = domain if domain is not None else chain.level(k).domain_v
     if chain.dual.is_discrete:
-        pts = tuple(domains.iter_points(dom, chain.dual))
-        plan = SamplingPlan(pts, True, f"exhaustive V_{k} ({len(pts)} points)")
-    else:
-        rng = np.random.default_rng(seed)
-        scalar = chain.dual.kind != EUCLIDEAN
-        pts = tuple(domains.grid_points(dom, grid, scalar)) + tuple(
-            domains.random_points(dom, random, rng, scalar)
-        )
-        plan = SamplingPlan(pts, False, f"grid+random V_{k} ({len(pts)} points, seed {seed:#x})")
-    if key is not None:
-        if len(_PLAN_CACHE) > 64:
-            _PLAN_CACHE.pop(next(iter(_PLAN_CACHE)))
-        _PLAN_CACHE[key] = plan
-    return plan
+        pts = np.fromiter(domains.iter_points(dom, chain.dual), dtype=np.int64)
+        return SamplingPlan(pts, True, f"exhaustive V_{k} ({len(pts)} points)")
+    rng = np.random.default_rng(seed)
+    scalar = chain.dual.kind != EUCLIDEAN
+    pts = np.concatenate(
+        [domains.grid_points(dom, grid, scalar), domains.random_points(dom, random, rng, scalar)]
+    )
+    return SamplingPlan(pts, False, f"grid+random V_{k} ({len(pts)} points, seed {seed:#x})")
 
 
 @dataclass(frozen=True)
@@ -364,62 +326,31 @@ def _gram_residual_exact(P: UepMatrix, gamma) -> Fraction | None:
     return worst
 
 
-def _gram_residual_float(P: UepMatrix, gamma) -> float:
-    m = P.value(gamma)
-    g = m.conj().T @ m - P.d * np.eye(P.d)
-    return float(np.max(np.abs(g)))
-
-
 def pointwise_residuals(P: UepMatrix, points) -> np.ndarray:
-    """Residual of the Gram identity at each sample point."""
-    if all(isinstance(f, TrigPolynomial) for f in P.rows) and P.chain.dual.kind != CYCLIC:
-        return _residuals_vectorized(P, points)
-    return np.array([_gram_residual_float(P, g) for g in points])
-
-
-def _residuals_vectorized(P: UepMatrix, points) -> np.ndarray:
-    dual = P.chain.dual
-    if dual.kind == EUCLIDEAN:
-        base = np.array([[float(c) for c in domains.coords(p)] for p in points])
-        cols = [base + np.array([float(c) for c in domains.coords(nu)]) for nu in P.nu]
-    else:
-        base = np.array([float(p) for p in points])
-        cols = [base + float(nu) for nu in P.nu]
-    mat = np.empty((len(points), len(P.rows), P.d), dtype=complex)
-    for r, f in enumerate(P.rows):
-        for l, col in enumerate(cols):
-            mat[:, r, l] = f.eval_many(col)
-    gram = np.einsum("nrl,nrm->nlm", mat.conj(), mat) - P.d * np.eye(P.d)
+    """Largest entry of |P*P - d I| at each point, one batched Gram product."""
+    m = P.eval_many(points)
+    gram = np.einsum("nrl,nrm->nlm", m.conj(), m) - P.d * np.eye(P.d)
     return np.max(np.abs(gram), axis=(1, 2))
 
 
 def verify_uep(P: UepMatrix, plan: SamplingPlan) -> UepReport:
     """Largest deviation of P*P from d_k I over the plan.
 
-    Exact sample points are evaluated in exact arithmetic where the filter
-    values allow it; the report is flagged exact only if every point was.
+    On exhaustive plans each point is re-evaluated in exact arithmetic where
+    the filter values allow it; the report is flagged exact only if every
+    point was.
     """
-    worst, worst_pt, all_exact = 0.0, plan.points[0], True
-    float_pts = []
+    res = pointwise_residuals(P, plan.points)
+    exact = plan.exact
     if plan.exact:
-        for g in plan.points:
+        for i, g in enumerate(plan.points.tolist()):
             w2 = _gram_residual_exact(P, g)
             if w2 is None:
-                all_exact = False
-                float_pts.append(g)
-                continue
-            w = math.sqrt(float(w2))
-            if w > worst:
-                worst, worst_pt = w, g
-    else:
-        all_exact = False
-        float_pts = list(plan.points)
-    if float_pts:
-        res = pointwise_residuals(P, float_pts)
-        i = int(np.argmax(res))
-        if res[i] > worst:
-            worst, worst_pt = float(res[i]), float_pts[i]
-    return UepReport(worst, all_exact, worst_pt, len(plan.points), plan.label)
+                exact = False
+            else:
+                res[i] = math.sqrt(w2)
+    worst, i = worst_residual(res)
+    return UepReport(worst, exact, plan.point(i), len(res), plan.label)
 
 
 def gram_entry(P: UepMatrix, gamma, l: int, lp: int) -> complex:
@@ -443,11 +374,12 @@ def verify_periodic_extension(P: UepMatrix, shifts, plan: SamplingPlan, tol: flo
     """Residuals agree at gamma and gamma + shift for level-k annihilator shifts."""
     ann = P.chain.level(P.k).annihilator
     dual = P.chain.dual
-    base = pointwise_residuals(P, list(plan.points))
+    pts = domains.point_array(plan.points, dual)
+    base = pointwise_residuals(P, pts)
     for shift in shifts:
         if not ann.contains(shift):
             raise LatticeMembershipError(f"shift {shift!r} is not in the level-{P.k} annihilator")
-        moved = pointwise_residuals(P, [element_add(dual, g, shift) for g in plan.points])
+        moved = pointwise_residuals(P, domains.shift_points(pts, shift, dual))
         if np.max(np.abs(base - moved)) > tol:
             return False
     return True

@@ -31,6 +31,7 @@ from . import domains
 from .chains import LatticeChain, chain_from_params
 from .exceptions import (
     DomainParameterError,
+    PeriodicityMismatchError,
     ProperSubsetError,
     SchemaError,
     UncertifiedLevelError,
@@ -182,9 +183,7 @@ def _charfun_wavelets(system: FrameSystem) -> list:
     for lf in system.level_filters:
         phi_next = system.scaling(lf.k + 1).freq
         for m, g in enumerate(lf.gs, start=1):
-            vals = np.array(
-                [g.eval(x) for x in range(phi_next.start, phi_next.stop)], dtype=complex
-            )
+            vals = g.eval_many(np.arange(phi_next.start, phi_next.stop))
             freq = DiscreteFunction(
                 chain.dual, phi_next.start, tuple(vals * phi_next.array)
             )
@@ -351,12 +350,21 @@ def ensure_certified(system: FrameSystem, k: int, tol: float = 1e-9):
 def telescoping_residual(
     system: FrameSystem, k: int, f: DiscreteFunction, side: str | None = None
 ) -> float:
-    """|energy at level k+1 - (energy at level k + wavelet energies at k)|."""
+    """|energy at level k+1 - (energy at level k + wavelet energies at k)|.
+
+    Certifies level k first; callers running many trials per level certify
+    once and then use `_energy_gap`.
+    """
     if not system.k0 <= k < system.k1:
         raise DomainParameterError(f"need a level with a successor, got {k}")
+    ensure_certified(system, k)
+    return _energy_gap(system, k, f, side)
+
+
+def _energy_gap(system: FrameSystem, k: int, f: DiscreteFunction, side: str | None = None) -> float:
+    """The telescoping gap at a level that is already certified."""
     side = side or _default_side(system)
     _check_side(system, f, side)
-    ensure_certified(system, k)
     lhs = _energy(system, system.scaling(k + 1), f, side)
     rhs = _energy(system, system.scaling(k), f, side)
     for w in system.wavelets:
@@ -413,7 +421,7 @@ def system_from_json(data: dict) -> FrameSystem:
             )
             for entry in data["filters"]
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, PeriodicityMismatchError) as exc:
         raise SchemaError(f"malformed system artifact: {exc}") from exc
     if family.get("type") == "bspline":
         order = family["order"]

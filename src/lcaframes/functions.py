@@ -87,12 +87,6 @@ class DiscreteFunction:
             raise DomainParameterError("zero function has no support")
         return self.start + int(nz[0]), self.start + int(nz[-1])
 
-    def trimmed(self) -> "DiscreteFunction":
-        if self.group.kind == CYCLIC:
-            return self
-        lo, hi = self.support()
-        return DiscreteFunction(self.group, lo, self.values[lo - self.start : hi - self.start + 1])
-
 
 def delta(group: GroupSpec, at: int = 0) -> DiscreteFunction:
     if group.kind == CYCLIC:
@@ -100,19 +94,6 @@ def delta(group: GroupSpec, at: int = 0) -> DiscreteFunction:
         vals[at % group.modulus] = 1 + 0j
         return DiscreteFunction(group, 0, tuple(vals))
     return DiscreteFunction(group, at, (1 + 0j,))
-
-
-def from_dict(group: GroupSpec, data: dict) -> DiscreteFunction:
-    if group.kind == CYCLIC:
-        vals = [0j] * group.modulus
-        for x, v in data.items():
-            vals[x % group.modulus] += v
-        return DiscreteFunction(group, 0, tuple(vals))
-    lo, hi = min(data), max(data)
-    vals = [0j] * (hi - lo + 1)
-    for x, v in data.items():
-        vals[x - lo] += v
-    return DiscreteFunction(group, lo, tuple(vals))
 
 
 def random_test_function(group: GroupSpec, window: tuple[int, int], rng) -> DiscreteFunction:

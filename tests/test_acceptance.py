@@ -304,7 +304,7 @@ def test_criterion_9_negative_controls(tmp_path):
     bad = system_from_json(data)
     # matrix identity breaks by a full unit at the origin
     P = bad.uep_matrix(1)
-    m = P.value(0)
+    m = P.eval_many(0)[0]
     residual0 = float(np.max(np.abs(m.conj().T @ m - 2 * np.eye(2))))
     ok = residual0 >= 1.0
     # frame operator drifts visibly from the identity

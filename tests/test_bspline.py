@@ -6,10 +6,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lcaframes.bspline import (
     bspline_hat,
-    bspline_hat_many,
     bspline_time,
     check_refinement_splitting,
     even_order_wavelet_filters,
@@ -101,11 +102,49 @@ def test_hat_matches_time_transform_cyclic():
 
 
 def test_hat_many_matches_scalar():
-    ch = integer_chain(4)
-    gammas = np.linspace(0, 1, 37, endpoint=False)
-    many = bspline_hat_many(ch, 1, 2, gammas)
-    each = np.array([bspline_hat(ch, 1, 2, g) for g in gammas])
-    assert np.max(np.abs(many - each)) < 1e-12
+    # the array transform against the direct sum over the time-domain values
+    for ch, gammas in (
+        (integer_chain(4), np.linspace(0, 1, 37, endpoint=False)),
+        (cyclic_chain(4), np.arange(16)),
+    ):
+        g = bspline_time(ch, 1, 2)
+        many = bspline_hat(ch, 1, 2, gammas)
+        assert many.shape == gammas.shape
+        each = np.array([g.time.hat(int(x) if ch.kind == "cyclic" else x) for x in gammas])
+        assert np.max(np.abs(many - each)) < 1e-12
+
+
+def _direct_character_sum(chain, k, gamma) -> complex:
+    """sum over x in Q_k of (-x, gamma), one exponential per point."""
+    q = chain.level(k).domain_q
+    xs = np.arange(q.lo, q.hi + 1)
+    t = gamma / chain.group.modulus if chain.kind == "cyclic" else gamma
+    return complex(np.exp(-2j * np.pi * ((xs * t) % 1.0)).sum())
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    M=st.integers(1, 8),
+    level=st.integers(0, 8),
+    m=st.integers(-2, 2),
+    offset=st.one_of(st.just(0.0), st.floats(-1e-12, 1e-12), st.floats(-0.5, 0.5)),
+)
+def test_dirichlet_kernel_matches_direct_sum_on_z(M, level, m, offset):
+    # conditioning near sin(pi gamma) = 0: gamma at and within 1e-12 of an integer
+    ch, k = integer_chain(M), min(level, M)
+    gamma = m + offset
+    n = 2 ** (M - k)
+    closed = bspline_hat(ch, k, 1, gamma)[0] * n**0.5
+    assert abs(closed - _direct_character_sum(ch, k, gamma)) <= 1e-12 * n
+
+
+@settings(max_examples=100, deadline=None)
+@given(M=st.integers(1, 8), level=st.integers(0, 8), gamma=st.integers(-600, 600))
+def test_dirichlet_kernel_matches_direct_sum_on_zn(M, level, gamma):
+    ch, k = cyclic_chain(M), min(level, M)
+    n = 2 ** (M - k)
+    closed = bspline_hat(ch, k, 1, gamma)[0] * n**0.5
+    assert abs(closed - _direct_character_sum(ch, k, gamma)) <= 1e-12 * n
 
 
 def test_lowpass_filter_values():

@@ -98,10 +98,9 @@ def test_refinement_filter_values_and_first_row():
     band2 = band_chain_cyclic(3, [0, 1, 2, 7])
     h2 = indicator_refinement_filter(band2, 2)
     P = assemble_uep(band2.chain, 2, h2, bandlimited_wavelet_filters(band2, 2))
-    for gamma in range(4):
-        row = P.value(gamma)[0]
-        assert row[0] == eval_filter(h2, gamma)
-        assert row[1] == 0
+    for gamma, m in enumerate(P.eval_many(np.arange(4))):
+        assert m[0, 0] == eval_filter(h2, gamma)
+        assert m[0, 1] == 0
 
 
 def test_refinement_identity_exact_everywhere():
@@ -154,8 +153,7 @@ def test_proper_masks_gram_identity_both_cases():
         band.chain, 2, indicator_refinement_filter(band, 2), bandlimited_wavelet_filters(band, 2)
     )
     # in-band point and out-of-band point both give the scaled identity
-    for gamma in (0, 1, 2, 3):
-        m = P.value(gamma)
+    for m in P.eval_many(np.array([0, 1, 2, 3])):
         assert np.allclose(m.conj().T @ m, 2 * np.eye(2), atol=1e-15)
     report = verify_uep(P, dual_sampling_plan(band.chain, 2))
     assert report.residual == 0.0 and report.exact
@@ -174,8 +172,8 @@ def test_orthonormal_masks_scaled_identity():
         P = assemble_uep(
             chain, k, indicator_refinement_filter(band, k), orthonormal_wavelet_filters(band, k)
         )
-        for gamma in range(2**k):
-            assert np.array_equal(P.value(gamma), RT2 * np.eye(2))
+        for m in P.eval_many(np.arange(2**k)):
+            assert np.array_equal(m, RT2 * np.eye(2))
         assert verify_uep(P, dual_sampling_plan(chain, k)).residual == 0.0
 
 

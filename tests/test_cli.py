@@ -1,6 +1,7 @@
 """End-to-end CLI: construct, verify, emit, exit codes, determinism."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -219,3 +220,58 @@ def test_verify_reports_exactness_flag(tmp_path):
     main(["verify", str(zpath), "--suite", "uep", "--samples", "256", "--report", str(rpath)])
     report = json.loads(rpath.read_text())
     assert not any(e["exact"] for e in report["checks"])
+
+
+def test_verify_bad_seed_exit_2(tmp_path, capsys):
+    spath = construct(tmp_path, Z8_SHANNON)
+    assert main(["verify", str(spath), "--suite", "uep", "--seed", "zz"]) == 2
+    assert "seed" in capsys.readouterr().err
+
+
+def test_descriptor_bad_seed_exit_2(tmp_path, capsys):
+    dpath = write_descriptor(tmp_path, dict(Z8_SHANNON, seed="xyz"))
+    assert main(["construct", "--descriptor", dpath, "--out", str(tmp_path / "x.json")]) == 2
+    assert "seed" in capsys.readouterr().err
+
+
+def test_verify_nonpositive_samples_exit_2(tmp_path):
+    spath = construct(tmp_path, Z_BSPLINE)
+    for samples in ("0", "-16"):
+        assert main(["verify", str(spath), "--suite", "uep", "--samples", samples]) == 2
+
+
+def test_verify_zero_trials_exit_2(tmp_path):
+    spath = construct(tmp_path, Z8_SHANNON)
+    assert main(["verify", str(spath), "--suite", "parseval", "--trials", "0"]) == 2
+
+
+def test_construct_above_desk_scale_exit_3(tmp_path, capsys):
+    desc = dict(Z_BSPLINE, chain={"M": 200})
+    dpath = write_descriptor(tmp_path, desc)
+    t0 = time.monotonic()
+    assert main(["construct", "--descriptor", dpath, "--out", str(tmp_path / "x.json")]) == 3
+    assert time.monotonic() - t0 < 1.0
+    assert "desk-scale" in capsys.readouterr().err
+
+
+def test_nan_filter_fails_verification(tmp_path):
+    spath = construct(tmp_path, Z_BSPLINE)
+    data = json.loads(spath.read_text())
+    h = data["filters"][1]["h"]
+    del h["coeffs_exact"]
+    h["coeffs"][0] = [float("nan"), 0.0]
+    cpath = tmp_path / "nan.json"
+    cpath.write_text(json.dumps(data))
+    rpath = tmp_path / "report.json"
+    assert main(["verify", str(cpath), "--suite", "uep", "--samples", "256", "--report", str(rpath)]) == 1
+    failed = [e for e in json.loads(rpath.read_text())["checks"] if e["status"] == "fail"]
+    assert [e["level"] for e in failed] == [1]
+
+
+def test_piecewise_domain_not_a_lattice_box_exit_2(tmp_path):
+    spath = construct(tmp_path, Z8_SHANNON)
+    data = json.loads(spath.read_text())
+    data["filters"][1]["h"]["domain"] = {"kind": "integer_interval", "lo": 0, "hi": 2}
+    cpath = tmp_path / "narrow.json"
+    cpath.write_text(json.dumps(data))
+    assert main(["verify", str(cpath), "--suite", "uep"]) == 2

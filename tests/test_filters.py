@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcaframes.bspline import refinement_filter, wavelet_filters
-from lcaframes.chains import cyclic_chain, integer_chain, torus_chain
+from lcaframes.chains import cyclic_chain, integer_chain
 from lcaframes.charfun import (
     band_chain_cyclic,
     full_band_chain,
@@ -21,14 +21,12 @@ from lcaframes.exact import radical
 from lcaframes.exceptions import (
     EmptySamplingPlanError,
     FilterVariantError,
-    InterpolationUnsupportedError,
     LatticeMembershipError,
     PeriodicityMismatchError,
 )
 from lcaframes.filters import (
     CosetPiecewise,
     SamplingPlan,
-    TabulatedFilter,
     TrigPolynomial,
     assemble_uep,
     dual_sampling_plan,
@@ -37,6 +35,7 @@ from lcaframes.filters import (
     filter_from_json,
     filter_to_json,
     mask_coefficients,
+    pointwise_residuals,
     scale_filter,
     verify_periodic_extension,
     verify_uep,
@@ -112,22 +111,10 @@ def test_mask_rebuild_matches_eval(coeffs):
         assert abs(f.eval(gamma) - rebuilt.eval(gamma)) < 1e-12
 
 
-def test_tabulated_filter_no_interpolation(z8chain):
-    lattice = z8chain.level(1).annihilator  # step 2 in Z_8
-    f = TabulatedFilter(z8chain.dual, (0, 1), (1 + 0j, 2 + 0j), lattice)
-    assert f.eval(0) == 1 and f.eval(1) == 2
-    assert f.eval(2) == 1  # 2 reduces to 0 mod step 2
-    tq = TabulatedFilter(
-        torus_chain([2]).dual, (0, 1), (1 + 0j, 2 + 0j), torus_chain([2]).level(0).annihilator
-    )
-    with pytest.raises(InterpolationUnsupportedError):
-        tq.eval(Fraction(1, 2))
-
-
 def test_assemble_haar_matrix_at_zero(zchain):
     h, gs = haar_pair(zchain, 0)
     P = assemble_uep(zchain, 0, h, gs)
-    assert np.allclose(P.value(0), RT2 * np.eye(2))
+    assert np.allclose(P.eval_many(0)[0], RT2 * np.eye(2))
 
 
 def test_assemble_checks_periodicity(zchain):
@@ -144,8 +131,10 @@ def test_shannon_matrix_is_scaled_identity(z8chain):
         P = assemble_uep(
             z8chain, k, indicator_refinement_filter(band, k), orthonormal_wavelet_filters(band, k)
         )
-        for gamma in range(2**k):
-            assert np.array_equal(P.value(gamma), RT2 * np.eye(2))
+        mats = P.eval_many(np.arange(2**k))
+        assert mats.shape == (2**k, 2, 2)
+        for m in mats:
+            assert np.array_equal(m, RT2 * np.eye(2))
 
 
 def test_verify_uep_haar_grid(zchain):
@@ -182,13 +171,17 @@ def test_verify_uep_empty_plan():
 
 
 def test_entrywise_matches_matrix_residual(zchain):
-    h, gs = haar_pair(zchain, 1)
-    P = assemble_uep(zchain, 1, h, gs)
+    # the batched Gram residual against the entrywise oracle, point by point
     rng = np.random.default_rng(3)
-    for gamma in rng.random(50):
-        m = P.value(gamma)
-        gram = m.conj().T @ m - P.d * np.eye(P.d)
-        assert abs(np.max(np.abs(gram)) - entrywise_residual(P, gamma)) < 1e-12
+    gammas = rng.random(50)
+    for order in (1, 2):
+        P = assemble_uep(zchain, 1, refinement_filter(zchain, 1, order), wavelet_filters(zchain, 1, order))
+        for dead in (False, True):  # a broken wavelet row gives large residuals
+            if dead:
+                P = assemble_uep(zchain, 1, P.rows[0], [scale_filter(g, 0.5) for g in P.rows[1:]])
+            batched = pointwise_residuals(P, gammas)
+            oracle = np.array([entrywise_residual(P, g) for g in gammas])
+            assert np.max(np.abs(batched - oracle)) < 1e-12
 
 
 def test_periodic_extension_haar(zchain):
@@ -265,3 +258,24 @@ def test_piecewise_finite_subset_piece(z8chain):
     dom = IntegerInterval(0, 3)
     f = CosetPiecewise(z8chain.dual, ((FiniteSubset((1, 2)), radical(1)),), dom, lattice)
     assert f.eval(1) == 1 and f.eval(0) == 0 and f.eval(5) == 1
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_verify_uep_reports_non_finite_residual(bad):
+    # a corrupted refinement filter must never certify as a 0.0 residual
+    chain = integer_chain(4)
+    h = scale_filter(refinement_filter(chain, 1, 2), bad)
+    P = assemble_uep(chain, 1, h, wavelet_filters(chain, 1, 2))
+    report = verify_uep(P, dual_sampling_plan(chain, 1, grid=256, random=64))
+    assert not math.isfinite(report.residual)
+    assert not report.residual <= 1e-12
+
+
+def test_piecewise_domain_must_be_one_lattice_step(z8chain):
+    from lcaframes.domains import CosetUnion
+
+    lattice = z8chain.level(2).annihilator  # step 4 in Z_8
+    with pytest.raises(PeriodicityMismatchError):
+        CosetPiecewise(z8chain.dual, (), IntegerInterval(0, 2), lattice)
+    with pytest.raises(PeriodicityMismatchError):  # right width, but a gap inside
+        CosetPiecewise(z8chain.dual, (), CosetUnion(IntegerInterval(0, 0), (0, 3)), lattice)
