@@ -26,6 +26,7 @@ from .domains import HalfOpenBox, IntegerInterval
 from .exact import cis, cis_many, radical
 from .exceptions import (
     DomainParameterError,
+    ResourceLimitError,
     SplittingError,
     UnsupportedIndexError,
     UnsupportedOrderError,
@@ -34,6 +35,22 @@ from .exceptions import (
 from .filters import SamplingPlan, TrigPolynomial, worst_residual
 from .functions import DiscreteFunction
 from .groups import CYCLIC, EUCLIDEAN, INTEGERS, TORUS, element_add, pairing_phase
+
+
+MAX_ORDER = 16  # desk-scale cap on the spline order
+
+
+def require_order(order: int):
+    """Raise unless 1 <= order <= MAX_ORDER.
+
+    Checked before any convolution or mask is built: the order-N spline takes
+    N - 1 convolutions, the even-order family has N masks of N + 1 terms, and
+    their exact coefficients carry radicands up to 2 C(N, N/2).
+    """
+    if not isinstance(order, int) or order < 1:
+        raise UnsupportedOrderError(f"order must be an integer >= 1, got {order!r}")
+    if order > MAX_ORDER:
+        raise ResourceLimitError(f"order {order} exceeds {MAX_ORDER} (desk-scale cap)")
 
 
 @dataclass(frozen=True)
@@ -88,8 +105,7 @@ def check_refinement_splitting(chain: LatticeChain, k: int):
 
 def bspline_time(chain: LatticeChain, k: int, order: int) -> BSplineGenerator:
     """Order-`order` generator at level k, with exact values on Z / Z_N."""
-    if order < 1:
-        raise UnsupportedOrderError(f"order must be >= 1, got {order}")
+    require_order(order)
     group = chain.group
     q = chain.level(k).domain_q
     if group.kind in (INTEGERS, CYCLIC):
@@ -158,6 +174,7 @@ def bspline_hat(chain: LatticeChain, k: int, order: int, gammas) -> np.ndarray:
 
 def refinement_filter(chain: LatticeChain, k: int, order: int) -> TrigPolynomial:
     """Binomial lowpass mask 2^{-(N-1/2)} (1 + (-eta_k, .))^N as a trig filter."""
+    require_order(order)
     _require_index_two(chain, k)
     eta = chain.splitter(k)
     coeffs = tuple(
@@ -178,8 +195,7 @@ def first_order_wavelet_filter(chain: LatticeChain, k: int) -> TrigPolynomial:
 
 def even_order_wavelet_filters(chain: LatticeChain, k: int, half_order: int) -> list:
     """The 2M highpass masks sqrt(C(2M,m)) 2^{-(2M-1/2)} (1+z)^{2M-m} (1-z)^m."""
-    if half_order < 1:
-        raise UnsupportedOrderError(f"half order must be >= 1, got {half_order}")
+    require_order(2 * half_order)
     _require_index_two(chain, k)
     eta = chain.splitter(k)
     n = 2 * half_order

@@ -12,6 +12,7 @@ Z_{2^M}, product chains on T, and diagonally scaled chains on R^s.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -104,6 +105,7 @@ def integer_chain(M: int) -> LatticeChain:
     """Dyadic chain on Z: Lambda_k = 2^{M-k} Z for k = 0..M."""
     if not isinstance(M, int) or M < 1:
         raise DomainParameterError(f"depth M must be a positive integer, got {M}")
+    require_desk_scale(itertools.repeat(2, M), f"integer chain of depth {M}")
     G, Gd = integer_group(), torus_group()
     levels = []
     for k in range(M + 1):
@@ -124,6 +126,7 @@ def cyclic_chain(M: int) -> LatticeChain:
     """Dyadic chain on Z_{2^M}: Lambda_k = 2^{M-k} Z_{2^k} for k = 0..M."""
     if not isinstance(M, int) or M < 1:
         raise DomainParameterError(f"depth M must be a positive integer, got {M}")
+    require_desk_scale(itertools.repeat(2, M), f"cyclic chain of depth {M}")
     n = 2**M
     G = cyclic_group(n)
     Gd = dual_group(G)
@@ -152,6 +155,7 @@ def torus_chain(m_factors: list[int]) -> LatticeChain:
         raise DomainParameterError(f"all chain factors must be integers >= 2, got {m_factors}")
     if m_factors[0] % 2:
         raise DomainParameterError(f"the first chain factor must be even, got {m_factors[0]}")
+    require_desk_scale(m_factors, "torus chain factors")
     G, Gd = torus_group(), integer_group()
     levels = []
     n = 1

@@ -33,6 +33,7 @@ from .exceptions import (
     FilterVariantError,
     LatticeMembershipError,
     PeriodicityMismatchError,
+    SchemaError,
 )
 from .groups import (
     CYCLIC,
@@ -396,7 +397,10 @@ def _value_json(v) -> dict:
 def _value_from_json(data) -> object:
     if "exact" in data:
         e = data["exact"]
-        return Radical(Fraction(e["re"]), Fraction(e["im"]), int(e["rad"]))
+        rad = int(e["rad"])
+        if rad < 1:
+            raise SchemaError(f"radicand must be positive, got {rad}")
+        return Radical(Fraction(e["re"]), Fraction(e["im"]), rad)
     return complex(data["re"], data["im"])
 
 
@@ -424,6 +428,17 @@ def filter_from_json(data: dict, chain: LatticeChain, k: int):
     """Rebind a serialized filter to level k of the chain (periodicity k+1)."""
     lattice = chain.level(k + 1).annihilator
     if data["kind"] == "trig":
+        step = domains._point_from_json(data["eta"])
+        shifts = data["shifts"]
+        if not (
+            shifts
+            and len(data["coeffs"]) == len(shifts)
+            and all(type(j) is int for j in shifts)
+            and chain.level(k + 1).lattice.contains(step)
+        ):
+            raise PeriodicityMismatchError(
+                f"trig filter needs integer shifts, one coefficient each, and a level-{k + 1} lattice step"
+            )
         coeffs = []
         for i, pair in enumerate(data["coeffs"]):
             exact = data.get("coeffs_exact")
@@ -433,8 +448,8 @@ def filter_from_json(data: dict, chain: LatticeChain, k: int):
                 coeffs.append(complex(pair[0], pair[1]))
         return TrigPolynomial(
             chain.group,
-            domains._point_from_json(data["eta"]),
-            tuple(data["shifts"]),
+            step,
+            tuple(shifts),
             tuple(coeffs),
             lattice,
         )
@@ -444,4 +459,4 @@ def filter_from_json(data: dict, chain: LatticeChain, k: int):
             for p in data["pieces"]
         )
         return CosetPiecewise(chain.dual, pieces, domains.domain_from_json(data["domain"]), lattice)
-    raise FilterVariantError(f"unknown filter kind {data['kind']!r}")
+    raise SchemaError(f"unknown filter kind {data['kind']!r}")

@@ -20,6 +20,7 @@ only and rejected here.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,6 +32,7 @@ from . import domains
 from .chains import LatticeChain, chain_from_params
 from .exceptions import (
     DomainParameterError,
+    LcaError,
     PeriodicityMismatchError,
     ProperSubsetError,
     SchemaError,
@@ -91,109 +93,96 @@ class FrameSystem:
         lf = self.filters_at(k)
         return assemble_uep(self.chain, k, lf.h, lf.gs)
 
-    @property
-    def wavelet_counts(self) -> dict:
-        out = {}
-        for w in self.wavelets:
-            out[w.level] = out.get(w.level, 0) + 1
-        return out
 
-
-def _inverse_transform_cyclic(freq: DiscreteFunction, group) -> DiscreteFunction:
-    """Inverse Fourier transform Z_N-dual -> Z_N (weight 1/N)."""
-    n = group.modulus
-    xg = np.outer(np.arange(n), np.arange(n)) % n
-    w = np.exp(2j * np.pi * xg / n)
-    vals = (w @ freq.array) / n
-    return DiscreteFunction(group, 0, tuple(vals))
-
-
-def build_bspline_system(chain: LatticeChain, order: int, k0=None, k1=None) -> FrameSystem:
-    """Spline family: binomial lowpass plus order-matched wavelet masks."""
+def _levels(chain: LatticeChain, k0, k1) -> tuple[int, int]:
     k0 = chain.k0 if k0 is None else k0
     k1 = chain.k1 if k1 is None else k1
     if not chain.k0 <= k0 < k1 <= chain.k1:
         raise DomainParameterError(f"need k0 < k1 within {chain.k0}..{chain.k1}")
-    discrete = chain.group.kind in (INTEGERS, CYCLIC)
-    level_filters, scalings, wavelets = [], [], []
-    for k in range(k0, k1 + 1):
-        time = bsp.bspline_time(chain, k, order).time if discrete else None
-        scalings.append(Generator(f"phi[{k}]", "scaling", k, None, time, None))
-        if k < k1:
-            bsp.check_refinement_splitting(chain, k)
-            h = bsp.refinement_filter(chain, k, order)
-            gs = tuple(bsp.wavelet_filters(chain, k, order))
-            level_filters.append(LevelFilters(k, h, gs))
-            for m, g in enumerate(gs, start=1):
-                wt = bsp.wavelet_time(chain, k, g, order) if discrete else None
-                wavelets.append(Generator(f"psi[{k}][{m}]", "wavelet", k, m, wt, None))
-    family = {"type": "bspline", "order": order}
-    return FrameSystem(chain, family, k0, k1, tuple(level_filters), tuple(scalings), tuple(wavelets))
+    return k0, k1
+
+
+def build_bspline_system(chain: LatticeChain, order: int, k0=None, k1=None) -> FrameSystem:
+    """Spline family: binomial lowpass plus order-matched wavelet masks."""
+    k0, k1 = _levels(chain, k0, k1)
+    level_filters = []
+    for k in range(k0, k1):
+        bsp.check_refinement_splitting(chain, k)
+        h = bsp.refinement_filter(chain, k, order)
+        level_filters.append(LevelFilters(k, h, tuple(bsp.wavelet_filters(chain, k, order))))
+    return _assemble(chain, {"type": "bspline", "order": order}, k0, k1, level_filters, None)
 
 
 def build_charfun_system(band: cf.OmegaChain, mode: str, k0=None, k1=None) -> FrameSystem:
     """Band family: indicator scaling functions with piecewise wavelet masks."""
     chain = band.chain
-    k0 = chain.k0 if k0 is None else k0
-    k1 = chain.k1 if k1 is None else k1
-    if not chain.k0 <= k0 < k1 <= chain.k1:
-        raise DomainParameterError(f"need k0 < k1 within {chain.k0}..{chain.k1}")
+    k0, k1 = _levels(chain, k0, k1)
     if mode not in ("proper", "shannon"):
         raise DomainParameterError(f"unknown band mode {mode!r}")
-    freq_side = chain.dual.is_discrete
-    level_filters, scalings, wavelets = [], [], []
-    for k in range(k0, k1 + 1):
-        gen = cf.indicator_generator(band, k)
-        freq = gen.freq_function() if freq_side else None
-        time = (
-            _inverse_transform_cyclic(freq, chain.group) if chain.group.kind == CYCLIC else None
-        )
-        scalings.append(Generator(f"phi[{k}]", "scaling", k, None, time, freq))
-        if k < k1:
-            if mode == "proper" and not band.is_proper(k):
-                raise ProperSubsetError(
-                    f"level {k} band set equals the dual cell; start the system higher"
-                )
-            h = cf.indicator_refinement_filter(band, k)
-            gs = (
-                tuple(cf.bandlimited_wavelet_filters(band, k))
-                if mode == "proper"
-                else tuple(cf.orthonormal_wavelet_filters(band, k))
+    level_filters = []
+    for k in range(k0, k1):
+        if mode == "proper" and not band.is_proper(k):
+            raise ProperSubsetError(
+                f"level {k} band set equals the dual cell; start the system higher"
             )
-            level_filters.append(LevelFilters(k, h, gs))
+        h = cf.indicator_refinement_filter(band, k)
+        gs = (
+            cf.bandlimited_wavelet_filters(band, k)
+            if mode == "proper"
+            else cf.orthonormal_wavelet_filters(band, k)
+        )
+        level_filters.append(LevelFilters(k, h, tuple(gs)))
     family = {"type": "charfun", "mode": mode, "band": band.label, "band_params": band.params}
-    system = FrameSystem(
+    return _assemble(chain, family, k0, k1, level_filters, band)
+
+
+def _assemble(chain: LatticeChain, family: dict, k0: int, k1: int, level_filters, band) -> FrameSystem:
+    """The system on levels k0..k1 with the given filters: its generators.
+
+    Spline generators get exact time values on Z and Z_N.  Band generators
+    get values on a discrete dual, and their wavelets are filter times
+    next-level scaling there; on Z_N both also get the inverse transform.
+    Elsewhere a generator has no finite representation and is certified
+    through the matrix condition only.
+    """
+    scalings, wavelets = [], []
+    if family["type"] == "bspline":
+        order = family["order"]
+        discrete = chain.group.kind in (INTEGERS, CYCLIC)
+        for k in range(k0, k1 + 1):
+            time = bsp.bspline_time(chain, k, order).time if discrete else None
+            scalings.append(Generator(f"phi[{k}]", "scaling", k, None, time, None))
+        for lf in level_filters:
+            for m, g in enumerate(lf.gs, start=1):
+                wt = bsp.wavelet_time(chain, lf.k, g, order) if discrete else None
+                wavelets.append(Generator(f"psi[{lf.k}][{m}]", "wavelet", lf.k, m, wt, None))
+    else:
+        for k in range(k0, k1 + 1):
+            freq = cf.indicator_generator(band, k).freq_function() if chain.dual.is_discrete else None
+            scalings.append(Generator(f"phi[{k}]", "scaling", k, None, _time_side(freq, chain), freq))
+        for lf in level_filters:
+            phi_next = scalings[lf.k + 1 - k0].freq
+            for m, g in enumerate(lf.gs, start=1):
+                freq = None
+                if phi_next is not None:
+                    vals = g.eval_many(np.arange(phi_next.start, phi_next.stop))
+                    freq = DiscreteFunction(chain.dual, phi_next.start, tuple(vals * phi_next.array))
+                wavelets.append(
+                    Generator(f"psi[{lf.k}][{m}]", "wavelet", lf.k, m, _time_side(freq, chain), freq)
+                )
+    return FrameSystem(
         chain, family, k0, k1, tuple(level_filters), tuple(scalings), tuple(wavelets), band
     )
-    wavelets = _charfun_wavelets(system)
-    return FrameSystem(
-        chain, family, k0, k1, system.level_filters, system.scalings, tuple(wavelets), band
-    )
 
 
-def _charfun_wavelets(system: FrameSystem) -> list:
-    """Wavelet generators as filter-times-scaling products on the dual."""
-    chain = system.chain
-    out = []
-    if not chain.dual.is_discrete:
-        for lf in system.level_filters:
-            for m, _ in enumerate(lf.gs, start=1):
-                out.append(Generator(f"psi[{lf.k}][{m}]", "wavelet", lf.k, m, None, None))
-        return out
-    for lf in system.level_filters:
-        phi_next = system.scaling(lf.k + 1).freq
-        for m, g in enumerate(lf.gs, start=1):
-            vals = g.eval_many(np.arange(phi_next.start, phi_next.stop))
-            freq = DiscreteFunction(
-                chain.dual, phi_next.start, tuple(vals * phi_next.array)
-            )
-            time = (
-                _inverse_transform_cyclic(freq, chain.group)
-                if chain.group.kind == CYCLIC
-                else None
-            )
-            out.append(Generator(f"psi[{lf.k}][{m}]", "wavelet", lf.k, m, time, freq))
-    return out
+def _time_side(freq: DiscreteFunction | None, chain: LatticeChain) -> DiscreteFunction | None:
+    """Inverse Fourier transform Z_N-dual -> Z_N (weight 1/N); None off Z_N."""
+    if chain.group.kind != CYCLIC:
+        return None
+    n = chain.group.modulus
+    xg = np.outer(np.arange(n), np.arange(n)) % n
+    w = np.exp(2j * np.pi * xg / n)
+    return DiscreteFunction(chain.group, 0, tuple((w @ freq.array) / n))
 
 
 def _default_side(system: FrameSystem) -> str:
@@ -409,67 +398,63 @@ def system_to_json(system: FrameSystem, seed: int | None = None) -> dict:
 
 def system_from_json(data: dict) -> FrameSystem:
     """Rebuild a system from its artifact; filters are taken from the file."""
-    try:
+    with _malformed("malformed system artifact"):
         chain = chain_from_params(data["chain"]["kind"], data["chain"]["params"])
         family = data["family"]
         k0, k1 = data["k0"], data["k1"]
-        level_filters = tuple(
+        ks = [entry["k"] for entry in data["filters"]]
+        if not (chain.k0 <= k0 < k1 <= chain.k1 and ks == list(range(k0, k1))):
+            raise SchemaError(f"filters must be levels {k0}..{k1 - 1} of the chain in order, got {ks}")
+        band = None
+        if family["type"] == "charfun":
+            band = _band_from_params(family["band"], family["band_params"])
+        elif family["type"] != "bspline" or not isinstance(family["order"], int):
+            raise SchemaError(f"need a charfun band or an integer bspline order, got family {family!r}")
+        level_filters = [
             LevelFilters(
                 entry["k"],
                 filter_from_json(entry["h"], chain, entry["k"]),
                 tuple(filter_from_json(g, chain, entry["k"]) for g in entry["g"]),
             )
             for entry in data["filters"]
-        )
-    except (KeyError, TypeError, PeriodicityMismatchError) as exc:
-        raise SchemaError(f"malformed system artifact: {exc}") from exc
-    if family.get("type") == "bspline":
-        order = family["order"]
-        discrete = chain.group.kind in (INTEGERS, CYCLIC)
-        scalings, wavelets = [], []
-        for k in range(k0, k1 + 1):
-            time = bsp.bspline_time(chain, k, order).time if discrete else None
-            scalings.append(Generator(f"phi[{k}]", "scaling", k, None, time, None))
-        for lf in level_filters:
-            for m, g in enumerate(lf.gs, start=1):
-                wt = bsp.wavelet_time(chain, lf.k, g, order) if discrete else None
-                wavelets.append(Generator(f"psi[{lf.k}][{m}]", "wavelet", lf.k, m, wt, None))
-        return FrameSystem(chain, family, k0, k1, level_filters, tuple(scalings), tuple(wavelets))
-    if family.get("type") == "charfun":
-        band = _band_from_params(family["band"], family["band_params"])
-        freq_side = chain.dual.is_discrete
-        scalings = []
-        for k in range(k0, k1 + 1):
-            gen = cf.indicator_generator(band, k)
-            freq = gen.freq_function() if freq_side else None
-            time = (
-                _inverse_transform_cyclic(freq, chain.group)
-                if chain.group.kind == CYCLIC
-                else None
-            )
-            scalings.append(Generator(f"phi[{k}]", "scaling", k, None, time, freq))
-        partial = FrameSystem(
-            chain, family, k0, k1, level_filters, tuple(scalings), (), band
-        )
-        wavelets = _charfun_wavelets(partial)
-        return FrameSystem(
-            chain, family, k0, k1, level_filters, tuple(scalings), tuple(wavelets), band
-        )
-    raise SchemaError(f"unknown family {family!r}")
+        ]
+    return _assemble(chain, family, k0, k1, level_filters, band)
 
 
 def _band_from_params(label: str, params: dict) -> cf.OmegaChain:
-    if label == "cyclic":
-        return cf.band_chain_cyclic(params["M"], params["L"])
-    if label == "torus":
-        return cf.band_chain_torus(params["m_factors"], params["L"])
-    if label == "boxes":
-        return cf.band_chain_boxes(params["m_table"], [[Fraction(x) for x in r] for r in params["L"]])
-    if label == "balls":
-        return cf.band_chain_balls(params["m_table"], [Fraction(x) for x in params["L"]])
-    if label == "full":
-        return cf.full_band_chain(chain_from_params(params["kind"], params["chain_params"]))
+    """The band chain of a construction label and its parameters.
+
+    Rational bounds are read through their string form, so a JSON 0.1 is 1/10.
+    """
+    with _malformed(f"{label} band parameters"):
+        if label == "cyclic":
+            return cf.band_chain_cyclic(params["M"], params["L"])
+        if label == "torus":
+            return cf.band_chain_torus(params["m_factors"], params["L"])
+        if label == "boxes":
+            return cf.band_chain_boxes(params["m_table"], [[Fraction(str(x)) for x in r] for r in params["L"]])
+        if label == "balls":
+            return cf.band_chain_balls(params["m_table"], [Fraction(str(x)) for x in params["L"]])
+        if label == "full":
+            return cf.full_band_chain(chain_from_params(params["kind"], params["chain_params"]))
     raise SchemaError(f"unknown band construction {label!r}")
+
+
+@contextmanager
+def _malformed(what: str):
+    """Report the errors a malformed JSON value raises as SchemaError, prefixed by `what`.
+
+    Other library errors pass through with their own meaning; a filter
+    periodicity that does not fit the chain is a schema error too.
+    """
+    try:
+        yield
+    except (SchemaError, PeriodicityMismatchError) as exc:
+        raise SchemaError(f"{what}: {exc}") from exc
+    except LcaError:
+        raise
+    except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise SchemaError(f"{what}: {exc!r}") from exc
 
 
 def coefficients_to_json(coeffs: dict) -> dict:

@@ -47,10 +47,6 @@ class GroupSpec:
     def is_discrete(self) -> bool:
         return self.point_mass is not None
 
-    @property
-    def is_compact(self) -> bool:
-        return self.kind in (CYCLIC, TORUS)
-
     def describe(self) -> str:
         if self.kind == CYCLIC:
             return f"Z_{self.modulus}"

@@ -98,15 +98,6 @@ def _sort_key(p):
     return tuple(Fraction(x) for x in domains.coords(p))
 
 
-def cyclic_sublattice(modulus: int, step: int, point_mass=1) -> ScaledLattice:
-    """The subgroup step*Z_{modulus/step} of Z_modulus."""
-    if modulus % step:
-        raise DomainParameterError(f"step {step} does not divide modulus {modulus}")
-    from .groups import cyclic_group
-
-    return ScaledLattice(cyclic_group(modulus, point_mass), (Fraction(step),), (modulus // step,))
-
-
 def cyclic_annihilator(lat: ScaledLattice) -> ScaledLattice:
     """Annihilator of a cyclic sublattice, inside the dual copy of Z_N."""
     if lat.group.kind != CYCLIC:

@@ -14,7 +14,8 @@ from lcaframes.chains import (
     torus_chain,
 )
 from lcaframes.domains import HalfOpenBox, IntegerInterval, interval
-from lcaframes.exceptions import DomainParameterError, IndexRangeError, UnboundedWindowError
+from lcaframes.charfun import band_chain_cyclic
+from lcaframes.exceptions import DomainParameterError, IndexRangeError, ResourceLimitError, UnboundedWindowError
 from lcaframes.groups import pairing
 
 
@@ -214,3 +215,18 @@ def test_level_outside_index_set():
         ch.level(3)
     with pytest.raises(IndexRangeError):
         ch.index(2)  # top level has no successor
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: integer_chain(200),
+        lambda: cyclic_chain(10**9),
+        lambda: torus_chain([2] * 200),
+        lambda: band_chain_cyclic(200, list(range(201))),
+    ],
+    ids=["integer", "cyclic", "torus", "cyclic-band"],
+)
+def test_chains_above_desk_scale_raise_before_enumerating(build):
+    with pytest.raises(ResourceLimitError, match="desk-scale"):
+        build()

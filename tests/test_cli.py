@@ -6,7 +6,8 @@ import time
 import numpy as np
 import pytest
 
-from lcaframes.cli import ALL_CONDITIONS, main
+from lcaframes.cli import main
+from lcaframes.verify import ALL_CONDITIONS
 
 Z8_SHANNON = {
     "group": {"variant": "cyclic", "params": {"modulus": 8}},
@@ -275,3 +276,94 @@ def test_piecewise_domain_not_a_lattice_box_exit_2(tmp_path):
     cpath = tmp_path / "narrow.json"
     cpath.write_text(json.dumps(data))
     assert main(["verify", str(cpath), "--suite", "uep"]) == 2
+
+
+def test_verify_artifact_above_desk_scale_exit_3(tmp_path, capsys):
+    spath = construct(tmp_path, Z_BSPLINE)
+    data = json.loads(spath.read_text())
+    data["chain"]["params"]["M"] = 200
+    spath.write_text(json.dumps(data))
+    t0 = time.monotonic()
+    assert main(["verify", str(spath), "--suite", "uep"]) == 3
+    assert time.monotonic() - t0 < 1.0
+    assert "desk-scale" in capsys.readouterr().err
+
+
+def test_construct_order_above_desk_scale_exit_3(tmp_path, capsys):
+    dpath = write_descriptor(tmp_path, dict(Z_BSPLINE, family={"bspline": {"order": 100000}}))
+    t0 = time.monotonic()
+    assert main(["construct", "--descriptor", dpath, "--out", str(tmp_path / "x.json")]) == 3
+    assert time.monotonic() - t0 < 1.0
+    assert "desk-scale" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "desc",
+    [
+        dict(Z_BSPLINE, family={"bspline": 2}),
+        dict(Z8_SHANNON, family={"charfun": "proper"}),
+        dict(Z8_SHANNON, group={"variant": "cyclic", "params": [8]}),
+        dict(Z8_SHANNON, family={"charfun": {"mode": "proper", "L": 5}}),
+        dict(EUCLID_BOXES, chain={"M_table": [3]}),
+        dict(EUCLID_BOXES, family={"charfun": {"mode": "proper", "L": ["x", "1"], "shape": "balls"}}),
+    ],
+    ids=["bspline-not-object", "charfun-not-object", "params-not-object", "L-not-list", "M_table-row", "L-not-rational"],
+)
+def test_construct_malformed_descriptor_exit_2(tmp_path, capsys, desc):
+    dpath = write_descriptor(tmp_path, desc)
+    assert main(["construct", "--descriptor", dpath, "--out", str(tmp_path / "x.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda data: data["family"].pop("order"),
+        lambda data: data.update(family="x"),
+        lambda data: data["filters"][0]["h"]["coeffs_exact"][0]["exact"].update(re="1/x"),
+        lambda data: data["filters"][0]["h"]["coeffs_exact"][0]["exact"].update(rad="-2"),
+        lambda data: data["filters"][0]["g"][0].update(shifts=[[0], 1, 2]),
+        lambda data: data["filters"][0]["g"][0].update(shifts=[]),
+        lambda data: data["filters"][1]["g"][0].update(coeffs=[]),
+        lambda data: data["filters"][0]["h"].update(eta="1/3"),
+        lambda data: data["filters"].pop(),
+        lambda data: data["filters"][0].update(k=5),
+    ],
+    ids=[
+        "family-without-order",
+        "family-not-object",
+        "bad-fraction",
+        "negative-radicand",
+        "shift-not-integer",
+        "no-shifts",
+        "no-coeffs",
+        "step-off-lattice",
+        "truncated-filters",
+        "wrong-level",
+    ],
+)
+def test_verify_malformed_artifact_exit_2(tmp_path, capsys, corrupt):
+    spath = construct(tmp_path, Z_BSPLINE)
+    data = json.loads(spath.read_text())
+    corrupt(data)
+    spath.write_text(json.dumps(data))
+    assert main(["verify", str(spath), "--suite", "uep", "--samples", "256"]) == 2
+    assert "malformed system artifact" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tolerance", ["inf", "nan", "-1e-10"])
+def test_verify_bad_tolerance_exit_2(tmp_path, capsys, tolerance):
+    spath = construct(tmp_path, Z8_SHANNON)
+    data = json.loads(spath.read_text())
+    for piece in data["filters"][1]["g"][0]["pieces"]:
+        piece["value"] = {"re": 0.0, "im": 0.0}
+    spath.write_text(json.dumps(data))
+    assert main(["verify", str(spath), "--suite", "uep", f"--tolerance={tolerance}"]) == 2
+    assert "--tolerance" in capsys.readouterr().err
+
+
+def test_undecodable_input_files_exit_2(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    assert main(["construct", "--descriptor", str(bad), "--out", str(tmp_path / "x.json")]) == 2
+    assert main(["verify", str(bad), "--suite", "uep"]) == 2
