@@ -2,9 +2,10 @@
 
 The order-N generator at level k is the N-fold self-convolution of the
 indicator of Q_k, scaled by measure(Q_k)^{-N+1/2} so no renormalization is
-needed later.  On Z and Z_N the time-domain values come from exact integer
-convolution; on T and R^s the generator is available through closed-form
-evaluation of its Fourier transform (and a piecewise-polynomial time side).
+needed later.  On Z and Z_N the time-domain values come from repeated
+convolution of the indicator, in floats; on T and R^s the generator is
+available through closed-form evaluation of its Fourier transform (and a
+piecewise-polynomial time side).
 
 Consecutive levels are linked by a binomial lowpass mask whenever the chain
 has index-2 nesting and the fundamental-domain splitting
@@ -104,13 +105,13 @@ def check_refinement_splitting(chain: LatticeChain, k: int):
 
 
 def bspline_time(chain: LatticeChain, k: int, order: int) -> BSplineGenerator:
-    """Order-`order` generator at level k, with exact values on Z / Z_N."""
+    """Order-`order` generator at level k, with time values on Z / Z_N."""
     require_order(order)
     group = chain.group
     q = chain.level(k).domain_q
     if group.kind in (INTEGERS, CYCLIC):
         pts = list(domains.iter_points(q, group))
-        base = np.ones(len(pts), dtype=np.int64)
+        base = np.ones(len(pts))  # float: int64 wraps once |Q_k|^(order-1) passes 2^63
         conv = base
         for _ in range(order - 1):
             conv = np.convolve(conv, base)
@@ -118,8 +119,7 @@ def bspline_time(chain: LatticeChain, k: int, order: int) -> BSplineGenerator:
         if group.kind == CYCLIC:
             n = group.modulus
             full = np.zeros(n, dtype=complex)
-            for i, v in enumerate(conv):
-                full[(pts[0] * order + i) % n] += v
+            np.add.at(full, (pts[0] * order + np.arange(len(conv))) % n, conv)
             fn = DiscreteFunction(group, 0, tuple(full * scale))
         else:
             fn = DiscreteFunction(group, pts[0] * order, tuple(conv.astype(complex) * scale))
@@ -139,7 +139,8 @@ def _dirichlet(q: IntegerInterval, t: np.ndarray) -> np.ndarray:
     n = q.hi - q.lo + 1
     half = cis_many(n * t / 2)  # e^{pi i n t}
     s = cis_many(t / 2).imag  # sin(pi t)
-    ratio = np.divide(half.imag, s, out=np.full(t.shape, float(n)), where=s != 0)
+    # below the smallest normal float, s has lost digits; the ratio is n to O(t^2)
+    ratio = np.divide(half.imag, s, out=np.full(t.shape, float(n)), where=np.abs(s) >= np.finfo(float).tiny)
     return cis_many((0.5 - q.lo) * t) * half.conj() * ratio
 
 
@@ -237,27 +238,18 @@ def wavelet_time(chain: LatticeChain, k: int, filt: TrigPolynomial, order: int) 
         raise UnsupportedRepresentationError(
             f"mask step {filt.step!r} is not a level-{k + 1} lattice point"
         )
-    phi = bspline_time(chain, k + 1, order)
-    if phi.time is None:
+    phi = bspline_time(chain, k + 1, order).time
+    if phi is None:
         raise UnsupportedRepresentationError("time-domain wavelets need Z or Z_N")
-    acc = None
-    for j, c in zip(filt.shifts, filt.coeffs):
-        shifted = phi.time.translate(j * filt.step)
-        term = np.asarray(shifted.values, dtype=complex) * complex(c)
-        if chain.group.kind == CYCLIC:
-            acc = term if acc is None else acc + term
-            start = 0
-        else:
-            if acc is None:
-                acc, start = term, shifted.start
-            else:
-                lo = min(start, shifted.start)
-                hi = max(start + len(acc), shifted.start + len(term))
-                merged = np.zeros(hi - lo, dtype=complex)
-                merged[start - lo : start - lo + len(acc)] = acc
-                merged[shifted.start - lo : shifted.start - lo + len(term)] += term
-                acc, start = merged, lo
-    return DiscreteFunction(chain.group, start, tuple(acc))
+    offsets = [j * filt.step for j in filt.shifts]
+    if chain.group.kind == CYCLIC:
+        terms = [complex(c) * np.roll(phi.array, o) for o, c in zip(offsets, filt.coeffs)]
+        return DiscreteFunction(chain.group, 0, tuple(sum(terms[1:], terms[0])))
+    lo = min(offsets)
+    acc = np.zeros(len(phi.values) + max(offsets) - lo, dtype=complex)
+    for o, c in zip(offsets, filt.coeffs):
+        acc[o - lo : o - lo + len(phi.values)] += complex(c) * phi.array
+    return DiscreteFunction(chain.group, phi.start + lo, tuple(acc))
 
 
 def lowpass_flatness_check(

@@ -189,17 +189,11 @@ class IndicatorGenerator:
         dual = self.band.chain.dual
         if not dual.is_discrete:
             raise DomainParameterError("frequency-side values need a discrete dual")
-        value = complex(self.scale)
-        pts = list(domains.iter_points(self.band.omega(self.k), dual))
-        if dual.kind == CYCLIC:
-            vals = np.zeros(dual.modulus, dtype=complex)
-            for p in pts:
-                vals[p % dual.modulus] = value
-            return DiscreteFunction(dual, 0, tuple(vals))
-        lo, hi = min(pts), max(pts)
-        vals = np.zeros(hi - lo + 1, dtype=complex)
-        for p in pts:
-            vals[p - lo] = value
+        pts = np.fromiter(domains.iter_points(self.band.omega(self.k), dual), dtype=np.int64)
+        # one full period on Z_N, the smallest window holding the band on Z
+        lo, size = (0, dual.modulus) if dual.kind == CYCLIC else (int(pts.min()), int(np.ptp(pts)) + 1)
+        vals = np.zeros(size, dtype=complex)
+        vals[(pts - lo) % size] = complex(self.scale)
         return DiscreteFunction(dual, lo, tuple(vals))
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .exact import as_fraction
 from .exceptions import DomainParameterError, UnboundedWindowError
-from .groups import CYCLIC, EUCLIDEAN, TORUS, GroupSpec, element_add, element_neg
+from .groups import CYCLIC, EUCLIDEAN, TORUS, GroupSpec, check_element, element_add, element_neg
 
 #: relative slack of the closed-ball test: a rational point on the sphere
 #: rounds to floats whose squared norm can exceed the radius by a few ulps
@@ -282,7 +282,8 @@ def domain_to_json(dom) -> dict:
     raise DomainParameterError(f"unserializable domain {dom!r}")
 
 
-def domain_from_json(data: dict):
+def domain_from_json(data: dict, group: GroupSpec):
+    """A serialized domain in `group`; every coset-union shift must be an element of it."""
     kind = data["kind"]
     if kind == "integer_interval":
         return IntegerInterval(data["lo"], data["hi"])
@@ -293,7 +294,10 @@ def domain_from_json(data: dict):
     if kind == "ball":
         return Ball(Fraction(data["radius"]))
     if kind == "coset_union":
-        return CosetUnion(domain_from_json(data["base"]), tuple(_point_from_json(s) for s in data["shifts"]))
+        shifts = tuple(_point_from_json(s) for s in data["shifts"])
+        for s in shifts:
+            check_element(group, s, "coset shift")
+        return CosetUnion(domain_from_json(data["base"], group), shifts)
     raise DomainParameterError(f"unknown domain kind {kind!r}")
 
 

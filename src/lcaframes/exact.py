@@ -17,6 +17,10 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
+#: desk-scale cap on a radicand read from an artifact: `_square_split` of the
+#: product of two such radicands takes at most MAX_RADICAND trial divisions
+MAX_RADICAND = 2**20
+
 #: character values at quarter turns, exact in IEEE arithmetic
 _QUARTER_TURNS = {
     Fraction(0): (Fraction(1), Fraction(0)),

@@ -26,13 +26,14 @@ from fractions import Fraction
 import numpy as np
 
 from . import domains
-from .chains import LatticeChain
-from .exact import Radical, cis_many, radical
+from .chains import MAX_POINTS, LatticeChain
+from .exact import MAX_RADICAND, Radical, cis_many, radical
 from .exceptions import (
     EmptySamplingPlanError,
     FilterVariantError,
     LatticeMembershipError,
     PeriodicityMismatchError,
+    ResourceLimitError,
     SchemaError,
 )
 from .groups import (
@@ -48,10 +49,6 @@ from .groups import (
 from .lattices import ScaledLattice
 
 DEFAULT_SEED = 0x5EED
-
-
-def as_complex(v) -> complex:
-    return complex(v)
 
 
 def worst_residual(residuals) -> tuple[float, int]:
@@ -100,7 +97,7 @@ class TrigPolynomial:
         out = np.zeros(len(pts), dtype=complex)
         for j, c in zip(self.shifts, self.coeffs):
             x = element_scale(self.group, -j, self.step)
-            out += as_complex(c) * cis_many(_phase(self.group, x, pts))
+            out += complex(c) * cis_many(_phase(self.group, x, pts))
         return out
 
     def eval_exact(self, gamma) -> Radical | None:
@@ -154,7 +151,7 @@ class CosetPiecewise:
         return complex(self.eval_many(gamma)[0])
 
     def eval_many(self, gammas) -> np.ndarray:
-        values = np.array([as_complex(v) for _, v in self.pieces] + [0j])
+        values = np.array([complex(v) for _, v in self.pieces] + [0j])
         return values[self._piece_index(gammas)]
 
     def eval_exact(self, gamma) -> Radical | None:
@@ -180,16 +177,16 @@ def mask_coefficients(f) -> tuple:
     """(step, shifts, coefficients) of a trigonometric-polynomial filter."""
     if not isinstance(f, TrigPolynomial):
         raise FilterVariantError(f"mask coefficients need a TrigPolynomial, got {type(f).__name__}")
-    return f.step, f.shifts, tuple(as_complex(c) for c in f.coeffs)
+    return f.step, f.shifts, tuple(complex(c) for c in f.coeffs)
 
 
 def scale_filter(f, factor: complex):
     """Same filter with every value scaled; used for corruption controls."""
     if isinstance(f, TrigPolynomial):
-        coeffs = tuple(as_complex(c) * factor for c in f.coeffs)
+        coeffs = tuple(complex(c) * factor for c in f.coeffs)
         return TrigPolynomial(f.group, f.step, f.shifts, coeffs, f.lattice)
     if isinstance(f, CosetPiecewise):
-        pieces = tuple((d, as_complex(v) * factor) for d, v in f.pieces)
+        pieces = tuple((d, complex(v) * factor) for d, v in f.pieces)
         return CosetPiecewise(f.dual, pieces, f.domain, f.lattice)
     raise FilterVariantError(f"cannot scale {type(f).__name__}")
 
@@ -387,7 +384,7 @@ def verify_periodic_extension(P: UepMatrix, shifts, plan: SamplingPlan, tol: flo
 
 
 def _value_json(v) -> dict:
-    c = as_complex(v)
+    c = complex(v)
     out = {"re": c.real, "im": c.imag}
     if isinstance(v, Radical):
         out["exact"] = {"re": str(v.re), "im": str(v.im), "rad": str(v.rad)}
@@ -400,6 +397,8 @@ def _value_from_json(data) -> object:
         rad = int(e["rad"])
         if rad < 1:
             raise SchemaError(f"radicand must be positive, got {rad}")
+        if rad > MAX_RADICAND:
+            raise ResourceLimitError(f"radicand {rad} exceeds {MAX_RADICAND} (desk-scale cap)")
         return Radical(Fraction(e["re"]), Fraction(e["im"]), rad)
     return complex(data["re"], data["im"])
 
@@ -410,7 +409,7 @@ def filter_to_json(f) -> dict:
             "kind": "trig",
             "eta": domains._point_json(f.step),
             "shifts": list(f.shifts),
-            "coeffs": [[as_complex(c).real, as_complex(c).imag] for c in f.coeffs],
+            "coeffs": [[complex(c).real, complex(c).imag] for c in f.coeffs],
             "coeffs_exact": [_value_json(c) for c in f.coeffs],
         }
     if isinstance(f, CosetPiecewise):
@@ -439,6 +438,8 @@ def filter_from_json(data: dict, chain: LatticeChain, k: int):
             raise PeriodicityMismatchError(
                 f"trig filter needs integer shifts, one coefficient each, and a level-{k + 1} lattice step"
             )
+        if max(shifts) - min(shifts) >= MAX_POINTS:
+            raise ResourceLimitError(f"trig filter shifts span more than {MAX_POINTS} points (desk-scale cap)")
         coeffs = []
         for i, pair in enumerate(data["coeffs"]):
             exact = data.get("coeffs_exact")
@@ -455,8 +456,8 @@ def filter_from_json(data: dict, chain: LatticeChain, k: int):
         )
     if data["kind"] == "piecewise":
         pieces = tuple(
-            (domains.domain_from_json(p["domain"]), _value_from_json(p["value"]))
+            (domains.domain_from_json(p["domain"], chain.dual), _value_from_json(p["value"]))
             for p in data["pieces"]
         )
-        return CosetPiecewise(chain.dual, pieces, domains.domain_from_json(data["domain"]), lattice)
+        return CosetPiecewise(chain.dual, pieces, domains.domain_from_json(data["domain"], chain.dual), lattice)
     raise SchemaError(f"unknown filter kind {data['kind']!r}")

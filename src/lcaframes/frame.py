@@ -8,7 +8,7 @@ translates of every wavelet (equivalently, on the Fourier side, modulations).
 Verification entry points:
 
 * analysis / parseval_residual  -- coefficient energy against the norm;
-* frame_operator                -- brute-force N x N operator on Z_N;
+* frame_operator                -- N x N operator on Z_N from all translates;
 * fiber_identity_sides          -- coefficient sum vs dual-cell fiber integral;
 * telescoping_residual          -- one-level energy split through the filters;
 * energy_bounds_check           -- two-sided energy bound at a deep level.
@@ -30,6 +30,7 @@ from . import bspline as bsp
 from . import charfun as cf
 from . import domains
 from .chains import LatticeChain, chain_from_params
+from .exact import cis_many
 from .exceptions import (
     DomainParameterError,
     LcaError,
@@ -38,6 +39,7 @@ from .exceptions import (
     SchemaError,
     UncertifiedLevelError,
     UnsupportedVerificationError,
+    VariantMismatchError,
 )
 from .filters import (
     UepMatrix,
@@ -48,7 +50,8 @@ from .filters import (
     verify_uep,
 )
 from .functions import DiscreteFunction
-from .groups import CYCLIC, INTEGERS, TORUS, pairing_phase
+from .groups import CYCLIC, INTEGERS, TORUS
+from .lattices import cyclic_annihilator
 
 
 @dataclass(frozen=True)
@@ -179,10 +182,7 @@ def _time_side(freq: DiscreteFunction | None, chain: LatticeChain) -> DiscreteFu
     """Inverse Fourier transform Z_N-dual -> Z_N (weight 1/N); None off Z_N."""
     if chain.group.kind != CYCLIC:
         return None
-    n = chain.group.modulus
-    xg = np.outer(np.arange(n), np.arange(n)) % n
-    w = np.exp(2j * np.pi * xg / n)
-    return DiscreteFunction(chain.group, 0, tuple((w @ freq.array) / n))
+    return DiscreteFunction(chain.group, 0, tuple(np.fft.ifft(freq.array)))
 
 
 def _default_side(system: FrameSystem) -> str:
@@ -205,37 +205,46 @@ def _generator_function(system, gen: Generator, side: str) -> DiscreteFunction:
     return fn
 
 
-def _coefficients(system: FrameSystem, gen: Generator, f: DiscreteFunction, side: str):
-    """(lambda, <f, translate/modulate g>) pairs with nonzero overlap."""
+def _translates(system: FrameSystem, gen: Generator, start: int, stop: int) -> tuple[int, np.ndarray]:
+    """(j0, rows): row i is g(x - lambda) on [start, stop) for lambda = (j0 + i) s.
+
+    On Z_N ([start, stop) is one period) all N / s translates, each a slice of
+    two periods of g; on Z those meeting the window, gathered from g padded by zeros.
+    """
+    chain = system.chain
+    g = _generator_function(system, gen, "time")
+    lat = chain.level(gen.level).lattice
+    step = int(lat.step[0])
+    if chain.group.kind == CYCLIC:
+        n = chain.group.modulus
+        windows = np.lib.stride_tricks.sliding_window_view(np.tile(g.array, 2), n)
+        return 0, windows[n - step * np.arange(lat.order[0])]  # ext[n - lambda + x] = g(x - lambda mod N)
+    j0 = -((g.stop - 1 - start) // step)  # ceil((start - g.stop + 1) / step)
+    lams = step * np.arange(j0, (stop - 1 - g.start) // step + 1)
+    pad = np.zeros(stop - start)
+    ext = np.concatenate([pad, g.array, pad])  # ext[len(pad) - g.start + y] = g(y), 0 off the support
+    return j0, ext[len(pad) - g.start + np.arange(start, stop) - lams[:, None]]
+
+
+def _coefficients(system: FrameSystem, gen: Generator, f: DiscreteFunction, side: str) -> tuple[int, np.ndarray]:
+    """(j0, c): c[i] = <f, translate (time) or modulate (freq) of gen by (j0 + i) s>.
+
+    The modulation side is one DFT over the common support, its phases
+    (j p x) mod q reduced in integers for the step p/q in turns.
+    """
+    # products go through einsum, not BLAS: threaded BLAS calls stall when the host is busy
+    if side == "time":
+        j0, rows = _translates(system, gen, f.start, f.stop)
+        return j0, f.weight * np.einsum("jx,x->j", rows, f.array.conj()).conj()
     chain = system.chain
     g = _generator_function(system, gen, side)
     lat = chain.level(gen.level).lattice
-    if side == "time":
-        if chain.group.kind == CYCLIC:
-            return [(lam, f.inner(g.translate(lam))) for lam in lat.points()]
-        step = int(lat.step[0])
-        lo = -((g.stop - 1 - f.start) // step)  # ceil((f.start - g.stop + 1)/step)
-        hi = (f.stop - 1 - g.start) // step
-        out = []
-        for j in range(int(lo), int(hi) + 1):
-            lam = j * step
-            out.append((lam, f.inner(g.translate(lam))))
-        return out
-    # modulation side: <F, M_lambda G> over a discrete dual
-    out = []
-    weight = float(chain.dual.point_mass)
+    turns = Fraction(lat.step[0]) / (chain.group.modulus if chain.group.kind == CYCLIC else 1)
     lo = max(f.start, g.start)
-    hi = min(f.stop, g.stop)
-    if hi <= lo:
-        return [(lam, 0j) for lam in lat.points()]
-    fa = f.array[lo - f.start : hi - f.start]
-    ga = g.array[lo - g.start : hi - g.start]
-    xs = np.arange(lo, hi)
-    prod = fa * ga.conj()
-    for lam in lat.points():
-        phases = np.array([float(pairing_phase(chain.group, lam, int(x))) for x in xs])
-        out.append((lam, weight * complex(np.sum(prod * np.exp(-2j * np.pi * (phases % 1.0))))))
-    return out
+    hi = max(lo, min(f.stop, g.stop))
+    prod = f.array[lo - f.start : hi - f.start] * g.array[lo - g.start : hi - g.start].conj()
+    r = (np.arange(lat.order[0])[:, None] * turns.numerator * np.arange(lo, hi)) % turns.denominator
+    return 0, f.weight * np.einsum("jx,x->j", cis_many(-r / turns.denominator), prod)
 
 
 def analysis(system: FrameSystem, f: DiscreteFunction, side: str | None = None) -> dict:
@@ -244,7 +253,11 @@ def analysis(system: FrameSystem, f: DiscreteFunction, side: str | None = None) 
     _check_side(system, f, side)
     out = {}
     for gen in system.system_generators():
-        for lam, c in _coefficients(system, gen, f, side):
+        lat = system.chain.level(gen.level).lattice
+        j0, coeffs = _coefficients(system, gen, f, side)
+        s = int(lat.step[0])
+        lams = lat.points() if lat.is_finite else range(j0 * s, (j0 + len(coeffs)) * s, s)
+        for lam, c in zip(lams, coeffs.tolist()):
             if c != 0:
                 out[(gen.label, lam)] = c
     return out
@@ -261,14 +274,12 @@ def _check_side(system, f, side):
 def coefficient_energy(system: FrameSystem, f: DiscreteFunction, side: str | None = None) -> float:
     side = side or _default_side(system)
     _check_side(system, f, side)
-    total = 0.0
-    for gen in system.system_generators():
-        total += _energy(system, gen, f, side)
-    return total
+    return sum(_energy(system, gen, f, side) for gen in system.system_generators())
 
 
 def _energy(system, gen, f, side) -> float:
-    return sum(abs(c) ** 2 for _, c in _coefficients(system, gen, f, side))
+    c = _coefficients(system, gen, f, side)[1]
+    return float(np.sum(c.real**2 + c.imag**2))
 
 
 def parseval_residual(system: FrameSystem, f: DiscreteFunction, side: str | None = None) -> float:
@@ -280,49 +291,38 @@ def parseval_residual(system: FrameSystem, f: DiscreteFunction, side: str | None
 
 
 def frame_operator(system: FrameSystem) -> np.ndarray:
-    """Sum of rank-one projectors of all system elements on a cyclic group."""
+    """Sum of rank-one projectors of all system elements on a cyclic group.
+
+    One product A^T conj(A) per generator, A holding its translates as rows.
+    """
     chain = system.chain
     if chain.group.kind != CYCLIC:
         raise UnsupportedVerificationError("brute-force frame operator needs a finite group")
     n = chain.group.modulus
     S = np.zeros((n, n), dtype=complex)
     for gen in system.system_generators():
-        g = _generator_function(system, gen, "time")
-        for lam in chain.level(gen.level).lattice.points():
-            v = g.translate(lam).array
-            S += np.outer(v, v.conj())
+        rows = _translates(system, gen, 0, n)[1]
+        S += np.einsum("ri,rj->ij", rows, rows.conj())
     return S
 
 
 def fiber_identity_sides(lat, v_domain, F: DiscreteFunction, Phi: DiscreteFunction):
     """Both sides of the coefficient-sum / fiber-integral identity on Z_N.
 
-    Left: sum over lattice points of |<F, modulation Phi>|^2.  Right: dual-cell
-    measure times the integral over the cell of the squared annihilator-fiber
-    sums.  Both are finite sums evaluated independently.
+    Left: sum over lattice points of |<F, modulation Phi>|^2, one FFT of
+    F conj(Phi) at the lattice points.  Right: dual-cell measure times the
+    integral over the cell of the squared annihilator-fiber sums, one gather.
     """
-    from .lattices import cyclic_annihilator
-
     if lat.group.kind != CYCLIC:
         raise UnsupportedVerificationError("fiber identity oracle runs on Z_N")
     n = lat.group.modulus
-    dual = F.group
-    weight = float(dual.point_mass)
-    lhs = 0.0
-    for lam in lat.points():
-        phases = np.array([float(lam) * g / n for g in range(n)])
-        mod_phi = np.exp(2j * np.pi * (phases % 1.0)) * Phi.array
-        lhs += abs(weight * complex(np.vdot(mod_phi, F.array))) ** 2
+    weight = float(F.group.point_mass)
+    prod = F.array * Phi.array.conj()
+    lhs = float(np.sum(np.abs(weight * np.fft.fft(prod)[:: int(lat.step[0])]) ** 2))
     ann = cyclic_annihilator(lat)
-    mu_v = float(len(list(domains.iter_points(v_domain, dual))) * dual.point_mass)
-    rhs = 0.0
-    for gamma in domains.iter_points(v_domain, dual):
-        fiber = sum(
-            F.value_at((int(w) + gamma) % n) * Phi.value_at((int(w) + gamma) % n).conjugate()
-            for w in ann.points()
-        )
-        rhs += weight * abs(fiber) ** 2
-    rhs *= mu_v
+    gammas = np.fromiter(domains.iter_points(v_domain, F.group), dtype=np.int64)
+    fibers = prod[(gammas[:, None] + int(ann.step[0]) * np.arange(ann.order[0])) % n].sum(axis=1)
+    rhs = len(gammas) * weight * weight * float(np.sum(np.abs(fibers) ** 2))
     return lhs, rhs
 
 
@@ -445,11 +445,12 @@ def _malformed(what: str):
     """Report the errors a malformed JSON value raises as SchemaError, prefixed by `what`.
 
     Other library errors pass through with their own meaning; a filter
-    periodicity that does not fit the chain is a schema error too.
+    periodicity that does not fit the chain, or a value that is not an
+    element of its group, is a schema error too.
     """
     try:
         yield
-    except (SchemaError, PeriodicityMismatchError) as exc:
+    except (SchemaError, PeriodicityMismatchError, VariantMismatchError) as exc:
         raise SchemaError(f"{what}: {exc}") from exc
     except LcaError:
         raise

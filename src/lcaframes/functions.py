@@ -103,8 +103,7 @@ def random_test_function(group: GroupSpec, window: tuple[int, int], rng) -> Disc
     vals = rng.random(n) + 1j * rng.random(n)
     if group.kind == CYCLIC:
         full = np.zeros(group.modulus, dtype=complex)
-        for i in range(n):
-            full[(lo + i) % group.modulus] += vals[i]
+        np.add.at(full, (lo + np.arange(n)) % group.modulus, vals)
         return DiscreteFunction(group, 0, tuple(full))
     return DiscreteFunction(group, lo, tuple(vals))
 

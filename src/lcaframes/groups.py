@@ -16,6 +16,7 @@ Element coordinates: int for Z and Z_N (reduced mod N), rational-or-float in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Real
@@ -86,21 +87,23 @@ def dual_group(group: GroupSpec) -> GroupSpec:
     return euclidean_group(group.dimension)
 
 
+def _is_real(x) -> bool:
+    return isinstance(x, Real) and (not isinstance(x, float) or math.isfinite(x))
+
+
 def check_element(group: GroupSpec, x, what: str = "element"):
     """Validate and canonicalize a coordinate for this group."""
     if group.kind in (CYCLIC, INTEGERS):
-        if not isinstance(x, int):
+        if type(x) is not int:
             raise VariantMismatchError(f"{what} of {group.describe()} must be an integer, got {x!r}")
         return x % group.modulus if group.kind == CYCLIC else x
     if group.kind == TORUS:
-        if isinstance(x, (int, Fraction)):
-            return Fraction(x) % 1
-        if isinstance(x, Real):
-            return float(x) % 1.0
-        raise VariantMismatchError(f"{what} of T must be a real number, got {x!r}")
-    if not isinstance(x, tuple) or len(x) != group.dimension:
+        if not _is_real(x):
+            raise VariantMismatchError(f"{what} of T must be a finite real number, got {x!r}")
+        return Fraction(x) % 1 if isinstance(x, (int, Fraction)) else float(x) % 1.0
+    if not (isinstance(x, tuple) and len(x) == group.dimension and all(_is_real(c) for c in x)):
         raise VariantMismatchError(
-            f"{what} of {group.describe()} must be a {group.dimension}-tuple, got {x!r}"
+            f"{what} of {group.describe()} must be a {group.dimension}-tuple of finite reals, got {x!r}"
         )
     return x
 

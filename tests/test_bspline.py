@@ -1,12 +1,13 @@
 """Spline generators, two-scale masks, refinement and flatness bounds."""
 
 import dataclasses
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lcaframes.bspline import (
@@ -48,6 +49,29 @@ def test_time_values_second_order():
     expected = np.array([1, 2, 3, 4, 3, 2, 1]) * 4.0**-1.5
     assert g.time.start == 0
     assert np.allclose(np.asarray(g.time.values), expected)
+
+
+def _exact_bspline_counts(n: int, order: int) -> list:
+    """The order-fold self-convolution of n ones, in Python integers (running sums)."""
+    conv = [1] * n
+    for _ in range(order - 1):
+        prefix = [0, *itertools.accumulate(conv)]
+        conv = [prefix[min(i + 1, len(conv))] - prefix[max(i + 1 - n, 0)] for i in range(len(conv) + n - 1)]
+    return conv
+
+
+@pytest.mark.parametrize("order", [8, 16])
+def test_time_values_beyond_int64(order):
+    # on Z with M = 10, the level-0 counts are far past 2^63
+    ch = integer_chain(10)
+    for k in (0, 3):
+        exact = _exact_bspline_counts(2 ** (10 - k), order)
+        assert k > 0 or max(exact) > 2**63
+        scale = float(ch.density(k)) ** (-order + 0.5)
+        want = np.array([float(c) for c in exact]) * scale
+        got = bspline_time(ch, k, order).time.array
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want) / want) <= 1e-14
 
 
 def test_time_top_level_is_delta():
@@ -129,6 +153,8 @@ def _direct_character_sum(chain, k, gamma) -> complex:
     m=st.integers(-2, 2),
     offset=st.one_of(st.just(0.0), st.floats(-1e-12, 1e-12), st.floats(-0.5, 0.5)),
 )
+@example(M=1, level=0, m=0, offset=2.2250738585e-313)  # sin(pi gamma) subnormal
+@example(M=3, level=0, m=0, offset=-1e-310)
 def test_dirichlet_kernel_matches_direct_sum_on_z(M, level, m, offset):
     # conditioning near sin(pi gamma) = 0: gamma at and within 1e-12 of an integer
     ch, k = integer_chain(M), min(level, M)

@@ -289,6 +289,51 @@ def test_verify_artifact_above_desk_scale_exit_3(tmp_path, capsys):
     assert "desk-scale" in capsys.readouterr().err
 
 
+def test_verify_order_8_spline_beyond_int64_passes(tmp_path):
+    # the order-8 generator on Z, M=10 has values past 2^63 before scaling
+    spath = construct(tmp_path, dict(Z_BSPLINE, chain={"M": 10}, family={"bspline": {"order": 8}}))
+    rpath = tmp_path / "report.json"
+    assert main(["verify", str(spath), "--suite", "all", "--report", str(rpath)]) == 0
+    assert json.loads(rpath.read_text())["status"] == "pass"
+
+
+@pytest.mark.parametrize(
+    "desc, corrupt",
+    [
+        (
+            dict(Z8_SHANNON, group={"variant": "cyclic", "params": {"modulus": 16}}, chain={"M": 4},
+                 family={"bspline": {"order": 1}}),
+            lambda data: data["filters"][0]["h"]["coeffs_exact"][0]["exact"].update(rad=str(10**18 + 3)),
+        ),
+        (Z_BSPLINE, lambda data: data["filters"][0]["g"][0]["shifts"].__setitem__(1, 10**6)),
+    ],
+    ids=["radicand-1e18", "shift-1e6"],
+)
+def test_verify_artifact_values_above_desk_scale_exit_3(tmp_path, capsys, desc, corrupt):
+    spath = construct(tmp_path, desc)
+    data = json.loads(spath.read_text())
+    corrupt(data)
+    spath.write_text(json.dumps(data))
+    t0 = time.monotonic()
+    assert main(["verify", str(spath), "--suite", "all"]) == 3
+    assert time.monotonic() - t0 < 1.0
+    assert "desk-scale" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "desc, shift",
+    [(Z8_SHANNON, None), (EUCLID_BOXES, [0, 0, 0]), (Z8_SHANNON, "1/2")],
+    ids=["wrong-type", "wrong-dimension", "not-a-dual-element"],
+)
+def test_verify_bad_coset_shift_exit_2(tmp_path, capsys, desc, shift):
+    spath = construct(tmp_path, desc)
+    data = json.loads(spath.read_text())
+    data["filters"][0]["g"][0]["pieces"][0]["domain"]["shifts"] = [shift]
+    spath.write_text(json.dumps(data))
+    assert main(["verify", str(spath), "--suite", "all", "--samples", "256", "--trials", "2"]) == 2
+    assert "coset shift" in capsys.readouterr().err
+
+
 def test_construct_order_above_desk_scale_exit_3(tmp_path, capsys):
     dpath = write_descriptor(tmp_path, dict(Z_BSPLINE, family={"bspline": {"order": 100000}}))
     t0 = time.monotonic()

@@ -28,8 +28,12 @@ from lcaframes.frame import (
     system_to_json,
     telescoping_residual,
 )
+from lcaframes.domains import iter_points
+from lcaframes.filters import worst_residual
 from lcaframes.functions import DiscreteFunction, delta, random_test_function
-from lcaframes.groups import cyclic_group, dual_group, integer_group
+from lcaframes.groups import INTEGERS, TORUS, cyclic_group, dual_group, integer_group, pairing_phase
+from lcaframes.lattices import cyclic_annihilator
+from lcaframes.verify import COND_PARSEVAL, _measured, _test_window
 
 SEED = 0x5EED
 
@@ -407,3 +411,140 @@ def test_chain_json_schema_fields():
     assert data["group"]["variant"] == "integers"
     assert [lvl["k"] for lvl in data["levels"]] == [0, 1, 2]
     assert data["levels"][0]["d"] == 2 and "eta" in data["levels"][0]
+
+
+# The per-translate sums below are the definitions the array paths in
+# lcaframes.frame are checked against: one inner product per lattice point,
+# one outer product per system element, one loop per fiber.
+
+
+def _oracle_coefficients(system, gen, f, side):
+    """lambda -> <f, translate (time) or modulate (freq) of gen>, one lattice point at a time."""
+    chain = system.chain
+    lat = chain.level(gen.level).lattice
+    if side == "time":
+        g = gen.time
+        if lat.is_finite:
+            lams = lat.points()
+        else:
+            step = int(lat.step[0])
+            lams = [j * step for j in range(-((g.stop - 1 - f.start) // step), (f.stop - 1 - g.start) // step + 1)]
+        return {lam: f.inner(g.translate(lam)) for lam in lams}
+    g = gen.freq
+    xs = range(max(f.start, g.start), min(f.stop, g.stop))
+    return {
+        lam: f.weight
+        * sum(f.value_at(x) * g.value_at(x).conjugate() * cis(-pairing_phase(chain.group, lam, x)) for x in xs)
+        for lam in lat.points()
+    }
+
+
+def _oracle_analysis(system, f, side):
+    return {
+        (gen.label, lam): c
+        for gen in system.system_generators()
+        for lam, c in _oracle_coefficients(system, gen, f, side).items()
+    }
+
+
+def _oracle_frame_operator(system):
+    n = system.chain.group.modulus
+    S = np.zeros((n, n), dtype=complex)
+    for gen in system.system_generators():
+        for lam in system.chain.level(gen.level).lattice.points():
+            v = gen.time.translate(lam).array
+            S += np.outer(v, v.conj())
+    return S
+
+
+def _oracle_fiber_sides(lat, v_domain, F, Phi):
+    n = lat.group.modulus
+    weight = float(F.group.point_mass)
+    lhs = 0.0
+    for lam in lat.points():
+        mod_phi = np.array([cis(Fraction(lam * g, n)) for g in range(n)]) * Phi.array
+        lhs += abs(weight * complex(np.vdot(mod_phi, F.array))) ** 2
+    ann = cyclic_annihilator(lat)
+    cell = list(iter_points(v_domain, F.group))
+    rhs = 0.0
+    for gamma in cell:
+        fiber = sum(F.value_at(w + gamma) * Phi.value_at(w + gamma).conjugate() for w in ann.points())
+        rhs += weight * abs(fiber) ** 2
+    return lhs, len(cell) * weight * rhs
+
+
+ORACLE_SYSTEMS = {
+    "z-spline": lambda: build_bspline_system(integer_chain(4), 2),
+    "zn-spline": lambda: build_bspline_system(cyclic_chain(5), 4),
+    "zn-band": lambda: build_charfun_system(band_chain_cyclic(6, [0, 1, 2, 3, 4, 5, 63]), "proper", k0=2),
+    "zn-shannon": lambda: build_charfun_system(full_band_chain(cyclic_chain(4)), "shannon"),
+    "t-shannon": lambda: build_charfun_system(full_band_chain(torus_chain([2, 3, 2, 2])), "shannon"),
+}
+
+
+def _test_functions(system, rng, count=3):
+    """Seeded random test functions on the analysis side, then deltas across the window."""
+    group = system.chain.dual if system.chain.group.kind == TORUS else system.chain.group
+    lo, hi = _test_window(system)
+    if group.kind == INTEGERS:
+        lo, hi = lo - 5, hi + 5  # reach past the supports on both sides
+    randoms = [random_test_function(group, (lo, hi), rng) for _ in range(count)]
+    return randoms, [delta(group, x) for x in range(lo, hi + 1, max(1, (hi - lo) // 7))]
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SYSTEMS))
+def test_analysis_matches_per_translate_oracle(name):
+    system = ORACLE_SYSTEMS[name]()
+    side = "freq" if system.chain.group.kind == TORUS else "time"
+    randoms, deltas = _test_functions(system, np.random.default_rng(SEED))
+    for f in randoms + deltas:
+        want = _oracle_analysis(system, f, side)
+        got = analysis(system, f)
+        assert set(got) == {key for key, c in want.items() if c != 0}
+        scale = max(abs(c) for c in want.values())
+        assert max(abs(got.get(key, 0) - c) for key, c in want.items()) <= 1e-13 * scale
+        energy = sum(abs(c) ** 2 for c in want.values())
+        assert abs(coefficient_energy(system, f) - energy) <= 1e-13 * energy
+
+
+def test_cyclic_modulation_side_matches_oracle():
+    system = ORACLE_SYSTEMS["zn-band"]()
+    rng = np.random.default_rng(SEED)
+    F = random_test_function(system.chain.dual, (0, 63), rng)
+    want = _oracle_analysis(system, F, "freq")
+    got = analysis(system, F, "freq")
+    assert set(got) == {key for key, c in want.items() if c != 0}
+    scale = max(abs(c) for c in want.values())
+    assert max(abs(got.get(key, 0) - c) for key, c in want.items()) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("name", ["zn-spline", "zn-band", "zn-shannon"])
+def test_frame_operator_matches_outer_product_oracle(name):
+    system = ORACLE_SYSTEMS[name]()
+    want = _oracle_frame_operator(system)
+    assert np.max(np.abs(frame_operator(system) - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_fiber_sides_match_loop_oracle():
+    rng = np.random.default_rng(SEED)
+    chain = cyclic_chain(5)
+    n = chain.group.modulus
+    for k in range(chain.k0, chain.k1 + 1):
+        lvl = chain.level(k)
+        F = random_test_function(chain.dual, (0, n - 1), rng)
+        Phi = random_test_function(chain.dual, (0, n - 1), rng)
+        got = fiber_identity_sides(lvl.lattice, lvl.domain_v, F, Phi)
+        want = _oracle_fiber_sides(lvl.lattice, lvl.domain_v, F, Phi)
+        for g, w in zip(got, want):  # each side on its own
+            assert abs(g - w) <= 1e-13 * abs(w)
+
+
+def test_nan_test_function_fails_parseval():
+    system = ORACLE_SYSTEMS["zn-spline"]()
+    f = random_test_function(cyclic_group(32), (0, 31), np.random.default_rng(SEED))
+    vals = list(f.values)
+    vals[5] = complex(float("nan"), 0.0)
+    res = parseval_residual(system, DiscreteFunction(f.group, 0, tuple(vals)))
+    assert math.isnan(res)
+    entry = _measured(COND_PARSEVAL, worst_residual([0.0, res, 1e-16])[0], 1e-10)
+    assert entry["status"] == "fail"
