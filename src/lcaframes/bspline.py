@@ -120,9 +120,9 @@ def bspline_time(chain: LatticeChain, k: int, order: int) -> BSplineGenerator:
             n = group.modulus
             full = np.zeros(n, dtype=complex)
             np.add.at(full, (pts[0] * order + np.arange(len(conv))) % n, conv)
-            fn = DiscreteFunction(group, 0, tuple(full * scale))
+            fn = DiscreteFunction(group, 0, full * scale)
         else:
-            fn = DiscreteFunction(group, pts[0] * order, tuple(conv.astype(complex) * scale))
+            fn = DiscreteFunction(group, pts[0] * order, conv * scale)
         return BSplineGenerator(chain, k, order, fn)
     if group.kind in (TORUS, EUCLIDEAN):
         return BSplineGenerator(chain, k, order, None)
@@ -244,12 +244,12 @@ def wavelet_time(chain: LatticeChain, k: int, filt: TrigPolynomial, order: int) 
     offsets = [j * filt.step for j in filt.shifts]
     if chain.group.kind == CYCLIC:
         terms = [complex(c) * np.roll(phi.array, o) for o, c in zip(offsets, filt.coeffs)]
-        return DiscreteFunction(chain.group, 0, tuple(sum(terms[1:], terms[0])))
+        return DiscreteFunction(chain.group, 0, sum(terms[1:], terms[0]))
     lo = min(offsets)
     acc = np.zeros(len(phi.values) + max(offsets) - lo, dtype=complex)
     for o, c in zip(offsets, filt.coeffs):
         acc[o - lo : o - lo + len(phi.values)] += complex(c) * phi.array
-    return DiscreteFunction(chain.group, phi.start + lo, tuple(acc))
+    return DiscreteFunction(chain.group, phi.start + lo, acc)
 
 
 def lowpass_flatness_check(

@@ -194,7 +194,7 @@ class IndicatorGenerator:
         lo, size = (0, dual.modulus) if dual.kind == CYCLIC else (int(pts.min()), int(np.ptp(pts)) + 1)
         vals = np.zeros(size, dtype=complex)
         vals[(pts - lo) % size] = complex(self.scale)
-        return DiscreteFunction(dual, lo, tuple(vals))
+        return DiscreteFunction(dual, lo, vals)
 
 
 def indicator_generator(band: OmegaChain, k: int) -> IndicatorGenerator:

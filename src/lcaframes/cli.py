@@ -248,10 +248,7 @@ def cmd_emit(args) -> int:
             fn = gen.time or gen.freq
             if fn is None:
                 return _fail(3, f"{gen.label} has no finite representation to emit")
-            rows = []
-            for i, v in enumerate(fn.values):
-                z = complex(v)
-                rows.append(f"{fn.start + i},{z.real:.17g},{z.imag:.17g}")
+            rows = [f"{fn.start + i},{z.real:.17g},{z.imag:.17g}" for i, z in enumerate(fn.values)]
             name = gen.label.replace("[", "_").replace("]", "").replace("__", "_")
             _write_csv(out_dir / f"{name}.csv", f"{tag} generator={gen.label}", ["index,re,im", *rows])
             count += 1
@@ -271,7 +268,7 @@ def cmd_emit(args) -> int:
         for gen in system.wavelets:
             if gen.level == 5:
                 rows = [
-                    f"{gen.time.start + i},{complex(v).real:.17g}"
+                    f"{gen.time.start + i},{v.real:.17g}"
                     for i, v in enumerate(gen.time.values)
                 ]
                 path = out_dir / f"psi_5_{gen.m}.csv"

@@ -104,13 +104,12 @@ class Radical:
     def __neg__(self) -> "Radical":
         return Radical(-self.re, -self.im, self.rad)
 
-    def scale(self, c: Fraction) -> "Radical":
-        return radical(self.re * c, self.im * c, self.rad)
-
     def mul(self, other: "Radical") -> "Radical":
-        re = self.re * other.re - self.im * other.im
-        im = self.re * other.im + self.im * other.re
-        return radical(re, im, self.rad * other.rad)
+        """Exact product: sqrt(a) sqrt(b) = g sqrt((a/g)(b/g)) for square-free a, b and g = gcd(a, b)."""
+        g = math.gcd(self.rad, other.rad)
+        re = (self.re * other.re - self.im * other.im) * g
+        im = (self.re * other.im + self.im * other.re) * g
+        return _normal(re, im, (self.rad // g) * (other.rad // g))
 
     def add(self, other: "Radical") -> "Radical | None":
         """Exact sum, or None when the radicands are incompatible."""
@@ -120,7 +119,7 @@ class Radical:
             return self
         if self.rad != other.rad:
             return None
-        return radical(self.re + other.re, self.im + other.im, self.rad)
+        return _normal(self.re + other.re, self.im + other.im, self.rad)
 
     def abs2(self) -> Fraction:
         return (self.re * self.re + self.im * self.im) * self.rad
@@ -128,6 +127,11 @@ class Radical:
     def __complex__(self) -> complex:
         root = math.sqrt(self.rad)
         return complex(float(self.re) * root, float(self.im) * root)
+
+
+def _normal(re: Fraction, im: Fraction, rad: int) -> Radical:
+    """Radical with an already square-free radicand; zero gets rad 1."""
+    return Radical(re, im, rad if re or im else 1)
 
 
 def radical(re, im=0, rad: int | Fraction = 1) -> Radical:

@@ -399,7 +399,7 @@ def _value_from_json(data) -> object:
             raise SchemaError(f"radicand must be positive, got {rad}")
         if rad > MAX_RADICAND:
             raise ResourceLimitError(f"radicand {rad} exceeds {MAX_RADICAND} (desk-scale cap)")
-        return Radical(Fraction(e["re"]), Fraction(e["im"]), rad)
+        return radical(e["re"], e["im"], rad)  # square-free, as Radical.mul needs
     return complex(data["re"], data["im"])
 
 

@@ -169,7 +169,7 @@ def _assemble(chain: LatticeChain, family: dict, k0: int, k1: int, level_filters
                 freq = None
                 if phi_next is not None:
                     vals = g.eval_many(np.arange(phi_next.start, phi_next.stop))
-                    freq = DiscreteFunction(chain.dual, phi_next.start, tuple(vals * phi_next.array))
+                    freq = DiscreteFunction(chain.dual, phi_next.start, vals * phi_next.array)
                 wavelets.append(
                     Generator(f"psi[{lf.k}][{m}]", "wavelet", lf.k, m, _time_side(freq, chain), freq)
                 )
@@ -182,7 +182,7 @@ def _time_side(freq: DiscreteFunction | None, chain: LatticeChain) -> DiscreteFu
     """Inverse Fourier transform Z_N-dual -> Z_N (weight 1/N); None off Z_N."""
     if chain.group.kind != CYCLIC:
         return None
-    return DiscreteFunction(chain.group, 0, tuple(np.fft.ifft(freq.array)))
+    return DiscreteFunction(chain.group, 0, np.fft.ifft(freq.array))
 
 
 def _default_side(system: FrameSystem) -> str:
@@ -208,92 +208,112 @@ def _generator_function(system, gen: Generator, side: str) -> DiscreteFunction:
 def _translates(system: FrameSystem, gen: Generator, start: int, stop: int) -> tuple[int, np.ndarray]:
     """(j0, rows): row i is g(x - lambda) on [start, stop) for lambda = (j0 + i) s.
 
-    On Z_N ([start, stop) is one period) all N / s translates, each a slice of
-    two periods of g; on Z those meeting the window, gathered from g padded by zeros.
+    The rows are equally spaced windows of one array, returned as a strided
+    view: on Z_N ([start, stop) is one period) all N / s translates, windows
+    of two periods of g; on Z those meeting the window, windows of g padded by zeros.
     """
     chain = system.chain
     g = _generator_function(system, gen, "time")
     lat = chain.level(gen.level).lattice
     step = int(lat.step[0])
+    n = stop - start
     if chain.group.kind == CYCLIC:
-        n = chain.group.modulus
-        windows = np.lib.stride_tricks.sliding_window_view(np.tile(g.array, 2), n)
-        return 0, windows[n - step * np.arange(lat.order[0])]  # ext[n - lambda + x] = g(x - lambda mod N)
-    j0 = -((g.stop - 1 - start) // step)  # ceil((start - g.stop + 1) / step)
-    lams = step * np.arange(j0, (stop - 1 - g.start) // step + 1)
-    pad = np.zeros(stop - start)
-    ext = np.concatenate([pad, g.array, pad])  # ext[len(pad) - g.start + y] = g(y), 0 off the support
-    return j0, ext[len(pad) - g.start + np.arange(start, stop) - lams[:, None]]
+        j0, count, first = 0, lat.order[0], n
+        ext = np.tile(g.array, 2)  # ext[n - lambda + x] = g(x - lambda mod N)
+    else:
+        j0 = -((g.stop - 1 - start) // step)  # ceil((start - g.stop + 1) / step)
+        count = (stop - 1 - g.start) // step - j0 + 1
+        pad = np.zeros(n)
+        ext = np.concatenate([pad, g.array, pad])  # ext[n - g.start + y] = g(y), 0 off the support
+        first = n - g.start + start - j0 * step
+    return j0, np.lib.stride_tricks.sliding_window_view(ext, n)[first::-step][:count]
 
 
-def _coefficients(system: FrameSystem, gen: Generator, f: DiscreteFunction, side: str) -> tuple[int, np.ndarray]:
-    """(j0, c): c[i] = <f, translate (time) or modulate (freq) of gen by (j0 + i) s>.
+def _side_group(system: FrameSystem, side: str):
+    return system.chain.group if side == "time" else system.chain.dual
 
-    The modulation side is one DFT over the common support, its phases
-    (j p x) mod q reduced in integers for the step p/q in turns.
+
+def _coefficients(system: FrameSystem, gen: Generator, side: str, start: int, F: np.ndarray) -> tuple[int, np.ndarray]:
+    """(j0, C): C[t, i] = <F[t], translate (time) or modulate (freq) of gen by (j0 + i) s>.
+
+    F stacks test functions on one window [start, start + F.shape[1]), one per
+    row.  The conjugate stays on F, so the strided translate view is never
+    copied.  The modulation side is one DFT over the common support, its
+    phases (j p x) mod q reduced in integers for the step p/q in turns.
     """
     # products go through einsum, not BLAS: threaded BLAS calls stall when the host is busy
+    weight = float(_side_group(system, side).point_mass)
+    stop = start + F.shape[1]
     if side == "time":
-        j0, rows = _translates(system, gen, f.start, f.stop)
-        return j0, f.weight * np.einsum("jx,x->j", rows, f.array.conj()).conj()
+        j0, rows = _translates(system, gen, start, stop)
+        return j0, weight * np.einsum("jx,tx->tj", rows, F.conj()).conj()
     chain = system.chain
     g = _generator_function(system, gen, side)
     lat = chain.level(gen.level).lattice
     turns = Fraction(lat.step[0]) / (chain.group.modulus if chain.group.kind == CYCLIC else 1)
-    lo = max(f.start, g.start)
-    hi = max(lo, min(f.stop, g.stop))
-    prod = f.array[lo - f.start : hi - f.start] * g.array[lo - g.start : hi - g.start].conj()
+    lo = max(start, g.start)
+    hi = max(lo, min(stop, g.stop))
+    prod = F[:, lo - start : hi - start] * g.array[lo - g.start : hi - g.start].conj()
     r = (np.arange(lat.order[0])[:, None] * turns.numerator * np.arange(lo, hi)) % turns.denominator
-    return 0, f.weight * np.einsum("jx,x->j", cis_many(-r / turns.denominator), prod)
+    return 0, weight * np.einsum("jx,tx->tj", cis_many(-r / turns.denominator), prod)
+
+
+def _energies(system: FrameSystem, gens, side: str, start: int, F: np.ndarray) -> np.ndarray:
+    """Per stacked test function, the sum over gens of its squared coefficients."""
+    total = np.zeros(len(F))
+    for gen in gens:
+        c = _coefficients(system, gen, side, start, F)[1]
+        total += np.sum(c.real**2 + c.imag**2, axis=1)
+    return total
+
+
+def _stack_of_one(system: FrameSystem, f: DiscreteFunction, side: str | None) -> tuple[str, int, np.ndarray]:
+    """(side, start, F): f as a stack of one on its analysis side, after checking that f lives there."""
+    side = side or _default_side(system)
+    want = _side_group(system, side)
+    if f.group != want:
+        raise UnsupportedVerificationError(f"test function lives on {f.group.describe()}, expected {want.describe()}")
+    return side, f.start, f.array[None]
 
 
 def analysis(system: FrameSystem, f: DiscreteFunction, side: str | None = None) -> dict:
     """All nonzero frame coefficients of f, keyed (generator label, lattice point)."""
-    side = side or _default_side(system)
-    _check_side(system, f, side)
+    side, start, F = _stack_of_one(system, f, side)
     out = {}
     for gen in system.system_generators():
         lat = system.chain.level(gen.level).lattice
-        j0, coeffs = _coefficients(system, gen, f, side)
+        j0, coeffs = _coefficients(system, gen, side, start, F)
         s = int(lat.step[0])
-        lams = lat.points() if lat.is_finite else range(j0 * s, (j0 + len(coeffs)) * s, s)
-        for lam, c in zip(lams, coeffs.tolist()):
+        lams = lat.points() if lat.is_finite else range(j0 * s, (j0 + coeffs.shape[1]) * s, s)
+        for lam, c in zip(lams, coeffs[0].tolist()):
             if c != 0:
                 out[(gen.label, lam)] = c
     return out
 
 
-def _check_side(system, f, side):
-    want = system.chain.group if side == "time" else system.chain.dual
-    if f.group != want:
-        raise UnsupportedVerificationError(
-            f"test function lives on {f.group.describe()}, expected {want.describe()}"
-        )
-
-
 def coefficient_energy(system: FrameSystem, f: DiscreteFunction, side: str | None = None) -> float:
-    side = side or _default_side(system)
-    _check_side(system, f, side)
-    return sum(_energy(system, gen, f, side) for gen in system.system_generators())
-
-
-def _energy(system, gen, f, side) -> float:
-    c = _coefficients(system, gen, f, side)[1]
-    return float(np.sum(c.real**2 + c.imag**2))
+    return float(_energies(system, system.system_generators(), *_stack_of_one(system, f, side))[0])
 
 
 def parseval_residual(system: FrameSystem, f: DiscreteFunction, side: str | None = None) -> float:
     """|sum of squared coefficients - ||f||^2| / ||f||^2."""
-    n2 = f.norm2()
-    if n2 == 0:
+    if f.norm2() == 0:
         raise DomainParameterError("zero test function")
-    return abs(coefficient_energy(system, f, side) - n2) / n2
+    return float(_parseval_residuals(system, *_stack_of_one(system, f, side))[0])
+
+
+def _parseval_residuals(system: FrameSystem, side: str, start: int, F: np.ndarray) -> np.ndarray:
+    """parseval_residual of each stacked test function."""
+    n2 = float(_side_group(system, side).point_mass) * np.sum(F.real**2 + F.imag**2, axis=1)
+    return np.abs(_energies(system, system.system_generators(), side, start, F) - n2) / n2
 
 
 def frame_operator(system: FrameSystem) -> np.ndarray:
     """Sum of rank-one projectors of all system elements on a cyclic group.
 
-    One product A^T conj(A) per generator, A holding its translates as rows.
+    A generator's term S_g commutes with its step-s translates,
+    S_g[x + s, y + s] = S_g[x, y], so its first s columns are one product
+    and block column q is those columns rolled down by q s.
     """
     chain = system.chain
     if chain.group.kind != CYCLIC:
@@ -302,7 +322,10 @@ def frame_operator(system: FrameSystem) -> np.ndarray:
     S = np.zeros((n, n), dtype=complex)
     for gen in system.system_generators():
         rows = _translates(system, gen, 0, n)[1]
-        S += np.einsum("ri,rj->ij", rows, rows.conj())
+        s = int(chain.level(gen.level).lattice.step[0])
+        first = np.einsum("jx,jr->xr", rows, rows[:, :s].conj())
+        for q in range(len(rows)):
+            S[:, q * s : (q + 1) * s] += np.roll(first, q * s, axis=0)
     return S
 
 
@@ -329,8 +352,12 @@ def fiber_identity_sides(lat, v_domain, F: DiscreteFunction, Phi: DiscreteFuncti
 def ensure_certified(system: FrameSystem, k: int, tol: float = 1e-9):
     """Re-verify the level-k matrix identity on a small plan before use."""
     plan = dual_sampling_plan(system.chain, k, grid=256, random=64)
-    report = verify_uep(system.uep_matrix(k), plan)
-    if report.residual > tol:
+    _require_certified(k, verify_uep(system.uep_matrix(k), plan), tol)
+
+
+def _require_certified(k: int, report, tol: float = 1e-9):
+    """Raise UncertifiedLevelError unless the level-k UEP report is within tol; a NaN fails."""
+    if not report.residual <= tol:
         raise UncertifiedLevelError(
             f"level {k} matrix identity fails (residual {report.residual:.3e})"
         )
@@ -341,36 +368,30 @@ def telescoping_residual(
 ) -> float:
     """|energy at level k+1 - (energy at level k + wavelet energies at k)|.
 
-    Certifies level k first; callers running many trials per level certify
-    once and then use `_energy_gap`.
+    Certifies level k first; `verify.run_verification` certifies each level
+    once from its own UEP reports and then uses `_energy_gaps`.
     """
     if not system.k0 <= k < system.k1:
         raise DomainParameterError(f"need a level with a successor, got {k}")
     ensure_certified(system, k)
-    return _energy_gap(system, k, f, side)
+    return float(_energy_gaps(system, k, *_stack_of_one(system, f, side))[0])
 
 
-def _energy_gap(system: FrameSystem, k: int, f: DiscreteFunction, side: str | None = None) -> float:
-    """The telescoping gap at a level that is already certified."""
-    side = side or _default_side(system)
-    _check_side(system, f, side)
-    lhs = _energy(system, system.scaling(k + 1), f, side)
-    rhs = _energy(system, system.scaling(k), f, side)
-    for w in system.wavelets:
-        if w.level == k:
-            rhs += _energy(system, w, f, side)
-    return abs(lhs - rhs)
+def _energy_gaps(system: FrameSystem, k: int, side: str, start: int, F: np.ndarray) -> np.ndarray:
+    """The telescoping gap at level k of each stacked test function."""
+    lhs = _energies(system, [system.scaling(k + 1)], side, start, F)
+    rhs = _energies(system, [system.scaling(k), *(w for w in system.wavelets if w.level == k)], side, start, F)
+    return np.abs(lhs - rhs)
 
 
 def energy_bounds_check(
     system: FrameSystem, f: DiscreteFunction, eps: float, K: int, side: str | None = None
 ) -> bool:
     """Two-sided scaling-energy bound at level K and at the top level."""
-    side = side or _default_side(system)
-    _check_side(system, f, side)
+    side, start, F = _stack_of_one(system, f, side)
     n2 = f.norm2()
     for k in {K, system.k1}:
-        e = _energy(system, system.scaling(k), f, side)
+        e = _energies(system, [system.scaling(k)], side, start, F)[0]
         if not ((1 - eps) * n2 - 1e-12 <= e <= (1 + eps) * n2 + 1e-12):
             return False
     return True

@@ -19,17 +19,25 @@ from .groups import CYCLIC, GroupSpec, pairing_phase
 class DiscreteFunction:
     group: GroupSpec
     start: int  # support offset; cyclic functions store the full period with start 0
-    values: tuple  # complex values
+    values: np.ndarray  # complex values, a read-only copy of what was passed in
 
     def __post_init__(self):
         if not self.group.is_discrete:
             raise VariantMismatchError("discrete functions need a discrete group")
-        if self.group.kind == CYCLIC and (self.start != 0 or len(self.values) != self.group.modulus):
+        values = np.array(self.values, dtype=complex)
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+        if self.group.kind == CYCLIC and (self.start != 0 or len(values) != self.group.modulus):
             raise DomainParameterError("cyclic functions store one full period starting at 0")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DiscreteFunction):
+            return NotImplemented
+        return (self.group, self.start) == (other.group, other.start) and np.array_equal(self.values, other.values)
 
     @property
     def array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=complex)
+        return self.values
 
     @property
     def stop(self) -> int:
@@ -40,13 +48,10 @@ class DiscreteFunction:
         return float(self.group.point_mass)
 
     def norm2(self) -> float:
-        a = self.array
-        return self.weight * float(np.sum(a.real**2 + a.imag**2))
+        return self.weight * float(np.sum(self.values.real**2 + self.values.imag**2))
 
     def inner(self, other: "DiscreteFunction") -> complex:
         """<self, other> with the group's Haar weight."""
-        if self.group.kind == CYCLIC:
-            return self.weight * complex(np.vdot(other.array, self.array))
         lo = max(self.start, other.start)
         hi = min(self.stop, other.stop)
         if hi <= lo:
@@ -57,7 +62,7 @@ class DiscreteFunction:
 
     def translate(self, y: int) -> "DiscreteFunction":
         if self.group.kind == CYCLIC:
-            return DiscreteFunction(self.group, 0, tuple(np.roll(self.array, y)))
+            return DiscreteFunction(self.group, 0, np.roll(self.array, y))
         return DiscreteFunction(self.group, self.start + y, self.values)
 
     def value_at(self, x: int) -> complex:
@@ -69,12 +74,8 @@ class DiscreteFunction:
 
     def hat(self, gamma) -> complex:
         """Fourier transform sum_x f(x) (-x, gamma) under the group weight."""
-        total = 0j
-        for i, v in enumerate(self.values):
-            x = self.start + i
-            t = pairing_phase(self.group, x, gamma)
-            total += complex(v) * np.exp(-2j * np.pi * (float(t) % 1.0))
-        return self.weight * total
+        t = np.array([float(pairing_phase(self.group, x, gamma)) % 1.0 for x in range(self.start, self.stop)])
+        return self.weight * complex(np.sum(self.values * np.exp(-2j * np.pi * t)))
 
     def moment(self, p: int) -> complex:
         xs = np.arange(self.start, self.stop)
@@ -90,10 +91,8 @@ class DiscreteFunction:
 
 def delta(group: GroupSpec, at: int = 0) -> DiscreteFunction:
     if group.kind == CYCLIC:
-        vals = [0j] * group.modulus
-        vals[at % group.modulus] = 1 + 0j
-        return DiscreteFunction(group, 0, tuple(vals))
-    return DiscreteFunction(group, at, (1 + 0j,))
+        return DiscreteFunction(group, 0, np.arange(group.modulus) == at % group.modulus)
+    return DiscreteFunction(group, at, [1])
 
 
 def random_test_function(group: GroupSpec, window: tuple[int, int], rng) -> DiscreteFunction:
@@ -104,8 +103,8 @@ def random_test_function(group: GroupSpec, window: tuple[int, int], rng) -> Disc
     if group.kind == CYCLIC:
         full = np.zeros(group.modulus, dtype=complex)
         np.add.at(full, (lo + np.arange(n)) % group.modulus, vals)
-        return DiscreteFunction(group, 0, tuple(full))
-    return DiscreteFunction(group, lo, tuple(vals))
+        return DiscreteFunction(group, 0, full)
+    return DiscreteFunction(group, lo, vals)
 
 
 def function_to_json(fn: DiscreteFunction) -> dict:
@@ -116,5 +115,4 @@ def function_to_json(fn: DiscreteFunction) -> dict:
 
 
 def function_from_json(group: GroupSpec, data: dict) -> DiscreteFunction:
-    vals = tuple(complex(re, im) for re, im in data["values"])
-    return DiscreteFunction(group, data["support_start"], vals)
+    return DiscreteFunction(group, data["support_start"], [complex(re, im) for re, im in data["values"]])

@@ -70,24 +70,21 @@ def run_verification(system: fr.FrameSystem, suite: str, samples: int, trials: i
     chain = system.chain
     kind = chain.group.kind
     n_random = min(1024, max(16, samples // 4))
-    plans = {}
-    if suite in ("uep", "refinement", "all"):
+    # the telescope entry needs a finitely supported analysis side
+    telescope = suite in ("telescope", "all") and (
+        kind in (INTEGERS, CYCLIC) or (kind == TORUS and system.family["type"] == "charfun")
+    )
+    plans, reports = {}, {}
+    if suite in ("uep", "refinement", "all") or telescope:
         for lf in system.level_filters:
             plans[lf.k] = dual_sampling_plan(chain, lf.k, grid=samples, random=n_random, seed=seed)
-    if suite in ("uep", "all"):
+    if suite in ("uep", "all") or telescope:
         for lf in system.level_filters:
-            rep = verify_uep(system.uep_matrix(lf.k), plans[lf.k])
-            entries.append(
-                _measured(
-                    COND_UEP,
-                    rep.residual,
-                    tol,
-                    level=lf.k,
-                    exact=rep.exact,
-                    samples=rep.samples,
-                    worst_point=repr(rep.worst_point),
-                )
-            )
+            reports[lf.k] = verify_uep(system.uep_matrix(lf.k), plans[lf.k])
+    if suite in ("uep", "all"):
+        for k, rep in reports.items():
+            extra = {"level": k, "exact": rep.exact, "samples": rep.samples, "worst_point": repr(rep.worst_point)}
+            entries.append(_measured(COND_UEP, rep.residual, tol, **extra))
     if suite in ("refinement", "all"):
         for lf in system.level_filters:
             if system.family["type"] == "bspline":
@@ -101,8 +98,10 @@ def run_verification(system: fr.FrameSystem, suite: str, samples: int, trials: i
         else:
             entries.append(_entry(COND_FIBER, "skip", detail="fiber oracle runs on finite groups"))
     if suite in ("telescope", "all"):
-        if kind in (INTEGERS, CYCLIC) or (kind == TORUS and system.family["type"] == "charfun"):
+        if telescope:
             try:
+                for k, rep in reports.items():
+                    fr._require_certified(k, rep)
                 res = _telescope_suite(system, 20 if trials is None else trials, seed)
                 entries.append(_measured(COND_TELESCOPE, res, tol))
             except UncertifiedLevelError as exc:
@@ -142,37 +141,31 @@ def _test_window(system) -> tuple[int, int]:
     return (int(lo), int(hi))
 
 
-def _telescope_suite(system, trials: int, seed: int) -> float:
-    """Worst telescoping gap over seeded trials; each level is certified once."""
-    for lf in system.level_filters:
-        fr.ensure_certified(system, lf.k)
+def _test_functions(system, trials: int, seed: int) -> tuple[str, int, np.ndarray]:
+    """(side, start, F): seeded test functions on the analysis side, one per row of F."""
+    side = fr._default_side(system)
     rng = np.random.default_rng(seed)
-    group = system.chain.group if system.chain.group.kind != TORUS else system.chain.dual
-    window = _test_window(system)
-    gaps = []
-    for _ in range(trials):
-        f = random_test_function(group, window, rng)
-        gaps.extend(fr._energy_gap(system, lf.k, f) for lf in system.level_filters)
-    return worst_residual(gaps)[0]
+    lo, hi = _test_window(system)
+    F = np.empty((trials, hi - lo + 1), dtype=complex)
+    for row in F:
+        row[:] = random_test_function(fr._side_group(system, side), (lo, hi), rng).array
+    return side, lo, F
+
+
+def _telescope_suite(system, trials: int, seed: int) -> float:
+    """Worst telescoping gap over seeded trials, on levels already certified."""
+    side, start, F = _test_functions(system, trials, seed)
+    gaps = [fr._energy_gaps(system, lf.k, side, start, F) for lf in system.level_filters]
+    return worst_residual(np.concatenate(gaps))[0]
 
 
 def _parseval_suite(system, trials: int, seed: int, tol: float) -> list:
-    chain = system.chain
-    kind = chain.group.kind
+    kind = system.chain.group.kind
     if kind == EUCLIDEAN:
         return [_entry(COND_PARSEVAL, "skip", detail="out of desk-scale scope for Euclidean groups")]
     if kind == TORUS and system.family["type"] != "charfun":
-        return [
-            _entry(
-                COND_PARSEVAL,
-                "skip",
-                detail="out of desk-scale scope: no finitely supported transform side",
-            )
-        ]
-    rng = np.random.default_rng(seed)
-    group = chain.group if kind != TORUS else chain.dual
-    window = _test_window(system)
-    residuals = [fr.parseval_residual(system, random_test_function(group, window, rng)) for _ in range(trials)]
+        return [_entry(COND_PARSEVAL, "skip", detail="out of desk-scale scope: no finitely supported transform side")]
+    residuals = fr._parseval_residuals(system, *_test_functions(system, trials, seed))
     entries = [_measured(COND_PARSEVAL, worst_residual(residuals)[0], tol, trials=trials)]
     if kind == CYCLIC:
         S = fr.frame_operator(system)
@@ -188,55 +181,36 @@ def _condition_suite(system, samples: int, seed: int, tol: float) -> list:
     K = system.k1
     mu_v = float(chain.dual_cell_measure(K))
     plan = dual_sampling_plan(chain, K, grid=min(samples, 512), random=128, seed=seed)
+    values = None
     if system.family["type"] == "charfun":
         pts = plan.points[domains.contains_many(system.band.exhaustion_target, plan.points, chain.dual)]
         values = cf.indicator_generator(system.band, K).hat_many(pts)
-        worst = worst_residual(np.abs(mu_v * np.abs(values) ** 2 - 1))[0]
-        entries.append(_measured(COND_LIMIT, worst, tol, level=K))
     elif chain.group.kind in (INTEGERS, CYCLIC):
         # the deep-level window is a single point, so the spectrum is flat
         values = bspline_hat(chain, K, system.family["order"], plan.points)
-        worst = worst_residual(np.abs(mu_v * np.abs(values) ** 2 - 1))[0]
-        entries.append(_measured(COND_LIMIT, worst, tol, level=K))
+    if values is None:
+        detail = "holds only in the infinite-depth limit for splines on this group"
+        entries.append(_entry(COND_LIMIT, "skip", detail=detail))
     else:
-        entries.append(
-            _entry(
-                COND_LIMIT,
-                "skip",
-                detail="holds only in the infinite-depth limit for splines on this group",
-            )
-        )
-    ann = chain.level(K).annihilator
-    if system.family["type"] == "charfun":
-        s_dom = system.band.exhaustion_target
-    else:
-        s_dom = chain.level(K).domain_v
-    overlap = _translate_overlap(s_dom, ann, chain.dual)
-    entries.append(
-        _entry(
-            COND_DISJOINT,
-            "pass" if not overlap else "fail",
-            level=K,
-            detail="windowed annihilator translates of the deep-level support are disjoint",
-        )
-    )
+        entries.append(_measured(COND_LIMIT, worst_residual(np.abs(mu_v * np.abs(values) ** 2 - 1))[0], tol, level=K))
+    s_dom = system.band.exhaustion_target if system.family["type"] == "charfun" else chain.level(K).domain_v
+    overlap = _translate_overlap(s_dom, chain.level(K).annihilator, chain.dual)
+    detail = "windowed annihilator translates of the deep-level support are disjoint"
+    entries.append(_entry(COND_DISJOINT, "fail" if overlap else "pass", level=K, detail=detail))
     return entries
 
 
 def _translate_overlap(s_dom, ann, dual) -> bool:
     """Whether any nonzero windowed annihilator translate of s_dom meets it."""
     if ann.is_finite:
-        shifts = [w for w in ann.points() if domains.coords(w) != tuple(0 for _ in ann.step)]
+        shifts = [[Fraction(c) for c in domains.coords(w)] for w in ann.points()]
     else:
-        shifts = []
-        for js in itertools.product(range(-2, 3), repeat=len(ann.step)):
-            if all(j == 0 for j in js):
-                continue
-            w = tuple(j * Fraction(s) for j, s in zip(js, ann.step))
-            shifts.append(w if len(w) > 1 else w[0])
+        window = itertools.product(range(-2, 3), repeat=len(ann.step))
+        shifts = [[j * Fraction(s) for j, s in zip(js, ann.step)] for js in window]
     lo, hi = domains.bounds(s_dom)
-    for w in shifts:
-        cs = [Fraction(c) for c in domains.coords(w)]
+    for cs in shifts:
+        if not any(cs):
+            continue  # the zero shift
         if isinstance(s_dom, Ball):
             if sum(c * c for c in cs) <= 4 * s_dom.radius**2:
                 return True

@@ -125,6 +125,48 @@ def test_corrupted_system_fails_verification(tmp_path):
     assert main(["verify", str(cpath), "--suite", "parseval"]) == 1
 
 
+def _zero_level_1_wavelet(data):
+    for piece in data["filters"][1]["g"][0]["pieces"]:
+        piece["value"] = {"re": 0.0, "im": 0.0}
+
+
+def _nan_level_1_lowpass(data):
+    h = data["filters"][1]["h"]
+    del h["coeffs_exact"]
+    h["coeffs"][0] = [float("nan"), 0.0]
+
+
+@pytest.mark.parametrize("suite", ["telescope", "all"])
+@pytest.mark.parametrize(
+    "desc, corrupt, shown",
+    [(Z8_SHANNON, _zero_level_1_wavelet, "residual 2.000e+00"), (Z_BSPLINE, _nan_level_1_lowpass, "residual nan")],
+    ids=["zeroed-wavelet", "nan-lowpass"],
+)
+def test_uncertified_level_fails_telescope_entry(tmp_path, suite, desc, corrupt, shown):
+    # the telescope entry certifies each level from the run's own UEP reports
+    data = json.loads(construct(tmp_path, desc).read_text())
+    corrupt(data)
+    cpath = tmp_path / "corrupt.json"
+    cpath.write_text(json.dumps(data))
+    rpath = tmp_path / "report.json"
+    assert main(["verify", str(cpath), "--suite", suite, "--samples", "256", "--report", str(rpath)]) == 1
+    [entry] = [e for e in json.loads(rpath.read_text())["checks"] if e["condition"] == "level-telescoping"]
+    assert entry["status"] == "fail" and "residual" not in entry
+    assert entry["detail"].startswith(f"level 1 matrix identity fails ({shown}")
+
+
+def test_skipped_telescope_runs_no_uep_check(tmp_path, monkeypatch):
+    import lcaframes.verify
+
+    def no_uep(*args):
+        raise AssertionError("a skipped telescope entry needs no UEP report")
+
+    monkeypatch.setattr(lcaframes.verify, "verify_uep", no_uep)
+    rpath = tmp_path / "report.json"
+    assert main(["verify", str(construct(tmp_path, EUCLID_BOXES)), "--suite", "telescope", "--report", str(rpath)]) == 0
+    assert [e["status"] for e in json.loads(rpath.read_text())["checks"]] == ["skip"]
+
+
 def test_determinism_byte_identical(tmp_path):
     d1 = construct(tmp_path, Z_BSPLINE, out="a.json")
     d2 = construct(tmp_path, Z_BSPLINE, out="b.json")

@@ -1,6 +1,8 @@
 """System-level identities: analysis, Parseval, fiber sums, telescoping."""
 
+import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +18,9 @@ from lcaframes.exceptions import (
     UnsupportedVerificationError,
 )
 from lcaframes.frame import (
+    _coefficients,
+    _parseval_residuals,
+    _translates,
     analysis,
     build_bspline_system,
     build_charfun_system,
@@ -197,12 +202,10 @@ def test_telescoping_composes_to_full_analysis():
     system = build_bspline_system(integer_chain(3), 2)
     rng = np.random.default_rng(SEED)
     f = random_test_function(integer_group(), (0, 10), rng)
-    from lcaframes.frame import _energy
+    from lcaframes.frame import _energies
 
-    deep = _energy(system, system.scaling(system.k1), f, "time")
-    total = _energy(system, system.scaling(system.k0), f, "time")
-    for w in system.wavelets:
-        total += _energy(system, w, f, "time")
+    deep = _energies(system, [system.scaling(system.k1)], "time", f.start, f.array[None])[0]
+    total = _energies(system, system.system_generators(), "time", f.start, f.array[None])[0]
     assert abs(deep - total) <= 1e-12
     assert abs(coefficient_energy(system, f) - deep) <= 1e-12
 
@@ -473,11 +476,17 @@ def _oracle_fiber_sides(lat, v_domain, F, Phi):
     return lhs, len(cell) * weight * rhs
 
 
+def _pruned(system):
+    """The system without its last wavelet family: not tight."""
+    return dataclasses.replace(system, wavelets=system.wavelets[:-1])
+
+
 ORACLE_SYSTEMS = {
     "z-spline": lambda: build_bspline_system(integer_chain(4), 2),
     "zn-spline": lambda: build_bspline_system(cyclic_chain(5), 4),
     "zn-band": lambda: build_charfun_system(band_chain_cyclic(6, [0, 1, 2, 3, 4, 5, 63]), "proper", k0=2),
     "zn-shannon": lambda: build_charfun_system(full_band_chain(cyclic_chain(4)), "shannon"),
+    "zn-shannon-pruned": lambda: _pruned(build_charfun_system(full_band_chain(cyclic_chain(4)), "shannon")),
     "t-shannon": lambda: build_charfun_system(full_band_chain(torus_chain([2, 3, 2, 2])), "shannon"),
 }
 
@@ -518,7 +527,7 @@ def test_cyclic_modulation_side_matches_oracle():
     assert max(abs(got.get(key, 0) - c) for key, c in want.items()) <= 1e-13 * scale
 
 
-@pytest.mark.parametrize("name", ["zn-spline", "zn-band", "zn-shannon"])
+@pytest.mark.parametrize("name", ["zn-spline", "zn-band", "zn-shannon", "zn-shannon-pruned"])
 def test_frame_operator_matches_outer_product_oracle(name):
     system = ORACLE_SYSTEMS[name]()
     want = _oracle_frame_operator(system)
@@ -548,3 +557,85 @@ def test_nan_test_function_fails_parseval():
     assert math.isnan(res)
     entry = _measured(COND_PARSEVAL, worst_residual([0.0, res, 1e-16])[0], 1e-10)
     assert entry["status"] == "fail"
+
+
+@pytest.mark.parametrize("count", [1, 7])
+@pytest.mark.parametrize("name", sorted(ORACLE_SYSTEMS))
+def test_batched_coefficients_match_oracle_row_by_row(name, count):
+    system = ORACLE_SYSTEMS[name]()
+    side = "freq" if system.chain.group.kind == TORUS else "time"
+    fs, _ = _test_functions(system, np.random.default_rng(SEED), count)
+    F = np.array([f.array for f in fs])
+    for gen in system.system_generators():
+        j0, C = _coefficients(system, gen, side, fs[0].start, F)
+        assert C.shape[0] == count
+        lat = system.chain.level(gen.level).lattice
+        step = int(lat.step[0])
+        lams = lat.points() if lat.is_finite else [(j0 + i) * step for i in range(C.shape[1])]
+        for f, row in zip(fs, C):
+            want = _oracle_coefficients(system, gen, f, side)
+            got = dict(zip(lams, row))
+            assert set(got) == set(want)
+            scale = max(abs(c) for c in want.values())
+            assert max(abs(got[lam] - c) for lam, c in want.items()) <= 1e-13 * scale
+
+
+def test_translate_rows_are_views_of_one_base_array():
+    for name in ("z-spline", "zn-spline"):
+        system = ORACLE_SYSTEMS[name]()
+        for gen in system.system_generators():
+            lo, hi = -40, 60
+            if system.chain.group.kind != INTEGERS:
+                lo, hi = 0, system.chain.group.modulus
+            rows = _translates(system, gen, lo, hi)[1]
+            base = rows
+            while base.base is not None:
+                base = base.base
+            assert np.shares_memory(rows, base)
+            assert base.size <= 2 * (hi - lo) + len(gen.time.values)
+
+
+def test_nan_in_one_stacked_trial_fails_the_suite_entry():
+    system = ORACLE_SYSTEMS["zn-spline"]()
+    fs, _ = _test_functions(system, np.random.default_rng(SEED), 7)
+    F = np.array([f.array for f in fs])
+    F[3, 5] = complex(float("nan"), 0.0)
+    res = _parseval_residuals(system, "time", 0, F)
+    assert math.isnan(res[3])
+    assert np.all(np.delete(res, 3) <= 1e-10)
+    assert _measured(COND_PARSEVAL, worst_residual(res)[0], 1e-10)["status"] == "fail"
+
+
+def test_parseval_long_test_function_on_z_stays_small():
+    # the translates are a strided view, so memory grows with len(f), not its square
+    system = build_bspline_system(integer_chain(3), 2)
+    f = random_test_function(integer_group(), (0, 1999), np.random.default_rng(SEED))
+    tracemalloc.start()
+    try:
+        res = parseval_residual(system, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    energy = sum(
+        abs(c) ** 2 for gen in system.system_generators() for c in _oracle_coefficients(system, gen, f, "time").values()
+    )
+    assert abs(coefficient_energy(system, f) - energy) <= 1e-13 * energy
+    assert abs(res - abs(energy - f.norm2()) / f.norm2()) <= 1e-13
+    assert res <= 1e-10
+
+
+def test_discrete_function_values_are_a_read_only_array():
+    vals = np.arange(4, dtype=complex)
+    f = DiscreteFunction(integer_group(), 2, vals)
+    vals[0] = 9  # the function keeps its own copy
+    assert f.array is f.values and f.values[0] == 0
+    with pytest.raises(ValueError):
+        f.values[1] = 5
+    assert f == DiscreteFunction(integer_group(), 2, (0, 1, 2, 3))
+    assert f != DiscreteFunction(integer_group(), 3, (0, 1, 2, 3))
+    assert f != DiscreteFunction(integer_group(), 2, (0, 1, 2, 4))
+    assert f != DiscreteFunction(integer_group(), 2, (0, 1, 2))
+    system = ORACLE_SYSTEMS["zn-spline"]()
+    assert system == ORACLE_SYSTEMS["zn-spline"]()
+    assert system.wavelets[0] != system.wavelets[1]

@@ -3,10 +3,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcaframes.exact import Radical, cis, radical, sqrt_rational
+from lcaframes.exact import MAX_RADICAND, ZERO, Radical, _square_split, cis, radical, sqrt_rational
 from lcaframes.exceptions import DomainParameterError, VariantMismatchError
 from lcaframes.groups import (
     cyclic_group,
@@ -115,6 +115,22 @@ def test_radical_normalization_pulls_out_squares():
     assert radical(1, 0, 12) == Radical(Fraction(2), Fraction(0), 3)
     assert radical(1, 0, 4) == Radical(Fraction(2), Fraction(0), 1)
     assert sqrt_rational(Fraction(1, 2)) == Radical(Fraction(1, 2), Fraction(0), 2)
+
+
+_square_free = st.integers(1, MAX_RADICAND).map(lambda n: _square_split(n)[1])
+_rationals = st.fractions(min_value=-8, max_value=8, max_denominator=64)
+
+
+@settings(deadline=None, max_examples=60)
+@given(_rationals, _rationals, _square_free, _rationals, _rationals, _square_free)
+def test_radical_mul_add_keep_normal_form(re1, im1, ra, re2, im2, rb):
+    # the gcd shortcut in mul and the shared radicand in add give radical()'s normal form
+    u, v = radical(re1, im1, ra), radical(re2, im2, rb)
+    assert u.mul(v) == radical(u.re * v.re - u.im * v.im, u.re * v.im + u.im * v.re, ra * rb)
+    w = radical(re2, im2, ra)
+    assert u.add(w) == radical(u.re + w.re, u.im + w.im, ra)
+    assert u.add(-u) == ZERO
+    assert u.mul(ZERO) == ZERO
 
 
 def test_radical_add_incompatible_is_none():
