@@ -50,9 +50,6 @@ from .filters import (
     UepMatrix,
     assemble_uep,
     dual_sampling_plan,
-    eval_filter,
-    mask_coefficients,
-    verify_periodic_extension,
     verify_uep,
 )
 from .frame import (

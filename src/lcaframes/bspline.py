@@ -223,10 +223,14 @@ def wavelet_filters(chain: LatticeChain, k: int, order: int) -> list:
     raise UnsupportedOrderError(f"no wavelet masks for odd order {order}")
 
 
-def refinement_residual(chain: LatticeChain, k: int, order: int, plan: SamplingPlan) -> float:
-    """max over the plan of |Phi_k - H_{k+1} Phi_{k+1}| for the spline family."""
+def refinement_residual(chain: LatticeChain, k: int, order: int, plan: SamplingPlan, h=None) -> float:
+    """max over the plan of |Phi_k - H_{k+1} Phi_{k+1}| for the spline family.
+
+    h defaults to the family's binomial lowpass mask.
+    """
     check_refinement_splitting(chain, k)
-    h = refinement_filter(chain, k, order)
+    if h is None:
+        h = refinement_filter(chain, k, order)
     lhs = bspline_hat(chain, k, order, plan.points)
     rhs = h.eval_many(plan.points) * bspline_hat(chain, k + 1, order, plan.points)
     return worst_residual(np.abs(lhs - rhs))[0]

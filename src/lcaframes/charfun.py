@@ -23,7 +23,7 @@ from .chains import LatticeChain, cyclic_chain, euclidean_chain, refined_dual_do
 from .domains import Ball, CosetUnion, HalfOpenBox, IntegerInterval
 from .exact import Radical, radical, sqrt_rational
 from .exceptions import DomainParameterError, ProperSubsetError
-from .filters import CosetPiecewise, SamplingPlan, worst_residual
+from .filters import CosetPiecewise, SamplingPlan, exact_residuals, worst_residual
 from .functions import DiscreteFunction
 from .groups import CYCLIC
 
@@ -265,22 +265,27 @@ def orthonormal_wavelet_filters(band: OmegaChain, k: int) -> list:
     ]
 
 
-def indicator_refinement_residual(band: OmegaChain, k: int, plan: SamplingPlan) -> float:
+def indicator_refinement_residual(band: OmegaChain, k: int, plan: SamplingPlan, h=None) -> float:
     """max over the plan of |Phi_k - H_{k+1} Phi_{k+1}| for the band family.
 
-    Exhaustive plans replace each float residual by the exact one where all
-    three values are Radicals.
+    h defaults to the family's refinement filter.  Exhaustive plans take the
+    residual in exact arithmetic once per distinct key: the piece of h and
+    membership in Omega_k and Omega_{k+1}.  Where any point has no exact
+    value, every point is sampled in floats.
     """
-    h = indicator_refinement_filter(band, k)
-    gk = indicator_generator(band, k)
-    gk1 = indicator_generator(band, k + 1)
+    if h is None:
+        h = indicator_refinement_filter(band, k)
+    gk, gk1 = indicator_generator(band, k), indicator_generator(band, k + 1)
     pts = plan.points
-    res = np.abs(gk.hat_many(pts) - h.eval_many(pts) * gk1.hat_many(pts))
-    if plan.exact:
-        for i, g in enumerate(pts.tolist()):
-            he = h.eval_exact(g)
-            if he is not None:
-                diff = gk.hat_exact(g).add(-he.mul(gk1.hat_exact(g)))
-                if diff is not None:
-                    res[i] = float(diff.abs2()) ** 0.5
+    hat_k, hat_k1 = gk.hat_many(pts), gk1.hat_many(pts)
+    res = None
+    if plan.exact and (keys := h.exact_keys(pts)) is not None:
+
+        def abs2_at(g):
+            diff = gk.hat_exact(g).add(-h.eval_exact(g).mul(gk1.hat_exact(g)))
+            return None if diff is None else diff.abs2()
+
+        res = exact_residuals(plan, np.column_stack([keys, hat_k != 0, hat_k1 != 0]), abs2_at)
+    if res is None:
+        res = np.abs(hat_k - h.eval_many(pts) * hat_k1)
     return worst_residual(res)[0]

@@ -150,7 +150,6 @@ def radical(re, im=0, rad: int | Fraction = 1) -> Radical:
 
 
 ZERO = radical(0)
-ONE = radical(1)
 
 
 def cis_exact(t) -> Radical | None:

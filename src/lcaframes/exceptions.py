@@ -45,10 +45,6 @@ class ProperSubsetError(LcaError):
     """The bandlimited construction needs a proper subset at this level."""
 
 
-class LatticeMembershipError(LcaError):
-    """A point that must lie on a given lattice does not."""
-
-
 class FilterVariantError(LcaError):
     """Operation applies to a different filter variant."""
 

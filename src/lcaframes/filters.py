@@ -9,12 +9,16 @@ level-(k+1) annihilator lattice.  Two representations are supported:
   periodically (first matching piece wins, pieces are listed disjointly).
 
 Both evaluate in floats over point arrays (`eval_many`); `eval` is the
-one-point case of it.  `eval_exact` gives Radical values where they exist.
+one-point case of it.  `eval_exact` gives Radical values where they exist, and
+`exact_keys` gives, over a point array, small integers that fix those values:
+the quarter turn of each character value, or the piece index.
 
 The UEP matrix P_k stacks the refinement filter over the wavelet filters and
 evaluates column l at gamma + nu_{k,l}.  Verification measures the largest
-entry of P*P - d_k I over a sampling plan; on finite dual groups the plan is
-exhaustive and the arithmetic exact, so a true identity reports residual 0.
+entry of P*P - d_k I over a sampling plan.  On finite dual groups the plan is
+exhaustive and the arithmetic exact, evaluated once per distinct value key, so
+a true identity reports residual 0; a level with any point that has no exact
+value is sampled in floats instead.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -31,7 +36,6 @@ from .exact import MAX_RADICAND, Radical, cis_many, radical
 from .exceptions import (
     EmptySamplingPlanError,
     FilterVariantError,
-    LatticeMembershipError,
     PeriodicityMismatchError,
     ResourceLimitError,
     SchemaError,
@@ -50,6 +54,9 @@ from .lattices import ScaledLattice
 
 DEFAULT_SEED = 0x5EED
 
+#: `exact_keys` mark for a point where a filter value has no exact form
+NO_EXACT = -2
+
 
 def worst_residual(residuals) -> tuple[float, int]:
     """Largest residual and its index; a NaN anywhere is the worst.
@@ -65,17 +72,27 @@ def worst_residual(residuals) -> tuple[float, int]:
     return float(res[i]), i
 
 
+def _residue(group: GroupSpec, x, nums: np.ndarray, den: int = 1) -> tuple[np.ndarray, int]:
+    """(r, D) with (x, gamma) = e^{2 pi i r / D} and 0 <= r < D, in integers.
+
+    The points are gamma = nums / den, with integer nums of shape (n,) or (n, s).
+    """
+    if group.kind == CYCLIC:
+        return x * nums % (group.modulus * den), group.modulus * den
+    cs = [Fraction(c) for c in domains.coords(x)]
+    b = math.lcm(*(c.denominator for c in cs))
+    a = np.array([int(c * b) for c in cs], dtype=np.int64)
+    return nums.reshape(len(nums), -1) @ a % (b * den), b * den
+
+
 def _phase(group: GroupSpec, x, pts: np.ndarray) -> np.ndarray:
     """Phase t of (x, gamma) = e^{2 pi i t} at each point, in turns.
 
     On the discrete duals (of Z_N and T) it is reduced mod 1 in exact integer
     arithmetic; on T and R^s it is a float product.
     """
-    if group.kind == CYCLIC:
-        return (x * pts % group.modulus) / group.modulus
-    if group.kind == TORUS:
-        x = Fraction(x)
-        return (x.numerator * pts % x.denominator) / x.denominator
+    if group.kind in (CYCLIC, TORUS):
+        return np.divide(*_residue(group, x, pts))
     if group.kind == EUCLIDEAN:
         return pts @ np.array([float(c) for c in x])
     return float(x) * pts
@@ -99,6 +116,21 @@ class TrigPolynomial:
             x = element_scale(self.group, -j, self.step)
             out += complex(c) * cis_many(_phase(self.group, x, pts))
         return out
+
+    def exact_keys(self, nums: np.ndarray, den: int = 1) -> np.ndarray | None:
+        """Quarter turn 0-3 of each character value at the points nums / den.
+
+        Shape (points, shifts); NO_EXACT where a value is not a quarter turn.
+        None unless nums are integers and every coefficient is a Radical:
+        float points carry no exact character values.
+        """
+        if nums.dtype.kind != "i" or not all(isinstance(c, Radical) for c in self.coeffs):
+            return None
+        keys = np.empty((len(nums), len(self.shifts)), dtype=np.int64)
+        for col, j in enumerate(self.shifts):
+            r, d = _residue(self.group, element_scale(self.group, -j, self.step), nums, den)
+            keys[:, col] = np.where(4 * r % d == 0, 4 * r // d, NO_EXACT)
+        return keys
 
     def eval_exact(self, gamma) -> Radical | None:
         total = radical(0)
@@ -154,41 +186,24 @@ class CosetPiecewise:
         values = np.array([complex(v) for _, v in self.pieces] + [0j])
         return values[self._piece_index(gammas)]
 
-    def eval_exact(self, gamma) -> Radical | None:
-        """Exact value at a point of a discrete dual, or None."""
+    def exact_keys(self, pts: np.ndarray, den: int = 1) -> np.ndarray | None:
+        """Piece index of each point (-1: no piece, value 0), shape (points, 1).
+
+        NO_EXACT where the piece value is not a Radical.  None on a continuous
+        dual; on a discrete one the points are integers and den is 1.
+        """
         if not self.dual.is_discrete:
             return None
-        i = int(self._piece_index(gamma)[0])
-        if i < 0:
-            return radical(0)
-        v = self.pieces[i][1]
-        return v if isinstance(v, Radical) else None
+        idx = self._piece_index(pts)
+        exact = np.array([isinstance(v, Radical) for _, v in self.pieces] + [True])
+        return np.where(exact[idx], idx, NO_EXACT)[:, None]
 
-
-PeriodicFilter = (TrigPolynomial, CosetPiecewise)
-
-
-def eval_filter(f, gamma) -> complex:
-    """Value of the periodic extension of f at gamma."""
-    return f.eval(gamma)
-
-
-def mask_coefficients(f) -> tuple:
-    """(step, shifts, coefficients) of a trigonometric-polynomial filter."""
-    if not isinstance(f, TrigPolynomial):
-        raise FilterVariantError(f"mask coefficients need a TrigPolynomial, got {type(f).__name__}")
-    return f.step, f.shifts, tuple(complex(c) for c in f.coeffs)
-
-
-def scale_filter(f, factor: complex):
-    """Same filter with every value scaled; used for corruption controls."""
-    if isinstance(f, TrigPolynomial):
-        coeffs = tuple(complex(c) * factor for c in f.coeffs)
-        return TrigPolynomial(f.group, f.step, f.shifts, coeffs, f.lattice)
-    if isinstance(f, CosetPiecewise):
-        pieces = tuple((d, complex(v) * factor) for d, v in f.pieces)
-        return CosetPiecewise(f.dual, pieces, f.domain, f.lattice)
-    raise FilterVariantError(f"cannot scale {type(f).__name__}")
+    def eval_exact(self, gamma) -> Radical | None:
+        """Exact value at a point of a discrete dual, or None."""
+        keys = self.exact_keys(gamma)
+        if keys is None or keys[0, 0] == NO_EXACT:
+            return None
+        return radical(0) if keys[0, 0] < 0 else self.pieces[keys[0, 0]][1]
 
 
 @dataclass(frozen=True)
@@ -218,19 +233,24 @@ class UepMatrix:
         cols = [domains.shift_points(pts, nu, dual) for nu in self.nu]
         return np.stack([np.stack([f.eval_many(c) for c in cols], axis=-1) for f in self.rows], axis=1)
 
+    def exact_keys(self, gammas) -> np.ndarray | None:
+        """Value keys of every row at every coset column, one key row per point.
+
+        Points with equal key rows have equal exact matrices.  None where a row
+        has no keys.
+        """
+        pts = np.asarray(gammas)
+        cs = [[Fraction(c) for c in domains.coords(nu)] for nu in self.nu]
+        den = math.lcm(*(c.denominator for nu in cs for c in nu))
+        cols = [pts * den + np.array([int(c * den) for c in nu]).reshape(pts.shape[1:]) for nu in cs]
+        keys = [f.exact_keys(c, den) for f in self.rows for c in cols]
+        return None if any(k is None for k in keys) else np.concatenate(keys, axis=1)
+
     def value_exact(self, gamma):
+        """The matrix at one point as rows of Radicals, or None."""
         dual = self.chain.dual
-        cols = [element_add(dual, gamma, nu) for nu in self.nu]
-        out = []
-        for f in self.rows:
-            row = []
-            for g in cols:
-                v = f.eval_exact(g)
-                if v is None:
-                    return None
-                row.append(v)
-            out.append(row)
-        return out
+        rows = [[f.eval_exact(element_add(dual, gamma, nu)) for nu in self.nu] for f in self.rows]
+        return None if any(v is None for row in rows for v in row) else rows
 
 
 def assemble_uep(chain: LatticeChain, k: int, h, g_list) -> UepMatrix:
@@ -311,17 +331,30 @@ def _gram_residual_exact(P: UepMatrix, gamma) -> Fraction | None:
     worst = Fraction(0)
     for l in range(d):
         for lp in range(d):
-            acc = radical(0)
+            acc = radical(-d if l == lp else 0)  # diagonal products |v|^2 are rational, like d
             for row in vals:
                 acc = acc.add(row[l].conj().mul(row[lp]))
                 if acc is None:
                     return None
-            target = radical(d if l == lp else 0)
-            diff = acc.add(-target)
-            if diff is None:
-                return None
-            worst = max(worst, diff.abs2())
+            worst = max(worst, acc.abs2())
     return worst
+
+
+def exact_residuals(plan: SamplingPlan, keys: np.ndarray | None, abs2_at) -> np.ndarray | None:
+    """Exact residual at every plan point, computed once per distinct key row.
+
+    abs2_at(gamma) is the exact squared residual at a point, a Fraction, or
+    None.  Points with equal key rows must have equal residuals; the residual
+    at the first point of each key is scattered to the others.  None when keys
+    is None, when any point is marked NO_EXACT, or when abs2_at gives None.
+    """
+    if keys is None or (keys == NO_EXACT).any():
+        return None
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    abs2 = [abs2_at(plan.point(i)) for i in first]
+    if any(w is None for w in abs2):
+        return None
+    return np.array([math.sqrt(w) for w in abs2])[inverse.reshape(-1)]
 
 
 def pointwise_residuals(P: UepMatrix, points) -> np.ndarray:
@@ -334,53 +367,17 @@ def pointwise_residuals(P: UepMatrix, points) -> np.ndarray:
 def verify_uep(P: UepMatrix, plan: SamplingPlan) -> UepReport:
     """Largest deviation of P*P from d_k I over the plan.
 
-    On exhaustive plans each point is re-evaluated in exact arithmetic where
-    the filter values allow it; the report is flagged exact only if every
-    point was.
+    On exhaustive plans the Gram matrix is evaluated in exact arithmetic once
+    per distinct value key (`UepMatrix.exact_keys`), at the first point with
+    that key, and the report is flagged exact.  A level with any point that
+    has no exact value is sampled in floats at every point.
     """
-    res = pointwise_residuals(P, plan.points)
-    exact = plan.exact
-    if plan.exact:
-        for i, g in enumerate(plan.points.tolist()):
-            w2 = _gram_residual_exact(P, g)
-            if w2 is None:
-                exact = False
-            else:
-                res[i] = math.sqrt(w2)
+    res = exact_residuals(plan, P.exact_keys(plan.points), partial(_gram_residual_exact, P)) if plan.exact else None
+    exact = res is not None
+    if not exact:
+        res = pointwise_residuals(P, plan.points)
     worst, i = worst_residual(res)
     return UepReport(worst, exact, plan.point(i), len(res), plan.label)
-
-
-def gram_entry(P: UepMatrix, gamma, l: int, lp: int) -> complex:
-    """Entrywise form of the Gram identity: row-by-row conjugated products."""
-    dual = P.chain.dual
-    a = element_add(dual, gamma, P.nu[l])
-    b = element_add(dual, gamma, P.nu[lp])
-    return sum(f.eval(a).conjugate() * f.eval(b) for f in P.rows)
-
-
-def entrywise_residual(P: UepMatrix, gamma) -> float:
-    d = P.d
-    return max(
-        abs(gram_entry(P, gamma, l, lp) - (d if l == lp else 0))
-        for l in range(d)
-        for lp in range(d)
-    )
-
-
-def verify_periodic_extension(P: UepMatrix, shifts, plan: SamplingPlan, tol: float = 1e-12) -> bool:
-    """Residuals agree at gamma and gamma + shift for level-k annihilator shifts."""
-    ann = P.chain.level(P.k).annihilator
-    dual = P.chain.dual
-    pts = domains.point_array(plan.points, dual)
-    base = pointwise_residuals(P, pts)
-    for shift in shifts:
-        if not ann.contains(shift):
-            raise LatticeMembershipError(f"shift {shift!r} is not in the level-{P.k} annihilator")
-        moved = pointwise_residuals(P, domains.shift_points(pts, shift, dual))
-        if np.max(np.abs(base - moved)) > tol:
-            return False
-    return True
 
 
 def _value_json(v) -> dict:

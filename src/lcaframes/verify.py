@@ -88,9 +88,9 @@ def run_verification(system: fr.FrameSystem, suite: str, samples: int, trials: i
     if suite in ("refinement", "all"):
         for lf in system.level_filters:
             if system.family["type"] == "bspline":
-                res = refinement_residual(chain, lf.k, system.family["order"], plans[lf.k])
+                res = refinement_residual(chain, lf.k, system.family["order"], plans[lf.k], lf.h)
             else:
-                res = cf.indicator_refinement_residual(system.band, lf.k, plans[lf.k])
+                res = cf.indicator_refinement_residual(system.band, lf.k, plans[lf.k], lf.h)
             entries.append(_measured(COND_REFINE, res, tol, level=lf.k))
     if suite in ("fiber", "all"):
         if kind == CYCLIC:

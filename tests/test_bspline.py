@@ -30,7 +30,7 @@ from lcaframes.exceptions import (
     UnsupportedOrderError,
     UnsupportedRepresentationError,
 )
-from lcaframes.filters import dual_sampling_plan, eval_filter, mask_coefficients
+from lcaframes.filters import dual_sampling_plan
 
 RT2 = math.sqrt(2)
 
@@ -177,10 +177,10 @@ def test_lowpass_filter_values():
     ch = integer_chain(3)
     for order in (1, 2, 3, 4):
         h = refinement_filter(ch, 0, order)
-        assert abs(eval_filter(h, 0) - RT2) < 1e-15
+        assert abs(h.eval(0) - RT2) < 1e-15
         nu = ch.cosets(0)[1]
-        assert abs(eval_filter(h, nu)) < 1e-15
-    _, _, coeffs = mask_coefficients(refinement_filter(ch, 0, 1))
+        assert abs(h.eval(nu)) < 1e-15
+    coeffs = [complex(c) for c in refinement_filter(ch, 0, 1).coeffs]
     assert np.allclose(coeffs, [2**-0.5, 2**-0.5])
 
 
@@ -225,25 +225,25 @@ def test_refinement_splitting_witness():
 def test_first_order_wavelet_values():
     ch = integer_chain(3)
     g = first_order_wavelet_filter(ch, 0)
-    assert abs(eval_filter(g, 0)) < 1e-15
+    assert abs(g.eval(0)) < 1e-15
     nu = ch.cosets(0)[1]
-    assert abs(eval_filter(g, nu) - RT2) < 1e-15
+    assert abs(g.eval(nu) - RT2) < 1e-15
     h = refinement_filter(ch, 0, 1)
     rng = np.random.default_rng(9)
     for gamma in rng.random(1000):
-        total = abs(eval_filter(h, gamma)) ** 2 + abs(eval_filter(g, gamma)) ** 2
+        total = abs(h.eval(gamma)) ** 2 + abs(g.eval(gamma)) ** 2
         assert abs(total - 2) < 1e-12
 
 
 def test_even_order_wavelet_masks():
     ch = integer_chain(3)
     g1, g2 = even_order_wavelet_filters(ch, 0, 1)
-    assert np.allclose(mask_coefficients(g1)[2], [0.5, 0, -0.5])
-    assert np.allclose(mask_coefficients(g2)[2], [2**-1.5, -(2**-0.5), 2**-1.5])
+    assert np.allclose([complex(c) for c in g1.coeffs], [0.5, 0, -0.5])
+    assert np.allclose([complex(c) for c in g2.coeffs], [2**-1.5, -(2**-0.5), 2**-1.5])
     for m, g in enumerate((g1, g2), start=1):
-        assert abs(eval_filter(g, 0)) < 1e-15
+        assert abs(g.eval(0)) < 1e-15
     h = refinement_filter(ch, 0, 2)
-    total = abs(eval_filter(h, 0)) ** 2 + abs(eval_filter(g1, 0)) ** 2 + abs(eval_filter(g2, 0)) ** 2
+    total = abs(h.eval(0)) ** 2 + abs(g1.eval(0)) ** 2 + abs(g2.eval(0)) ** 2
     assert abs(total - 2) < 1e-12
 
 
@@ -254,7 +254,7 @@ def test_even_order_energy_identity(order):
     gs = even_order_wavelet_filters(ch, 1, order // 2)
     rng = np.random.default_rng(13)
     for gamma in rng.random(300):
-        total = abs(eval_filter(h, gamma)) ** 2 + sum(abs(eval_filter(g, gamma)) ** 2 for g in gs)
+        total = abs(h.eval(gamma)) ** 2 + sum(abs(g.eval(gamma)) ** 2 for g in gs)
         assert abs(total - 2) < 1e-11
 
 
@@ -300,7 +300,7 @@ def test_wavelet_transform_matches_filter_product():
     psi = wavelet_time(ch, 1, g, order)
     rng = np.random.default_rng(17)
     for gamma in rng.random(1000):
-        product = eval_filter(g, gamma) * bspline_hat(ch, 2, order, gamma)
+        product = g.eval(gamma) * bspline_hat(ch, 2, order, gamma)
         assert abs(psi.hat(gamma) - product) < 1e-12
 
 

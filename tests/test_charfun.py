@@ -22,7 +22,7 @@ from lcaframes.charfun import (
 )
 from lcaframes.domains import Ball, IntegerInterval
 from lcaframes.exceptions import DomainParameterError, ProperSubsetError
-from lcaframes.filters import assemble_uep, dual_sampling_plan, eval_filter, verify_uep
+from lcaframes.filters import assemble_uep, dual_sampling_plan, verify_uep
 from lcaframes.groups import pairing
 
 RT2 = math.sqrt(2)
@@ -91,7 +91,7 @@ def test_indicator_generator_values():
 def test_refinement_filter_values_and_first_row():
     band = band_chain_cyclic(3, [0, 1, 3, 7])
     h = indicator_refinement_filter(band, 1)
-    assert [round(eval_filter(h, g).real, 12) for g in range(4)] == pytest.approx(
+    assert [round(h.eval(g).real, 12) for g in range(4)] == pytest.approx(
         [RT2, RT2, 0, 0]
     )
     # first row of the coset matrix on V_k is (H, 0, ..., 0)
@@ -99,7 +99,7 @@ def test_refinement_filter_values_and_first_row():
     h2 = indicator_refinement_filter(band2, 2)
     P = assemble_uep(band2.chain, 2, h2, bandlimited_wavelet_filters(band2, 2))
     for gamma, m in enumerate(P.eval_many(np.arange(4))):
-        assert m[0, 0] == eval_filter(h2, gamma)
+        assert m[0, 0] == h2.eval(gamma)
         assert m[0, 1] == 0
 
 
@@ -110,7 +110,7 @@ def test_refinement_identity_exact_everywhere():
         gk = indicator_generator(band, k)
         gk1 = indicator_generator(band, k + 1)
         for gamma in range(8):
-            assert gk.hat(gamma) == pytest.approx(eval_filter(h, gamma) * gk1.hat(gamma), abs=1e-15)
+            assert gk.hat(gamma) == pytest.approx(h.eval(gamma) * gk1.hat(gamma), abs=1e-15)
 
 
 @pytest.mark.parametrize("bounds", [[0, 1, 3, 7], [0, 1, 2, 7]])
@@ -139,10 +139,10 @@ def test_proper_masks_values_on_cyclic():
     band = band_chain_cyclic(3, [0, 1, 2, 7])
     g1, g2 = bandlimited_wavelet_filters(band, 2)
     # level 2: Omega = {0,1,2} inside V = {0..3}, nu = (0, 4)
-    assert [round(eval_filter(g1, g).real, 12) for g in range(8)] == pytest.approx(
+    assert [round(g1.eval(g).real, 12) for g in range(8)] == pytest.approx(
         [0, 0, 0, RT2, RT2, RT2, RT2, 0]
     )
-    assert [round(eval_filter(g2, g).real, 12) for g in range(8)] == pytest.approx(
+    assert [round(g2.eval(g).real, 12) for g in range(8)] == pytest.approx(
         [0, 0, 0, 0, 0, 0, 0, RT2]
     )
 
@@ -189,10 +189,10 @@ def test_orthonormal_masks_on_torus():
     gs = orthonormal_wavelet_filters(band, 0)
     assert len(gs) == 2  # d_0 = 3
     # mask m is supported on the coset nu_{m+1} + V_0 = (2m) + {-1, 0}
-    assert eval_filter(gs[0], 2) == RT3 and eval_filter(gs[0], 1) == RT3
-    assert eval_filter(gs[0], 0) == 0 and eval_filter(gs[0], 4) == 0
-    assert eval_filter(gs[1], 4) == RT3 and eval_filter(gs[1], 3) == RT3
-    assert eval_filter(gs[1], 2) == 0
+    assert gs[0].eval(2) == RT3 and gs[0].eval(1) == RT3
+    assert gs[0].eval(0) == 0 and gs[0].eval(4) == 0
+    assert gs[1].eval(4) == RT3 and gs[1].eval(3) == RT3
+    assert gs[1].eval(2) == 0
 
 
 def test_proper_masks_on_torus_gram():

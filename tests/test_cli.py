@@ -2,6 +2,7 @@
 
 import json
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -454,3 +455,43 @@ def test_undecodable_input_files_exit_2(tmp_path):
     bad.write_bytes(b"\xff\xfe{}")
     assert main(["construct", "--descriptor", str(bad), "--out", str(tmp_path / "x.json")]) == 2
     assert main(["verify", str(bad), "--suite", "uep"]) == 2
+
+
+def _negate_value(v):
+    v["re"], v["im"] = -v["re"], -v["im"]
+    if "exact" in v:
+        v["exact"]["re"], v["exact"]["im"] = (str(-Fraction(v["exact"][c])) for c in ("re", "im"))
+
+
+def _negate_level_3_lowpass(data):
+    [h] = [entry["h"] for entry in data["filters"] if entry["k"] == 3]
+    if h["kind"] == "trig":
+        h["coeffs"] = [[-re, -im] for re, im in h["coeffs"]]
+        for v in h["coeffs_exact"]:
+            _negate_value(v)
+    else:
+        for piece in h["pieces"]:
+            _negate_value(piece["value"])
+
+
+@pytest.mark.parametrize(
+    "desc",
+    [
+        dict(Z8_SHANNON, group={"variant": "cyclic", "params": {"modulus": 256}}, chain={"M": 8},
+             family={"bspline": {"order": 4}}),
+        dict(Z_BSPLINE, chain={"M": 10}),
+        {**Z8_SHANNON, "group": {"variant": "cyclic", "params": {"modulus": 64}}, "chain": {"M": 6},
+         "family": {"charfun": {"mode": "proper", "L": [0, 1, 2, 3, 4, 5, 63]}}, "k0": 2},
+    ],
+    ids=["z256-spline", "z10-spline", "z64-band"],
+)
+def test_negated_lowpass_fails_refinement_transfer(tmp_path, desc):
+    # |-h|^2 = |h|^2 keeps the UEP identity, so only the artifact's own h shows it
+    data = json.loads(construct(tmp_path, desc).read_text())
+    _negate_level_3_lowpass(data)
+    cpath = tmp_path / "negated.json"
+    cpath.write_text(json.dumps(data))
+    rpath = tmp_path / "report.json"
+    assert main(["verify", str(cpath), "--suite", "all", "--report", str(rpath)]) == 1
+    failed = [(e["condition"], e.get("level")) for e in json.loads(rpath.read_text())["checks"] if e["status"] == "fail"]
+    assert failed == [("refinement-transfer", 3)]

@@ -178,7 +178,7 @@ def test_telescoping_shannon_seeded():
 
 def test_telescoping_uncertified_level():
     system = build_charfun_system(full_band_chain(cyclic_chain(3)), "shannon")
-    from lcaframes.filters import scale_filter
+    from oracles import scale_filter
     from lcaframes.frame import LevelFilters
 
     lf = system.level_filters[1]
