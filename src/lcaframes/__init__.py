@@ -24,7 +24,6 @@ from .chains import (
     cyclic_chain,
     euclidean_chain,
     integer_chain,
-    lattice_points,
     refined_dual_domain,
     torus_chain,
 )

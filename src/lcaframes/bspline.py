@@ -61,15 +61,6 @@ class BSplineGenerator:
     order: int
     time: DiscreteFunction | None  # explicit values on Z / Z_N, None otherwise
 
-    def hat(self, gamma) -> complex:
-        return complex(bspline_hat(self.chain, self.k, self.order, gamma)[0])
-
-    def time_value(self, x) -> float:
-        """Time-domain value; piecewise polynomial on T / R^s."""
-        if self.time is not None:
-            return self.time.value_at(x)
-        return _continuous_time_value(self.chain, self.k, self.order, x)
-
 
 def _require_index_two(chain: LatticeChain, k: int):
     if chain.index(k) != 2:
@@ -236,13 +227,15 @@ def refinement_residual(chain: LatticeChain, k: int, order: int, plan: SamplingP
     return worst_residual(np.abs(lhs - rhs))[0]
 
 
-def wavelet_time(chain: LatticeChain, k: int, filt: TrigPolynomial, order: int) -> DiscreteFunction:
-    """Time-domain wavelet sum_j c_j phi_{k+1,N}(. - j eta_k) on Z / Z_N."""
+def wavelet_time(chain: LatticeChain, k: int, filt: TrigPolynomial, phi: DiscreteFunction | None) -> DiscreteFunction:
+    """Time-domain wavelet sum_j c_j phi(. - j eta_k) on Z / Z_N.
+
+    phi is the time side of the level-(k+1) scaling generator (`bspline_time`).
+    """
     if not chain.level(k + 1).lattice.contains(filt.step):
         raise UnsupportedRepresentationError(
             f"mask step {filt.step!r} is not a level-{k + 1} lattice point"
         )
-    phi = bspline_time(chain, k + 1, order).time
     if phi is None:
         raise UnsupportedRepresentationError("time-domain wavelets need Z or Z_N")
     offsets = [j * filt.step for j in filt.shifts]
@@ -289,32 +282,3 @@ def _character_spread(group, q, gamma) -> float:
     for a, b, g in zip(q.lo, q.hi, domains.coords(gamma)):
         worst_t += max(abs(float(a) * float(g)), abs(float(b) * float(g)))
     return 2.0 if worst_t > 0.5 else 2 * math.sin(math.pi * worst_t)
-
-
-def _continuous_time_value(chain: LatticeChain, k: int, order: int, x) -> float:
-    """Piecewise-polynomial time value on T / R^s (cardinal spline rescaling)."""
-    q = chain.level(k).domain_q
-    mu = float(chain.density(k))
-    out = mu ** (-order + 0.5)
-    for a, b, xr in zip(q.lo, q.hi, domains.coords(x)):
-        width = float(b - a)
-        if chain.group.kind == TORUS:
-            # wrap over the period
-            val = sum(
-                _cardinal_bspline(order, (float(xr) + m) / width) for m in range(-order - 1, order + 2)
-            )
-        else:
-            val = _cardinal_bspline(order, float(xr) / width)
-        out *= width ** (order - 1) * val
-    return out
-
-
-def _cardinal_bspline(n: int, t: float) -> float:
-    """The n-fold self-convolution of the indicator of [0,1), supported on [0,n]."""
-    if t <= 0 or t >= n:
-        return 0.0
-    total = 0.0
-    for i in range(n + 1):
-        if t - i > 0:
-            total += (-1) ** i * math.comb(n, i) * (t - i) ** (n - 1)
-    return total / math.factorial(n - 1)

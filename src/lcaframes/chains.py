@@ -245,14 +245,6 @@ def refined_dual_domain(chain: LatticeChain, k: int) -> CosetUnion:
     return CosetUnion(lvl.domain_v, lvl.cosets)
 
 
-def lattice_points(chain: LatticeChain, k: int, window=None) -> list:
-    """All Lambda_k points meeting the window, exact and sorted.
-
-    window may be None for finite lattices (full enumeration).
-    """
-    return chain.level(k).lattice.points(window)
-
-
 def chain_to_json(chain: LatticeChain) -> dict:
     group = {"variant": chain.group.kind}
     if chain.group.kind == "cyclic":

@@ -21,7 +21,7 @@ import numpy as np
 from . import domains
 from .chains import LatticeChain, cyclic_chain, euclidean_chain, refined_dual_domain, torus_chain
 from .domains import Ball, CosetUnion, HalfOpenBox, IntegerInterval
-from .exact import Radical, radical, sqrt_rational
+from .exact import ZERO, Radical, sqrt_rational
 from .exceptions import DomainParameterError, ProperSubsetError
 from .filters import CosetPiecewise, SamplingPlan, exact_residuals, worst_residual
 from .functions import DiscreteFunction
@@ -179,11 +179,6 @@ class IndicatorGenerator:
         inside = domains.contains_many(self.band.omega(self.k), domains.point_array(gammas, dual), dual)
         return np.where(inside, complex(self.scale), 0j)
 
-    def hat_exact(self, gamma) -> Radical:
-        if domains.contains(self.band.omega(self.k), gamma, self.band.chain.dual):
-            return self.scale
-        return radical(0)
-
     def freq_function(self) -> DiscreteFunction:
         """The generator as a finitely-supported function on a discrete dual."""
         dual = self.band.chain.dual
@@ -229,17 +224,16 @@ def bandlimited_wavelet_filters(band: OmegaChain, k: int) -> list:
     dom = refined_dual_domain(chain, k)
     ann = chain.level(k + 1).annihilator
     rt = sqrt_rational(d)
-    zero = radical(0)
     out = []
     for m in range(1, d):
         pieces = (
             (CosetUnion(om, (nu[m],)), rt),
-            (CosetUnion(om, (nu[m - 1],)), zero),
+            (CosetUnion(om, (nu[m - 1],)), ZERO),
             (CosetUnion(v, (nu[m - 1],)), rt),
         )
         out.append(CosetPiecewise(chain.dual, pieces, dom, ann))
     pieces = (
-        (CosetUnion(om, (nu[d - 1],)), zero),
+        (CosetUnion(om, (nu[d - 1],)), ZERO),
         (CosetUnion(v, (nu[d - 1],)), rt),
     )
     out.append(CosetPiecewise(chain.dual, pieces, dom, ann))
@@ -269,9 +263,10 @@ def indicator_refinement_residual(band: OmegaChain, k: int, plan: SamplingPlan, 
     """max over the plan of |Phi_k - H_{k+1} Phi_{k+1}| for the band family.
 
     h defaults to the family's refinement filter.  Exhaustive plans take the
-    residual in exact arithmetic once per distinct key: the piece of h and
-    membership in Omega_k and Omega_{k+1}.  Where any point has no exact
-    value, every point is sampled in floats.
+    residual in exact arithmetic once per distinct key: the keys of h and
+    membership in Omega_k and Omega_{k+1}, which pick the generator's scale
+    or 0.  Where any point has no exact value, every point is sampled in
+    floats.
     """
     if h is None:
         h = indicator_refinement_filter(band, k)
@@ -281,11 +276,24 @@ def indicator_refinement_residual(band: OmegaChain, k: int, plan: SamplingPlan, 
     res = None
     if plan.exact and (keys := h.exact_keys(pts)) is not None:
 
-        def abs2_at(g):
-            diff = gk.hat_exact(g).add(-h.eval_exact(g).mul(gk1.hat_exact(g)))
+        def abs2_of(key):
+            diff = _refinement_exact(h, gk, gk1, key)
             return None if diff is None else diff.abs2()
 
-        res = exact_residuals(plan, np.column_stack([keys, hat_k != 0, hat_k1 != 0]), abs2_at)
+        res = exact_residuals(np.column_stack([keys, hat_k != 0, hat_k1 != 0]), abs2_of)
     if res is None:
         res = np.abs(hat_k - h.eval_many(pts) * hat_k1)
     return worst_residual(res)[0]
+
+
+def _refinement_exact(h, gk: IndicatorGenerator, gk1: IndicatorGenerator, key) -> Radical | None:
+    """Phi_k - H_{k+1} Phi_{k+1} at a point with this key row, or None.
+
+    The row is h's keys, then membership in Omega_k and in Omega_{k+1}, which
+    pick each generator's scale or 0.
+    """
+    hv = h.exact_value(key[:-2])
+    if hv is None:
+        return None
+    in_k, in_k1 = key[-2:]
+    return (gk.scale if in_k else ZERO).add(-hv.mul(gk1.scale if in_k1 else ZERO))

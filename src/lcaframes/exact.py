@@ -104,6 +104,11 @@ class Radical:
     def __neg__(self) -> "Radical":
         return Radical(-self.re, -self.im, self.rad)
 
+    def turn(self, q: int) -> "Radical":
+        """self * i^q: q quarter turns, a rotation of (re, im)."""
+        re, im = ((self.re, self.im), (-self.im, self.re), (-self.re, -self.im), (self.im, -self.re))[q % 4]
+        return Radical(re, im, self.rad)
+
     def mul(self, other: "Radical") -> "Radical":
         """Exact product: sqrt(a) sqrt(b) = g sqrt((a/g)(b/g)) for square-free a, b and g = gcd(a, b)."""
         g = math.gcd(self.rad, other.rad)
@@ -150,17 +155,6 @@ def radical(re, im=0, rad: int | Fraction = 1) -> Radical:
 
 
 ZERO = radical(0)
-
-
-def cis_exact(t) -> Radical | None:
-    """Exact character value e^{2 pi i t} when t reduces to a quarter turn."""
-    f = as_fraction(t)
-    if f is None:
-        return None
-    q = _QUARTER_TURNS.get(f % 1)
-    if q is None:
-        return None
-    return Radical(q[0], q[1], 1)
 
 
 def sqrt_rational(x) -> Radical:

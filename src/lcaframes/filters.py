@@ -9,14 +9,16 @@ level-(k+1) annihilator lattice.  Two representations are supported:
   periodically (first matching piece wins, pieces are listed disjointly).
 
 Both evaluate in floats over point arrays (`eval_many`); `eval` is the
-one-point case of it.  `eval_exact` gives Radical values where they exist, and
-`exact_keys` gives, over a point array, small integers that fix those values:
-the quarter turn of each character value, or the piece index.
+one-point case of it.  Exact values are read from value keys: `exact_keys`
+gives, over a point array, small integers that fix each value (the quarter
+turn of each character value, or the piece index), and `exact_value` turns one
+key into a Radical (sum_j c_j i^{q_j}, or the piece's value).  A point with a
+given key has that value by construction; no phase is reduced per point.
 
 The UEP matrix P_k stacks the refinement filter over the wavelet filters and
 evaluates column l at gamma + nu_{k,l}.  Verification measures the largest
 entry of P*P - d_k I over a sampling plan.  On finite dual groups the plan is
-exhaustive and the arithmetic exact, evaluated once per distinct value key, so
+exhaustive and the arithmetic exact, evaluated once per distinct key row, so
 a true identity reports residual 0; a level with any point that has no exact
 value is sampled in floats instead.
 """
@@ -32,7 +34,7 @@ import numpy as np
 
 from . import domains
 from .chains import MAX_POINTS, LatticeChain
-from .exact import MAX_RADICAND, Radical, cis_many, radical
+from .exact import MAX_RADICAND, ZERO, Radical, cis_many, radical
 from .exceptions import (
     EmptySamplingPlanError,
     FilterVariantError,
@@ -46,9 +48,7 @@ from .groups import (
     TORUS,
     GroupSpec,
     dual_group,
-    element_add,
     element_scale,
-    pairing_exact,
 )
 from .lattices import ScaledLattice
 
@@ -117,6 +117,10 @@ class TrigPolynomial:
             out += complex(c) * cis_many(_phase(self.group, x, pts))
         return out
 
+    @property
+    def key_width(self) -> int:
+        return len(self.shifts)
+
     def exact_keys(self, nums: np.ndarray, den: int = 1) -> np.ndarray | None:
         """Quarter turn 0-3 of each character value at the points nums / den.
 
@@ -132,16 +136,14 @@ class TrigPolynomial:
             keys[:, col] = np.where(4 * r % d == 0, 4 * r // d, NO_EXACT)
         return keys
 
-    def eval_exact(self, gamma) -> Radical | None:
-        total = radical(0)
-        for j, c in zip(self.shifts, self.coeffs):
-            if not isinstance(c, Radical):
-                return None
-            x = element_scale(self.group, -j, self.step)
-            z = pairing_exact(self.group, x, gamma)
-            if z is None:
-                return None
-            total = total.add(c.mul(z))
+    def exact_value(self, key) -> Radical | None:
+        """sum_j c_j i^{q_j} for one key row of quarter turns q_j.
+
+        None where a q_j is NO_EXACT or the radicands of the sum differ.
+        """
+        total = ZERO
+        for c, q in zip(self.coeffs, key):
+            total = None if q == NO_EXACT else total.add(c.turn(q))
             if total is None:
                 return None
         return total
@@ -153,6 +155,7 @@ class CosetPiecewise:
     pieces: tuple  # ((domain, value), ...); first match wins, uncovered points are 0
     domain: object  # fundamental domain of the periodicity lattice: a box one step wide
     lattice: ScaledLattice
+    key_width = 1  # one piece index per point
 
     def __post_init__(self):
         # points reduce into the domain by per-axis floor arithmetic, which
@@ -198,12 +201,10 @@ class CosetPiecewise:
         exact = np.array([isinstance(v, Radical) for _, v in self.pieces] + [True])
         return np.where(exact[idx], idx, NO_EXACT)[:, None]
 
-    def eval_exact(self, gamma) -> Radical | None:
-        """Exact value at a point of a discrete dual, or None."""
-        keys = self.exact_keys(gamma)
-        if keys is None or keys[0, 0] == NO_EXACT:
-            return None
-        return radical(0) if keys[0, 0] < 0 else self.pieces[keys[0, 0]][1]
+    def exact_value(self, key) -> Radical | None:
+        """The value of the piece a key names; 0 for index -1, None for NO_EXACT."""
+        i = key[0]
+        return None if i == NO_EXACT else ZERO if i < 0 else self.pieces[i][1]
 
 
 @dataclass(frozen=True)
@@ -221,10 +222,6 @@ class UepMatrix:
     @property
     def nu(self) -> tuple:
         return self.chain.cosets(self.k)
-
-    @property
-    def rho(self) -> int:
-        return len(self.rows) - 1
 
     def eval_many(self, gammas) -> np.ndarray:
         """The matrix at every point, as an array of shape (points, rows, d_k)."""
@@ -246,11 +243,15 @@ class UepMatrix:
         keys = [f.exact_keys(c, den) for f in self.rows for c in cols]
         return None if any(k is None for k in keys) else np.concatenate(keys, axis=1)
 
-    def value_exact(self, gamma):
-        """The matrix at one point as rows of Radicals, or None."""
-        dual = self.chain.dual
-        rows = [[f.eval_exact(element_add(dual, gamma, nu)) for nu in self.nu] for f in self.rows]
-        return None if any(v is None for row in rows for v in row) else rows
+    def exact_values(self, key) -> list:
+        """The matrix at a point with this key row, as rows of Radicals (None: no exact value).
+
+        The row splits into one slice per (row, coset column), in the order of
+        `exact_keys`, each as wide as that filter's keys.
+        """
+        widths = [f.key_width for f in self.rows for _ in self.nu]
+        slices = iter(np.split(key, np.cumsum(widths)[:-1]))
+        return [[f.exact_value(next(slices)) for _ in self.nu] for f in self.rows]
 
 
 def assemble_uep(chain: LatticeChain, k: int, h, g_list) -> UepMatrix:
@@ -322,10 +323,10 @@ class UepReport:
         }
 
 
-def _gram_residual_exact(P: UepMatrix, gamma) -> Fraction | None:
-    """max |(P*P - d I)_{l,l'}|^2 as an exact rational, or None."""
-    vals = P.value_exact(gamma)
-    if vals is None:
+def _gram_residual_exact(P: UepMatrix, key) -> Fraction | None:
+    """max |(P*P - d I)_{l,l'}|^2 as an exact rational at a key row, or None."""
+    vals = P.exact_values(key)
+    if any(v is None for row in vals for v in row):
         return None
     d = P.d
     worst = Fraction(0)
@@ -340,18 +341,18 @@ def _gram_residual_exact(P: UepMatrix, gamma) -> Fraction | None:
     return worst
 
 
-def exact_residuals(plan: SamplingPlan, keys: np.ndarray | None, abs2_at) -> np.ndarray | None:
-    """Exact residual at every plan point, computed once per distinct key row.
+def exact_residuals(keys: np.ndarray | None, abs2_of) -> np.ndarray | None:
+    """Exact residual at every point, computed once per distinct key row.
 
-    abs2_at(gamma) is the exact squared residual at a point, a Fraction, or
-    None.  Points with equal key rows must have equal residuals; the residual
-    at the first point of each key is scattered to the others.  None when keys
-    is None, when any point is marked NO_EXACT, or when abs2_at gives None.
+    keys has one row per point; abs2_of(row) is the exact squared residual at
+    a point with that key row, a Fraction, or None.  It is evaluated once per
+    distinct row and scattered to the points.  None when keys is None, when
+    any point is marked NO_EXACT, or when abs2_of gives None.
     """
     if keys is None or (keys == NO_EXACT).any():
         return None
-    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    abs2 = [abs2_at(plan.point(i)) for i in first]
+    rows, inverse = np.unique(keys, axis=0, return_inverse=True)
+    abs2 = [abs2_of(row) for row in rows]
     if any(w is None for w in abs2):
         return None
     return np.array([math.sqrt(w) for w in abs2])[inverse.reshape(-1)]
@@ -368,11 +369,12 @@ def verify_uep(P: UepMatrix, plan: SamplingPlan) -> UepReport:
     """Largest deviation of P*P from d_k I over the plan.
 
     On exhaustive plans the Gram matrix is evaluated in exact arithmetic once
-    per distinct value key (`UepMatrix.exact_keys`), at the first point with
-    that key, and the report is flagged exact.  A level with any point that
-    has no exact value is sampled in floats at every point.
+    per distinct key row (`UepMatrix.exact_keys`), from values read off the
+    key (`UepMatrix.exact_values`), so every point with that key has that
+    residual by construction; the report is flagged exact.  A level with any
+    point that has no exact value is sampled in floats at every point.
     """
-    res = exact_residuals(plan, P.exact_keys(plan.points), partial(_gram_residual_exact, P)) if plan.exact else None
+    res = exact_residuals(P.exact_keys(plan.points), partial(_gram_residual_exact, P)) if plan.exact else None
     exact = res is not None
     if not exact:
         res = pointwise_residuals(P, plan.points)

@@ -156,8 +156,9 @@ def _assemble(chain: LatticeChain, family: dict, k0: int, k1: int, level_filters
             time = bsp.bspline_time(chain, k, order).time if discrete else None
             scalings.append(Generator(f"phi[{k}]", "scaling", k, None, time, None))
         for lf in level_filters:
+            phi_next = scalings[lf.k + 1 - k0].time
             for m, g in enumerate(lf.gs, start=1):
-                wt = bsp.wavelet_time(chain, lf.k, g, order) if discrete else None
+                wt = bsp.wavelet_time(chain, lf.k, g, phi_next) if discrete else None
                 wavelets.append(Generator(f"psi[{lf.k}][{m}]", "wavelet", lf.k, m, wt, None))
     else:
         for k in range(k0, k1 + 1):
@@ -289,10 +290,6 @@ def analysis(system: FrameSystem, f: DiscreteFunction, side: str | None = None) 
             if c != 0:
                 out[(gen.label, lam)] = c
     return out
-
-
-def coefficient_energy(system: FrameSystem, f: DiscreteFunction, side: str | None = None) -> float:
-    return float(_energies(system, system.system_generators(), *_stack_of_one(system, f, side))[0])
 
 
 def parseval_residual(system: FrameSystem, f: DiscreteFunction, side: str | None = None) -> float:
@@ -477,19 +474,3 @@ def _malformed(what: str):
         raise
     except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"{what}: {exc!r}") from exc
-
-
-def coefficients_to_json(coeffs: dict) -> dict:
-    """Analysis table as JSON: "label @ lattice-point" -> [re, im]."""
-    return {f"{label} @ {lam}": [c.real, c.imag] for (label, lam), c in coeffs.items()}
-
-
-def write_matrix_csv(matrix: np.ndarray, path):
-    """Frame-operator export: row, col, re, im with 17 significant digits."""
-    lines = ["row,col,re,im"]
-    for i in range(matrix.shape[0]):
-        for j in range(matrix.shape[1]):
-            z = matrix[i, j]
-            lines.append(f"{i},{j},{z.real:.17g},{z.imag:.17g}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

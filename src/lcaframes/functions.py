@@ -77,10 +77,6 @@ class DiscreteFunction:
         t = np.array([float(pairing_phase(self.group, x, gamma)) % 1.0 for x in range(self.start, self.stop)])
         return self.weight * complex(np.sum(self.values * np.exp(-2j * np.pi * t)))
 
-    def moment(self, p: int) -> complex:
-        xs = np.arange(self.start, self.stop)
-        return self.weight * complex(np.sum(self.array * xs**p))
-
     def support(self) -> tuple[int, int]:
         """Smallest [first, last] window of nonzero values (cyclic: in 0..N-1)."""
         nz = np.nonzero(np.abs(self.array) > 0)[0]
@@ -105,14 +101,3 @@ def random_test_function(group: GroupSpec, window: tuple[int, int], rng) -> Disc
         np.add.at(full, (lo + np.arange(n)) % group.modulus, vals)
         return DiscreteFunction(group, 0, full)
     return DiscreteFunction(group, lo, vals)
-
-
-def function_to_json(fn: DiscreteFunction) -> dict:
-    return {
-        "support_start": fn.start,
-        "values": [[complex(v).real, complex(v).imag] for v in fn.values],
-    }
-
-
-def function_from_json(group: GroupSpec, data: dict) -> DiscreteFunction:
-    return DiscreteFunction(group, data["support_start"], [complex(re, im) for re, im in data["values"]])

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Real
 
-from .exact import Radical, as_fraction, cis, cis_exact
+from .exact import as_fraction, cis
 from .exceptions import DomainParameterError, VariantMismatchError
 
 CYCLIC = "cyclic"
@@ -167,7 +167,3 @@ def pairing(group: GroupSpec, x, gamma) -> complex:
     gamma = check_element(dual_group(group), gamma, "dual element")
     return cis(pairing_phase(group, x, gamma))
 
-
-def pairing_exact(group: GroupSpec, x, gamma) -> Radical | None:
-    """Exact character value when the phase reduces to a quarter turn."""
-    return cis_exact(pairing_phase(group, x, gamma))

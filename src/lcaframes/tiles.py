@@ -12,7 +12,6 @@ so deduplication, set equality and the self-similarity recursion are exact.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -54,11 +53,6 @@ class TileSpec:
         sign = 2 // d  # +-1
         # inv([[a, c], [b, d]]) = [[d, -c], [-b, a]] / det
         return sign * np.array([[m[1][1], -m[1][0]], [-m[0][1], m[0][0]]], dtype=np.int64)
-
-    def dual_map(self) -> tuple:
-        """B = (A^T)^{-1} as exact rational rows."""
-        c = self.doubled_dual_map()
-        return tuple(tuple(Fraction(int(x), 2) for x in row) for row in c)
 
 
 def _in_image(m, v) -> bool:
@@ -157,17 +151,6 @@ def measure_estimate(spec: TileSpec, r: int, h: Fraction) -> tuple[float, float]
     estimate = len(keyed) * float(h) ** 2
     overlap = sum(1 for o in keyed.values() if len(o) > 1) / max(len(keyed), 1)
     return estimate, overlap
-
-
-def point_bound(spec: TileSpec, terms: int = 200) -> float:
-    """Numeric radius bound ||digit|| * sum_j ||B^j||, truncated geometrically."""
-    b = spec.doubled_dual_map().astype(float) / 2.0
-    eta_norm = math.hypot(*spec.digit)
-    total, power = 0.0, np.eye(2)
-    for _ in range(terms):
-        power = power @ b
-        total += np.linalg.norm(power, 2)
-    return eta_norm * total
 
 
 def tile_to_csv(points, path, header: str = ""):

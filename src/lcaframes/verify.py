@@ -83,8 +83,8 @@ def run_verification(system: fr.FrameSystem, suite: str, samples: int, trials: i
             reports[lf.k] = verify_uep(system.uep_matrix(lf.k), plans[lf.k])
     if suite in ("uep", "all"):
         for k, rep in reports.items():
-            extra = {"level": k, "exact": rep.exact, "samples": rep.samples, "worst_point": repr(rep.worst_point)}
-            entries.append(_measured(COND_UEP, rep.residual, tol, **extra))
+            entry = rep.to_json()
+            entries.append(_measured(COND_UEP, entry.pop("residual"), tol, level=k, **entry))
     if suite in ("refinement", "all"):
         for lf in system.level_filters:
             if system.family["type"] == "bspline":

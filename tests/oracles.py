@@ -2,22 +2,96 @@
 
 The per-point loops here are the straightforward forms of the library's
 batched and keyed checks; tests compare the two on every input they share.
+The exact values are computed point by point from the phase of each
+character value and exact membership in each piece, not from value keys, so
+the oracle shares no exact evaluation code with the library.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
+from lcaframes import domains
 from lcaframes.charfun import indicator_generator, indicator_refinement_filter
+from lcaframes.exact import Radical, radical
 from lcaframes.exceptions import FilterVariantError
-from lcaframes.filters import (
-    CosetPiecewise,
-    TrigPolynomial,
-    UepMatrix,
-    _gram_residual_exact,
-    pointwise_residuals,
-)
-from lcaframes.groups import element_add
+from lcaframes.filters import CosetPiecewise, TrigPolynomial, UepMatrix, pointwise_residuals
+from lcaframes.groups import element_add, element_scale, pairing_phase
+
+#: e^{2 pi i t} at the quarter turns t, as (re, im)
+QUARTER_TURNS = {Fraction(0): (1, 0), Fraction(1, 4): (0, 1), Fraction(1, 2): (-1, 0), Fraction(3, 4): (0, -1)}
+
+
+def pairing_exact(group, x, gamma) -> Radical | None:
+    """Character value (x, gamma) as a Radical when its phase is a quarter turn."""
+    t = pairing_phase(group, x, gamma)
+    q = QUARTER_TURNS.get(t % 1) if isinstance(t, (int, Fraction)) else None
+    return None if q is None else radical(*q)
+
+
+def filter_exact(f, gamma) -> Radical | None:
+    """Exact filter value at one point of a discrete dual, or None."""
+    if isinstance(f, TrigPolynomial):
+        total = radical(0)
+        for j, c in zip(f.shifts, f.coeffs):
+            z = pairing_exact(f.group, element_scale(f.group, -j, f.step), gamma)
+            if z is None or not isinstance(c, Radical):
+                return None
+            total = total.add(c.mul(z))
+            if total is None:
+                return None
+        return total
+    # reduce into the fundamental domain by exact floor division, then the first piece wins
+    (lo,), (step,) = domains.bounds(f.domain)[0], f.lattice.step
+    g, step = Fraction(gamma), Fraction(step)
+    rep = int(g - (g - lo) // step * step)
+    for dom, v in f.pieces:
+        if domains.contains(dom, rep, f.dual):
+            return v if isinstance(v, Radical) else None
+    return radical(0)
+
+
+def indicator_hat_exact(gen, gamma) -> Radical:
+    """Exact value of an indicator generator: its scale on Omega_k, 0 elsewhere."""
+    inside = domains.contains(gen.band.omega(gen.k), gamma, gen.band.chain.dual)
+    return gen.scale if inside else radical(0)
+
+
+def uep_values_exact(P: UepMatrix, gamma) -> list:
+    """The UEP matrix at one point as rows of Radicals (None: no exact value)."""
+    dual = P.chain.dual
+    return [[filter_exact(f, element_add(dual, gamma, nu)) for nu in P.nu] for f in P.rows]
+
+
+def gram_residual_exact(P: UepMatrix, gamma) -> Fraction | None:
+    """max |(P*P - d I)_{l,l'}|^2 at one point as an exact rational, or None."""
+    cols = list(zip(*uep_values_exact(P, gamma)))
+    if any(v is None for col in cols for v in col):
+        return None
+    worst = Fraction(0)
+    for l, a in enumerate(cols):
+        for lp, b in enumerate(cols):
+            acc = radical(0)
+            for x, y in zip(a, b):
+                acc = acc.add(x.conj().mul(y))
+                if acc is None:
+                    return None
+            if l == lp:
+                acc = acc.add(radical(-P.d))
+                if acc is None:
+                    return None
+            worst = max(worst, acc.abs2())
+    return worst
+
+
+def refinement_exact(band, k: int, h, gamma) -> Radical | None:
+    """Phi_k - H_{k+1} Phi_{k+1} at one point, exactly, or None."""
+    hv = filter_exact(h, gamma)
+    if hv is None:
+        return None
+    phi_k = indicator_hat_exact(indicator_generator(band, k), gamma)
+    return phi_k.add(-hv.mul(indicator_hat_exact(indicator_generator(band, k + 1), gamma)))
 
 
 def scale_filter(f, factor: complex):
@@ -58,7 +132,7 @@ def uep_per_point(P: UepMatrix, plan) -> tuple[np.ndarray, bool]:
     exact = plan.exact
     if plan.exact:
         for i, g in enumerate(plan.points.tolist()):
-            w2 = _gram_residual_exact(P, g)
+            w2 = gram_residual_exact(P, g)
             if w2 is None:
                 exact = False
             else:
@@ -75,8 +149,7 @@ def indicator_refinement_per_point(band, k: int, plan, h=None) -> tuple[np.ndarr
     exact = plan.exact
     if plan.exact:
         for i, g in enumerate(pts.tolist()):
-            he = h.eval_exact(g)
-            diff = None if he is None else gk.hat_exact(g).add(-he.mul(gk1.hat_exact(g)))
+            diff = refinement_exact(band, k, h, g)
             if diff is None:
                 exact = False
             else:

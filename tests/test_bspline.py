@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lcaframes import bspline
 from lcaframes.bspline import (
     bspline_hat,
     bspline_time,
@@ -31,6 +33,7 @@ from lcaframes.exceptions import (
     UnsupportedRepresentationError,
 )
 from lcaframes.filters import dual_sampling_plan
+from lcaframes.frame import build_bspline_system, system_from_json, system_to_json
 
 RT2 = math.sqrt(2)
 
@@ -270,7 +273,7 @@ def test_odd_orders_have_no_masks():
 
 def test_wavelet_time_haar():
     ch = integer_chain(2)
-    psi = wavelet_time(ch, 1, first_order_wavelet_filter(ch, 1), 1)
+    psi = wavelet_time(ch, 1, first_order_wavelet_filter(ch, 1), bspline_time(ch, 2, 1).time)
     assert psi.start == 0
     assert np.allclose(np.asarray(psi.values), [2**-0.5, -(2**-0.5)])
 
@@ -279,7 +282,7 @@ def test_wavelet_time_norm_one_first_order():
     for M in (2, 4, 6):
         ch = integer_chain(M)
         for k in range(M):
-            psi = wavelet_time(ch, k, first_order_wavelet_filter(ch, k), 1)
+            psi = wavelet_time(ch, k, first_order_wavelet_filter(ch, k), bspline_time(ch, k + 1, 1).time)
             assert abs(psi.norm2() - 1) < 1e-12
             phi = bspline_time(ch, k, 1)
             assert abs(phi.time.norm2() - 1) < 1e-12
@@ -289,15 +292,15 @@ def test_wavelet_zeroth_moment_vanishes():
     ch = integer_chain(4)
     for order in (1, 2, 4):
         for m, g in enumerate(wavelet_filters(ch, 1, order), start=1):
-            psi = wavelet_time(ch, 1, g, order)
-            assert abs(psi.moment(0)) < 1e-12
+            psi = wavelet_time(ch, 1, g, bspline_time(ch, 2, order).time)
+            assert abs(psi.array.sum()) < 1e-12
 
 
 def test_wavelet_transform_matches_filter_product():
     ch = integer_chain(3)
     order = 2
     g = wavelet_filters(ch, 1, order)[0]
-    psi = wavelet_time(ch, 1, g, order)
+    psi = wavelet_time(ch, 1, g, bspline_time(ch, 2, order).time)
     rng = np.random.default_rng(17)
     for gamma in rng.random(1000):
         product = g.eval(gamma) * bspline_hat(ch, 2, order, gamma)
@@ -309,7 +312,7 @@ def test_wavelet_support_arithmetic():
     for M, k, order in [(3, 0, 2), (3, 1, 2), (4, 1, 4), (4, 2, 1)]:
         ch = integer_chain(M)
         for g in wavelet_filters(ch, k, order):
-            psi = wavelet_time(ch, k, g, order)
+            psi = wavelet_time(ch, k, g, bspline_time(ch, k + 1, order).time)
             lo, hi = psi.support()
             q1 = 2 ** (M - k - 1)
             assert lo == 0
@@ -320,7 +323,18 @@ def test_wavelet_time_step_must_be_lattice_point():
     ch = integer_chain(2)
     fine = first_order_wavelet_filter(ch, 1)  # step 1
     with pytest.raises(UnsupportedRepresentationError):
-        wavelet_time(ch, 0, fine, 1)  # level-1 lattice is 2Z; step 1 not in it
+        wavelet_time(ch, 0, fine, bspline_time(ch, 1, 1).time)  # level-1 lattice is 2Z; step 1 not in it
+
+
+def test_artifact_load_builds_each_spline_generator_once(monkeypatch):
+    # Z_256, order 4: 9 scaling generators; the 32 wavelets reuse the next level's
+    data = json.loads(json.dumps(system_to_json(build_bspline_system(cyclic_chain(8), 4))))
+    calls = []
+    build = bspline.bspline_time
+    monkeypatch.setattr(bspline, "bspline_time", lambda *a: calls.append(a[1]) or build(*a))
+    system = system_from_json(data)
+    assert len(system.wavelets) == 32
+    assert sorted(calls) == list(range(9))
 
 
 def test_moment_annihilation_is_exact():
@@ -347,17 +361,6 @@ def test_flatness_check_examples():
     assert ok3 and held3 == [0.0]
     with pytest.raises(DomainParameterError):
         lowpass_flatness_check(ch, 0, 2, 1.5, [0.0])
-
-
-def test_continuous_time_values():
-    tch = torus_chain([2, 2])
-    g = bspline_time(tch, 0, 2)
-    assert g.time is None
-    # order-2 spline over width 1/2 peaks at its midpoint x = 1/2
-    mu = 0.5
-    peak = g.time_value(Fraction(1, 2))
-    assert peak == pytest.approx(mu ** (-2 + 0.5) * mu * 1.0)
-    assert g.time_value(Fraction(1, 100)) > 0
 
 
 def test_euclidean_hat_is_separable():

@@ -9,7 +9,6 @@ from lcaframes.chains import (
     cyclic_chain,
     euclidean_chain,
     integer_chain,
-    lattice_points,
     refined_dual_domain,
     torus_chain,
 )
@@ -123,17 +122,17 @@ def test_refined_dual_domain_index_error():
 
 def test_lattice_points_examples():
     ch = integer_chain(2)
-    assert lattice_points(ch, 0, IntegerInterval(0, 9)) == [0, 4, 8]
+    assert ch.level(0).lattice.points(IntegerInterval(0, 9)) == [0, 4, 8]
     zch = cyclic_chain(3)
-    assert lattice_points(zch, 3) == list(range(8))
+    assert zch.level(3).lattice.points() == list(range(8))
     tch = torus_chain([2, 3])
-    assert lattice_points(tch, 1) == [Fraction(j, 6) for j in range(6)]
+    assert tch.level(1).lattice.points() == [Fraction(j, 6) for j in range(6)]
 
 
 def test_lattice_points_unbounded_window():
     ch = integer_chain(2)
     with pytest.raises(UnboundedWindowError):
-        lattice_points(ch, 0)
+        ch.level(0).lattice.points()
 
 
 @pytest.mark.parametrize(

@@ -24,6 +24,7 @@ from lcaframes.domains import Ball, IntegerInterval
 from lcaframes.exceptions import DomainParameterError, ProperSubsetError
 from lcaframes.filters import assemble_uep, dual_sampling_plan, verify_uep
 from lcaframes.groups import pairing
+from oracles import indicator_hat_exact
 
 RT2 = math.sqrt(2)
 RT3 = math.sqrt(3)
@@ -206,7 +207,7 @@ def test_proper_masks_on_torus_gram():
         )
         report = verify_uep(P, dual_sampling_plan(band.chain, k))
         assert report.residual == 0.0 and report.exact
-        assert P.rho == band.chain.index(k)
+        assert len(P.rows) - 1 == band.chain.index(k)
 
 
 def test_euclidean_boxes_and_balls_gram():
@@ -244,7 +245,7 @@ def test_deep_level_normalization_and_disjointness():
     gen = indicator_generator(band, 3)
     mu_v = band.chain.dual_cell_measure(3)
     for gamma in range(8):
-        assert mu_v * Fraction(gen.hat_exact(gamma).abs2()) == 1
+        assert mu_v * Fraction(indicator_hat_exact(gen, gamma).abs2()) == 1
     # deep-level annihilator is trivial, so translates of the target cannot meet
     assert band.chain.level(3).annihilator.points() == [0]
 

@@ -260,10 +260,13 @@ def test_verify_reports_exactness_flag(tmp_path):
     main(["verify", str(spath), "--suite", "uep", "--report", str(rpath)])
     report = json.loads(rpath.read_text())
     assert all(e["exact"] for e in report["checks"])
+    # each UEP entry names its sampling plan: exhaustive, or grid plus seeded random points
+    assert [e["sampling"] for e in report["checks"]] == [f"exhaustive V_{k} ({2**k} points)" for k in range(3)]
     zpath = construct(tmp_path, Z_BSPLINE, out="zs.json")
-    main(["verify", str(zpath), "--suite", "uep", "--samples", "256", "--report", str(rpath)])
+    main(["verify", str(zpath), "--suite", "uep", "--samples", "256", "--seed", "0x2a", "--report", str(rpath)])
     report = json.loads(rpath.read_text())
     assert not any(e["exact"] for e in report["checks"])
+    assert [e["sampling"] for e in report["checks"]] == [f"grid+random V_{k} (320 points, seed 0x2a)" for k in range(3)]
 
 
 def test_verify_bad_seed_exit_2(tmp_path, capsys):

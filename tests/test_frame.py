@@ -24,7 +24,6 @@ from lcaframes.frame import (
     analysis,
     build_bspline_system,
     build_charfun_system,
-    coefficient_energy,
     energy_bounds_check,
     fiber_identity_sides,
     frame_operator,
@@ -41,6 +40,11 @@ from lcaframes.lattices import cyclic_annihilator
 from lcaframes.verify import COND_PARSEVAL, _measured, _test_window
 
 SEED = 0x5EED
+
+
+def _energy(system, f, side=None) -> float:
+    """Sum of the squared frame coefficients of f, from `analysis`."""
+    return sum(abs(c) ** 2 for c in analysis(system, f, side).values())
 
 
 def test_analysis_haar_delta():
@@ -207,7 +211,7 @@ def test_telescoping_composes_to_full_analysis():
     deep = _energies(system, [system.scaling(system.k1)], "time", f.start, f.array[None])[0]
     total = _energies(system, system.system_generators(), "time", f.start, f.array[None])[0]
     assert abs(deep - total) <= 1e-12
-    assert abs(coefficient_energy(system, f) - deep) <= 1e-12
+    assert abs(_energy(system, f) - deep) <= 1e-12
 
 
 def test_energy_bounds_cyclic_band():
@@ -258,8 +262,8 @@ def test_translation_modulation_equivalence_cyclic():
         ),
     )
     assert abs(f.norm2() - fhat.norm2()) < 1e-12  # Plancherel under these weights
-    e_time = coefficient_energy(system, f, "time")
-    e_freq = coefficient_energy(system, fhat, "freq")
+    e_time = _energy(system, f, "time")
+    e_freq = _energy(system, fhat, "freq")
     assert abs(e_time - e_freq) < 1e-12
 
 
@@ -359,41 +363,6 @@ def test_cyclic_parseval_seeded_deep():
             f = random_test_function(cyclic_group(64), (0, 63), rng)
             worst = max(worst, parseval_residual(system, f))
         assert worst <= 1e-10
-
-
-def test_generator_json_round_trip():
-    from lcaframes.functions import function_from_json, function_to_json
-
-    system = build_bspline_system(integer_chain(2), 2)
-    gen = system.wavelets[0]
-    data = function_to_json(gen.time)
-    assert set(data) == {"support_start", "values"}
-    back = function_from_json(integer_group(), data)
-    assert back.start == gen.time.start
-    assert np.allclose(back.array, gen.time.array)
-
-
-def test_coefficient_table_json():
-    import json as _json
-
-    from lcaframes.frame import coefficients_to_json
-
-    system = build_bspline_system(integer_chain(1), 1)
-    table = coefficients_to_json(analysis(system, delta(integer_group(), 0)))
-    blob = _json.dumps(table, sort_keys=True)
-    assert "phi[0] @ 0" in table
-    assert _json.loads(blob) == table
-
-
-def test_frame_operator_csv_export(tmp_path):
-    from lcaframes.frame import write_matrix_csv
-
-    system = build_charfun_system(full_band_chain(cyclic_chain(2)), "shannon")
-    path = tmp_path / "operator.csv"
-    write_matrix_csv(frame_operator(system), path)
-    rows = path.read_text().strip().splitlines()
-    assert rows[0] == "row,col,re,im"
-    assert len(rows) == 1 + 16
 
 
 def test_uep_report_serialization():
@@ -513,7 +482,7 @@ def test_analysis_matches_per_translate_oracle(name):
         scale = max(abs(c) for c in want.values())
         assert max(abs(got.get(key, 0) - c) for key, c in want.items()) <= 1e-13 * scale
         energy = sum(abs(c) ** 2 for c in want.values())
-        assert abs(coefficient_energy(system, f) - energy) <= 1e-13 * energy
+        assert abs(_energy(system, f) - energy) <= 1e-13 * energy
 
 
 def test_cyclic_modulation_side_matches_oracle():
@@ -620,7 +589,7 @@ def test_parseval_long_test_function_on_z_stays_small():
     energy = sum(
         abs(c) ** 2 for gen in system.system_generators() for c in _oracle_coefficients(system, gen, f, "time").values()
     )
-    assert abs(coefficient_energy(system, f) - energy) <= 1e-13 * energy
+    assert abs(_energy(system, f) - energy) <= 1e-13 * energy
     assert abs(res - abs(energy - f.norm2()) / f.norm2()) <= 1e-13
     assert res <= 1e-10
 

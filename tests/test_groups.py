@@ -14,9 +14,9 @@ from lcaframes.groups import (
     euclidean_group,
     integer_group,
     pairing,
-    pairing_exact,
     torus_group,
 )
+from oracles import pairing_exact
 
 Z = integer_group()
 T = torus_group()

@@ -1,4 +1,4 @@
-"""Exact certificates once per distinct value key, against the per-point oracles."""
+"""Exact certificates read from value keys, against the per-point oracles."""
 
 import dataclasses
 import json
@@ -6,9 +6,10 @@ from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from lcaframes import filters
+from lcaframes import charfun, filters
 from lcaframes.bspline import refinement_filter
 from lcaframes.chains import cyclic_chain, integer_chain, torus_chain
 from lcaframes.charfun import (
@@ -16,6 +17,7 @@ from lcaframes.charfun import (
     band_chain_cyclic,
     band_chain_torus,
     full_band_chain,
+    indicator_generator,
     indicator_refinement_filter,
     indicator_refinement_residual,
 )
@@ -31,7 +33,7 @@ from lcaframes.filters import (
     worst_residual,
 )
 from lcaframes.frame import build_bspline_system, build_charfun_system
-from oracles import indicator_refinement_per_point, uep_per_point
+from oracles import indicator_refinement_per_point, refinement_exact, uep_per_point, uep_values_exact
 
 SYSTEMS = {
     "z8-shannon": lambda: build_charfun_system(full_band_chain(cyclic_chain(3)), "shannon"),
@@ -57,7 +59,7 @@ def assert_uep_matches_oracle(P, plan):
     assert report.exact == exact
     if exact:
         assert report.residual == worst and report.worst_point == plan.point(i)
-        keyed = exact_residuals(plan, P.exact_keys(plan.points), partial(filters._gram_residual_exact, P))
+        keyed = exact_residuals(P.exact_keys(plan.points), partial(filters._gram_residual_exact, P))
         assert keyed.tolist() == res.tolist()  # point by point, not only the worst
     else:  # sampled in floats at every point, where the oracle mixes in exact values
         assert report.residual == pytest.approx(worst, rel=1e-12, abs=1e-15)
@@ -69,6 +71,33 @@ def assert_refinement_matches_oracle(band, k, plan, h=None):
     got = indicator_refinement_residual(band, k, plan, h)
     assert got == worst_residual(res)[0]
     return got
+
+
+def assert_values_match_oracle(P, plan):
+    """The matrix read from each point's key equals the oracle's, entry by entry."""
+    keys = P.exact_keys(plan.points)
+    assert keys is not None and len(keys) == len(plan.points)
+    for key, gamma in zip(keys, plan.points.tolist()):
+        assert P.exact_values(key) == uep_values_exact(P, gamma)
+
+
+def assert_refinement_values_match_oracle(band, k, plan, h):
+    """Phi_k - H Phi_{k+1} read from each point's key equals the oracle's."""
+    gk, gk1 = indicator_generator(band, k), indicator_generator(band, k + 1)
+    pts = plan.points
+    keys = np.column_stack([h.exact_keys(pts), gk.hat_many(pts) != 0, gk1.hat_many(pts) != 0])
+    for key, gamma in zip(keys, pts.tolist()):
+        assert charfun._refinement_exact(h, gk, gk1, key) == refinement_exact(band, k, h, gamma)
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_key_values_match_per_point_oracle(name):
+    system = SYSTEMS[name]()
+    for lf in system.level_filters:
+        plan = dual_sampling_plan(system.chain, lf.k)
+        assert_values_match_oracle(system.uep_matrix(lf.k), plan)
+        if system.band is not None:
+            assert_refinement_values_match_oracle(system.band, lf.k, plan, lf.h)
 
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
@@ -103,9 +132,11 @@ def test_keyed_pass_matches_oracle_on_corrupted_piece_value(value, exact):
     lf = system.filters_at(1)
     plan = dual_sampling_plan(system.chain, 1)
     broken = assemble_uep(system.chain, 1, lf.h, [_with_piece_value(lf.gs[0], 0, value), *lf.gs[1:]])
+    assert_values_match_oracle(broken, plan)
     report = assert_uep_matches_oracle(broken, plan)
     assert report.exact == exact and report.residual > 0.1
     h = _with_piece_value(indicator_refinement_filter(band, 1), 0, value)
+    assert_refinement_values_match_oracle(band, 1, plan, h)
     assert assert_refinement_matches_oracle(band, 1, plan, h) > 0.1
 
 
@@ -124,7 +155,9 @@ def test_keyed_pass_matches_oracle_on_corrupted_coefficient():
     for lf in system.level_filters:
         h = dataclasses.replace(lf.h, coeffs=(radical(Fraction(1, 2), 0, 2), *lf.h.coeffs[1:]))
         plan = dual_sampling_plan(system.chain, lf.k)
-        report = assert_uep_matches_oracle(assemble_uep(system.chain, lf.k, h, lf.gs), plan)
+        P = assemble_uep(system.chain, lf.k, h, lf.gs)
+        assert_values_match_oracle(P, plan)
+        report = assert_uep_matches_oracle(P, plan)
         assert report.residual > 0.1
 
 

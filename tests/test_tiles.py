@@ -10,7 +10,6 @@ from lcaframes.exceptions import DomainParameterError, ResourceLimitError
 from lcaframes.tiles import (
     TileSpec,
     measure_estimate,
-    point_bound,
     scaled_points,
     scaled_points_digits,
     selfsimilarity_holds,
@@ -34,7 +33,7 @@ def test_spec_validation():
 
 
 def test_dual_map_is_transpose_inverse():
-    b = np.array([[float(x) for x in row] for row in TWIN.dual_map()])
+    b = TWIN.doubled_dual_map() / 2
     a_t = np.array(TWIN.matrix, dtype=float).T
     assert np.allclose(a_t @ b, np.eye(2))
 
@@ -97,10 +96,10 @@ def test_measure_estimate_near_one(spec):
 
 
 def test_points_stay_inside_geometric_bound():
-    bound = point_bound(TWIN)
+    # ||digit|| * sum_{j>=1} ||B^j|| with ||B|| = 1/sqrt(2) for the twin dragon
+    bound = 1 + math.sqrt(2)
     for p in tile_points(TWIN, 10):
         assert math.hypot(float(p[0]), float(p[1])) <= bound + 1e-12
-    assert bound == pytest.approx(1 + math.sqrt(2), abs=1e-9)
 
 
 def test_rotation_spec_digit_valid():
