@@ -292,7 +292,7 @@ def _refinement_exact(h, gk: IndicatorGenerator, gk1: IndicatorGenerator, key) -
     The row is h's keys, then membership in Omega_k and in Omega_{k+1}, which
     pick each generator's scale or 0.
     """
-    hv = h.exact_value(key[:-2])
+    hv = h.eval_exact(key[:-2])
     if hv is None:
         return None
     in_k, in_k1 = key[-2:]

@@ -11,7 +11,7 @@ level-(k+1) annihilator lattice.  Two representations are supported:
 Both evaluate in floats over point arrays (`eval_many`); `eval` is the
 one-point case of it.  Exact values are read from value keys: `exact_keys`
 gives, over a point array, small integers that fix each value (the quarter
-turn of each character value, or the piece index), and `exact_value` turns one
+turn of each character value, or the piece index), and `eval_exact` turns one
 key into a Radical (sum_j c_j i^{q_j}, or the piece's value).  A point with a
 given key has that value by construction; no phase is reduced per point.
 
@@ -136,7 +136,7 @@ class TrigPolynomial:
             keys[:, col] = np.where(4 * r % d == 0, 4 * r // d, NO_EXACT)
         return keys
 
-    def exact_value(self, key) -> Radical | None:
+    def eval_exact(self, key) -> Radical | None:
         """sum_j c_j i^{q_j} for one key row of quarter turns q_j.
 
         None where a q_j is NO_EXACT or the radicands of the sum differ.
@@ -201,7 +201,7 @@ class CosetPiecewise:
         exact = np.array([isinstance(v, Radical) for _, v in self.pieces] + [True])
         return np.where(exact[idx], idx, NO_EXACT)[:, None]
 
-    def exact_value(self, key) -> Radical | None:
+    def eval_exact(self, key) -> Radical | None:
         """The value of the piece a key names; 0 for index -1, None for NO_EXACT."""
         i = key[0]
         return None if i == NO_EXACT else ZERO if i < 0 else self.pieces[i][1]
@@ -251,7 +251,7 @@ class UepMatrix:
         """
         widths = [f.key_width for f in self.rows for _ in self.nu]
         slices = iter(np.split(key, np.cumsum(widths)[:-1]))
-        return [[f.exact_value(next(slices)) for _ in self.nu] for f in self.rows]
+        return [[f.eval_exact(next(slices)) for _ in self.nu] for f in self.rows]
 
 
 def assemble_uep(chain: LatticeChain, k: int, h, g_list) -> UepMatrix:

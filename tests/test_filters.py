@@ -242,7 +242,7 @@ def test_exact_values_survive_json(z8chain):
     band = full_band_chain(z8chain)
     h = indicator_refinement_filter(band, 1)
     back = filter_from_json(filter_to_json(h), z8chain, 1)
-    got = back.exact_value(back.exact_keys(np.array([0]))[0])
+    got = back.eval_exact(back.exact_keys(np.array([0]))[0])
     assert got == radical(1, 0, 2)
 
 
