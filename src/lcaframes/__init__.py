@@ -12,7 +12,6 @@ from .bspline import (
     bspline_hat,
     bspline_time,
     check_refinement_splitting,
-    lowpass_flatness_check,
     refinement_filter,
     refinement_residual,
     wavelet_filters,
@@ -40,7 +39,7 @@ from .charfun import (
     indicator_refinement_residual,
     orthonormal_wavelet_filters,
 )
-from .domains import Ball, CosetUnion, FiniteSubset, HalfOpenBox, IntegerInterval
+from .domains import Ball, CosetUnion, HalfOpenBox, IntegerInterval
 from .exceptions import LcaError
 from .filters import (
     CosetPiecewise,
@@ -56,7 +55,6 @@ from .frame import (
     analysis,
     build_bspline_system,
     build_charfun_system,
-    energy_bounds_check,
     fiber_identity_sides,
     frame_operator,
     parseval_residual,

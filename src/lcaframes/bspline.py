@@ -24,9 +24,8 @@ import numpy as np
 from . import domains
 from .chains import LatticeChain
 from .domains import HalfOpenBox, IntegerInterval
-from .exact import cis, cis_many, radical
+from .exact import cis_many, radical
 from .exceptions import (
-    DomainParameterError,
     ResourceLimitError,
     SplittingError,
     UnsupportedIndexError,
@@ -35,7 +34,7 @@ from .exceptions import (
 )
 from .filters import SamplingPlan, TrigPolynomial, worst_residual
 from .functions import DiscreteFunction
-from .groups import CYCLIC, EUCLIDEAN, INTEGERS, TORUS, element_add, pairing_phase
+from .groups import CYCLIC, EUCLIDEAN, INTEGERS, TORUS, element_add, point_array
 
 
 MAX_ORDER = 16  # desk-scale cap on the spline order
@@ -150,7 +149,7 @@ def bspline_hat(chain: LatticeChain, k: int, order: int, gammas) -> np.ndarray:
     """
     group = chain.group
     q = chain.level(k).domain_q
-    pts = domains.point_array(gammas, chain.dual)
+    pts = point_array(gammas, chain.dual)
     if group.kind == CYCLIC:
         r = pts % group.modulus  # exact: t = r / N, centred on 0
         base = _dirichlet(q, np.where(2 * r >= group.modulus, r - group.modulus, r) / group.modulus)
@@ -247,38 +246,3 @@ def wavelet_time(chain: LatticeChain, k: int, filt: TrigPolynomial, phi: Discret
     for o, c in zip(offsets, filt.coeffs):
         acc[o - lo : o - lo + len(phi.values)] += complex(c) * phi.array
     return DiscreteFunction(chain.group, phi.start + lo, acc)
-
-
-def lowpass_flatness_check(
-    chain: LatticeChain, k: int, order: int, delta: float, points
-) -> tuple[bool, list]:
-    """Near-zero character spread on Q_k forces near-unit normalized energy.
-
-    For every sample point where max_{x in Q_k} |(-x, gamma) - 1| <= delta,
-    checks |measure(V_k) |Phi(gamma)|^2 - 1| <= 1 - (1 - delta)^{2N}.
-    Returns (all such points pass, the points where the hypothesis held).
-    """
-    if not 0 < delta < 1:
-        raise DomainParameterError(f"delta must lie in (0,1), got {delta}")
-    group = chain.group
-    q = chain.level(k).domain_q
-    mu_v = float(chain.dual_cell_measure(k))
-    bound = 1 - (1 - delta) ** (2 * order)
-    held = [g for g in points if _character_spread(group, q, g) <= delta]
-    if not held:
-        return True, held
-    lhs = np.abs(mu_v * np.abs(bspline_hat(chain, k, order, held)) ** 2 - 1)
-    return bool(np.all(lhs <= bound + 1e-15)), held
-
-
-def _character_spread(group, q, gamma) -> float:
-    """sup over x in Q of |(-x, gamma) - 1|."""
-    if isinstance(q, IntegerInterval):
-        return max(
-            abs(cis(-pairing_phase(group, x, gamma)) - 1) for x in range(q.lo, q.hi + 1)
-        )
-    # half-open box: phase x.gamma is linear per axis; |e^{2 pi i t}-1| = 2|sin(pi t)|
-    worst_t = 0.0
-    for a, b, g in zip(q.lo, q.hi, domains.coords(gamma)):
-        worst_t += max(abs(float(a) * float(g)), abs(float(b) * float(g)))
-    return 2.0 if worst_t > 0.5 else 2 * math.sin(math.pi * worst_t)

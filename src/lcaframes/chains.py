@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import domains
 from .domains import CosetUnion, HalfOpenBox, IntegerInterval, interval
-from .exceptions import DomainParameterError, IndexRangeError, ResourceLimitError
+from .exceptions import DomainParameterError, IndexRangeError, ResourceLimitError, SchemaError
 from .groups import (
     GroupSpec,
     cyclic_group,
@@ -278,4 +278,4 @@ def chain_from_params(kind: str, params: dict) -> LatticeChain:
         return torus_chain(params["m_factors"])
     if kind == "euclidean":
         return euclidean_chain(params["m_table"])
-    raise DomainParameterError(f"unknown chain kind {kind!r}")
+    raise SchemaError(f"unknown chain kind {kind!r}")

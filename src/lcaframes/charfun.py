@@ -25,7 +25,7 @@ from .exact import ZERO, Radical, sqrt_rational
 from .exceptions import DomainParameterError, ProperSubsetError
 from .filters import CosetPiecewise, SamplingPlan, exact_residuals, worst_residual
 from .functions import DiscreteFunction
-from .groups import CYCLIC
+from .groups import CYCLIC, point_array
 
 
 @dataclass(frozen=True)
@@ -176,7 +176,7 @@ class IndicatorGenerator:
 
     def hat_many(self, gammas) -> np.ndarray:
         dual = self.band.chain.dual
-        inside = domains.contains_many(self.band.omega(self.k), domains.point_array(gammas, dual), dual)
+        inside = domains.contains_many(self.band.omega(self.k), point_array(gammas, dual), dual)
         return np.where(inside, complex(self.scale), 0j)
 
     def freq_function(self) -> DiscreteFunction:

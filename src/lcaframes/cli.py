@@ -1,7 +1,8 @@
 """Command-line front end: construct systems, run verifications, emit data.
 
 Exit codes: 0 pass (skips count as pass), 1 verification failure, 2 input or
-schema error, 3 precondition violation.
+schema error (including an input or output file that cannot be read or
+written), 3 precondition violation.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from . import charfun as cf
 from . import frame as fr
 from . import tiles
 from . import verify
-from .chains import cyclic_chain, euclidean_chain, integer_chain, torus_chain
+from .chains import MAX_POINTS, cyclic_chain, euclidean_chain, integer_chain, torus_chain
 from .exceptions import LcaError, PeriodicityMismatchError, SchemaError
 from .filters import DEFAULT_SEED
 
@@ -109,18 +110,18 @@ def build_from_descriptor(desc: dict) -> fr.FrameSystem:
     raise SchemaError("family: need one of 'bspline' or 'charfun'")
 
 
-def cmd_construct(args) -> int:
+def _read_json(path: str, what: str):
+    """The JSON document in a file; SchemaError when it cannot be read or decoded."""
     try:
-        desc = json.loads(Path(args.descriptor).read_text())
+        return json.loads(Path(path).read_text())
     except (OSError, ValueError) as exc:
-        return _fail(2, f"cannot read descriptor: {exc}")
-    try:
-        system = build_from_descriptor(desc)
-        seed = _parse_seed(desc.get("seed"))
-    except (SchemaError, PeriodicityMismatchError) as exc:
-        return _fail(2, str(exc))
-    except LcaError as exc:
-        return _fail(3, f"precondition violated: {exc}")
+        raise SchemaError(f"cannot read {what}: {exc}") from exc
+
+
+def cmd_construct(args) -> int:
+    desc = _read_json(args.descriptor, "descriptor")
+    system = build_from_descriptor(desc)
+    seed = _parse_seed(desc.get("seed"))
     artifact = fr.system_to_json(system, seed=seed)
     artifact["descriptor"] = desc
     artifact["descriptor_hash"] = _descriptor_hash(desc)
@@ -156,36 +157,19 @@ def _parse_seed(value) -> int:
 
 
 def _load_system(path: str):
-    try:
-        data = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:
-        raise SchemaError(f"cannot read system artifact: {exc}") from exc
+    data = _read_json(path, "system artifact")
     return fr.system_from_json(data), data
 
 
 def cmd_verify(args) -> int:
-    if args.samples < 1:
-        return _fail(2, f"--samples must be positive, got {args.samples}")
-    if args.trials is not None and args.trials < 1:
-        return _fail(2, f"--trials must be positive, got {args.trials}")
+    for flag, count in (("--samples", args.samples), ("--trials", args.trials)):
+        if count is not None and not 1 <= count <= MAX_POINTS:
+            return _fail(2, f"{flag} must lie in 1..{MAX_POINTS}, got {count}")
     if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
         return _fail(2, f"--tolerance must be finite and nonnegative, got {args.tolerance}")
-    try:
-        system, data = _load_system(args.system)
-    except SchemaError as exc:
-        return _fail(2, str(exc))
-    except LcaError as exc:
-        return _fail(3, f"precondition violated: {exc}")
-    try:
-        seed = _parse_seed(args.seed if args.seed is not None else data.get("seed"))
-    except SchemaError as exc:
-        return _fail(2, str(exc))
-    try:
-        entries, status = verify.run_verification(
-            system, args.suite, args.samples, args.trials, seed, args.tolerance
-        )
-    except LcaError as exc:
-        return _fail(3, f"precondition violated: {exc}")
+    system, data = _load_system(args.system)
+    seed = _parse_seed(args.seed if args.seed is not None else data.get("seed"))
+    entries, status = verify.run_verification(system, args.suite, args.samples, args.trials, seed, args.tolerance)
     report = {
         "suite": args.suite,
         "system": args.system,
@@ -209,6 +193,18 @@ def cmd_verify(args) -> int:
     return 0 if status == "pass" else 1
 
 
+def _int_list(text: str | None, flag: str, count: int) -> list[int]:
+    """`count` comma-separated integers given to a flag; SchemaError otherwise."""
+    parts = (text or "").split(",")
+    try:
+        values = [int(x) for x in parts]
+    except ValueError:
+        values = []
+    if len(values) != count:
+        raise SchemaError(f"bad tile parameters: {flag} needs {count} comma-separated integers, got {text!r}")
+    return values
+
+
 def _write_csv(path: Path, header: str, rows: list[str]):
     path.write_text("\n".join([f"# {header}", *rows]) + "\n")
 
@@ -217,30 +213,15 @@ def cmd_emit(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.what == "tile":
-        try:
-            m = [int(x) for x in args.matrix.split(",")]
-            eta = tuple(int(x) for x in args.eta.split(","))
-        except (AttributeError, ValueError, IndexError) as exc:
-            return _fail(2, f"bad tile parameters: {exc}")
-        try:
-            spec = tiles.TileSpec(((m[0], m[1]), (m[2], m[3])), eta)
-            pts = tiles.tile_points(spec, args.r)
-        except IndexError as exc:
-            return _fail(2, f"bad tile parameters: {exc}")
-        except LcaError as exc:
-            return _fail(3, str(exc))
+        m, eta = _int_list(args.matrix, "--matrix", 4), _int_list(args.eta, "--eta", 2)
+        pts = tiles.tile_points(tiles.TileSpec(((m[0], m[1]), (m[2], m[3])), tuple(eta)), args.r)
         path = out_dir / "tile.csv"
         tiles.tile_to_csv(pts, path, header=f"matrix={args.matrix} eta={args.eta} r={args.r}")
         print(f"wrote {path} ({len(pts)} points)")
         return 0
     if not args.system:
         return _fail(2, "generators/figure1 emission needs a system artifact")
-    try:
-        system, data = _load_system(args.system)
-    except SchemaError as exc:
-        return _fail(2, str(exc))
-    except LcaError as exc:
-        return _fail(3, f"precondition violated: {exc}")
+    system, data = _load_system(args.system)
     tag = f"system={data.get('descriptor_hash', 'unknown')} seed={data.get('seed', DEFAULT_SEED)}"
     if args.what == "generators":
         count = 0
@@ -305,11 +286,15 @@ def main(argv=None) -> int:
     e.add_argument("--r", type=int, default=12, help="tile iteration count")
 
     args = parser.parse_args(argv)
-    if args.command == "construct":
-        return cmd_construct(args)
-    if args.command == "verify":
-        return cmd_verify(args)
-    return cmd_emit(args)
+    command = {"construct": cmd_construct, "verify": cmd_verify, "emit": cmd_emit}[args.command]
+    try:
+        return command(args)
+    except (SchemaError, PeriodicityMismatchError) as exc:
+        return _fail(2, str(exc))
+    except LcaError as exc:
+        return _fail(3, f"precondition violated: {exc}")
+    except OSError as exc:
+        return _fail(2, f"cannot write output: {exc}")
 
 
 def entry():

@@ -1,11 +1,11 @@
 """Fundamental-domain descriptors and their exact set operations.
 
 Variants: IntegerInterval (inclusive endpoints, discrete groups), HalfOpenBox
-(per-axis [lo, hi), continuous groups), FiniteSubset, CosetUnion (union of
-shifted copies of a base domain) and Ball (Euclidean, closed).  `contains` is
-exact on rational coordinates; the half-open convention resolves boundaries.
-`contains_many` is its array form over the point arrays of `point_array`,
-which the float evaluation path runs on.
+(per-axis [lo, hi), continuous groups), CosetUnion (union of shifted copies
+of a base domain) and Ball (Euclidean, closed).  `contains` is exact on
+rational coordinates; the half-open convention resolves boundaries.
+`contains_many` is its array form over the point arrays of
+`groups.point_array`, which the float evaluation path runs on.
 """
 
 from __future__ import annotations
@@ -16,9 +16,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import as_fraction
-from .exceptions import DomainParameterError, UnboundedWindowError
-from .groups import CYCLIC, EUCLIDEAN, TORUS, GroupSpec, check_element, element_add, element_neg
+from .exceptions import DomainParameterError, SchemaError
+from .groups import CYCLIC, TORUS, GroupSpec, check_element, element_add, element_neg, point_array
 
 #: relative slack of the closed-ball test: a rational point on the sphere
 #: rounds to floats whose squared norm can exceed the radius by a few ulps
@@ -55,11 +54,6 @@ def box(lo, hi) -> HalfOpenBox:
 
 
 @dataclass(frozen=True)
-class FiniteSubset:
-    points: tuple
-
-
-@dataclass(frozen=True)
 class CosetUnion:
     base: object
     shifts: tuple
@@ -84,25 +78,12 @@ def contains(dom, p, group: GroupSpec) -> bool:
         return isinstance(p, int) and dom.lo <= p <= dom.hi
     if isinstance(dom, HalfOpenBox):
         return all(a <= x < b for x, a, b in zip(coords(p), dom.lo, dom.hi))
-    if isinstance(dom, FiniteSubset):
-        return p in dom.points
     if isinstance(dom, Ball):
-        sq = sum(Fraction(x) ** 2 if as_fraction(x) is not None else float(x) ** 2 for x in coords(p))
+        sq = sum(Fraction(x) ** 2 if isinstance(x, (int, Fraction)) else float(x) ** 2 for x in coords(p))
         return sq <= dom.radius**2
     if isinstance(dom, CosetUnion):
         return any(contains(dom.base, element_add(group, p, element_neg(group, s)), group) for s in dom.shifts)
     raise DomainParameterError(f"unknown domain {dom!r}")
-
-
-def point_array(points, group: GroupSpec) -> np.ndarray:
-    """Points of `group` as one array: int64 on discrete groups, float64 else.
-
-    The shape is (n,) on scalar groups and (n, s) on R^s; a single point
-    (a scalar, or a tuple on R^s) becomes an array with n = 1.
-    """
-    if group.kind == EUCLIDEAN:
-        return np.asarray(points, dtype=float).reshape(-1, group.dimension)
-    return np.asarray(points, dtype=np.int64 if group.is_discrete else float).reshape(-1)
 
 
 def shift_points(pts: np.ndarray, shift, group: GroupSpec) -> np.ndarray:
@@ -124,11 +105,6 @@ def contains_many(dom, pts: np.ndarray, group: GroupSpec) -> np.ndarray:
         lo = np.array([float(a) for a in dom.lo])
         hi = np.array([float(b) for b in dom.hi])
         return np.all((lo <= x) & (x < hi), axis=1)
-    if isinstance(dom, FiniteSubset):
-        out = np.zeros(len(pts), dtype=bool)
-        for p in dom.points:
-            out |= np.all(x == point_array(p, group), axis=1)
-        return out
     if isinstance(dom, Ball):
         return np.sum(x * x, axis=1) <= float(dom.radius**2) * _BALL_SLACK
     if isinstance(dom, CosetUnion):
@@ -145,10 +121,6 @@ def measure(dom, group: GroupSpec) -> Fraction:
         if not group.is_discrete:
             raise DomainParameterError("integer interval needs a discrete group")
         return (dom.hi - dom.lo + 1) * group.point_mass
-    if isinstance(dom, FiniteSubset):
-        if not group.is_discrete:
-            raise DomainParameterError("finite subset has measure zero in a continuous group")
-        return len(dom.points) * group.point_mass
     if isinstance(dom, HalfOpenBox):
         if group.is_discrete:
             raise DomainParameterError("half-open box needs a continuous group")
@@ -167,9 +139,6 @@ def iter_points(dom, group: GroupSpec):
     if isinstance(dom, IntegerInterval):
         yield from range(dom.lo, dom.hi + 1)
         return
-    if isinstance(dom, FiniteSubset):
-        yield from dom.points
-        return
     if isinstance(dom, CosetUnion):
         for s in dom.shifts:
             for p in iter_points(dom.base, group):
@@ -184,13 +153,6 @@ def bounds(dom) -> tuple[tuple, tuple]:
         return (Fraction(dom.lo),), (Fraction(dom.hi),)
     if isinstance(dom, HalfOpenBox):
         return tuple(map(Fraction, dom.lo)), tuple(map(Fraction, dom.hi))
-    if isinstance(dom, FiniteSubset):
-        pts = [tuple(map(Fraction, coords(p))) for p in dom.points]
-        dims = range(len(pts[0]))
-        return (
-            tuple(min(p[i] for p in pts) for i in dims),
-            tuple(max(p[i] for p in pts) for i in dims),
-        )
     if isinstance(dom, Ball):
         return (-dom.radius,), (dom.radius,)
     if isinstance(dom, CosetUnion):
@@ -204,19 +166,6 @@ def bounds(dom) -> tuple[tuple, tuple]:
     raise DomainParameterError(f"no bounds for {dom!r}")
 
 
-def is_bounded(dom) -> bool:
-    try:
-        bounds(dom)
-    except DomainParameterError:
-        return False
-    return True
-
-
-def require_bounded(dom):
-    if not is_bounded(dom):
-        raise UnboundedWindowError(f"window {dom!r} is unbounded")
-
-
 def is_subset(a, b, group: GroupSpec) -> bool:
     """Structural subset test for the descriptor combinations in scope."""
     if isinstance(a, IntegerInterval) and isinstance(b, IntegerInterval):
@@ -228,7 +177,7 @@ def is_subset(a, b, group: GroupSpec) -> bool:
     if isinstance(a, Ball) and isinstance(b, HalfOpenBox):
         # closed ball fits in the half-open box iff radius < every half-width
         return all(bl <= -a.radius and a.radius < bh for bl, bh in zip(b.lo, b.hi))
-    if isinstance(a, (IntegerInterval, FiniteSubset)):
+    if isinstance(a, IntegerInterval):
         return all(contains(b, p, group) for p in iter_points(a, group))
     raise DomainParameterError(f"no subset test for {type(a).__name__} in {type(b).__name__}")
 
@@ -269,8 +218,6 @@ def domain_to_json(dom) -> dict:
         return {"kind": "integer_interval", "lo": dom.lo, "hi": dom.hi}
     if isinstance(dom, HalfOpenBox):
         return {"kind": "box", "lo": [str(a) for a in dom.lo], "hi": [str(b) for b in dom.hi]}
-    if isinstance(dom, FiniteSubset):
-        return {"kind": "finite", "points": [_point_json(p) for p in dom.points]}
     if isinstance(dom, Ball):
         return {"kind": "ball", "radius": str(dom.radius)}
     if isinstance(dom, CosetUnion):
@@ -289,8 +236,6 @@ def domain_from_json(data: dict, group: GroupSpec):
         return IntegerInterval(data["lo"], data["hi"])
     if kind == "box":
         return HalfOpenBox(tuple(Fraction(a) for a in data["lo"]), tuple(Fraction(b) for b in data["hi"]))
-    if kind == "finite":
-        return FiniteSubset(tuple(_point_from_json(p) for p in data["points"]))
     if kind == "ball":
         return Ball(Fraction(data["radius"]))
     if kind == "coset_union":
@@ -298,7 +243,7 @@ def domain_from_json(data: dict, group: GroupSpec):
         for s in shifts:
             check_element(group, s, "coset shift")
         return CosetUnion(domain_from_json(data["base"], group), shifts)
-    raise DomainParameterError(f"unknown domain kind {kind!r}")
+    raise SchemaError(f"unknown domain kind {kind!r}")
 
 
 def _point_json(p):

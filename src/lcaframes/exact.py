@@ -1,10 +1,11 @@
-"""Exact scalar helpers: rational phases, unit characters, quadratic radicals.
+"""Exact arithmetic helpers: unit values at quarter turns and quadratic radicals.
 
-Coset membership, fundamental-domain splittings and the finite-group
-verification paths must not depend on float tolerances.  Rational data is kept
-as `fractions.Fraction`; unimodular character values at quarter turns and
-scalars of the form (rational + i*rational)*sqrt(square-free integer) are kept
-exact so that Gram identities on finite groups come out as literal zeros.
+The finite-group verification paths must not depend on float tolerances.
+`cis_many` evaluates e^{2 pi i t} over an array of phases and returns exactly
+1, i, -1 and -i at quarter turns; the character `groups.pairing` feeds it
+phases reduced in integers.  Scalars of the form
+(rational + i*rational)*sqrt(square-free integer) are kept exact as `Radical`
+so that Gram identities on finite groups come out as literal zeros.
 """
 
 from __future__ import annotations
@@ -15,45 +16,9 @@ from fractions import Fraction
 
 import numpy as np
 
-TWO_PI = 2.0 * math.pi
-
 #: desk-scale cap on a radicand read from an artifact: `_square_split` of the
 #: product of two such radicands takes at most MAX_RADICAND trial divisions
 MAX_RADICAND = 2**20
-
-#: character values at quarter turns, exact in IEEE arithmetic
-_QUARTER_TURNS = {
-    Fraction(0): (Fraction(1), Fraction(0)),
-    Fraction(1, 2): (Fraction(-1), Fraction(0)),
-    Fraction(1, 4): (Fraction(0), Fraction(1)),
-    Fraction(3, 4): (Fraction(0), Fraction(-1)),
-}
-
-
-def as_fraction(x) -> Fraction | None:
-    """Return x as a Fraction if it is exactly rational, else None."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    return None
-
-
-def cis(t) -> complex:
-    """e^{2 pi i t}, with the phase reduced mod 1 before evaluation.
-
-    Rational phases are reduced exactly; quarter turns return exact values.
-    """
-    f = as_fraction(t)
-    if f is not None:
-        f %= 1
-        q = _QUARTER_TURNS.get(f)
-        if q is not None:
-            return complex(q[0], q[1])
-        t = float(f)
-    else:
-        t = float(t) % 1.0
-    return complex(math.cos(TWO_PI * t), math.sin(TWO_PI * t))
 
 
 def cis_many(t) -> np.ndarray:
@@ -61,7 +26,7 @@ def cis_many(t) -> np.ndarray:
 
     4t is split exactly into a whole number of quarter turns and a rest in
     [-1/2, 1/2], so cos and sin only see angles up to pi/4 and quarter turns
-    come out exact, as in `cis`.
+    come out exact.
     """
     u = 4 * np.asarray(t, dtype=float)
     q = np.round(u)

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import domains
 from .chains import MAX_POINTS, LatticeChain
-from .exact import MAX_RADICAND, ZERO, Radical, cis_many, radical
+from .exact import MAX_RADICAND, ZERO, Radical, radical
 from .exceptions import (
     EmptySamplingPlanError,
     FilterVariantError,
@@ -42,14 +42,7 @@ from .exceptions import (
     ResourceLimitError,
     SchemaError,
 )
-from .groups import (
-    CYCLIC,
-    EUCLIDEAN,
-    TORUS,
-    GroupSpec,
-    dual_group,
-    element_scale,
-)
+from .groups import EUCLIDEAN, GroupSpec, dual_group, element_scale, pairing, point_array, residue
 from .lattices import ScaledLattice
 
 DEFAULT_SEED = 0x5EED
@@ -72,32 +65,6 @@ def worst_residual(residuals) -> tuple[float, int]:
     return float(res[i]), i
 
 
-def _residue(group: GroupSpec, x, nums: np.ndarray, den: int = 1) -> tuple[np.ndarray, int]:
-    """(r, D) with (x, gamma) = e^{2 pi i r / D} and 0 <= r < D, in integers.
-
-    The points are gamma = nums / den, with integer nums of shape (n,) or (n, s).
-    """
-    if group.kind == CYCLIC:
-        return x * nums % (group.modulus * den), group.modulus * den
-    cs = [Fraction(c) for c in domains.coords(x)]
-    b = math.lcm(*(c.denominator for c in cs))
-    a = np.array([int(c * b) for c in cs], dtype=np.int64)
-    return nums.reshape(len(nums), -1) @ a % (b * den), b * den
-
-
-def _phase(group: GroupSpec, x, pts: np.ndarray) -> np.ndarray:
-    """Phase t of (x, gamma) = e^{2 pi i t} at each point, in turns.
-
-    On the discrete duals (of Z_N and T) it is reduced mod 1 in exact integer
-    arithmetic; on T and R^s it is a float product.
-    """
-    if group.kind in (CYCLIC, TORUS):
-        return np.divide(*_residue(group, x, pts))
-    if group.kind == EUCLIDEAN:
-        return pts @ np.array([float(c) for c in x])
-    return float(x) * pts
-
-
 @dataclass(frozen=True)
 class TrigPolynomial:
     group: GroupSpec  # primal group of the step element
@@ -110,11 +77,10 @@ class TrigPolynomial:
         return complex(self.eval_many(gamma)[0])
 
     def eval_many(self, gammas) -> np.ndarray:
-        pts = domains.point_array(gammas, dual_group(self.group))
+        pts = point_array(gammas, dual_group(self.group))
         out = np.zeros(len(pts), dtype=complex)
         for j, c in zip(self.shifts, self.coeffs):
-            x = element_scale(self.group, -j, self.step)
-            out += complex(c) * cis_many(_phase(self.group, x, pts))
+            out += complex(c) * pairing(self.group, element_scale(self.group, -j, self.step), pts)
         return out
 
     @property
@@ -132,7 +98,7 @@ class TrigPolynomial:
             return None
         keys = np.empty((len(nums), len(self.shifts)), dtype=np.int64)
         for col, j in enumerate(self.shifts):
-            r, d = _residue(self.group, element_scale(self.group, -j, self.step), nums, den)
+            r, d = residue(self.group, element_scale(self.group, -j, self.step), nums, den)
             keys[:, col] = np.where(4 * r % d == 0, 4 * r // d, NO_EXACT)
         return keys
 
@@ -173,9 +139,9 @@ class CosetPiecewise:
 
     def _piece_index(self, gammas) -> np.ndarray:
         """Index of the piece holding each point's representative (-1: none)."""
-        pts = domains.point_array(gammas, self.dual)
-        lo = domains.point_array(domains.bounds(self.domain)[0], self.dual)
-        step = domains.point_array(self.lattice.step, self.dual)
+        pts = point_array(gammas, self.dual)
+        lo = point_array(domains.bounds(self.domain)[0], self.dual)
+        step = point_array(self.lattice.step, self.dual)
         rep = pts - (pts - lo) // step * step
         idx = np.full(len(pts), -1)
         for i in reversed(range(len(self.pieces))):  # the first match wins
@@ -226,7 +192,7 @@ class UepMatrix:
     def eval_many(self, gammas) -> np.ndarray:
         """The matrix at every point, as an array of shape (points, rows, d_k)."""
         dual = self.chain.dual
-        pts = domains.point_array(gammas, dual)
+        pts = point_array(gammas, dual)
         cols = [domains.shift_points(pts, nu, dual) for nu in self.nu]
         return np.stack([np.stack([f.eval_many(c) for c in cols], axis=-1) for f in self.rows], axis=1)
 

@@ -10,8 +10,7 @@ Verification entry points:
 * analysis / parseval_residual  -- coefficient energy against the norm;
 * frame_operator                -- N x N operator on Z_N from all translates;
 * fiber_identity_sides          -- coefficient sum vs dual-cell fiber integral;
-* telescoping_residual          -- one-level energy split through the filters;
-* energy_bounds_check           -- two-sided energy bound at a deep level.
+* telescoping_residual          -- one-level energy split through the filters.
 
 Z and Z_N systems are verified on the translation side, torus systems on the
 modulation side (their dual is discrete); R^s systems are matrix-condition
@@ -20,6 +19,7 @@ only and rejected here.
 
 from __future__ import annotations
 
+import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,7 +30,6 @@ from . import bspline as bsp
 from . import charfun as cf
 from . import domains
 from .chains import LatticeChain, chain_from_params
-from .exact import cis_many
 from .exceptions import (
     DomainParameterError,
     LcaError,
@@ -50,7 +49,7 @@ from .filters import (
     verify_uep,
 )
 from .functions import DiscreteFunction
-from .groups import CYCLIC, INTEGERS, TORUS
+from .groups import CYCLIC, INTEGERS, TORUS, pairing
 from .lattices import cyclic_annihilator
 
 
@@ -239,8 +238,8 @@ def _coefficients(system: FrameSystem, gen: Generator, side: str, start: int, F:
 
     F stacks test functions on one window [start, start + F.shape[1]), one per
     row.  The conjugate stays on F, so the strided translate view is never
-    copied.  The modulation side is one DFT over the common support, its
-    phases (j p x) mod q reduced in integers for the step p/q in turns.
+    copied.  The modulation side is one DFT over the common support, with
+    the conjugate characters (j s, x) of the lattice points as its matrix.
     """
     # products go through einsum, not BLAS: threaded BLAS calls stall when the host is busy
     weight = float(_side_group(system, side).point_mass)
@@ -250,13 +249,14 @@ def _coefficients(system: FrameSystem, gen: Generator, side: str, start: int, F:
         return j0, weight * np.einsum("jx,tx->tj", rows, F.conj()).conj()
     chain = system.chain
     g = _generator_function(system, gen, side)
-    lat = chain.level(gen.level).lattice
-    turns = Fraction(lat.step[0]) / (chain.group.modulus if chain.group.kind == CYCLIC else 1)
     lo = max(start, g.start)
     hi = max(lo, min(stop, g.stop))
     prod = F[:, lo - start : hi - start] * g.array[lo - g.start : hi - g.start].conj()
-    r = (np.arange(lat.order[0])[:, None] * turns.numerator * np.arange(lo, hi)) % turns.denominator
-    return 0, weight * np.einsum("jx,tx->tj", cis_many(-r / turns.denominator), prod)
+    lat = chain.level(gen.level).lattice
+    step = lat.points()[1 % lat.size]  # s, the generator of the lattice {j s}
+    # (j s, x) = (s, j x): the characters of all lattice points in one call
+    chars = pairing(chain.group, step, np.outer(np.arange(lat.size), np.arange(lo, hi)))
+    return 0, weight * np.einsum("jx,tx->tj", chars.reshape(lat.size, hi - lo).conj(), prod)
 
 
 def _energies(system: FrameSystem, gens, side: str, start: int, F: np.ndarray) -> np.ndarray:
@@ -310,19 +310,22 @@ def frame_operator(system: FrameSystem) -> np.ndarray:
 
     A generator's term S_g commutes with its step-s translates,
     S_g[x + s, y + s] = S_g[x, y], so its first s columns are one product
-    and block column q is those columns rolled down by q s.
+    and block column q is those columns rolled down by q s.  The first
+    columns of consecutive generators with one step are summed, then every
+    block column is placed by one gather.
     """
     chain = system.chain
     if chain.group.kind != CYCLIC:
         raise UnsupportedVerificationError("brute-force frame operator needs a finite group")
     n = chain.group.modulus
     S = np.zeros((n, n), dtype=complex)
-    for gen in system.system_generators():
-        rows = _translates(system, gen, 0, n)[1]
-        s = int(chain.level(gen.level).lattice.step[0])
-        first = np.einsum("jx,jr->xr", rows, rows[:, :s].conj())
-        for q in range(len(rows)):
-            S[:, q * s : (q + 1) * s] += np.roll(first, q * s, axis=0)
+    x = np.arange(n)
+    for s, gens in itertools.groupby(system.system_generators(), lambda g: int(chain.level(g.level).lattice.step[0])):
+        first = np.zeros((n, s), dtype=complex)
+        for gen in gens:
+            rows = _translates(system, gen, 0, n)[1]
+            first += np.einsum("jx,jr->xr", rows, rows[:, :s].conj())
+        S.reshape(n, n // s, s)[...] += first[(x[:, None] - np.arange(0, n, s)) % n]  # [x, q, r] = S[x, q s + r]
     return S
 
 
@@ -379,19 +382,6 @@ def _energy_gaps(system: FrameSystem, k: int, side: str, start: int, F: np.ndarr
     lhs = _energies(system, [system.scaling(k + 1)], side, start, F)
     rhs = _energies(system, [system.scaling(k), *(w for w in system.wavelets if w.level == k)], side, start, F)
     return np.abs(lhs - rhs)
-
-
-def energy_bounds_check(
-    system: FrameSystem, f: DiscreteFunction, eps: float, K: int, side: str | None = None
-) -> bool:
-    """Two-sided scaling-energy bound at level K and at the top level."""
-    side, start, F = _stack_of_one(system, f, side)
-    n2 = f.norm2()
-    for k in {K, system.k1}:
-        e = _energies(system, [system.scaling(k)], side, start, F)[0]
-        if not ((1 - eps) * n2 - 1e-12 <= e <= (1 + eps) * n2 + 1e-12):
-            return False
-    return True
 
 
 def system_to_json(system: FrameSystem, seed: int | None = None) -> dict:

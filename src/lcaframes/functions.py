@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DomainParameterError, VariantMismatchError
-from .groups import CYCLIC, GroupSpec, pairing_phase
+from .groups import CYCLIC, GroupSpec
 
 
 @dataclass(frozen=True)
@@ -71,11 +71,6 @@ class DiscreteFunction:
         if self.start <= x < self.stop:
             return complex(self.values[x - self.start])
         return 0j
-
-    def hat(self, gamma) -> complex:
-        """Fourier transform sum_x f(x) (-x, gamma) under the group weight."""
-        t = np.array([float(pairing_phase(self.group, x, gamma)) % 1.0 for x in range(self.start, self.stop)])
-        return self.weight * complex(np.sum(self.values * np.exp(-2j * np.pi * t)))
 
     def support(self) -> tuple[int, int]:
         """Smallest [first, last] window of nonzero values (cyclic: in 0..N-1)."""

@@ -12,6 +12,8 @@ Fourier inversion formula holds with no extra constants:
 
 Element coordinates: int for Z and Z_N (reduced mod N), rational-or-float in
 [0,1) for T, tuples for R^s.  Lattice data stays rational for exactness.
+`point_array` holds many points of one group as an array, and `pairing` is
+the one evaluation of the character (x, gamma): one x, an array of gammas.
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Real
 
-from .exact import as_fraction, cis
+import numpy as np
+
+from .exact import cis_many
 from .exceptions import DomainParameterError, VariantMismatchError
 
 CYCLIC = "cyclic"
@@ -139,31 +143,44 @@ def element_scale(group: GroupSpec, n: int, a):
     return n * a
 
 
-def pairing_phase(group: GroupSpec, x, gamma):
-    """The phase t with (x, gamma) = e^{2 pi i t}; Fraction when exact."""
-    if group.kind == CYCLIC:
-        return Fraction(x * gamma, group.modulus)
+def point_array(points, group: GroupSpec) -> np.ndarray:
+    """Points of `group` as one array: int64 on discrete groups, float64 else.
+
+    The shape is (n,) on scalar groups and (n, s) on R^s; a single point
+    (a scalar, or a tuple on R^s) becomes an array with n = 1.
+    """
     if group.kind == EUCLIDEAN:
-        total, exact = Fraction(0), True
-        for xr, gr in zip(x, gamma):
-            fx, fg = as_fraction(xr), as_fraction(gr)
-            if exact and fx is not None and fg is not None:
-                total += fx * fg
-            else:
-                if exact:
-                    total, exact = float(total), False
-                total += float(xr) * float(gr)
-        return total
-    # Z x T and T x Z: plain product
-    fx, fg = as_fraction(x), as_fraction(gamma)
-    if fx is not None and fg is not None:
-        return fx * fg
-    return float(x) * float(gamma)
+        return np.asarray(points, dtype=float).reshape(-1, group.dimension)
+    return np.asarray(points, dtype=np.int64 if group.is_discrete else float).reshape(-1)
 
 
-def pairing(group: GroupSpec, x, gamma) -> complex:
-    """Character value (x, gamma) for x in the group, gamma in its dual."""
+def residue(group: GroupSpec, x, nums: np.ndarray, den: int = 1) -> tuple[np.ndarray, int]:
+    """(r, D) with (x, gamma) = e^{2 pi i r / D} and 0 <= r < D, in integers.
+
+    x has rational coordinates; the points are gamma = nums / den, with
+    integer nums of shape (n,) or (n, s).
+    """
+    if group.kind == CYCLIC:
+        return x * nums % (group.modulus * den), group.modulus * den
+    cs = [Fraction(c) for c in (x if isinstance(x, tuple) else (x,))]
+    b = math.lcm(*(c.denominator for c in cs))
+    a = np.array([int(c * b) for c in cs], dtype=np.int64)
+    return nums.reshape(len(nums), len(cs)) @ a % (b * den), b * den
+
+
+def pairing(group: GroupSpec, x, gammas) -> np.ndarray:
+    """Character values (x, gamma) for x in the group, at an array of dual points.
+
+    On the discrete duals (of Z_N, and of T at a rational x) the phase is
+    reduced mod 1 in exact integer arithmetic, so quarter turns come out as
+    exactly 1, i, -1 and -i; on T and R^s it is a float product.
+    """
     x = check_element(group, x, "group element")
-    gamma = check_element(dual_group(group), gamma, "dual element")
-    return cis(pairing_phase(group, x, gamma))
-
+    pts = point_array(gammas, dual_group(group))
+    if group.kind == CYCLIC or isinstance(x, Fraction):
+        t = np.divide(*residue(group, x, pts))
+    elif group.kind == EUCLIDEAN:
+        t = pts @ np.array([float(c) for c in x])
+    else:
+        t = float(x) * pts
+    return cis_many(t)

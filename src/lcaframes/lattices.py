@@ -73,29 +73,11 @@ class ScaledLattice:
                 return False
         return True
 
-    def points(self, window=None) -> list:
-        """Lattice points (within window, if given), deterministically sorted."""
-        if self.order is not None:
-            ranges = [range(n) for n in self.order]
-        else:
-            if window is None:
-                raise UnboundedWindowError("infinite lattice needs a bounded window")
-            domains.require_bounded(window)
-            lo, hi = domains.bounds(window)
-            ranges = []
-            for a, b, s in zip(lo, hi, self.step):
-                s = Fraction(s)
-                jlo = -((-Fraction(a)) // s)  # ceil(a/s)
-                jhi = Fraction(b) // s  # floor(b/s)
-                ranges.append(range(int(jlo), int(jhi) + 1))
-        pts = (self._point(js) for js in itertools.product(*ranges))
-        if window is not None:
-            pts = (p for p in pts if domains.contains(window, p, self.group))
-        return sorted(pts, key=_sort_key)
-
-
-def _sort_key(p):
-    return tuple(Fraction(x) for x in domains.coords(p))
+    def points(self) -> list:
+        """The points of a finite lattice, in increasing order of j."""
+        if self.order is None:
+            raise UnboundedWindowError("an infinite lattice has no finite point list")
+        return [self._point(js) for js in itertools.product(*(range(n) for n in self.order))]
 
 
 def cyclic_annihilator(lat: ScaledLattice) -> ScaledLattice:

@@ -3,8 +3,9 @@
 The per-point loops here are the straightforward forms of the library's
 batched and keyed checks; tests compare the two on every input they share.
 The exact values are computed point by point from the phase of each
-character value and exact membership in each piece, not from value keys, so
-the oracle shares no exact evaluation code with the library.
+character value and exact membership in each piece, not from value keys.
+The phase is the scalar `pairing_phase` below, in `Fraction` arithmetic, so
+the oracle shares no phase or exact evaluation code with the library.
 """
 
 import math
@@ -17,10 +18,41 @@ from lcaframes.charfun import indicator_generator, indicator_refinement_filter
 from lcaframes.exact import Radical, radical
 from lcaframes.exceptions import FilterVariantError
 from lcaframes.filters import CosetPiecewise, TrigPolynomial, UepMatrix, pointwise_residuals
-from lcaframes.groups import element_add, element_scale, pairing_phase
+from lcaframes.groups import CYCLIC, EUCLIDEAN, element_add, element_scale
 
 #: e^{2 pi i t} at the quarter turns t, as (re, im)
 QUARTER_TURNS = {Fraction(0): (1, 0), Fraction(1, 4): (0, 1), Fraction(1, 2): (-1, 0), Fraction(3, 4): (0, -1)}
+
+
+def _product(a, b):
+    """a * b, as a Fraction when both are rational."""
+    if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
+        return Fraction(a) * Fraction(b)
+    return float(a) * float(b)
+
+
+def pairing_phase(group, x, gamma):
+    """The phase t with (x, gamma) = e^{2 pi i t}; a Fraction when x and gamma are rational."""
+    if group.kind == CYCLIC:
+        return Fraction(x * gamma, group.modulus)
+    if group.kind == EUCLIDEAN:
+        return sum(_product(a, b) for a, b in zip(x, gamma))
+    return _product(x, gamma)  # Z x T and T x Z
+
+
+def cis(t) -> complex:
+    """e^{2 pi i t}; exactly 1, i, -1 or -i at a rational quarter turn."""
+    if isinstance(t, (int, Fraction)):
+        q = QUARTER_TURNS.get(Fraction(t) % 1)
+        if q is not None:
+            return complex(*q)
+    t = float(t) % 1.0
+    return complex(math.cos(2 * math.pi * t), math.sin(2 * math.pi * t))
+
+
+def function_hat(f, gamma) -> complex:
+    """Fourier transform sum_x f(x) (-x, gamma) of a DiscreteFunction, under its group weight."""
+    return f.weight * sum(f.value_at(x) * cis(-pairing_phase(f.group, x, gamma)) for x in range(f.start, f.stop))
 
 
 def pairing_exact(group, x, gamma) -> Radical | None:

@@ -1,12 +1,18 @@
 """End-to-end CLI: construct, verify, emit, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lcaframes
+from lcaframes import verify
 from lcaframes.cli import main
 from lcaframes.verify import ALL_CONDITIONS
 
@@ -287,6 +293,20 @@ def test_verify_nonpositive_samples_exit_2(tmp_path):
         assert main(["verify", str(spath), "--suite", "uep", "--samples", samples]) == 2
 
 
+@pytest.mark.parametrize("flag", ["--samples", "--trials"])
+def test_verify_counts_above_desk_scale_exit_2_before_any_plan(tmp_path, monkeypatch, capsys, flag):
+    # nothing may be sampled or stacked for a count that large
+    spath = construct(tmp_path, EUCLID_BOXES)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a plan or test-function stack was built")
+
+    monkeypatch.setattr(verify, "dual_sampling_plan", refuse)
+    monkeypatch.setattr(verify, "_test_functions", refuse)
+    assert main(["verify", str(spath), "--suite", "all", flag, str(10**9)]) == 2
+    assert flag in capsys.readouterr().err
+
+
 def test_verify_zero_trials_exit_2(tmp_path):
     spath = construct(tmp_path, Z8_SHANNON)
     assert main(["verify", str(spath), "--suite", "parseval", "--trials", "0"]) == 2
@@ -322,6 +342,17 @@ def test_piecewise_domain_not_a_lattice_box_exit_2(tmp_path):
     cpath = tmp_path / "narrow.json"
     cpath.write_text(json.dumps(data))
     assert main(["verify", str(cpath), "--suite", "uep"]) == 2
+
+
+@pytest.mark.parametrize("where", ["filter-domain", "piece-domain"])
+def test_unknown_domain_kind_exit_2(tmp_path, capsys, where):
+    spath = construct(tmp_path, Z8_SHANNON)
+    data = json.loads(spath.read_text())
+    h = data["filters"][1]["h"]
+    (h if where == "filter-domain" else h["pieces"][0])["domain"] = {"kind": "nope"}
+    spath.write_text(json.dumps(data))
+    assert main(["verify", str(spath), "--suite", "uep"]) == 2
+    assert "malformed system artifact" in capsys.readouterr().err
 
 
 def test_verify_artifact_above_desk_scale_exit_3(tmp_path, capsys):
@@ -419,6 +450,7 @@ def test_construct_malformed_descriptor_exit_2(tmp_path, capsys, desc):
         lambda data: data["filters"][0]["h"].update(eta="1/3"),
         lambda data: data["filters"].pop(),
         lambda data: data["filters"][0].update(k=5),
+        lambda data: data["chain"].update(kind="nope"),
     ],
     ids=[
         "family-without-order",
@@ -431,6 +463,7 @@ def test_construct_malformed_descriptor_exit_2(tmp_path, capsys, desc):
         "step-off-lattice",
         "truncated-filters",
         "wrong-level",
+        "unknown-chain-kind",
     ],
 )
 def test_verify_malformed_artifact_exit_2(tmp_path, capsys, corrupt):
@@ -451,6 +484,29 @@ def test_verify_bad_tolerance_exit_2(tmp_path, capsys, tolerance):
     spath.write_text(json.dumps(data))
     assert main(["verify", str(spath), "--suite", "uep", f"--tolerance={tolerance}"]) == 2
     assert "--tolerance" in capsys.readouterr().err
+
+
+def test_unwritable_outputs_exit_2(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    dpath = write_descriptor(tmp_path, Z8_SHANNON)
+    assert main(["construct", "--descriptor", dpath, "--out", str(missing / "x.json")]) == 2
+    spath = construct(tmp_path, Z8_SHANNON)
+    # a passing verification whose report cannot be written is not a failed one
+    assert main(["verify", str(spath), "--suite", "uep", "--report", str(missing / "r.json")]) == 2
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["emit", str(spath), "--what", "generators", "--out", str(blocker / "out")]) == 2
+    assert capsys.readouterr().err.count("error: cannot write output") == 3
+
+
+def test_entry_point_exit_code_without_traceback(tmp_path):
+    spath = construct(tmp_path, Z8_SHANNON)
+    env = dict(os.environ, PYTHONPATH=str(Path(lcaframes.__file__).resolve().parents[1]))
+    cmd = [sys.executable, "-m", "lcaframes.cli", "verify", str(spath), "--suite", "uep"]
+    done = subprocess.run([*cmd, "--report", str(tmp_path / "missing" / "r.json")], env=env, capture_output=True, text=True)
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
+    assert subprocess.run(cmd, env=env, capture_output=True).returncode == 0
 
 
 def test_undecodable_input_files_exit_2(tmp_path):

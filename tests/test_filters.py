@@ -16,7 +16,7 @@ from lcaframes.charfun import (
     indicator_refinement_filter,
     orthonormal_wavelet_filters,
 )
-from lcaframes.domains import FiniteSubset, IntegerInterval, shift_points
+from lcaframes.domains import IntegerInterval, shift_points
 from lcaframes.exact import radical
 from lcaframes.exceptions import EmptySamplingPlanError, PeriodicityMismatchError
 from lcaframes.filters import (
@@ -244,14 +244,6 @@ def test_exact_values_survive_json(z8chain):
     back = filter_from_json(filter_to_json(h), z8chain, 1)
     got = back.eval_exact(back.exact_keys(np.array([0]))[0])
     assert got == radical(1, 0, 2)
-
-
-def test_piecewise_finite_subset_piece(z8chain):
-    # FiniteSubset pieces work the same as interval pieces
-    lattice = z8chain.level(2).annihilator
-    dom = IntegerInterval(0, 3)
-    f = CosetPiecewise(z8chain.dual, ((FiniteSubset((1, 2)), radical(1)),), dom, lattice)
-    assert f.eval(1) == 1 and f.eval(0) == 0 and f.eval(5) == 1
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcaframes.exact import MAX_RADICAND, ZERO, Radical, _square_split, cis, radical, sqrt_rational
+from lcaframes.exact import MAX_RADICAND, ZERO, Radical, _square_split, cis_many, radical, sqrt_rational
 from lcaframes.exceptions import DomainParameterError, VariantMismatchError
 from lcaframes.groups import (
     cyclic_group,
@@ -16,7 +16,7 @@ from lcaframes.groups import (
     pairing,
     torus_group,
 )
-from oracles import pairing_exact
+from oracles import cis, pairing_exact, pairing_phase
 
 Z = integer_group()
 T = torus_group()
@@ -24,29 +24,49 @@ Z8 = cyclic_group(8)
 
 
 def test_pairing_identity_element():
-    assert pairing(Z, 0, 0.37) == 1
+    assert pairing(Z, 0, [0.37, 0.5]).tolist() == [1, 1]
 
 
 def test_pairing_half_turn_is_exactly_minus_one():
     # e^{2 pi i 16/32} = -1, exactly in the quarter-turn fast path
-    assert pairing(Z, 16, Fraction(1, 32)) == -1
+    assert pairing(Z, 16, Fraction(1, 32)).tolist() == [-1]
 
 
 def test_pairing_cyclic():
-    # e^{2 pi i * 4 / 8} = -1
-    assert pairing(Z8, 2, 2) == -1
-    assert pairing(Z8, 1, 2) == 1j
+    # e^{2 pi i * 4 / 8} = -1; every quarter turn of Z_8 is exact
+    assert pairing(Z8, 2, 2).tolist() == [-1]
+    assert pairing(Z8, 1, [0, 2, 4, 6, 10]).tolist() == [1, 1j, -1, -1j, 1j]
 
 
 def test_pairing_euclidean_dot_product():
     r2 = euclidean_group(2)
-    assert pairing(r2, (Fraction(1, 2), 0), (1, 0)) == -1
-    assert abs(abs(pairing(r2, (0.3, 0.4), (1.7, -2.2))) - 1) < 1e-15
+    assert pairing(r2, (Fraction(1, 2), 0), (1, 0)).tolist() == [-1]
+    assert abs(abs(pairing(r2, (0.3, 0.4), [(1.7, -2.2), (0.1, 0.2)])) - 1).max() < 1e-15
 
 
 def test_pairing_torus_both_ways():
-    assert pairing(T, Fraction(1, 4), 2) == -1
-    assert pairing(Z, 3, Fraction(1, 2)) == -1
+    assert pairing(T, Fraction(1, 4), [1, 2, 3, -1]).tolist() == [1j, -1, -1j, -1j]
+    assert pairing(Z, 3, Fraction(1, 2)).tolist() == [-1]
+
+
+@pytest.mark.parametrize(
+    "group, x, gammas",
+    [
+        (Z8, 3, range(-8, 16)),
+        (T, Fraction(5, 12), range(-12, 24)),
+        (T, 0.3, range(-5, 5)),
+        (Z, -7, [Fraction(j, 24) for j in range(-24, 24)] + [0.123, 0.9]),
+        (euclidean_group(2), (Fraction(1, 2), Fraction(-3, 4)), [(1, 2), (3, 1), (Fraction(2, 3), 0.25)]),
+    ],
+    ids=["cyclic", "torus", "torus-float", "integers", "euclidean"],
+)
+def test_pairing_matches_scalar_oracle(group, x, gammas):
+    # exactly equal where the oracle's phase is a quarter turn, within rounding elsewhere
+    got = pairing(group, x, list(gammas))
+    for z, gamma in zip(got, gammas):
+        want = cis(pairing_phase(group, x, gamma))
+        exact = pairing_exact(group, x, gamma) is not None
+        assert z == want if exact else abs(z - want) < 1e-14
 
 
 @given(
@@ -84,10 +104,7 @@ def test_group_validation():
 
 
 def test_cis_quarter_turns_exact():
-    assert cis(Fraction(1, 2)) == -1
-    assert cis(Fraction(1, 4)) == 1j
-    assert cis(Fraction(3, 4)) == -1j
-    assert cis(5) == 1
+    assert cis_many([0.5, 0.25, 0.75, 5, -0.25, 2.5]).tolist() == [-1, 1j, -1j, 1, -1j, -1]
 
 
 def test_pairing_exact_detects_quarter_turns():

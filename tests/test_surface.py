@@ -18,7 +18,6 @@ KEPT = {
     "charfun.IndicatorGenerator.hat": "one-point evaluation; a benchmark boundary, used across the tests",
     "functions.DiscreteFunction.inner": "the per-translate analysis oracle; a benchmark boundary",
     "functions.DiscreteFunction.translate": "the per-translate analysis oracle and the acceptance tests",
-    "functions.DiscreteFunction.hat": "the direct Fourier sum the spline transforms are tested against",
     "functions.DiscreteFunction.value_at": "point values for the fiber and analysis oracles",
     "verify.ALL_CONDITIONS": "the certified conditions; the CLI tests check a report covers each",
 }
