@@ -61,19 +61,15 @@ def _validate(chain: LatticeChain, omegas, label, params) -> OmegaChain:
 def band_chain_cyclic(M: int, bounds: list[int]) -> OmegaChain:
     """Band sets {0..L_k} on the Z_{2^M} chain.
 
-    Needs nonnegative, non-decreasing L with L_k <= 2^k - 1 and the top level
-    exhausting the dual group (L_M = 2^M - 1).
+    Needs integer L with the sets inside their dual cells and nested
+    (`_validate`), and the top level exhausting the dual group
+    (L_M = 2^M - 1).
     """
     chain = cyclic_chain(M)
     if len(bounds) != M + 1:
         raise DomainParameterError(f"need {M + 1} band bounds, got {len(bounds)}")
-    for k, L in enumerate(bounds):
-        if not isinstance(L, int) or L < 0:
-            raise DomainParameterError(f"band bound at level {k} must be a nonnegative integer")
-        if L > 2**k - 1:
-            raise DomainParameterError(f"band bound at level {k} exceeds {2**k - 1}")
-        if k and L < bounds[k - 1]:
-            raise DomainParameterError(f"band bounds decrease at level {k}")
+    if not all(isinstance(L, int) for L in bounds):
+        raise DomainParameterError("band bounds must be integers")
     if bounds[M] != 2**M - 1:
         raise DomainParameterError(f"top band bound must exhaust the dual group ({2**M - 1})")
     omegas = [IntegerInterval(0, L) for L in bounds]
@@ -83,17 +79,15 @@ def band_chain_cyclic(M: int, bounds: list[int]) -> OmegaChain:
 def band_chain_torus(m_factors: list[int], bounds: list[int]) -> OmegaChain:
     """Symmetric band sets {-L_k..L_k} on the torus chain.
 
-    Needs strictly increasing nonnegative integer L with L_k <= N_k/2 - 1.
+    Needs strictly increasing integer L with the sets inside their dual
+    cells (`_validate`).
     """
     chain = torus_chain(m_factors)
     if len(bounds) != len(m_factors):
         raise DomainParameterError(f"need {len(m_factors)} band bounds, got {len(bounds)}")
     for k, L in enumerate(bounds):
-        if not isinstance(L, int) or L < 0:
-            raise DomainParameterError(f"band bound at level {k} must be a nonnegative integer")
-        half = chain.level(k).domain_v.hi + 1
-        if L > half - 1:
-            raise DomainParameterError(f"band bound at level {k} exceeds {half - 1}")
+        if not isinstance(L, int):
+            raise DomainParameterError(f"band bound at level {k} must be an integer")
         if k and L <= bounds[k - 1]:
             raise DomainParameterError(f"band bounds must strictly increase at level {k}")
     omegas = [IntegerInterval(-L, L) for L in bounds]
@@ -103,27 +97,14 @@ def band_chain_torus(m_factors: list[int], bounds: list[int]) -> OmegaChain:
 def band_chain_boxes(m_table: list[list[int]], bound_table: list[list]) -> OmegaChain:
     """Separable bands prod_r [-L_{k,r}, L_{k,r}) on the R^s chain.
 
-    Per axis: positive, non-decreasing L with L_{k,r} <= N_{k,r}/2.
+    The boxes must lie inside their dual cells and nest (`_validate`).
     """
     chain = euclidean_chain(m_table)
     s, depth = len(m_table), len(m_table[0])
     if len(bound_table) != s or any(len(row) != depth for row in bound_table):
         raise DomainParameterError("band bound table must match the factor table shape")
-    for r in range(s):
-        for k in range(depth):
-            L = Fraction(bound_table[r][k])
-            half = -chain.level(k).domain_v.lo[r]
-            if L <= 0:
-                raise DomainParameterError(f"band bound at level {k} axis {r} must be positive")
-            if L > half:
-                raise DomainParameterError(f"band bound at level {k} axis {r} exceeds {half}")
-            if k and L < Fraction(bound_table[r][k - 1]):
-                raise DomainParameterError(f"band bounds decrease at level {k} axis {r}")
-    omegas = []
-    for k in range(depth):
-        lo = tuple(-Fraction(bound_table[r][k]) for r in range(s))
-        hi = tuple(Fraction(bound_table[r][k]) for r in range(s))
-        omegas.append(HalfOpenBox(lo, hi))
+    half_widths = [[Fraction(row[k]) for row in bound_table] for k in range(depth)]
+    omegas = [HalfOpenBox(tuple(-L for L in ls), tuple(ls)) for ls in half_widths]
     return _validate(
         chain,
         omegas,
@@ -133,20 +114,11 @@ def band_chain_boxes(m_table: list[list[int]], bound_table: list[list]) -> Omega
 
 
 def band_chain_balls(m_table: list[list[int]], bounds: list) -> OmegaChain:
-    """Euclidean balls ||gamma|| <= L_k; needs L_k < min_r N_{k,r} / 2."""
+    """Euclidean balls ||gamma|| <= L_k, inside their dual cells and nested (`_validate`)."""
     chain = euclidean_chain(m_table)
     depth = len(m_table[0])
     if len(bounds) != depth:
         raise DomainParameterError(f"need {depth} ball radii, got {len(bounds)}")
-    for k in range(depth):
-        L = Fraction(bounds[k])
-        half = min(-lo for lo in chain.level(k).domain_v.lo)
-        if L < 0:
-            raise DomainParameterError(f"ball radius at level {k} must be nonnegative")
-        if L >= half:
-            raise DomainParameterError(f"ball radius at level {k} must stay below {half}")
-        if k and L < Fraction(bounds[k - 1]):
-            raise DomainParameterError(f"ball radii decrease at level {k}")
     omegas = [Ball(Fraction(b)) for b in bounds]
     return _validate(
         chain, omegas, "balls", {"m_table": [list(r) for r in m_table], "L": [str(b) for b in bounds]}
@@ -262,11 +234,11 @@ def orthonormal_wavelet_filters(band: OmegaChain, k: int) -> list:
 def indicator_refinement_residual(band: OmegaChain, k: int, plan: SamplingPlan, h=None) -> float:
     """max over the plan of |Phi_k - H_{k+1} Phi_{k+1}| for the band family.
 
-    h defaults to the family's refinement filter.  Exhaustive plans take the
-    residual in exact arithmetic once per distinct key: the keys of h and
-    membership in Omega_k and Omega_{k+1}, which pick the generator's scale
-    or 0.  Where any point has no exact value, every point is sampled in
-    floats.
+    h defaults to the family's refinement filter.  On a discrete dual the
+    residual is taken in exact arithmetic once per distinct key: the keys of
+    h and membership in Omega_k and Omega_{k+1}, which pick the generator's
+    scale or 0.  On a continuous dual, or where any point has no exact value,
+    every point is sampled in floats.
     """
     if h is None:
         h = indicator_refinement_filter(band, k)
@@ -274,7 +246,7 @@ def indicator_refinement_residual(band: OmegaChain, k: int, plan: SamplingPlan, 
     pts = plan.points
     hat_k, hat_k1 = gk.hat_many(pts), gk1.hat_many(pts)
     res = None
-    if plan.exact and (keys := h.exact_keys(pts)) is not None:
+    if band.chain.dual.is_discrete and (keys := h.exact_keys(pts)) is not None:
 
         def abs2_of(key):
             diff = _refinement_exact(h, gk, gk1, key)

@@ -135,7 +135,7 @@ def cmd_construct(args) -> int:
         if fn is None:
             print(f"  {gen.label}: matrix-condition only (no finite representation)")
         elif not np.any(np.abs(fn.array) > 0):
-            print(f"  {gen.label}: identically zero (band misses its coset)")
+            print(f"  {gen.label}: identically zero")
         else:
             lo, hi = fn.support()
             print(f"  {gen.label}: support [{lo}, {hi}]")
@@ -216,7 +216,8 @@ def cmd_emit(args) -> int:
         m, eta = _int_list(args.matrix, "--matrix", 4), _int_list(args.eta, "--eta", 2)
         pts = tiles.tile_points(tiles.TileSpec(((m[0], m[1]), (m[2], m[3])), tuple(eta)), args.r)
         path = out_dir / "tile.csv"
-        tiles.tile_to_csv(pts, path, header=f"matrix={args.matrix} eta={args.eta} r={args.r}")
+        rows = [f"{float(x):.17g},{float(y):.17g}" for x, y in pts]
+        _write_csv(path, f"matrix={args.matrix} eta={args.eta} r={args.r}", ["x,y", *rows])
         print(f"wrote {path} ({len(pts)} points)")
         return 0
     if not args.system:

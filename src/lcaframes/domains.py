@@ -41,7 +41,8 @@ class HalfOpenBox:
 
     def __post_init__(self):
         if len(self.lo) != len(self.hi) or any(a >= b for a, b in zip(self.lo, self.hi)):
-            raise DomainParameterError(f"degenerate box {self.lo} .. {self.hi}")
+            lo, hi = (", ".join(map(str, c)) for c in (self.lo, self.hi))
+            raise DomainParameterError(f"degenerate box [{lo}] .. [{hi}]")
 
 
 def interval(lo, hi) -> HalfOpenBox:
@@ -177,8 +178,6 @@ def is_subset(a, b, group: GroupSpec) -> bool:
     if isinstance(a, Ball) and isinstance(b, HalfOpenBox):
         # closed ball fits in the half-open box iff radius < every half-width
         return all(bl <= -a.radius and a.radius < bh for bl, bh in zip(b.lo, b.hi))
-    if isinstance(a, IntegerInterval):
-        return all(contains(b, p, group) for p in iter_points(a, group))
     raise DomainParameterError(f"no subset test for {type(a).__name__} in {type(b).__name__}")
 
 

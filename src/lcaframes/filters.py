@@ -17,10 +17,10 @@ given key has that value by construction; no phase is reduced per point.
 
 The UEP matrix P_k stacks the refinement filter over the wavelet filters and
 evaluates column l at gamma + nu_{k,l}.  Verification measures the largest
-entry of P*P - d_k I over a sampling plan.  On finite dual groups the plan is
+entry of P*P - d_k I over a sampling plan.  On discrete duals the plan is
 exhaustive and the arithmetic exact, evaluated once per distinct key row, so
 a true identity reports residual 0; a level with any point that has no exact
-value is sampled in floats instead.
+value, and every level on a continuous dual, is sampled in floats instead.
 """
 
 from __future__ import annotations
@@ -87,18 +87,17 @@ class TrigPolynomial:
     def key_width(self) -> int:
         return len(self.shifts)
 
-    def exact_keys(self, nums: np.ndarray, den: int = 1) -> np.ndarray | None:
-        """Quarter turn 0-3 of each character value at the points nums / den.
+    def exact_keys(self, pts: np.ndarray) -> np.ndarray | None:
+        """Quarter turn 0-3 of each character value at the points of a discrete dual.
 
         Shape (points, shifts); NO_EXACT where a value is not a quarter turn.
-        None unless nums are integers and every coefficient is a Radical:
-        float points carry no exact character values.
+        None unless every coefficient is a Radical.
         """
-        if nums.dtype.kind != "i" or not all(isinstance(c, Radical) for c in self.coeffs):
+        if not all(isinstance(c, Radical) for c in self.coeffs):
             return None
-        keys = np.empty((len(nums), len(self.shifts)), dtype=np.int64)
+        keys = np.empty((len(pts), len(self.shifts)), dtype=np.int64)
         for col, j in enumerate(self.shifts):
-            r, d = residue(self.group, element_scale(self.group, -j, self.step), nums, den)
+            r, d = residue(self.group, element_scale(self.group, -j, self.step), pts)
             keys[:, col] = np.where(4 * r % d == 0, 4 * r // d, NO_EXACT)
         return keys
 
@@ -155,14 +154,11 @@ class CosetPiecewise:
         values = np.array([complex(v) for _, v in self.pieces] + [0j])
         return values[self._piece_index(gammas)]
 
-    def exact_keys(self, pts: np.ndarray, den: int = 1) -> np.ndarray | None:
-        """Piece index of each point (-1: no piece, value 0), shape (points, 1).
+    def exact_keys(self, pts: np.ndarray) -> np.ndarray:
+        """Piece index of each point of a discrete dual (-1: no piece, value 0), shape (points, 1).
 
-        NO_EXACT where the piece value is not a Radical.  None on a continuous
-        dual; on a discrete one the points are integers and den is 1.
+        NO_EXACT where the piece value is not a Radical.
         """
-        if not self.dual.is_discrete:
-            return None
         idx = self._piece_index(pts)
         exact = np.array([isinstance(v, Radical) for _, v in self.pieces] + [True])
         return np.where(exact[idx], idx, NO_EXACT)[:, None]
@@ -189,24 +185,25 @@ class UepMatrix:
     def nu(self) -> tuple:
         return self.chain.cosets(self.k)
 
-    def eval_many(self, gammas) -> np.ndarray:
-        """The matrix at every point, as an array of shape (points, rows, d_k)."""
+    def _columns(self, gammas) -> list:
+        """The coset columns: the points gamma + nu_{k,l}, one array per l."""
         dual = self.chain.dual
         pts = point_array(gammas, dual)
-        cols = [domains.shift_points(pts, nu, dual) for nu in self.nu]
+        return [domains.shift_points(pts, nu, dual) for nu in self.nu]
+
+    def eval_many(self, gammas) -> np.ndarray:
+        """The matrix at every point, as an array of shape (points, rows, d_k)."""
+        cols = self._columns(gammas)
         return np.stack([np.stack([f.eval_many(c) for c in cols], axis=-1) for f in self.rows], axis=1)
 
     def exact_keys(self, gammas) -> np.ndarray | None:
         """Value keys of every row at every coset column, one key row per point.
 
         Points with equal key rows have equal exact matrices.  None where a row
-        has no keys.
+        has no keys.  Keys are defined on discrete duals only.
         """
-        pts = np.asarray(gammas)
-        cs = [[Fraction(c) for c in domains.coords(nu)] for nu in self.nu]
-        den = math.lcm(*(c.denominator for nu in cs for c in nu))
-        cols = [pts * den + np.array([int(c * den) for c in nu]).reshape(pts.shape[1:]) for nu in cs]
-        keys = [f.exact_keys(c, den) for f in self.rows for c in cols]
+        cols = self._columns(gammas)
+        keys = [f.exact_keys(c) for f in self.rows for c in cols]
         return None if any(k is None for k in keys) else np.concatenate(keys, axis=1)
 
     def exact_values(self, key) -> list:
@@ -236,7 +233,6 @@ def assemble_uep(chain: LatticeChain, k: int, h, g_list) -> UepMatrix:
 @dataclass(frozen=True)
 class SamplingPlan:
     points: np.ndarray  # shape (n,), or (n, s) on R^s; integers on discrete duals
-    exact: bool  # exhaustive over a finite dual domain
     label: str
 
     def __post_init__(self):
@@ -258,17 +254,17 @@ def dual_sampling_plan(
     seed: int = DEFAULT_SEED,
     domain=None,
 ) -> SamplingPlan:
-    """Sampling plan covering V_k: exhaustive on finite duals, grid+random else."""
+    """Sampling plan covering V_k: exhaustive on discrete duals, grid+random else."""
     dom = domain if domain is not None else chain.level(k).domain_v
     if chain.dual.is_discrete:
         pts = np.fromiter(domains.iter_points(dom, chain.dual), dtype=np.int64)
-        return SamplingPlan(pts, True, f"exhaustive V_{k} ({len(pts)} points)")
+        return SamplingPlan(pts, f"exhaustive V_{k} ({len(pts)} points)")
     rng = np.random.default_rng(seed)
     scalar = chain.dual.kind != EUCLIDEAN
     pts = np.concatenate(
         [domains.grid_points(dom, grid, scalar), domains.random_points(dom, random, rng, scalar)]
     )
-    return SamplingPlan(pts, False, f"grid+random V_{k} ({len(pts)} points, seed {seed:#x})")
+    return SamplingPlan(pts, f"grid+random V_{k} ({len(pts)} points, seed {seed:#x})")
 
 
 @dataclass(frozen=True)
@@ -334,13 +330,16 @@ def pointwise_residuals(P: UepMatrix, points) -> np.ndarray:
 def verify_uep(P: UepMatrix, plan: SamplingPlan) -> UepReport:
     """Largest deviation of P*P from d_k I over the plan.
 
-    On exhaustive plans the Gram matrix is evaluated in exact arithmetic once
+    On a discrete dual the Gram matrix is evaluated in exact arithmetic once
     per distinct key row (`UepMatrix.exact_keys`), from values read off the
     key (`UepMatrix.exact_values`), so every point with that key has that
     residual by construction; the report is flagged exact.  A level with any
-    point that has no exact value is sampled in floats at every point.
+    point that has no exact value, and any plan on a continuous dual, is
+    sampled in floats at every point.
     """
-    res = exact_residuals(P.exact_keys(plan.points), partial(_gram_residual_exact, P)) if plan.exact else None
+    res = None
+    if P.chain.dual.is_discrete:
+        res = exact_residuals(P.exact_keys(plan.points), partial(_gram_residual_exact, P))
     exact = res is not None
     if not exact:
         res = pointwise_residuals(P, plan.points)

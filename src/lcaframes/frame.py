@@ -12,9 +12,10 @@ Verification entry points:
 * fiber_identity_sides          -- coefficient sum vs dual-cell fiber integral;
 * telescoping_residual          -- one-level energy split through the filters.
 
-Z and Z_N systems are verified on the translation side, torus systems on the
-modulation side (their dual is discrete); R^s systems are matrix-condition
-only and rejected here.
+A system is analysed on the first of its time and frequency sides where
+every generator has finite values: by translates on Z and Z_N, by modulates
+for band systems on T (their dual is discrete).  Systems with no such side
+(splines on T, everything on R^s) are matrix-condition only and rejected here.
 """
 
 from __future__ import annotations
@@ -49,14 +50,13 @@ from .filters import (
     verify_uep,
 )
 from .functions import DiscreteFunction
-from .groups import CYCLIC, INTEGERS, TORUS, pairing
+from .groups import CYCLIC, INTEGERS, pairing
 from .lattices import cyclic_annihilator
 
 
 @dataclass(frozen=True)
 class Generator:
     label: str
-    kind: str  # "scaling" | "wavelet"
     level: int  # lattice level indexing its translates / modulations
     m: int | None
     time: DiscreteFunction | None  # on G, when finitely supported there
@@ -153,16 +153,16 @@ def _assemble(chain: LatticeChain, family: dict, k0: int, k1: int, level_filters
         discrete = chain.group.kind in (INTEGERS, CYCLIC)
         for k in range(k0, k1 + 1):
             time = bsp.bspline_time(chain, k, order).time if discrete else None
-            scalings.append(Generator(f"phi[{k}]", "scaling", k, None, time, None))
+            scalings.append(Generator(f"phi[{k}]", k, None, time, None))
         for lf in level_filters:
             phi_next = scalings[lf.k + 1 - k0].time
             for m, g in enumerate(lf.gs, start=1):
                 wt = bsp.wavelet_time(chain, lf.k, g, phi_next) if discrete else None
-                wavelets.append(Generator(f"psi[{lf.k}][{m}]", "wavelet", lf.k, m, wt, None))
+                wavelets.append(Generator(f"psi[{lf.k}][{m}]", lf.k, m, wt, None))
     else:
         for k in range(k0, k1 + 1):
             freq = cf.indicator_generator(band, k).freq_function() if chain.dual.is_discrete else None
-            scalings.append(Generator(f"phi[{k}]", "scaling", k, None, _time_side(freq, chain), freq))
+            scalings.append(Generator(f"phi[{k}]", k, None, _time_side(freq, chain), freq))
         for lf in level_filters:
             phi_next = scalings[lf.k + 1 - k0].freq
             for m, g in enumerate(lf.gs, start=1):
@@ -171,7 +171,7 @@ def _assemble(chain: LatticeChain, family: dict, k0: int, k1: int, level_filters
                     vals = g.eval_many(np.arange(phi_next.start, phi_next.stop))
                     freq = DiscreteFunction(chain.dual, phi_next.start, vals * phi_next.array)
                 wavelets.append(
-                    Generator(f"psi[{lf.k}][{m}]", "wavelet", lf.k, m, _time_side(freq, chain), freq)
+                    Generator(f"psi[{lf.k}][{m}]", lf.k, m, _time_side(freq, chain), freq)
                 )
     return FrameSystem(
         chain, family, k0, k1, tuple(level_filters), tuple(scalings), tuple(wavelets), band
@@ -185,15 +185,10 @@ def _time_side(freq: DiscreteFunction | None, chain: LatticeChain) -> DiscreteFu
     return DiscreteFunction(chain.group, 0, np.fft.ifft(freq.array))
 
 
-def _default_side(system: FrameSystem) -> str:
-    kind = system.chain.group.kind
-    if kind in (INTEGERS, CYCLIC):
-        return "time"
-    if kind == TORUS:
-        return "freq"
-    raise UnsupportedVerificationError(
-        "Euclidean systems are certified through the matrix condition only"
-    )
+def _default_side(system: FrameSystem) -> str | None:
+    """The first of time and freq on which every generator has finite values, or None."""
+    gens = (*system.scalings, *system.wavelets)
+    return next((side for side in ("time", "freq") if all(getattr(g, side) is not None for g in gens)), None)
 
 
 def _generator_function(system, gen: Generator, side: str) -> DiscreteFunction:
@@ -253,7 +248,8 @@ def _coefficients(system: FrameSystem, gen: Generator, side: str, start: int, F:
     hi = max(lo, min(stop, g.stop))
     prod = F[:, lo - start : hi - start] * g.array[lo - g.start : hi - g.start].conj()
     lat = chain.level(gen.level).lattice
-    step = lat.points()[1 % lat.size]  # s, the generator of the lattice {j s}
+    step = lat.step[0]  # s, the generator of the lattice {j s}
+    step = int(step) if step.denominator == 1 else step
     # (j s, x) = (s, j x): the characters of all lattice points in one call
     chars = pairing(chain.group, step, np.outer(np.arange(lat.size), np.arange(lo, hi)))
     return 0, weight * np.einsum("jx,tx->tj", chars.reshape(lat.size, hi - lo).conj(), prod)
@@ -271,6 +267,11 @@ def _energies(system: FrameSystem, gens, side: str, start: int, F: np.ndarray) -
 def _stack_of_one(system: FrameSystem, f: DiscreteFunction, side: str | None) -> tuple[str, int, np.ndarray]:
     """(side, start, F): f as a stack of one on its analysis side, after checking that f lives there."""
     side = side or _default_side(system)
+    if side is None:
+        raise UnsupportedVerificationError(
+            f"no side where every generator has finite values on {system.chain.group.describe()}; "
+            "the system is certified through the matrix condition only"
+        )
     want = _side_group(system, side)
     if f.group != want:
         raise UnsupportedVerificationError(f"test function lives on {f.group.describe()}, expected {want.describe()}")

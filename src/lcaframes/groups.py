@@ -154,18 +154,16 @@ def point_array(points, group: GroupSpec) -> np.ndarray:
     return np.asarray(points, dtype=np.int64 if group.is_discrete else float).reshape(-1)
 
 
-def residue(group: GroupSpec, x, nums: np.ndarray, den: int = 1) -> tuple[np.ndarray, int]:
+def residue(group: GroupSpec, x, pts: np.ndarray) -> tuple[np.ndarray, int]:
     """(r, D) with (x, gamma) = e^{2 pi i r / D} and 0 <= r < D, in integers.
 
-    x has rational coordinates; the points are gamma = nums / den, with
-    integer nums of shape (n,) or (n, s).
+    The group has a discrete dual (Z_N, or T at a rational x), and pts holds
+    integer points gamma of it.
     """
     if group.kind == CYCLIC:
-        return x * nums % (group.modulus * den), group.modulus * den
-    cs = [Fraction(c) for c in (x if isinstance(x, tuple) else (x,))]
-    b = math.lcm(*(c.denominator for c in cs))
-    a = np.array([int(c * b) for c in cs], dtype=np.int64)
-    return nums.reshape(len(nums), len(cs)) @ a % (b * den), b * den
+        return x * pts % group.modulus, group.modulus
+    x = Fraction(x)
+    return x.numerator * pts % x.denominator, x.denominator
 
 
 def pairing(group: GroupSpec, x, gammas) -> np.ndarray:

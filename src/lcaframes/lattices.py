@@ -40,15 +40,6 @@ class ScaledLattice:
             out *= n
         return out
 
-    def density(self) -> Fraction:
-        """Haar measure of a fundamental domain, s(Lambda)."""
-        out = Fraction(1)
-        for s in self.step:
-            out *= Fraction(s)
-        if self.group.is_discrete:
-            out *= self.group.point_mass
-        return out
-
     def _scalar(self) -> bool:
         return self.group.kind != EUCLIDEAN
 

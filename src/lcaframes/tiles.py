@@ -151,14 +151,3 @@ def measure_estimate(spec: TileSpec, r: int, h: Fraction) -> tuple[float, float]
     estimate = len(keyed) * float(h) ** 2
     overlap = sum(1 for o in keyed.values() if len(o) > 1) / max(len(keyed), 1)
     return estimate, overlap
-
-
-def tile_to_csv(points, path, header: str = ""):
-    lines = []
-    if header:
-        lines.append(f"# {header}")
-    lines.append("x,y")
-    for p in points:
-        lines.append(f"{float(p[0]):.17g},{float(p[1]):.17g}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

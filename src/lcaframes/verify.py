@@ -17,11 +17,12 @@ from . import charfun as cf
 from . import domains
 from . import frame as fr
 from .bspline import bspline_hat, refinement_residual
+from .chains import MAX_POINTS
 from .domains import Ball, IntegerInterval
 from .exceptions import UncertifiedLevelError
 from .filters import dual_sampling_plan, verify_uep, worst_residual
 from .functions import random_test_function
-from .groups import CYCLIC, EUCLIDEAN, INTEGERS, TORUS
+from .groups import CYCLIC, INTEGERS
 
 COND_UEP = "uep-gram-identity"
 COND_REFINE = "refinement-transfer"
@@ -68,12 +69,10 @@ def run_verification(system: fr.FrameSystem, suite: str, samples: int, trials: i
     """All requested checks; each entry names the condition it certifies."""
     entries = []
     chain = system.chain
-    kind = chain.group.kind
     n_random = min(1024, max(16, samples // 4))
-    # the telescope entry needs a finitely supported analysis side
-    telescope = suite in ("telescope", "all") and (
-        kind in (INTEGERS, CYCLIC) or (kind == TORUS and system.family["type"] == "charfun")
-    )
+    # telescope and parseval need a side where every generator has finite values
+    side = fr._default_side(system)
+    telescope = suite in ("telescope", "all") and side is not None
     plans, reports = {}, {}
     if suite in ("uep", "refinement", "all") or telescope:
         for lf in system.level_filters:
@@ -93,7 +92,7 @@ def run_verification(system: fr.FrameSystem, suite: str, samples: int, trials: i
                 res = cf.indicator_refinement_residual(system.band, lf.k, plans[lf.k], lf.h)
             entries.append(_measured(COND_REFINE, res, tol, level=lf.k))
     if suite in ("fiber", "all"):
-        if kind == CYCLIC:
+        if chain.group.kind == CYCLIC:
             entries.append(_measured(COND_FIBER, _fiber_suite(system, seed), tol))
         else:
             entries.append(_entry(COND_FIBER, "skip", detail="fiber oracle runs on finite groups"))
@@ -102,14 +101,14 @@ def run_verification(system: fr.FrameSystem, suite: str, samples: int, trials: i
             try:
                 for k, rep in reports.items():
                     fr._require_certified(k, rep)
-                res = _telescope_suite(system, 20 if trials is None else trials, seed)
+                res = _telescope_suite(system, side, 20 if trials is None else trials, seed)
                 entries.append(_measured(COND_TELESCOPE, res, tol))
             except UncertifiedLevelError as exc:
                 entries.append(_entry(COND_TELESCOPE, "fail", detail=str(exc)))
         else:
             entries.append(_entry(COND_TELESCOPE, "skip", detail="out of desk-scale scope for this group"))
     if suite in ("parseval", "all"):
-        entries.extend(_parseval_suite(system, 100 if trials is None else trials, seed, tol))
+        entries.extend(_parseval_suite(system, side, 100 if trials is None else trials, seed, tol))
     if suite == "all":
         entries.extend(_condition_suite(system, samples, seed, tol))
     status = "fail" if any(e["status"] == "fail" for e in entries) else "pass"
@@ -141,33 +140,42 @@ def _test_window(system) -> tuple[int, int]:
     return (int(lo), int(hi))
 
 
-def _test_functions(system, trials: int, seed: int) -> tuple[str, int, np.ndarray]:
-    """(side, start, F): seeded test functions on the analysis side, one per row of F."""
-    side = fr._default_side(system)
+def _test_functions(system, side: str, trials: int, seed: int):
+    """(start, F) blocks of seeded test functions on the analysis side, one per row of F.
+
+    The rows are drawn in order from one generator, and each block holds at
+    most `chains.MAX_POINTS` complex entries (at least one row), so memory
+    does not grow with the number of trials.
+    """
     rng = np.random.default_rng(seed)
     lo, hi = _test_window(system)
-    F = np.empty((trials, hi - lo + 1), dtype=complex)
-    for row in F:
-        row[:] = random_test_function(fr._side_group(system, side), (lo, hi), rng).array
-    return side, lo, F
+    width = hi - lo + 1
+    rows = max(1, MAX_POINTS // width)
+    for first in range(0, trials, rows):
+        F = np.empty((min(rows, trials - first), width), dtype=complex)
+        for row in F:
+            row[:] = random_test_function(fr._side_group(system, side), (lo, hi), rng).array
+        yield lo, F
 
 
-def _telescope_suite(system, trials: int, seed: int) -> float:
+def _telescope_suite(system, side: str, trials: int, seed: int) -> float:
     """Worst telescoping gap over seeded trials, on levels already certified."""
-    side, start, F = _test_functions(system, trials, seed)
-    gaps = [fr._energy_gaps(system, lf.k, side, start, F) for lf in system.level_filters]
+    gaps = [
+        fr._energy_gaps(system, lf.k, side, start, F)
+        for start, F in _test_functions(system, side, trials, seed)
+        for lf in system.level_filters
+    ]
     return worst_residual(np.concatenate(gaps))[0]
 
 
-def _parseval_suite(system, trials: int, seed: int, tol: float) -> list:
-    kind = system.chain.group.kind
-    if kind == EUCLIDEAN:
-        return [_entry(COND_PARSEVAL, "skip", detail="out of desk-scale scope for Euclidean groups")]
-    if kind == TORUS and system.family["type"] != "charfun":
-        return [_entry(COND_PARSEVAL, "skip", detail="out of desk-scale scope: no finitely supported transform side")]
-    residuals = fr._parseval_residuals(system, *_test_functions(system, trials, seed))
+def _parseval_suite(system, side: str | None, trials: int, seed: int, tol: float) -> list:
+    if side is None:
+        detail = "out of desk-scale scope: no side where every generator is finite"
+        return [_entry(COND_PARSEVAL, "skip", detail=detail)]
+    blocks = _test_functions(system, side, trials, seed)
+    residuals = np.concatenate([fr._parseval_residuals(system, side, start, F) for start, F in blocks])
     entries = [_measured(COND_PARSEVAL, worst_residual(residuals)[0], tol, trials=trials)]
-    if kind == CYCLIC:
+    if system.chain.group.kind == CYCLIC:
         S = fr.frame_operator(system)
         dev = float(np.max(np.abs(S - np.eye(S.shape[0]))))
         entries.append(_measured(COND_PARSEVAL, dev, tol, detail="frame operator vs identity"))

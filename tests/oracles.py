@@ -157,12 +157,12 @@ def entrywise_residual(P: UepMatrix, gamma) -> float:
 def uep_per_point(P: UepMatrix, plan) -> tuple[np.ndarray, bool]:
     """Residual at every plan point, exact wherever the filter values allow.
 
-    The exact Gram residual is evaluated again at each point of an exhaustive
-    plan; the flag is true only if every point had one.
+    On a discrete dual the exact Gram residual is evaluated again at each
+    point; the flag is true only if every point had one.
     """
     res = pointwise_residuals(P, plan.points)
-    exact = plan.exact
-    if plan.exact:
+    exact = P.chain.dual.is_discrete
+    if exact:
         for i, g in enumerate(plan.points.tolist()):
             w2 = gram_residual_exact(P, g)
             if w2 is None:
@@ -178,8 +178,8 @@ def indicator_refinement_per_point(band, k: int, plan, h=None) -> tuple[np.ndarr
     gk, gk1 = indicator_generator(band, k), indicator_generator(band, k + 1)
     pts = plan.points
     res = np.abs(gk.hat_many(pts) - h.eval_many(pts) * gk1.hat_many(pts))
-    exact = plan.exact
-    if plan.exact:
+    exact = band.chain.dual.is_discrete
+    if exact:
         for i, g in enumerate(pts.tolist()):
             diff = refinement_exact(band, k, h, g)
             if diff is None:

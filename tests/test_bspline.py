@@ -206,7 +206,7 @@ def test_refinement_exhaustive_rationals():
     ch = integer_chain(2)
     from lcaframes.filters import SamplingPlan
 
-    plan = SamplingPlan(tuple(Fraction(j, 16) for j in range(16)), True, "rationals j/16")
+    plan = SamplingPlan(tuple(Fraction(j, 16) for j in range(16)), "rationals j/16")
     assert refinement_residual(ch, 1, 1, plan) <= 1e-15
 
 

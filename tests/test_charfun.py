@@ -42,7 +42,7 @@ def test_cyclic_band_sets():
 def test_cyclic_band_validation():
     with pytest.raises(DomainParameterError, match="level 1"):
         band_chain_cyclic(3, [0, 2, 3, 7])  # L_1 > 2^1 - 1
-    with pytest.raises(DomainParameterError, match="level 2"):
+    with pytest.raises(DomainParameterError, match="nest between levels 1 and 2"):
         band_chain_cyclic(3, [0, 1, 0, 7])  # decreasing
     with pytest.raises(DomainParameterError, match="top band"):
         band_chain_cyclic(3, [0, 1, 3, 6])
@@ -60,21 +60,21 @@ def test_torus_band_sets():
 def test_torus_band_strictly_increasing():
     with pytest.raises(DomainParameterError, match="strictly"):
         band_chain_torus([2, 3], [0, 0])
-    with pytest.raises(DomainParameterError, match="exceeds"):
+    with pytest.raises(DomainParameterError, match="level 1 is not inside the dual cell"):
         band_chain_torus([2, 3], [0, 3])
 
 
 def test_ball_band_rejects_large_radius():
-    with pytest.raises(DomainParameterError, match="below"):
+    with pytest.raises(DomainParameterError, match="level 0 is not inside the dual cell"):
         band_chain_balls([[2, 2], [2, 2]], [Fraction(1), Fraction(3, 2)])  # radius = min N/2
     band = band_chain_balls([[2, 2], [2, 2]], [Fraction(9, 10), Fraction(19, 10)])
     assert band.omega(0) == Ball(Fraction(9, 10))
 
 
 def test_box_band_validation():
-    with pytest.raises(DomainParameterError, match="positive"):
+    with pytest.raises(DomainParameterError, match="degenerate box"):
         band_chain_boxes([[2, 2]], [[0, 1]])
-    with pytest.raises(DomainParameterError, match="exceeds"):
+    with pytest.raises(DomainParameterError, match="level 0 is not inside the dual cell"):
         band_chain_boxes([[2, 2]], [[Fraction(3, 2), 2]])
 
 

@@ -1,5 +1,6 @@
 """End-to-end CLI: construct, verify, emit, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -84,6 +85,22 @@ def test_construct_counts_bspline(tmp_path, capsys):
     assert data["k1"] == 10
     assert len(data["filters"]) == 10
     assert all(len(entry["g"]) == 2 for entry in data["filters"])
+
+
+def test_construct_names_zero_generators_without_a_cause(tmp_path, capsys):
+    # the order-4 mask (1 - z^2)^2 vanishes at z = (-1)^gamma: no band is involved
+    desc = {"group": {"variant": "cyclic", "params": {"modulus": 16}}, "family": {"bspline": {"order": 4}}}
+    construct(tmp_path, desc)
+    assert "  psi[0][2]: identically zero\n" in capsys.readouterr().out
+
+
+def test_verify_skips_telescope_and_parseval_without_a_finite_side(tmp_path):
+    # a Shannon system on Z has generators with no finite values on either side
+    spath = construct(tmp_path, dict(Z_BSPLINE, family={"charfun": {"mode": "shannon"}}))
+    rpath = tmp_path / "report.json"
+    assert main(["verify", str(spath), "--suite", "all", "--samples", "256", "--report", str(rpath)]) == 0
+    status = {e["condition"]: e["status"] for e in json.loads(rpath.read_text())["checks"]}
+    assert status["level-telescoping"] == status["parseval-bound-one"] == "skip"
 
 
 def test_construct_shannon_family_count(tmp_path):
@@ -225,6 +242,8 @@ def test_emit_tile(tmp_path):
     assert code == 0
     rows = (out / "tile.csv").read_text().strip().splitlines()
     assert len(rows) == 2 + 4096
+    digest = hashlib.sha256((out / "tile.csv").read_bytes()).hexdigest()
+    assert digest == "494574fa0763800148898c6e4b923ee7c2e04c6f36cb6bc92d69b3f73bbfab8d"
 
 
 def test_emit_tile_bad_params(tmp_path):

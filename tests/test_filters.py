@@ -140,17 +140,17 @@ def test_verify_uep_shannon_exact_zero(z8chain):
     assert report.exact
 
 
-def test_verify_uep_invalid_duplicate_row(zchain):
-    h, _ = haar_pair(zchain, 0)
-    P = assemble_uep(zchain, 0, h, [h])
-    plan = SamplingPlan((0,), True, "origin")
+def test_verify_uep_invalid_duplicate_row(z8chain):
+    h, _ = haar_pair(z8chain, 0)
+    P = assemble_uep(z8chain, 0, h, [h])
+    plan = SamplingPlan((0,), "origin")
     report = verify_uep(P, plan)
     assert report.exact and report.residual == pytest.approx(2.0, abs=1e-12)
 
 
 def test_verify_uep_empty_plan():
     with pytest.raises(EmptySamplingPlanError):
-        SamplingPlan((), True, "empty")
+        SamplingPlan((), "empty")
 
 
 def test_entrywise_matches_matrix_residual(zchain):

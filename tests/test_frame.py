@@ -36,7 +36,7 @@ from lcaframes.filters import worst_residual
 from lcaframes.functions import DiscreteFunction, delta, random_test_function
 from lcaframes.groups import INTEGERS, TORUS, cyclic_group, dual_group, integer_group
 from lcaframes.lattices import cyclic_annihilator
-from lcaframes.verify import COND_PARSEVAL, _measured, _test_window
+from lcaframes.verify import COND_PARSEVAL, _measured, _test_window, run_verification
 
 from oracles import cis, pairing_phase
 
@@ -596,6 +596,22 @@ def test_parseval_long_test_function_on_z_stays_small():
     assert abs(_energy(system, f) - energy) <= 1e-13 * energy
     assert abs(res - abs(energy - f.norm2()) / f.norm2()) <= 1e-13
     assert res <= 1e-10
+
+
+@pytest.mark.parametrize("suite, trials", [("parseval", 1000), ("telescope", 250)])
+def test_suite_memory_does_not_grow_with_trials(suite, trials):
+    # test functions are drawn and reduced in blocks of at most MAX_POINTS entries
+    system = build_bspline_system(cyclic_chain(8), 2)
+    run_verification(system, suite, 64, 1, 1, 1e-10)  # first-call allocations stay out of the peaks
+    peaks = []
+    for count in (trials, 4 * trials):
+        tracemalloc.start()
+        try:
+            run_verification(system, suite, 64, count, 1, 1e-10)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0]
 
 
 def test_discrete_function_values_are_a_read_only_array():

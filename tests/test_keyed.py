@@ -11,7 +11,7 @@ import pytest
 
 from lcaframes import charfun, filters
 from lcaframes.bspline import refinement_filter
-from lcaframes.chains import cyclic_chain, integer_chain, torus_chain
+from lcaframes.chains import cyclic_chain, torus_chain
 from lcaframes.charfun import (
     band_chain_balls,
     band_chain_cyclic,
@@ -103,9 +103,9 @@ def test_keyed_pass_matches_per_point_oracle(name):
 
 
 def test_keyed_pass_matches_oracle_on_duplicate_row():
-    chain = integer_chain(3)
+    chain = cyclic_chain(3)
     h = refinement_filter(chain, 0, 1)
-    report = assert_uep_matches_oracle(assemble_uep(chain, 0, h, [h]), SamplingPlan((0,), True, "origin"))
+    report = assert_uep_matches_oracle(assemble_uep(chain, 0, h, [h]), SamplingPlan((0,), "origin"))
     assert report.exact and report.residual == pytest.approx(2.0, abs=1e-12)
 
 
@@ -152,10 +152,10 @@ def test_keyed_pass_matches_oracle_on_corrupted_coefficient():
 def test_one_non_quarter_turn_point_samples_the_level_in_floats():
     system = build_bspline_system(cyclic_chain(4), 2)
     P = system.uep_matrix(2)
-    assert verify_uep(P, SamplingPlan((0,), True, "quarter turns")).exact
+    assert verify_uep(P, SamplingPlan((0,), "quarter turns")).exact
     keys = P.exact_keys([0, 1])
     assert not (keys[0] == NO_EXACT).any() and (keys[1] == NO_EXACT).any()
-    report = verify_uep(P, SamplingPlan((0, 1), True, "one point off the quarter turns"))
+    report = verify_uep(P, SamplingPlan((0, 1), "one point off the quarter turns"))
     assert not report.exact and report.samples == 2 and report.residual <= 1e-12
 
 
@@ -164,8 +164,10 @@ def test_piecewise_keys_mark_values_without_exact_form():
     h = indicator_refinement_filter(band, 1)
     assert h.exact_keys([0, 1, 2, 3]).ravel().tolist() == [0, 0, -1, -1]
     assert _with_piece_value(h, 0, 1.0).exact_keys([0, 2]).ravel().tolist() == [NO_EXACT, -1]
-    balls = band_chain_balls([[2, 2], [2, 2]], ["1/4", "1/2"])
-    assert indicator_refinement_filter(balls, 0).exact_keys([(0.0, 0.0)]) is None  # continuous dual
+    # exactness comes from the dual: on a continuous one the keys are not tried
+    balls = build_charfun_system(band_chain_balls([[2, 2], [2, 2]], ["1/4", "1/2"]), "proper")
+    report = verify_uep(balls.uep_matrix(0), dual_sampling_plan(balls.chain, 0, grid=64, random=16))
+    assert not report.exact and report.residual <= 1e-12
 
 
 @pytest.mark.parametrize("name", sorted(GRAM_CALLS))

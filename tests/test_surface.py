@@ -4,7 +4,8 @@ A name counts as used when it is referenced somewhere in the package outside
 its own definition (as a name or an attribute), or when `lcaframes/__init__.py`
 exports it.  The match is by name only, so a method shares its uses with every
 other definition of the same name.  Names kept without a caller in the package
-are listed below with the reason.
+are listed below with the reason, and so is every public method name defined
+in more than one class, since a caller of one definition hides the others.
 """
 
 import ast
@@ -20,6 +21,13 @@ KEPT = {
     "functions.DiscreteFunction.translate": "the per-translate analysis oracle and the acceptance tests",
     "functions.DiscreteFunction.value_at": "point values for the fiber and analysis oracles",
     "verify.ALL_CONDITIONS": "the certified conditions; the CLI tests check a report covers each",
+}
+
+SHARED = {
+    "eval": "one-point evaluation of each filter representation",
+    "eval_many": "array evaluation of each filter representation, and of the UEP matrix over its coset columns",
+    "exact_keys": "value keys of each filter representation, and the UEP matrix's key rows made from them",
+    "eval_exact": "the exact value a key names, for each filter representation",
 }
 
 
@@ -66,6 +74,17 @@ def uncalled_names() -> list:
     return sorted(out)
 
 
+def shared_method_names() -> set:
+    """Public method names defined in more than one class of the package."""
+    seen, shared = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for qualname, _, _ in _definitions(ast.parse(path.read_text())):
+            if "." in qualname:
+                name = qualname.split(".")[-1]
+                (shared if name in seen else seen).add(name)
+    return shared
+
+
 def test_every_public_name_has_a_caller():
     assert [name for name in uncalled_names() if name not in KEPT] == []
 
@@ -73,3 +92,8 @@ def test_every_public_name_has_a_caller():
 def test_kept_names_still_exist_without_a_caller():
     # a kept name that gains a caller, or is deleted, leaves the list
     assert sorted(KEPT) == [name for name in uncalled_names() if name in KEPT]
+
+
+def test_method_names_shared_by_classes_are_listed():
+    # the caller check above cannot tell such methods apart, so each is kept on purpose
+    assert sorted(shared_method_names()) == sorted(SHARED)
