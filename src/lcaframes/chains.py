@@ -13,7 +13,7 @@ Z_{2^M}, product chains on T, and diagonally scaled chains on R^s.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import domains
@@ -114,12 +114,8 @@ def integer_chain(M: int) -> LatticeChain:
         ann = ScaledLattice(Gd, (Fraction(1, step),), (step,))
         q = IntegerInterval(0, step - 1)
         v = interval(0, Fraction(1, step))
-        if k < M:
-            d, eta, nu = 2, step // 2, (0, Fraction(1, step))
-        else:
-            d = eta = nu = None
-        levels.append(ChainLevel(k, lat, ann, q, v, d, nu, eta))
-    return LatticeChain(G, Gd, "integer", {"M": M}, tuple(levels))
+        levels.append(ChainLevel(k, lat, ann, q, v))
+    return LatticeChain(G, Gd, "integer", {"M": M}, _with_cosets(levels))
 
 
 def cyclic_chain(M: int) -> LatticeChain:
@@ -137,12 +133,8 @@ def cyclic_chain(M: int) -> LatticeChain:
         ann = ScaledLattice(Gd, (Fraction(2**k),), (step,))
         q = IntegerInterval(0, step - 1)
         v = IntegerInterval(0, 2**k - 1)
-        if k < M:
-            d, eta, nu = 2, step // 2, (0, 2**k)
-        else:
-            d = eta = nu = None
-        levels.append(ChainLevel(k, lat, ann, q, v, d, nu, eta))
-    return LatticeChain(G, Gd, "cyclic", {"M": M}, tuple(levels))
+        levels.append(ChainLevel(k, lat, ann, q, v))
+    return LatticeChain(G, Gd, "cyclic", {"M": M}, _with_cosets(levels))
 
 
 def torus_chain(m_factors: list[int]) -> LatticeChain:
@@ -168,14 +160,8 @@ def torus_chain(m_factors: list[int]) -> LatticeChain:
         ann = ScaledLattice(Gd, (Fraction(nk),))
         q = interval(0, Fraction(1, nk))
         v = IntegerInterval(-nk // 2, nk // 2 - 1)
-        if k + 1 < len(sizes):
-            d = m_factors[k + 1]
-            nu = tuple(l * nk for l in range(d))
-            eta = Fraction(1, sizes[k + 1]) if d == 2 else None
-        else:
-            d = nu = eta = None
-        levels.append(ChainLevel(k, lat, ann, q, v, d, nu, eta))
-    return LatticeChain(G, Gd, "torus", {"m_factors": list(m_factors)}, tuple(levels))
+        levels.append(ChainLevel(k, lat, ann, q, v))
+    return LatticeChain(G, Gd, "torus", {"m_factors": list(m_factors)}, _with_cosets(levels))
 
 
 def euclidean_chain(m_table: list[list[int]]) -> LatticeChain:
@@ -209,26 +195,24 @@ def euclidean_chain(m_table: list[list[int]]) -> LatticeChain:
             tuple(Fraction(-n, 2) for n in nk),
             tuple(Fraction(n, 2) for n in nk),
         )
-        if k + 1 < depth:
-            ms = [m_table[r][k + 1] for r in range(s)]
-            d = 1
-            for m in ms:
-                d *= m
-            nu = _digit_products(nk, ms)
-            eta = None
-            if d == 2:  # only possible for s = 1
-                eta = (Fraction(1, sizes[k + 1][0]),)
-        else:
-            d = nu = eta = None
-        levels.append(ChainLevel(k, lat, ann, q, v, d, nu, eta))
-    return LatticeChain(G, Gd, "euclidean", {"m_table": [list(r) for r in m_table]}, tuple(levels))
+        levels.append(ChainLevel(k, lat, ann, q, v))
+    return LatticeChain(G, Gd, "euclidean", {"m_table": [list(r) for r in m_table]}, _with_cosets(levels))
 
 
-def _digit_products(scales, counts) -> tuple:
-    """Coset representatives prod_r scales[r]*{0..counts[r]-1}, zero first."""
-    out = [()]
-    for n, m in zip(scales, counts):
-        out = [p + (int(n) * j,) for p in out for j in range(m)]
+def _with_cosets(levels: list) -> tuple:
+    """The levels with their coset data derived from the lattices.
+
+    d_k is the product of the per-axis step ratios of Lambda_k over
+    Lambda_{k+1}; nu_{k,l} are the multiples of the level-k annihilator steps
+    below those ratios, zero first; eta_k is the level-(k+1) point with all
+    j = 1 when d_k = 2.
+    """
+    out = list(levels)
+    for i, (lvl, finer) in enumerate(zip(levels, levels[1:])):
+        ratios = [int(a / b) for a, b in zip(lvl.lattice.step, finer.lattice.step)]
+        nu = tuple(map(lvl.annihilator._point, itertools.product(*map(range, ratios))))
+        eta = finer.lattice._point([1] * len(ratios)) if len(nu) == 2 else None
+        out[i] = replace(lvl, index=len(nu), cosets=nu, splitter=eta)
     return tuple(out)
 
 
@@ -238,35 +222,7 @@ def refined_dual_domain(chain: LatticeChain, k: int) -> CosetUnion:
     Union of nu_{k,l} + V_k over l; pairwise disjoint with total measure
     d_k * measure(V_k).
     """
-    lvl = chain.level(k)
-    chain.level(k + 1)
-    if lvl.index is None:
-        raise IndexRangeError(f"no successor level for {k}")
-    return CosetUnion(lvl.domain_v, lvl.cosets)
-
-
-def chain_to_json(chain: LatticeChain) -> dict:
-    group = {"variant": chain.group.kind}
-    if chain.group.kind == "cyclic":
-        group["params"] = {"modulus": chain.group.modulus}
-    elif chain.group.kind == "euclidean":
-        group["params"] = {"dimension": chain.group.dimension}
-    else:
-        group["params"] = {}
-    levels = []
-    for lvl in chain.levels:
-        entry = {
-            "k": lvl.k,
-            "q": domains.domain_to_json(lvl.domain_q),
-            "v": domains.domain_to_json(lvl.domain_v),
-        }
-        if lvl.index is not None:
-            entry["d"] = lvl.index
-            entry["nu"] = [domains._point_json(x) for x in lvl.cosets]
-            if lvl.splitter is not None:
-                entry["eta"] = domains._point_json(lvl.splitter)
-        levels.append(entry)
-    return {"group": group, "kind": chain.kind, "params": chain.params, "levels": levels}
+    return CosetUnion(chain.level(k).domain_v, chain.cosets(k))
 
 
 def chain_from_params(kind: str, params: dict) -> LatticeChain:

@@ -77,6 +77,9 @@ def build_from_descriptor(desc: dict) -> fr.FrameSystem:
             "chain.M_table",
             "need one factor list per axis",
         )
+        if "dimension" in params:
+            dim = params["dimension"]
+            _require(type(dim) is int and dim == len(table), "group.params.dimension", "need one M_table row per axis")
         chain = euclidean_chain(table)
 
     family = desc.get("family")

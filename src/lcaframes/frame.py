@@ -386,12 +386,9 @@ def _energy_gaps(system: FrameSystem, k: int, side: str, start: int, F: np.ndarr
 
 
 def system_to_json(system: FrameSystem, seed: int | None = None) -> dict:
-    from .chains import chain_to_json
-
     data = {
         "format": "lcaframes/1",
         "chain": {"kind": system.chain.kind, "params": system.chain.params},
-        "chain_detail": chain_to_json(system.chain),
         "family": system.family,
         "k0": system.k0,
         "k1": system.k1,

@@ -99,8 +99,19 @@ def test_verify_skips_telescope_and_parseval_without_a_finite_side(tmp_path):
     spath = construct(tmp_path, dict(Z_BSPLINE, family={"charfun": {"mode": "shannon"}}))
     rpath = tmp_path / "report.json"
     assert main(["verify", str(spath), "--suite", "all", "--samples", "256", "--report", str(rpath)]) == 0
-    status = {e["condition"]: e["status"] for e in json.loads(rpath.read_text())["checks"]}
-    assert status["level-telescoping"] == status["parseval-bound-one"] == "skip"
+    checks = {e["condition"]: e for e in json.loads(rpath.read_text())["checks"]}
+    for cond in ("level-telescoping", "parseval-bound-one"):
+        assert checks[cond]["status"] == "skip"
+        assert checks[cond]["detail"] == "out of desk-scale scope: no side where every generator is finite"
+
+
+def test_translate_disjointness_fails_when_the_target_leaves_v_k(tmp_path):
+    # with k1 = 2 the deep level is 2, and the Shannon target V_3 is not inside V_2
+    rpath = tmp_path / "report.json"
+    spath = construct(tmp_path, dict(Z8_SHANNON, k1=2))
+    assert main(["verify", str(spath), "--suite", "all", "--report", str(rpath)]) == 1
+    [entry] = [e for e in json.loads(rpath.read_text())["checks"] if e["condition"] == "translate-disjointness"]
+    assert (entry["status"], entry["level"]) == ("fail", 2)
 
 
 def test_construct_shannon_family_count(tmp_path):
@@ -177,6 +188,26 @@ def test_uncertified_level_fails_telescope_entry(tmp_path, suite, desc, corrupt,
     [entry] = [e for e in json.loads(rpath.read_text())["checks"] if e["condition"] == "level-telescoping"]
     assert entry["status"] == "fail" and "residual" not in entry
     assert entry["detail"].startswith(f"level 1 matrix identity fails ({shown}")
+
+
+def test_telescope_certifies_levels_at_the_run_tolerance(tmp_path):
+    # a level-1 wavelet off by a relative 1e-7 passes every UEP entry at --tolerance 1e-6,
+    # so the telescope entry certifies its levels at that tolerance too
+    desc = dict(Z8_SHANNON, group={"variant": "cyclic", "params": {"modulus": 16}}, chain={"M": 4},
+                family={"bspline": {"order": 2}})
+    data = json.loads(construct(tmp_path, desc).read_text())
+    g = data["filters"][1]["g"][0]
+    del g["coeffs_exact"]
+    g["coeffs"][0] = [c * (1 + 1e-7) for c in g["coeffs"][0]]
+    cpath = tmp_path / "perturbed.json"
+    cpath.write_text(json.dumps(data))
+    rpath = tmp_path / "report.json"
+    assert main(["verify", str(cpath), "--suite", "all", "--tolerance", "1e-6", "--report", str(rpath)]) == 0
+    checks = json.loads(rpath.read_text())["checks"]
+    [uep1] = [e for e in checks if e["condition"] == "uep-gram-identity" and e["level"] == 1]
+    [telescope] = [e for e in checks if e["condition"] == "level-telescoping"]
+    assert 1e-8 < uep1["residual"] <= 1e-6
+    assert telescope["status"] == "pass"
 
 
 def test_skipped_telescope_runs_no_uep_check(tmp_path, monkeypatch):
@@ -447,8 +478,13 @@ def test_construct_order_above_desk_scale_exit_3(tmp_path, capsys):
         dict(Z8_SHANNON, family={"charfun": {"mode": "proper", "L": 5}}),
         dict(EUCLID_BOXES, chain={"M_table": [3]}),
         dict(EUCLID_BOXES, family={"charfun": {"mode": "proper", "L": ["x", "1"], "shape": "balls"}}),
+        dict(EUCLID_BOXES, group={"variant": "euclidean", "params": {"dimension": 3}}),
+        dict(EUCLID_BOXES, group={"variant": "euclidean", "params": {"dimension": "banana"}}),
     ],
-    ids=["bspline-not-object", "charfun-not-object", "params-not-object", "L-not-list", "M_table-row", "L-not-rational"],
+    ids=[
+        "bspline-not-object", "charfun-not-object", "params-not-object", "L-not-list", "M_table-row",
+        "L-not-rational", "dimension-not-M_table-rows", "dimension-not-int",
+    ],
 )
 def test_construct_malformed_descriptor_exit_2(tmp_path, capsys, desc):
     dpath = write_descriptor(tmp_path, desc)

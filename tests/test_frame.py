@@ -379,16 +379,6 @@ def test_uep_report_serialization():
     assert data["residual"] == 0.0 and data["exact"] is True
 
 
-def test_chain_json_schema_fields():
-    from lcaframes.chains import chain_to_json
-
-    data = chain_to_json(integer_chain(2))
-    assert set(data) == {"group", "kind", "params", "levels"}
-    assert data["group"]["variant"] == "integers"
-    assert [lvl["k"] for lvl in data["levels"]] == [0, 1, 2]
-    assert data["levels"][0]["d"] == 2 and "eta" in data["levels"][0]
-
-
 # The per-translate sums below are the definitions the array paths in
 # lcaframes.frame are checked against: one inner product per lattice point,
 # one outer product per system element, one loop per fiber.
