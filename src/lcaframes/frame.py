@@ -14,8 +14,9 @@ Verification entry points:
 
 A system is analysed on the first of its time and frequency sides where
 every generator has finite values: by translates on Z and Z_N, by modulates
-for band systems on T (their dual is discrete).  Systems with no such side
-(splines on T, everything on R^s) are matrix-condition only and rejected here.
+for band systems on T (their dual is discrete), with energies from fiber folds
+on finite lattices.  Systems with no such side (splines on T, all on R^s) are
+matrix-condition only and rejected here.
 """
 
 from __future__ import annotations
@@ -256,11 +257,30 @@ def _coefficients(system: FrameSystem, gen: Generator, side: str, start: int, F:
 
 
 def _energies(system: FrameSystem, gens, side: str, start: int, F: np.ndarray) -> np.ndarray:
-    """Per stacked test function, the sum over gens of its squared coefficients."""
+    """Per stacked test function, the sum over gens of its squared coefficients.
+
+    On a finite lattice of r points, Plancherel on the quotient by x mod r gives
+    sum_j |c_j|^2 = weight^2 r sum_{a mod r} |sum_{x = a mod r} F(x) conj g(x)|^2
+    for modulates; translates on Z_N are modulates after one FFT (weight point_mass / N).
+    On Z, whose lattices are infinite, the coefficients come from translates.
+    """
+    group = _side_group(system, side)
+    weight, fourier = float(group.point_mass), side == "time" and group.kind == CYCLIC
+    if fourier:
+        F, weight = np.fft.fft(F), weight / group.modulus
     total = np.zeros(len(F))
     for gen in gens:
-        c = _coefficients(system, gen, side, start, F)[1]
-        total += np.sum(c.real**2 + c.imag**2, axis=1)
+        lat = system.chain.level(gen.level).lattice
+        if lat.is_finite:
+            g, r = _generator_function(system, gen, side), lat.size
+            lo, hi = max(start, g.start), max(start, g.start, min(start + F.shape[1], g.stop))
+            gv = (np.fft.fft(g.array) if fourier else g.array)[lo - g.start : hi - g.start]
+            prod = np.zeros((len(F), -(-(hi - lo + lo % r) // r) * r), dtype=complex)  # whole periods from lo - lo % r
+            np.multiply(F[:, lo - start : hi - start], gv.conj(), out=prod[:, lo % r : hi - lo + lo % r])
+            c, w2 = prod.reshape(len(F), -1, r).sum(axis=1), weight**2 * r
+        else:
+            c, w2 = _coefficients(system, gen, side, start, F)[1], 1.0
+        total += w2 * np.sum(c.real**2 + c.imag**2, axis=1)
     return total
 
 

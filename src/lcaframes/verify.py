@@ -13,7 +13,7 @@ import numpy as np
 from . import charfun as cf
 from . import domains
 from . import frame as fr
-from .bspline import bspline_hat, refinement_residual
+from .bspline import refinement_residual
 from .chains import MAX_POINTS
 from .exceptions import UncertifiedLevelError
 from .filters import dual_sampling_plan, verify_uep, worst_residual
@@ -110,7 +110,7 @@ def run_verification(system: fr.FrameSystem, suite: str, samples: int, trials: i
         else:
             entries.extend(_parseval_suite(system, side, 100 if trials is None else trials, seed, tol))
     if suite == "all":
-        entries.extend(_condition_suite(system, samples, seed, tol))
+        entries.extend(_condition_suite(system))
     status = "fail" if any(e["status"] == "fail" for e in entries) else "pass"
     return entries, status
 
@@ -179,31 +179,26 @@ def _parseval_suite(system, side: str, trials: int, seed: int, tol: float) -> li
     return entries
 
 
-def _condition_suite(system, samples: int, seed: int, tol: float) -> list:
-    """Deep-level normalization spot check and translate-disjointness.
+def _condition_suite(system) -> list:
+    """Deep-level normalization and translate-disjointness, both decided exactly.
 
-    Annihilator translates of a set are pairwise disjoint when the set lies in
-    V_K, a fundamental domain of the annihilator.
+    Phi_K is flat, of modulus scale_K, on a target inside Omega_K (bands) or
+    when Q_K is one point (splines on Z and Z_N), and normalized iff mu(V_K)
+    scale_K^2 = 1.  Annihilator translates of a set inside V_K are disjoint.
     """
-    chain = system.chain
-    entries = []
-    K = system.k1
-    mu_v = float(chain.dual_cell_measure(K))
-    plan = dual_sampling_plan(chain, K, grid=min(samples, 512), random=128, seed=seed)
-    values = None
-    if system.family["type"] == "charfun":
-        pts = plan.points[domains.contains_many(system.band.exhaustion_target, plan.points, chain.dual)]
-        values = cf.indicator_generator(system.band, K).hat_many(pts)
-    elif chain.group.kind in (INTEGERS, CYCLIC):
-        # the deep-level window is a single point, so the spectrum is flat
-        values = bspline_hat(chain, K, system.family["order"], plan.points)
-    if values is None:
-        detail = "holds only in the infinite-depth limit for splines on this group"
-        entries.append(_entry(COND_LIMIT, "skip", detail=detail))
-    else:
-        entries.append(_measured(COND_LIMIT, worst_residual(np.abs(mu_v * np.abs(values) ** 2 - 1))[0], tol, level=K))
+    chain, K = system.chain, system.k1
     s_dom = system.band.exhaustion_target if system.family["type"] == "charfun" else chain.level(K).domain_v
     inside = domains.is_subset(s_dom, chain.level(K).domain_v, chain.dual)
     detail = "deep-level support inside V_K, a fundamental domain of the annihilator"
-    entries.append(_entry(COND_DISJOINT, "pass" if inside else "fail", level=K, detail=detail))
-    return entries
+    disjoint = _entry(COND_DISJOINT, "pass" if inside else "fail", level=K, detail=detail)
+    if system.family["type"] == "charfun":
+        fact, flat = "target inside Omega_K", domains.is_subset(s_dom, system.band.omega(K), chain.dual)
+        scale2 = cf.indicator_generator(system.band, K).scale.abs2()
+    elif chain.group.kind in (INTEGERS, CYCLIC):
+        fact, flat = "Q_K one point", chain.density(K) == chain.group.point_mass
+        scale2 = chain.density(K) ** (1 - 2 * system.family["order"])
+    else:
+        return [_entry(COND_LIMIT, "skip", detail="holds only in the infinite-depth limit for splines on this group"), disjoint]
+    unit = chain.dual_cell_measure(K) * scale2 == 1
+    detail = f"{fact}: {flat}; mu(V_K) scale_K^2 = 1: {unit}"
+    return [_entry(COND_LIMIT, "pass" if flat and unit else "fail", level=K, detail=detail), disjoint]

@@ -114,6 +114,16 @@ def test_translate_disjointness_fails_when_the_target_leaves_v_k(tmp_path):
     assert (entry["status"], entry["level"]) == ("fail", 2)
 
 
+def test_limit_normalization_fails_when_the_target_leaves_omega_k(tmp_path):
+    # the Shannon target V_3 is not inside Omega_2 = V_2, so Phi_2 vanishes on part of it
+    rpath = tmp_path / "report.json"
+    spath = construct(tmp_path, dict(Z8_SHANNON, k1=2))
+    assert main(["verify", str(spath), "--suite", "all", "--report", str(rpath)]) == 1
+    [entry] = [e for e in json.loads(rpath.read_text())["checks"] if e["condition"] == "limit-normalization"]
+    assert (entry["status"], entry["level"]) == ("fail", 2)
+    assert entry["detail"] == "target inside Omega_K: False; mu(V_K) scale_K^2 = 1: True"
+
+
 def test_construct_shannon_family_count(tmp_path):
     spath = construct(tmp_path, Z8_SHANNON)
     data = json.loads(spath.read_text())

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from lcaframes import frame
 from lcaframes.chains import cyclic_chain, euclidean_chain, integer_chain, torus_chain
 from lcaframes.charfun import band_chain_cyclic, band_chain_torus, full_band_chain
 from lcaframes.exceptions import (
@@ -235,21 +236,25 @@ def test_energy_bounds_bspline_top_level():
 
 
 def test_parseval_and_operator_verdicts_agree():
-    good = build_charfun_system(full_band_chain(cyclic_chain(3)), "shannon")
-    data = system_to_json(good)
-    # corrupt one wavelet filter in the artifact
-    for piece in data["filters"][1]["g"][0]["pieces"]:
-        piece["value"] = {"re": 0.0, "im": 0.0}
-    bad = system_from_json(data)
-    rng = np.random.default_rng(SEED)
-    for system, expect_pass in ((good, True), (bad, False)):
-        op_dev = float(np.max(np.abs(frame_operator(system) - np.eye(8))))
-        worst = max(
-            parseval_residual(system, random_test_function(cyclic_group(8), (0, 7), rng))
-            for _ in range(5)
-        )
-        assert (op_dev <= 1e-12) == expect_pass
-        assert (worst <= 1e-10) == expect_pass
+    # on T the parseval half runs through the frequency-side fold; the operator half is Z_N only
+    for chain in (cyclic_chain(3), torus_chain([2, 3, 2, 2])):
+        good = build_charfun_system(full_band_chain(chain), "shannon")
+        data = system_to_json(good)
+        # corrupt one wavelet filter in the artifact
+        for piece in data["filters"][1]["g"][0]["pieces"]:
+            piece["value"] = {"re": 0.0, "im": 0.0}
+        bad = system_from_json(data)
+        group = chain.dual if chain.group.kind == TORUS else chain.group
+        rng = np.random.default_rng(SEED)
+        for system, expect_pass in ((good, True), (bad, False)):
+            worst = max(
+                parseval_residual(system, random_test_function(group, _test_window(system), rng))
+                for _ in range(5)
+            )
+            assert (worst <= 1e-10) == expect_pass
+            if chain.group.kind != TORUS:
+                op_dev = float(np.max(np.abs(frame_operator(system) - np.eye(8))))
+                assert (op_dev <= 1e-12) == expect_pass
 
 
 def test_translation_modulation_equivalence_cyclic():
@@ -541,6 +546,27 @@ def test_batched_coefficients_match_oracle_row_by_row(name, count):
             assert set(got) == set(want)
             scale = max(abs(c) for c in want.values())
             assert max(abs(got[lam] - c) for lam, c in want.items()) <= 1e-13 * scale
+        # the energy comes from the fiber fold on finite lattices, the gather on Z
+        energies = _energies(system, [gen], side, fs[0].start, F)
+        for f, energy in zip(fs, energies):
+            want = sum(abs(c) ** 2 for c in _oracle_coefficients(system, gen, f, side).values())
+            assert abs(energy - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize("name", ["z-spline", "zn-spline", "zn-band", "t-shannon"])
+@pytest.mark.parametrize("suite", ["parseval", "telescope"])
+def test_energies_fold_on_finite_lattices_and_gather_on_z(name, suite, monkeypatch):
+    def gather(*args):
+        raise AssertionError("coefficients gathered")
+
+    system = ORACLE_SYSTEMS[name]()
+    monkeypatch.setattr(frame, "_coefficients", gather)
+    if system.chain.group.kind == INTEGERS:
+        with pytest.raises(AssertionError, match="coefficients gathered"):
+            run_verification(system, suite, 64, 5, 1, 1e-10)
+    else:
+        entries, status = run_verification(system, suite, 64, 5, 1, 1e-10)
+        assert status == "pass" and entries
 
 
 def test_translate_rows_are_views_of_one_base_array():
