@@ -31,10 +31,11 @@ from .exceptions import (
     UnsupportedIndexError,
     UnsupportedOrderError,
     UnsupportedRepresentationError,
+    require_int,
 )
 from .filters import SamplingPlan, TrigPolynomial, worst_residual
 from .functions import DiscreteFunction
-from .groups import CYCLIC, EUCLIDEAN, INTEGERS, TORUS, element_add, point_array
+from .groups import point_array
 
 
 MAX_ORDER = 16  # desk-scale cap on the spline order
@@ -47,7 +48,7 @@ def require_order(order: int):
     N - 1 convolutions, the even-order family has N masks of N + 1 terms, and
     their exact coefficients carry radicands up to 2 C(N, N/2).
     """
-    if not isinstance(order, int) or order < 1:
+    if require_int(order, "order") < 1:
         raise UnsupportedOrderError(f"order must be an integer >= 1, got {order!r}")
     if order > MAX_ORDER:
         raise ResourceLimitError(f"order {order} exceeds {MAX_ORDER} (desk-scale cap)")
@@ -76,7 +77,7 @@ def check_refinement_splitting(chain: LatticeChain, k: int):
     if isinstance(qk, IntegerInterval):
         big = set(domains.iter_points(qk, chain.group))
         small = list(domains.iter_points(qk1, chain.group))
-        shifted = [element_add(chain.group, x, eta) for x in small]
+        shifted = domains.shift_points(np.array(small), eta, chain.group).tolist()
         union = set(small) | set(shifted)
         if set(small) & set(shifted):
             raise SplittingError(f"overlap witness {sorted(set(small) & set(shifted))[0]}")
@@ -85,7 +86,7 @@ def check_refinement_splitting(chain: LatticeChain, k: int):
             raise SplittingError(f"splitting fails at point {witness}")
         return
     if isinstance(qk, HalfOpenBox):
-        ecs = domains.coords(eta)
+        ecs = chain.group.coords(eta)
         for axis, (lo, hi, lo1, hi1, e) in enumerate(zip(qk.lo, qk.hi, qk1.lo, qk1.hi, ecs)):
             width = Fraction(hi1) - Fraction(lo1)
             if not (Fraction(lo) == Fraction(lo1) and Fraction(e) == width and Fraction(hi) == Fraction(lo1) + 2 * width):
@@ -99,24 +100,22 @@ def bspline_time(chain: LatticeChain, k: int, order: int) -> BSplineGenerator:
     require_order(order)
     group = chain.group
     q = chain.level(k).domain_q
-    if group.kind in (INTEGERS, CYCLIC):
-        pts = list(domains.iter_points(q, group))
-        base = np.ones(len(pts))  # float: int64 wraps once |Q_k|^(order-1) passes 2^63
-        conv = base
-        for _ in range(order - 1):
-            conv = np.convolve(conv, base)
-        scale = float(chain.density(k)) ** (-order + 0.5)
-        if group.kind == CYCLIC:
-            n = group.modulus
-            full = np.zeros(n, dtype=complex)
-            np.add.at(full, (pts[0] * order + np.arange(len(conv))) % n, conv)
-            fn = DiscreteFunction(group, 0, full * scale)
-        else:
-            fn = DiscreteFunction(group, pts[0] * order, conv * scale)
-        return BSplineGenerator(chain, k, order, fn)
-    if group.kind in (TORUS, EUCLIDEAN):
+    if not group.is_discrete:
         return BSplineGenerator(chain, k, order, None)
-    raise UnsupportedRepresentationError(f"no spline representation on {group.describe()}")
+    pts = list(domains.iter_points(q, group))
+    base = np.ones(len(pts))  # float: int64 wraps once |Q_k|^(order-1) passes 2^63
+    conv = base
+    for _ in range(order - 1):
+        conv = np.convolve(conv, base)
+    scale = float(chain.density(k)) ** (-order + 0.5)
+    if group.is_finite:
+        n = group.modulus
+        full = np.zeros(n, dtype=complex)
+        np.add.at(full, (pts[0] * order + np.arange(len(conv))) % n, conv)
+        fn = DiscreteFunction(group, 0, full * scale)
+    else:
+        fn = DiscreteFunction(group, pts[0] * order, conv * scale)
+    return BSplineGenerator(chain, k, order, fn)
 
 
 def _dirichlet(q: IntegerInterval, t: np.ndarray) -> np.ndarray:
@@ -150,11 +149,10 @@ def bspline_hat(chain: LatticeChain, k: int, order: int, gammas) -> np.ndarray:
     group = chain.group
     q = chain.level(k).domain_q
     pts = point_array(gammas, chain.dual)
-    if group.kind == CYCLIC:
-        r = pts % group.modulus  # exact: t = r / N, centred on 0
-        base = _dirichlet(q, np.where(2 * r >= group.modulus, r - group.modulus, r) / group.modulus)
-    elif group.kind == INTEGERS:
-        base = _dirichlet(q, pts - np.round(pts))
+    if group.is_discrete:
+        p = chain.dual.period  # Z_N or T: t = r / p, centred on 0 (exact on Z_N)
+        r = pts % p
+        base = _dirichlet(q, np.where(2 * r >= p, r - p, r) / p)
     else:
         x = pts.reshape(len(pts), -1)
         base = np.ones(len(pts), dtype=complex)
@@ -238,7 +236,7 @@ def wavelet_time(chain: LatticeChain, k: int, filt: TrigPolynomial, phi: Discret
     if phi is None:
         raise UnsupportedRepresentationError("time-domain wavelets need Z or Z_N")
     offsets = [j * filt.step for j in filt.shifts]
-    if chain.group.kind == CYCLIC:
+    if chain.group.is_finite:
         terms = [complex(c) * np.roll(phi.array, o) for o, c in zip(offsets, filt.coeffs)]
         return DiscreteFunction(chain.group, 0, sum(terms[1:], terms[0]))
     lo = min(offsets)

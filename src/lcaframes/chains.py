@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import domains
 from .domains import CosetUnion, HalfOpenBox, IntegerInterval, interval
-from .exceptions import DomainParameterError, IndexRangeError, ResourceLimitError, SchemaError
+from .exceptions import DomainParameterError, IndexRangeError, ResourceLimitError, SchemaError, require_int
 from .groups import (
     GroupSpec,
     cyclic_group,
@@ -36,7 +36,8 @@ def require_desk_scale(factors, what: str):
     """Raise ResourceLimitError when the product of the chain factors exceeds MAX_POINTS.
 
     The product is the largest point set a system on the chain enumerates:
-    Q_0 on Z, the group itself on Z_N, the top dual cell on T.  It is formed
+    Q_0 on Z, the group itself on Z_N, the top dual cell on T (on R^s, per
+    axis: the top dual cell's grid lines).  It is formed
     factor by factor, so a huge depth fails before anything is built.
     """
     count = 1
@@ -103,9 +104,9 @@ class LatticeChain:
 
 def integer_chain(M: int) -> LatticeChain:
     """Dyadic chain on Z: Lambda_k = 2^{M-k} Z for k = 0..M."""
-    if not isinstance(M, int) or M < 1:
+    if require_int(M, "depth M") < 1:
         raise DomainParameterError(f"depth M must be a positive integer, got {M}")
-    require_desk_scale(itertools.repeat(2, M), f"integer chain of depth {M}")
+    require_desk_scale((2 for _ in range(M)), f"integer chain of depth {M}")
     G, Gd = integer_group(), torus_group()
     levels = []
     for k in range(M + 1):
@@ -120,9 +121,9 @@ def integer_chain(M: int) -> LatticeChain:
 
 def cyclic_chain(M: int) -> LatticeChain:
     """Dyadic chain on Z_{2^M}: Lambda_k = 2^{M-k} Z_{2^k} for k = 0..M."""
-    if not isinstance(M, int) or M < 1:
+    if require_int(M, "depth M") < 1:
         raise DomainParameterError(f"depth M must be a positive integer, got {M}")
-    require_desk_scale(itertools.repeat(2, M), f"cyclic chain of depth {M}")
+    require_desk_scale((2 for _ in range(M)), f"cyclic chain of depth {M}")
     n = 2**M
     G = cyclic_group(n)
     Gd = dual_group(G)
@@ -143,7 +144,7 @@ def torus_chain(m_factors: list[int]) -> LatticeChain:
     m_0 must be even (so the symmetric dual cells have integer endpoints) and
     every factor at least 2.
     """
-    if not m_factors or any(not isinstance(m, int) or m < 2 for m in m_factors):
+    if not m_factors or min([require_int(m, "chain factor") for m in m_factors]) < 2:
         raise DomainParameterError(f"all chain factors must be integers >= 2, got {m_factors}")
     if m_factors[0] % 2:
         raise DomainParameterError(f"the first chain factor must be even, got {m_factors[0]}")
@@ -175,8 +176,10 @@ def euclidean_chain(m_table: list[list[int]]) -> LatticeChain:
     depth = len(m_table[0])
     if any(len(row) != depth for row in m_table):
         raise DomainParameterError("all axes need the same number of factors")
-    if any(not isinstance(m, int) or m < 2 for row in m_table for m in row):
+    if min([require_int(m, "chain factor") for row in m_table for m in row]) < 2:
         raise DomainParameterError(f"all chain factors must be integers >= 2, got {m_table}")
+    for r, row in enumerate(m_table):
+        require_desk_scale(row, f"euclidean chain factors of axis {r}")
     s = len(m_table)
     G = euclidean_group(s)
     Gd = dual_group(G)

@@ -22,10 +22,10 @@ from . import domains
 from .chains import LatticeChain, cyclic_chain, euclidean_chain, refined_dual_domain, torus_chain
 from .domains import Ball, CosetUnion, HalfOpenBox, IntegerInterval
 from .exact import ZERO, Radical, sqrt_rational
-from .exceptions import DomainParameterError, ProperSubsetError
+from .exceptions import DomainParameterError, ProperSubsetError, require_int
 from .filters import CosetPiecewise, SamplingPlan, exact_residuals, worst_residual
 from .functions import DiscreteFunction
-from .groups import CYCLIC, point_array
+from .groups import point_array
 
 
 @dataclass(frozen=True)
@@ -66,10 +66,10 @@ def band_chain_cyclic(M: int, bounds: list[int]) -> OmegaChain:
     (L_M = 2^M - 1).
     """
     chain = cyclic_chain(M)
+    for L in bounds:
+        require_int(L, "band bound")
     if len(bounds) != M + 1:
         raise DomainParameterError(f"need {M + 1} band bounds, got {len(bounds)}")
-    if not all(isinstance(L, int) for L in bounds):
-        raise DomainParameterError("band bounds must be integers")
     if bounds[M] != 2**M - 1:
         raise DomainParameterError(f"top band bound must exhaust the dual group ({2**M - 1})")
     omegas = [IntegerInterval(0, L) for L in bounds]
@@ -83,11 +83,11 @@ def band_chain_torus(m_factors: list[int], bounds: list[int]) -> OmegaChain:
     cells (`_validate`).
     """
     chain = torus_chain(m_factors)
+    for k, L in enumerate(bounds):
+        require_int(L, f"band bound at level {k}")
     if len(bounds) != len(m_factors):
         raise DomainParameterError(f"need {len(m_factors)} band bounds, got {len(bounds)}")
     for k, L in enumerate(bounds):
-        if not isinstance(L, int):
-            raise DomainParameterError(f"band bound at level {k} must be an integer")
         if k and L <= bounds[k - 1]:
             raise DomainParameterError(f"band bounds must strictly increase at level {k}")
     omegas = [IntegerInterval(-L, L) for L in bounds]
@@ -158,7 +158,7 @@ class IndicatorGenerator:
             raise DomainParameterError("frequency-side values need a discrete dual")
         pts = np.fromiter(domains.iter_points(self.band.omega(self.k), dual), dtype=np.int64)
         # one full period on Z_N, the smallest window holding the band on Z
-        lo, size = (0, dual.modulus) if dual.kind == CYCLIC else (int(pts.min()), int(np.ptp(pts)) + 1)
+        lo, size = (0, dual.modulus) if dual.is_finite else (int(pts.min()), int(np.ptp(pts)) + 1)
         vals = np.zeros(size, dtype=complex)
         vals[(pts - lo) % size] = complex(self.scale)
         return DiscreteFunction(dual, lo, vals)

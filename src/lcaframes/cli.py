@@ -23,6 +23,7 @@ from . import verify
 from .chains import MAX_POINTS, cyclic_chain, euclidean_chain, integer_chain, torus_chain
 from .exceptions import LcaError, PeriodicityMismatchError, SchemaError
 from .filters import DEFAULT_SEED
+from .groups import integer_group
 
 
 def _fail(code: int, message: str) -> int:
@@ -56,15 +57,15 @@ def build_from_descriptor(desc: dict) -> fr.FrameSystem:
     chain_params = desc.get("chain", {})
     _require(isinstance(chain_params, dict), "chain", "chain parameters must be an object")
     if variant == "integers":
-        _require(isinstance(chain_params.get("M"), int), "chain.M", "missing integer depth M")
+        _require(type(chain_params.get("M")) is int, "chain.M", "missing integer depth M")
         chain = integer_chain(chain_params["M"])
     elif variant == "cyclic":
         modulus = params.get("modulus")
-        _require(isinstance(modulus, int) and modulus >= 2, "group.params.modulus", "need modulus >= 2")
+        _require(type(modulus) is int and modulus >= 2, "group.params.modulus", "need modulus >= 2")
         m = modulus.bit_length() - 1
         _require(2**m == modulus, "group.params.modulus", "modulus must be a power of two")
-        if "M" in chain_params:
-            _require(chain_params["M"] == m, "chain.M", f"depth must be {m} for modulus {modulus}")
+        depth = chain_params.get("M", m)
+        _require(type(depth) is int and depth == m, "chain.M", f"depth must be {m} for modulus {modulus}")
         chain = cyclic_chain(m)
     elif variant == "torus":
         seq = chain_params.get("M_seq")
@@ -86,14 +87,14 @@ def build_from_descriptor(desc: dict) -> fr.FrameSystem:
     _require(isinstance(family, dict), "family", "missing family object")
     k0 = desc.get("k0")
     k1 = desc.get("k1")
-    _require(k0 is None or isinstance(k0, int), "k0", "must be an integer")
-    _require(k1 is None or isinstance(k1, int), "k1", "must be an integer")
+    _require(k0 is None or type(k0) is int, "k0", "must be an integer")
+    _require(k1 is None or type(k1) is int, "k1", "must be an integer")
 
     if "bspline" in family:
         spec = family["bspline"]
         _require(isinstance(spec, dict), "family.bspline", "must be an object")
         order = spec.get("order")
-        _require(isinstance(order, int) and order >= 1, "family.bspline.order", "need order >= 1")
+        _require(type(order) is int and order >= 1, "family.bspline.order", "need order >= 1")
         return fr.build_bspline_system(chain, order, k0, k1)
     if "charfun" in family:
         spec = family["charfun"]
@@ -242,7 +243,7 @@ def cmd_emit(args) -> int:
     if args.what == "figure1":
         fam = system.family
         if not (
-            system.chain.kind == "integer"
+            system.chain.group == integer_group()
             and fam.get("type") == "bspline"
             and fam.get("order") == 2
             and system.chain.params.get("M") == 10

@@ -16,8 +16,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exceptions import DomainParameterError, SchemaError
-from .groups import CYCLIC, TORUS, GroupSpec, check_element, element_add, element_neg, point_array
+from .exact import to_float
+from .exceptions import DomainParameterError, SchemaError, require_int
+from .groups import GroupSpec, check_element, element_add, element_neg, point_array
 
 #: relative slack of the closed-ball test: a rational point on the sphere
 #: rounds to floats whose squared norm can exceed the radius by a few ulps
@@ -69,18 +70,14 @@ class Ball:
             raise DomainParameterError("ball radius must be nonnegative")
 
 
-def coords(p) -> tuple:
-    return p if isinstance(p, tuple) else (p,)
-
-
 def contains(dom, p, group: GroupSpec) -> bool:
     """Exact membership of p in dom inside the given group."""
     if isinstance(dom, IntegerInterval):
         return isinstance(p, int) and dom.lo <= p <= dom.hi
     if isinstance(dom, HalfOpenBox):
-        return all(a <= x < b for x, a, b in zip(coords(p), dom.lo, dom.hi))
+        return all(a <= x < b for x, a, b in zip(group.coords(p), dom.lo, dom.hi))
     if isinstance(dom, Ball):
-        sq = sum(Fraction(x) ** 2 if isinstance(x, (int, Fraction)) else float(x) ** 2 for x in coords(p))
+        sq = sum(Fraction(x) ** 2 if isinstance(x, (int, Fraction)) else float(x) ** 2 for x in group.coords(p))
         return sq <= dom.radius**2
     if isinstance(dom, CosetUnion):
         return any(contains(dom.base, element_add(group, p, element_neg(group, s)), group) for s in dom.shifts)
@@ -88,13 +85,9 @@ def contains(dom, p, group: GroupSpec) -> bool:
 
 
 def shift_points(pts: np.ndarray, shift, group: GroupSpec) -> np.ndarray:
-    """pts + shift in the group: reduced mod N on Z_N and mod 1 on T."""
+    """pts + shift in the group, each coordinate reduced by the group's period."""
     out = pts + point_array(shift, group)[0]
-    if group.kind == CYCLIC:
-        return out % group.modulus
-    if group.kind == TORUS:
-        return out % 1.0
-    return out
+    return out if group.period is None else out % group.period
 
 
 def contains_many(dom, pts: np.ndarray, group: GroupSpec) -> np.ndarray:
@@ -107,7 +100,7 @@ def contains_many(dom, pts: np.ndarray, group: GroupSpec) -> np.ndarray:
         hi = np.array([float(b) for b in dom.hi])
         return np.all((lo <= x) & (x < hi), axis=1)
     if isinstance(dom, Ball):
-        return np.sum(x * x, axis=1) <= float(dom.radius**2) * _BALL_SLACK
+        return np.sum(x * x, axis=1) <= to_float(dom.radius**2) * _BALL_SLACK
     if isinstance(dom, CosetUnion):
         out = np.zeros(len(pts), dtype=bool)
         for s in dom.shifts:
@@ -148,7 +141,7 @@ def iter_points(dom, group: GroupSpec):
     raise DomainParameterError(f"{dom!r} is not enumerable")
 
 
-def bounds(dom) -> tuple[tuple, tuple]:
+def bounds(dom, group: GroupSpec) -> tuple[tuple, tuple]:
     """Inclusive rational bounding box (lo, hi)."""
     if isinstance(dom, IntegerInterval):
         return (Fraction(dom.lo),), (Fraction(dom.hi),)
@@ -157,8 +150,8 @@ def bounds(dom) -> tuple[tuple, tuple]:
     if isinstance(dom, Ball):
         return (-dom.radius,), (dom.radius,)
     if isinstance(dom, CosetUnion):
-        blo, bhi = bounds(dom.base)
-        slo = [tuple(map(Fraction, coords(s))) for s in dom.shifts]
+        blo, bhi = bounds(dom.base, group)
+        slo = [tuple(map(Fraction, group.coords(s))) for s in dom.shifts]
         dims = range(len(blo))
         return (
             tuple(blo[i] + min(s[i] for s in slo) for i in dims),
@@ -181,14 +174,12 @@ def is_subset(a, b, group: GroupSpec) -> bool:
     raise DomainParameterError(f"no subset test for {type(a).__name__} in {type(b).__name__}")
 
 
-def grid_points(dom, total: int, scalar: bool = True) -> np.ndarray:
-    """About `total` grid points covering a box-like domain, as a float array.
+def grid_points(dom, total: int, group: GroupSpec) -> np.ndarray:
+    """About `total` grid points covering a box-like domain, one row of coordinates each.
 
     Each coordinate is the float nearest to its rational grid value.
-    scalar=True returns shape (n,) on one axis (T and the dual of Z use scalar
-    coordinates; R^1 keeps shape (n, 1)).
     """
-    lo, hi = bounds(dom)
+    lo, hi = bounds(dom, group)
     s = len(lo)
     per_axis = max(2, round(total ** (1.0 / s)))
     if per_axis**s < total:
@@ -199,17 +190,15 @@ def grid_points(dom, total: int, scalar: bool = True) -> np.ndarray:
         den = math.lcm(a.denominator, b.denominator)
         num = int(a * den) * per_axis + int((b - a) * den) * np.arange(per_axis)
         axes.append(num / (den * per_axis))
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, s)
-    return grid[:, 0] if scalar and s == 1 else grid
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, s)
 
 
-def random_points(dom, n: int, rng, scalar: bool = True) -> np.ndarray:
-    """n uniform float points in the bounding box of dom (shape as grid_points)."""
-    lo, hi = bounds(dom)
+def random_points(dom, n: int, rng, group: GroupSpec) -> np.ndarray:
+    """n uniform points in the bounding box of dom, one row of coordinates each."""
+    lo, hi = bounds(dom, group)
     lo_f = np.array([float(a) for a in lo])
     hi_f = np.array([float(b) for b in hi])
-    pts = lo_f + rng.random((n, len(lo))) * (hi_f - lo_f)
-    return pts[:, 0] if scalar and len(lo) == 1 else pts
+    return lo_f + rng.random((n, len(lo))) * (hi_f - lo_f)
 
 
 def domain_to_json(dom) -> dict:
@@ -232,7 +221,7 @@ def domain_from_json(data: dict, group: GroupSpec):
     """A serialized domain in `group`; every coset-union shift must be an element of it."""
     kind = data["kind"]
     if kind == "integer_interval":
-        return IntegerInterval(data["lo"], data["hi"])
+        return IntegerInterval(require_int(data["lo"], "interval lo"), require_int(data["hi"], "interval hi"))
     if kind == "box":
         return HalfOpenBox(tuple(Fraction(a) for a in data["lo"]), tuple(Fraction(b) for b in data["hi"]))
     if kind == "ball":

@@ -122,6 +122,14 @@ def radical(re, im=0, rad: int | Fraction = 1) -> Radical:
 ZERO = radical(0)
 
 
+def to_float(q: Fraction) -> float:
+    """q as a float, or a signed inf where the rational lies beyond the float range."""
+    try:
+        return float(q)
+    except OverflowError:
+        return math.inf if q > 0 else -math.inf
+
+
 def sqrt_rational(x) -> Radical:
     """sqrt(x) for nonnegative rational x, as an exact Radical."""
     x = Fraction(x)

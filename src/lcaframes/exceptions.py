@@ -71,3 +71,10 @@ class ResourceLimitError(LcaError):
 
 class SchemaError(LcaError):
     """A JSON descriptor or artifact violates its schema."""
+
+
+def require_int(value, what: str) -> int:
+    """value when it is an int, not a bool; otherwise SchemaError, since a wrong type is an input error."""
+    if type(value) is not int:
+        raise SchemaError(f"{what} must be an integer, got {value!r}")
+    return value

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import domains
 from .chains import MAX_POINTS, LatticeChain
-from .exact import MAX_RADICAND, ZERO, Radical, radical
+from .exact import MAX_RADICAND, ZERO, Radical, radical, to_float
 from .exceptions import (
     EmptySamplingPlanError,
     FilterVariantError,
@@ -42,7 +42,7 @@ from .exceptions import (
     ResourceLimitError,
     SchemaError,
 )
-from .groups import EUCLIDEAN, GroupSpec, dual_group, element_scale, pairing, point_array, residue
+from .groups import GroupSpec, dual_group, element_scale, pairing, point_array, residue
 from .lattices import ScaledLattice
 
 DEFAULT_SEED = 0x5EED
@@ -125,7 +125,7 @@ class CosetPiecewise:
     def __post_init__(self):
         # points reduce into the domain by per-axis floor arithmetic, which
         # needs the domain to fill a box exactly one lattice step wide
-        lo, hi = domains.bounds(self.domain)
+        lo, hi = domains.bounds(self.domain, self.dual)
         unit = 1 if self.dual.is_discrete else 0  # integer bounds are inclusive
         widths = [b - a + unit for a, b in zip(lo, hi)]
         box = math.prod(widths) * (self.dual.point_mass or 1)
@@ -139,7 +139,7 @@ class CosetPiecewise:
     def _piece_index(self, gammas) -> np.ndarray:
         """Index of the piece holding each point's representative (-1: none)."""
         pts = point_array(gammas, self.dual)
-        lo = point_array(domains.bounds(self.domain)[0], self.dual)
+        lo = point_array(domains.bounds(self.domain, self.dual)[0], self.dual)
         step = point_array(self.lattice.step, self.dual)
         rep = pts - (pts - lo) // step * step
         idx = np.full(len(pts), -1)
@@ -260,10 +260,8 @@ def dual_sampling_plan(
         pts = np.fromiter(domains.iter_points(dom, chain.dual), dtype=np.int64)
         return SamplingPlan(pts, f"exhaustive V_{k} ({len(pts)} points)")
     rng = np.random.default_rng(seed)
-    scalar = chain.dual.kind != EUCLIDEAN
-    pts = np.concatenate(
-        [domains.grid_points(dom, grid, scalar), domains.random_points(dom, random, rng, scalar)]
-    )
+    rows = [domains.grid_points(dom, grid, chain.dual), domains.random_points(dom, random, rng, chain.dual)]
+    pts = point_array(np.concatenate(rows), chain.dual)
     return SamplingPlan(pts, f"grid+random V_{k} ({len(pts)} points, seed {seed:#x})")
 
 
@@ -317,7 +315,7 @@ def exact_residuals(keys: np.ndarray | None, abs2_of) -> np.ndarray | None:
     abs2 = [abs2_of(row) for row in rows]
     if any(w is None for w in abs2):
         return None
-    return np.array([math.sqrt(w) for w in abs2])[inverse.reshape(-1)]
+    return np.array([math.sqrt(to_float(w)) for w in abs2])[inverse.reshape(-1)]
 
 
 def pointwise_residuals(P: UepMatrix, points) -> np.ndarray:
@@ -356,14 +354,17 @@ def _value_json(v) -> dict:
 
 
 def _value_from_json(data) -> object:
+    """A filter value; exact parts are read through their string form, so a JSON bool or 2.7 radicand is refused."""
     if "exact" in data:
         e = data["exact"]
-        rad = int(e["rad"])
+        rad = int(str(e["rad"]))
         if rad < 1:
             raise SchemaError(f"radicand must be positive, got {rad}")
         if rad > MAX_RADICAND:
             raise ResourceLimitError(f"radicand {rad} exceeds {MAX_RADICAND} (desk-scale cap)")
-        return radical(e["re"], e["im"], rad)  # square-free, as Radical.mul needs
+        value = radical(str(e["re"]), str(e["im"]), rad)  # square-free, as Radical.mul needs
+        complex(value)  # the float paths need it: OverflowError beyond the float range
+        return value
     return complex(data["re"], data["im"])
 
 

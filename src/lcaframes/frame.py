@@ -41,6 +41,7 @@ from .exceptions import (
     UncertifiedLevelError,
     UnsupportedVerificationError,
     VariantMismatchError,
+    require_int,
 )
 from .filters import (
     UepMatrix,
@@ -51,7 +52,7 @@ from .filters import (
     verify_uep,
 )
 from .functions import DiscreteFunction
-from .groups import CYCLIC, INTEGERS, pairing
+from .groups import pairing
 from .lattices import cyclic_annihilator
 
 
@@ -151,7 +152,7 @@ def _assemble(chain: LatticeChain, family: dict, k0: int, k1: int, level_filters
     scalings, wavelets = [], []
     if family["type"] == "bspline":
         order = family["order"]
-        discrete = chain.group.kind in (INTEGERS, CYCLIC)
+        discrete = chain.group.is_discrete
         for k in range(k0, k1 + 1):
             time = bsp.bspline_time(chain, k, order).time if discrete else None
             scalings.append(Generator(f"phi[{k}]", k, None, time, None))
@@ -181,7 +182,7 @@ def _assemble(chain: LatticeChain, family: dict, k0: int, k1: int, level_filters
 
 def _time_side(freq: DiscreteFunction | None, chain: LatticeChain) -> DiscreteFunction | None:
     """Inverse Fourier transform Z_N-dual -> Z_N (weight 1/N); None off Z_N."""
-    if chain.group.kind != CYCLIC:
+    if not chain.group.is_finite:
         return None
     return DiscreteFunction(chain.group, 0, np.fft.ifft(freq.array))
 
@@ -213,7 +214,7 @@ def _translates(system: FrameSystem, gen: Generator, start: int, stop: int) -> t
     lat = chain.level(gen.level).lattice
     step = int(lat.step[0])
     n = stop - start
-    if chain.group.kind == CYCLIC:
+    if chain.group.is_finite:
         j0, count, first = 0, lat.order[0], n
         ext = np.tile(g.array, 2)  # ext[n - lambda + x] = g(x - lambda mod N)
     else:
@@ -265,7 +266,7 @@ def _energies(system: FrameSystem, gens, side: str, start: int, F: np.ndarray) -
     On Z, whose lattices are infinite, the coefficients come from translates.
     """
     group = _side_group(system, side)
-    weight, fourier = float(group.point_mass), side == "time" and group.kind == CYCLIC
+    weight, fourier = float(group.point_mass), side == "time" and group.is_finite
     if fourier:
         F, weight = np.fft.fft(F), weight / group.modulus
     total = np.zeros(len(F))
@@ -336,7 +337,7 @@ def frame_operator(system: FrameSystem) -> np.ndarray:
     block column is placed by one gather.
     """
     chain = system.chain
-    if chain.group.kind != CYCLIC:
+    if not chain.group.is_finite:
         raise UnsupportedVerificationError("brute-force frame operator needs a finite group")
     n = chain.group.modulus
     S = np.zeros((n, n), dtype=complex)
@@ -357,7 +358,7 @@ def fiber_identity_sides(lat, v_domain, F: DiscreteFunction, Phi: DiscreteFuncti
     F conj(Phi) at the lattice points.  Right: dual-cell measure times the
     integral over the cell of the squared annihilator-fiber sums, one gather.
     """
-    if lat.group.kind != CYCLIC:
+    if not lat.group.is_finite:
         raise UnsupportedVerificationError("fiber identity oracle runs on Z_N")
     n = lat.group.modulus
     weight = float(F.group.point_mass)
@@ -427,14 +428,14 @@ def system_from_json(data: dict) -> FrameSystem:
     with _malformed("malformed system artifact"):
         chain = chain_from_params(data["chain"]["kind"], data["chain"]["params"])
         family = data["family"]
-        k0, k1 = data["k0"], data["k1"]
-        ks = [entry["k"] for entry in data["filters"]]
+        k0, k1 = require_int(data["k0"], "k0"), require_int(data["k1"], "k1")
+        ks = [require_int(entry["k"], "filter level k") for entry in data["filters"]]
         if not (chain.k0 <= k0 < k1 <= chain.k1 and ks == list(range(k0, k1))):
             raise SchemaError(f"filters must be levels {k0}..{k1 - 1} of the chain in order, got {ks}")
         band = None
         if family["type"] == "charfun":
             band = _band_from_params(family["band"], family["band_params"])
-        elif family["type"] != "bspline" or not isinstance(family["order"], int):
+        elif family["type"] != "bspline" or type(family["order"]) is not int:
             raise SchemaError(f"need a charfun band or an integer bspline order, got family {family!r}")
         level_filters = [
             LevelFilters(
@@ -471,8 +472,8 @@ def _malformed(what: str):
     """Report the errors a malformed JSON value raises as SchemaError, prefixed by `what`.
 
     Other library errors pass through with their own meaning; a filter
-    periodicity that does not fit the chain, or a value that is not an
-    element of its group, is a schema error too.
+    periodicity that does not fit the chain, a value that is not an element
+    of its group, or one beyond the float range, is a schema error too.
     """
     try:
         yield
@@ -480,5 +481,5 @@ def _malformed(what: str):
         raise SchemaError(f"{what}: {exc}") from exc
     except LcaError:
         raise
-    except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise SchemaError(f"{what}: {exc!r}") from exc

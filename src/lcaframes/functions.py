@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DomainParameterError, VariantMismatchError
-from .groups import CYCLIC, GroupSpec
+from .groups import GroupSpec
 
 
 @dataclass(frozen=True)
@@ -27,7 +27,7 @@ class DiscreteFunction:
         values = np.array(self.values, dtype=complex)
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
-        if self.group.kind == CYCLIC and (self.start != 0 or len(values) != self.group.modulus):
+        if self.group.is_finite and (self.start != 0 or len(values) != self.group.modulus):
             raise DomainParameterError("cyclic functions store one full period starting at 0")
 
     def __eq__(self, other) -> bool:
@@ -61,16 +61,9 @@ class DiscreteFunction:
         return self.weight * complex(np.vdot(b, a))
 
     def translate(self, y: int) -> "DiscreteFunction":
-        if self.group.kind == CYCLIC:
+        if self.group.is_finite:
             return DiscreteFunction(self.group, 0, np.roll(self.array, y))
         return DiscreteFunction(self.group, self.start + y, self.values)
-
-    def value_at(self, x: int) -> complex:
-        if self.group.kind == CYCLIC:
-            return complex(self.values[x % self.group.modulus])
-        if self.start <= x < self.stop:
-            return complex(self.values[x - self.start])
-        return 0j
 
     def support(self) -> tuple[int, int]:
         """Smallest [first, last] window of nonzero values (cyclic: in 0..N-1)."""
@@ -81,7 +74,7 @@ class DiscreteFunction:
 
 
 def delta(group: GroupSpec, at: int = 0) -> DiscreteFunction:
-    if group.kind == CYCLIC:
+    if group.is_finite:
         return DiscreteFunction(group, 0, np.arange(group.modulus) == at % group.modulus)
     return DiscreteFunction(group, at, [1])
 
@@ -91,7 +84,7 @@ def random_test_function(group: GroupSpec, window: tuple[int, int], rng) -> Disc
     lo, hi = window
     n = hi - lo + 1
     vals = rng.random(n) + 1j * rng.random(n)
-    if group.kind == CYCLIC:
+    if group.is_finite:
         full = np.zeros(group.modulus, dtype=complex)
         np.add.at(full, (lo + np.arange(n)) % group.modulus, vals)
         return DiscreteFunction(group, 0, full)

@@ -12,6 +12,9 @@ Fourier inversion formula holds with no extra constants:
 
 Element coordinates: int for Z and Z_N (reduced mod N), rational-or-float in
 [0,1) for T, tuples for R^s.  Lattice data stays rational for exactness.
+Everything else a group kind implies is decided here and read off the
+`GroupSpec`: whether it is discrete or finite, the period its coordinates
+reduce by, and the conversion between elements and coordinate tuples.
 `point_array` holds many points of one group as an array, and `pairing` is
 the one evaluation of the character (x, gamma): one x, an array of gammas.
 """
@@ -51,6 +54,23 @@ class GroupSpec:
     @property
     def is_discrete(self) -> bool:
         return self.point_mass is not None
+
+    @property
+    def is_finite(self) -> bool:
+        return self.kind == CYCLIC
+
+    @property
+    def period(self) -> int | None:
+        """The period every coordinate reduces by: N on Z_N, 1 on T, None on Z and R^s."""
+        return {CYCLIC: self.modulus, TORUS: 1}.get(self.kind)
+
+    def coords(self, x) -> tuple:
+        """The coordinates of an element: one on Z, Z_N and T, s on R^s."""
+        return tuple(x) if self.kind == EUCLIDEAN else (x,)
+
+    def element(self, cs):
+        """The element with coordinates cs (the inverse of `coords`)."""
+        return tuple(cs) if self.kind == EUCLIDEAN else cs[0]
 
     def describe(self) -> str:
         if self.kind == CYCLIC:
@@ -112,41 +132,29 @@ def check_element(group: GroupSpec, x, what: str = "element"):
     return x
 
 
+def _reduced(group: GroupSpec, cs) -> object:
+    """The element with coordinates cs, each reduced by the group's period."""
+    p = group.period
+    return group.element(cs if p is None else [c % p for c in cs])
+
+
 def element_add(group: GroupSpec, a, b):
-    if group.kind == CYCLIC:
-        return (a + b) % group.modulus
-    if group.kind == TORUS:
-        return (a + b) % 1 if isinstance(a + b, (int, Fraction)) else (a + b) % 1.0
-    if group.kind == EUCLIDEAN:
-        return tuple(x + y for x, y in zip(a, b))
-    return a + b
+    return _reduced(group, [x + y for x, y in zip(group.coords(a), group.coords(b))])
 
 
 def element_neg(group: GroupSpec, a):
-    if group.kind == CYCLIC:
-        return (-a) % group.modulus
-    if group.kind == TORUS:
-        return (-a) % 1 if isinstance(a, (int, Fraction)) else (-a) % 1.0
-    if group.kind == EUCLIDEAN:
-        return tuple(-x for x in a)
-    return -a
+    return _reduced(group, [-x for x in group.coords(a)])
 
 
 def element_scale(group: GroupSpec, n: int, a):
     """n-fold group sum of a (n may be negative)."""
-    if group.kind == CYCLIC:
-        return (n * a) % group.modulus
-    if group.kind == TORUS:
-        return (n * a) % 1 if isinstance(a, (int, Fraction)) else (n * a) % 1.0
-    if group.kind == EUCLIDEAN:
-        return tuple(n * x for x in a)
-    return n * a
+    return _reduced(group, [n * x for x in group.coords(a)])
 
 
 def point_array(points, group: GroupSpec) -> np.ndarray:
     """Points of `group` as one array: int64 on discrete groups, float64 else.
 
-    The shape is (n,) on scalar groups and (n, s) on R^s; a single point
+    The shape is (n,) on Z, Z_N and T and (n, s) on R^s; a single point
     (a scalar, or a tuple on R^s) becomes an array with n = 1.
     """
     if group.kind == EUCLIDEAN:
@@ -160,7 +168,7 @@ def residue(group: GroupSpec, x, pts: np.ndarray) -> tuple[np.ndarray, int]:
     The group has a discrete dual (Z_N, or T at a rational x), and pts holds
     integer points gamma of it.
     """
-    if group.kind == CYCLIC:
+    if group.is_finite:
         return x * pts % group.modulus, group.modulus
     x = Fraction(x)
     return x.numerator * pts % x.denominator, x.denominator
@@ -175,7 +183,7 @@ def pairing(group: GroupSpec, x, gammas) -> np.ndarray:
     """
     x = check_element(group, x, "group element")
     pts = point_array(gammas, dual_group(group))
-    if group.kind == CYCLIC or isinstance(x, Fraction):
+    if group.is_finite or isinstance(x, Fraction):
         t = np.divide(*residue(group, x, pts))
     elif group.kind == EUCLIDEAN:
         t = pts @ np.array([float(c) for c in x])

@@ -9,12 +9,12 @@ coset arithmetic never rely on tolerances.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import domains
 from .exceptions import DomainParameterError, UnboundedWindowError
-from .groups import CYCLIC, EUCLIDEAN, GroupSpec, dual_group
+from .groups import GroupSpec, dual_group
 
 
 @dataclass(frozen=True)
@@ -35,27 +35,16 @@ class ScaledLattice:
     def size(self) -> int:
         if self.order is None:
             raise DomainParameterError("infinite lattice has no size")
-        out = 1
-        for n in self.order:
-            out *= n
-        return out
-
-    def _scalar(self) -> bool:
-        return self.group.kind != EUCLIDEAN
+        return math.prod(self.order)
 
     def _point(self, js) -> object:
-        vals = []
-        for j, s in zip(js, self.step):
-            v = j * Fraction(s)
-            if v.denominator == 1:
-                v = int(v)
-            vals.append(v)
-        return vals[0] if self._scalar() else tuple(vals)
+        vals = [j * Fraction(s) for j, s in zip(js, self.step)]
+        return self.group.element([int(v) if v.denominator == 1 else v for v in vals])
 
     def contains(self, p) -> bool:
         # finite lattices live in compact groups whose canonical coordinates
         # make the range check automatic; only divisibility matters
-        cs = domains.coords(p)
+        cs = self.group.coords(p)
         if len(cs) != len(self.step):
             return False
         for x, s in zip(cs, self.step):
@@ -73,7 +62,7 @@ class ScaledLattice:
 
 def cyclic_annihilator(lat: ScaledLattice) -> ScaledLattice:
     """Annihilator of a cyclic sublattice, inside the dual copy of Z_N."""
-    if lat.group.kind != CYCLIC:
+    if not lat.group.is_finite:
         raise DomainParameterError("cyclic_annihilator needs a Z_N lattice")
     n = lat.group.modulus
     g = int(lat.step[0])

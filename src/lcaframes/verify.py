@@ -18,7 +18,6 @@ from .chains import MAX_POINTS
 from .exceptions import UncertifiedLevelError
 from .filters import dual_sampling_plan, verify_uep, worst_residual
 from .functions import random_test_function
-from .groups import CYCLIC, INTEGERS
 
 COND_UEP = "uep-gram-identity"
 COND_REFINE = "refinement-transfer"
@@ -89,7 +88,7 @@ def run_verification(system: fr.FrameSystem, suite: str, samples: int, trials: i
                 res = cf.indicator_refinement_residual(system.band, lf.k, plans[lf.k], lf.h)
             entries.append(_measured(COND_REFINE, res, tol, level=lf.k))
     if suite in ("fiber", "all"):
-        if chain.group.kind == CYCLIC:
+        if chain.group.is_finite:
             entries.append(_measured(COND_FIBER, _fiber_suite(system, seed), tol))
         else:
             entries.append(_entry(COND_FIBER, "skip", detail="fiber oracle runs on finite groups"))
@@ -132,9 +131,9 @@ def _fiber_suite(system, seed, count: int = 50) -> float:
 
 def _test_window(system) -> tuple[int, int]:
     chain = system.chain
-    if chain.group.kind == CYCLIC:
+    if chain.group.is_finite:
         return (0, chain.group.modulus - 1)
-    if chain.group.kind == INTEGERS:
+    if chain.group.is_discrete:
         return (0, 20)
     lo, hi = system.band.exhaustion_target.lo, system.band.exhaustion_target.hi
     return (int(lo), int(hi))
@@ -172,7 +171,7 @@ def _parseval_suite(system, side: str, trials: int, seed: int, tol: float) -> li
     blocks = _test_functions(system, side, trials, seed)
     residuals = np.concatenate([fr._parseval_residuals(system, side, start, F) for start, F in blocks])
     entries = [_measured(COND_PARSEVAL, worst_residual(residuals)[0], tol, trials=trials)]
-    if system.chain.group.kind == CYCLIC:
+    if system.chain.group.is_finite:
         S = fr.frame_operator(system)
         dev = float(np.max(np.abs(S - np.eye(S.shape[0]))))
         entries.append(_measured(COND_PARSEVAL, dev, tol, detail="frame operator vs identity"))
@@ -194,7 +193,7 @@ def _condition_suite(system) -> list:
     if system.family["type"] == "charfun":
         fact, flat = "target inside Omega_K", domains.is_subset(s_dom, system.band.omega(K), chain.dual)
         scale2 = cf.indicator_generator(system.band, K).scale.abs2()
-    elif chain.group.kind in (INTEGERS, CYCLIC):
+    elif chain.group.is_discrete:
         fact, flat = "Q_K one point", chain.density(K) == chain.group.point_mass
         scale2 = chain.density(K) ** (1 - 2 * system.family["order"])
     else:

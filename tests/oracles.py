@@ -50,9 +50,18 @@ def cis(t) -> complex:
     return complex(math.cos(2 * math.pi * t), math.sin(2 * math.pi * t))
 
 
+def value_at(f, x: int) -> complex:
+    """The value of a DiscreteFunction at x: periodic on Z_N, zero off the support on Z."""
+    if f.group.kind == CYCLIC:
+        return complex(f.values[x % f.group.modulus])
+    if f.start <= x < f.stop:
+        return complex(f.values[x - f.start])
+    return 0j
+
+
 def function_hat(f, gamma) -> complex:
     """Fourier transform sum_x f(x) (-x, gamma) of a DiscreteFunction, under its group weight."""
-    return f.weight * sum(f.value_at(x) * cis(-pairing_phase(f.group, x, gamma)) for x in range(f.start, f.stop))
+    return f.weight * sum(value_at(f, x) * cis(-pairing_phase(f.group, x, gamma)) for x in range(f.start, f.stop))
 
 
 def pairing_exact(group, x, gamma) -> Radical | None:
@@ -75,7 +84,7 @@ def filter_exact(f, gamma) -> Radical | None:
                 return None
         return total
     # reduce into the fundamental domain by exact floor division, then the first piece wins
-    (lo,), (step,) = domains.bounds(f.domain)[0], f.lattice.step
+    (lo,), (step,) = domains.bounds(f.domain, f.dual)[0], f.lattice.step
     g, step = Fraction(gamma), Fraction(step)
     rep = int(g - (g - lo) // step * step)
     for dom, v in f.pieces:

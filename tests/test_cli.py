@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import lcaframes
-from lcaframes import verify
+from lcaframes import chains, verify
 from lcaframes.cli import main
 from lcaframes.verify import ALL_CONDITIONS
 
@@ -32,6 +33,21 @@ EUCLID_BOXES = {
     "chain": {"M_table": [[2, 2], [2, 2]]},
     "family": {"charfun": {"mode": "proper", "L": [["3/4", "3/2"], ["3/4", "3/2"]], "shape": "boxes"}},
 }
+Z16_BAND = {
+    "group": {"variant": "cyclic", "params": {"modulus": 16}},
+    "chain": {"M": 4},
+    "family": {"charfun": {"mode": "proper", "L": [0, 1, 2, 3, 15]}},
+    "k0": 2,
+}
+T_BAND = {
+    "group": {"variant": "torus", "params": {}},
+    "chain": {"M_seq": [2, 2, 2]},
+    "family": {"charfun": {"mode": "proper", "L": [0, 1, 3]}},
+}
+
+
+def _band_bounds(desc, bounds):
+    return dict(desc, family={"charfun": dict(desc["family"]["charfun"], L=bounds)})
 
 
 def write_descriptor(tmp_path, desc, name="desc.json"):
@@ -381,6 +397,47 @@ def test_construct_above_desk_scale_exit_3(tmp_path, capsys):
     assert "desk-scale" in capsys.readouterr().err
 
 
+def test_construct_depth_beyond_ssize_exit_3(tmp_path, capsys):
+    dpath = write_descriptor(tmp_path, dict(Z_BSPLINE, chain={"M": 2**70}))
+    assert main(["construct", "--descriptor", dpath, "--out", str(tmp_path / "x.json")]) == 3
+    assert "desk-scale" in capsys.readouterr().err
+
+
+def test_verify_euclidean_factor_beyond_int64_exit_3(tmp_path, monkeypatch, capsys):
+    # an artifact written without the per-axis cap is refused on load, before any grid is built
+    with monkeypatch.context() as m:
+        m.setattr(chains, "MAX_POINTS", 2**80)
+        spath = construct(tmp_path, dict(EUCLID_BOXES, chain={"M_table": [[2**70, 2], [2, 2]]}))
+    assert main(["verify", str(spath), "--suite", "uep"]) == 3
+    assert "desk-scale" in capsys.readouterr().err
+
+
+def test_exact_residual_beyond_float_range_fails(tmp_path):
+    desc = dict(Z16_BAND, family={"bspline": {"order": 2}}, k0=0)
+    data = json.loads(construct(tmp_path, desc).read_text())
+    data["filters"][0]["h"]["coeffs_exact"][0]["exact"]["im"] = "1e200"
+    cpath, rpath = tmp_path / "huge.json", tmp_path / "report.json"
+    cpath.write_text(json.dumps(data))
+    assert main(["verify", str(cpath), "--suite", "uep", "--report", str(rpath)]) == 1
+    failed = [e for e in json.loads(rpath.read_text())["checks"] if e["status"] == "fail"]
+    assert [(e["level"], e["exact"], e["residual"]) for e in failed] == [(0, True, float("inf"))]
+
+
+def test_ball_radius_beyond_float_square_fails(tmp_path):
+    desc = {
+        "group": {"variant": "euclidean", "params": {"dimension": 2}},
+        "chain": {"M_table": [[2, 2, 2], [2, 3, 2]]},
+        "family": {"charfun": {"mode": "proper", "L": ["1/4", "1/2", "1"], "shape": "balls"}},
+    }
+    data = json.loads(construct(tmp_path, desc).read_text())
+    data["filters"][0]["h"]["pieces"][0]["domain"]["radius"] = "1e308"
+    cpath, rpath = tmp_path / "huge.json", tmp_path / "report.json"
+    cpath.write_text(json.dumps(data))
+    assert main(["verify", str(cpath), "--suite", "uep", "--samples", "256", "--report", str(rpath)]) == 1
+    failed = [e for e in json.loads(rpath.read_text())["checks"] if e["status"] == "fail"]
+    assert [e["level"] for e in failed] == [0] and math.isfinite(failed[0]["residual"])
+
+
 def test_nan_filter_fails_verification(tmp_path):
     spath = construct(tmp_path, Z_BSPLINE)
     data = json.loads(spath.read_text())
@@ -490,10 +547,19 @@ def test_construct_order_above_desk_scale_exit_3(tmp_path, capsys):
         dict(EUCLID_BOXES, family={"charfun": {"mode": "proper", "L": ["x", "1"], "shape": "balls"}}),
         dict(EUCLID_BOXES, group={"variant": "euclidean", "params": {"dimension": 3}}),
         dict(EUCLID_BOXES, group={"variant": "euclidean", "params": {"dimension": "banana"}}),
+        dict(Z_BSPLINE, chain={"M": True}),
+        dict(Z_BSPLINE, family={"bspline": {"order": True}}),
+        dict(Z_BSPLINE, k0=True),
+        _band_bounds(Z16_BAND, [False, 1, 2, 3, 15]),
+        _band_bounds(T_BAND, [False, 1, 3]),
+        dict(T_BAND, chain={"M_seq": ["a"]}),
+        dict(EUCLID_BOXES, group={"variant": "euclidean", "params": {}}, chain={"M_table": [["a"]]}),
+        _band_bounds(Z16_BAND, [0, 1, 2, 3, "15"]),
     ],
     ids=[
         "bspline-not-object", "charfun-not-object", "params-not-object", "L-not-list", "M_table-row",
-        "L-not-rational", "dimension-not-M_table-rows", "dimension-not-int",
+        "L-not-rational", "dimension-not-M_table-rows", "dimension-not-int", "M-bool", "order-bool",
+        "k0-bool", "Z16-L-bool", "T-L-bool", "M_seq-str", "M_table-str", "Z16-L-str",
     ],
 )
 def test_construct_malformed_descriptor_exit_2(tmp_path, capsys, desc):
@@ -516,6 +582,12 @@ def test_construct_malformed_descriptor_exit_2(tmp_path, capsys, desc):
         lambda data: data["filters"].pop(),
         lambda data: data["filters"][0].update(k=5),
         lambda data: data["chain"].update(kind="nope"),
+        lambda data: data.update(k0=False),
+        lambda data: data["filters"][0].update(k=False),
+        lambda data: data["family"].update(order=True),
+        lambda data: data["chain"]["params"].update(M=4.0),
+        lambda data: data["filters"][0]["h"]["coeffs_exact"][0]["exact"].update(rad=2.7),
+        lambda data: data["filters"][0]["h"]["coeffs_exact"][0]["exact"].update(re="1e400"),
     ],
     ids=[
         "family-without-order",
@@ -529,6 +601,12 @@ def test_construct_malformed_descriptor_exit_2(tmp_path, capsys, desc):
         "truncated-filters",
         "wrong-level",
         "unknown-chain-kind",
+        "k0-bool",
+        "filter-k-bool",
+        "order-bool",
+        "M-float",
+        "radicand-float",
+        "coefficient-beyond-float",
     ],
 )
 def test_verify_malformed_artifact_exit_2(tmp_path, capsys, corrupt):

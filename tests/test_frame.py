@@ -39,7 +39,7 @@ from lcaframes.groups import INTEGERS, TORUS, cyclic_group, dual_group, integer_
 from lcaframes.lattices import cyclic_annihilator
 from lcaframes.verify import COND_PARSEVAL, _measured, _test_window, run_verification
 
-from oracles import cis, pairing_phase
+from oracles import cis, pairing_phase, value_at
 
 SEED = 0x5EED
 
@@ -267,7 +267,7 @@ def test_translation_modulation_equivalence_cyclic():
         dual,
         0,
         tuple(
-            sum(f.value_at(x) * cis(Fraction(-x * g, 8)) for x in range(8)) for g in range(8)
+            sum(value_at(f, x) * cis(Fraction(-x * g, 8)) for x in range(8)) for g in range(8)
         ),
     )
     assert abs(f.norm2() - fhat.norm2()) < 1e-12  # Plancherel under these weights
@@ -405,7 +405,7 @@ def _oracle_coefficients(system, gen, f, side):
     xs = range(max(f.start, g.start), min(f.stop, g.stop))
     return {
         lam: f.weight
-        * sum(f.value_at(x) * g.value_at(x).conjugate() * cis(-pairing_phase(chain.group, lam, x)) for x in xs)
+        * sum(value_at(f, x) * value_at(g, x).conjugate() * cis(-pairing_phase(chain.group, lam, x)) for x in xs)
         for lam in lat.points()
     }
 
@@ -439,7 +439,7 @@ def _oracle_fiber_sides(lat, v_domain, F, Phi):
     cell = list(iter_points(v_domain, F.group))
     rhs = 0.0
     for gamma in cell:
-        fiber = sum(F.value_at(w + gamma) * Phi.value_at(w + gamma).conjugate() for w in ann.points())
+        fiber = sum(value_at(F, w + gamma) * value_at(Phi, w + gamma).conjugate() for w in ann.points())
         rhs += weight * abs(fiber) ** 2
     return lhs, len(cell) * weight * rhs
 

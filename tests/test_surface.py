@@ -1,5 +1,8 @@
 """Every public function, method and module constant in `src/lcaframes` has a caller.
 
+The README's library quick tour runs as written, and no module but `groups`
+names a group kind.
+
 A name counts as used when it is referenced somewhere in the package outside
 its own definition (as a name or an attribute), or when `lcaframes/__init__.py`
 exports it.  The match is by name only, so a method shares its uses with every
@@ -11,7 +14,8 @@ in more than one class, since a caller of one definition hides the others.
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lcaframes"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "lcaframes"
 
 KEPT = {
     "filters.TrigPolynomial.eval": "one-point evaluation; a benchmark boundary, used across the tests",
@@ -19,7 +23,6 @@ KEPT = {
     "charfun.IndicatorGenerator.hat": "one-point evaluation; a benchmark boundary, used across the tests",
     "functions.DiscreteFunction.inner": "the per-translate analysis oracle; a benchmark boundary",
     "functions.DiscreteFunction.translate": "the per-translate analysis oracle and the acceptance tests",
-    "functions.DiscreteFunction.value_at": "point values for the fiber and analysis oracles",
     "verify.ALL_CONDITIONS": "the certified conditions; the CLI tests check a report covers each",
 }
 
@@ -28,7 +31,10 @@ SHARED = {
     "eval_many": "array evaluation of each filter representation, and of the UEP matrix over its coset columns",
     "exact_keys": "value keys of each filter representation, and the UEP matrix's key rows made from them",
     "eval_exact": "the exact value a key names, for each filter representation",
+    "is_finite": "whether a group (Z_N) or a lattice has finitely many points",
 }
+
+GROUP_KINDS = {"CYCLIC", "INTEGERS", "TORUS", "EUCLIDEAN"}
 
 
 def _definitions(tree: ast.Module):
@@ -94,6 +100,38 @@ def test_kept_names_still_exist_without_a_caller():
     assert sorted(KEPT) == [name for name in uncalled_names() if name in KEPT]
 
 
+def group_kind_uses() -> list:
+    """(module, line, name) of every use of a group-kind constant, or of a `.kind` comparison, outside `groups`."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "groups":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = []
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.Compare):
+                sides = [node.left, *node.comparators]
+                names = [".kind" for side in sides if isinstance(side, ast.Attribute) and side.attr == "kind"]
+            out.extend((path.stem, node.lineno, n) for n in names if n in GROUP_KINDS or n == ".kind")
+    return sorted(out)
+
+
+def test_group_kinds_are_decided_in_groups_only():
+    # every other module asks the group (is_discrete, is_finite, period, coords) instead of naming a kind
+    assert group_kind_uses() == []
+
+
 def test_method_names_shared_by_classes_are_listed():
     # the caller check above cannot tell such methods apart, so each is kept on purpose
     assert sorted(shared_method_names()) == sorted(SHARED)
+
+
+def test_readme_quick_tour_runs():
+    readme = (ROOT / "README.md").read_text()
+    tour = readme.split("## Library quick tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(tour, "README.md (library quick tour)", "exec"), {})
