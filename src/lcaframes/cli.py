@@ -70,7 +70,8 @@ def build_from_descriptor(desc: dict) -> fr.FrameSystem:
     elif variant == "torus":
         seq = chain_params.get("M_seq")
         _require(isinstance(seq, list) and seq, "chain.M_seq", "missing factor list")
-        chain = torus_chain(seq)
+        with fr._malformed("chain.M_seq"):
+            chain = torus_chain(seq)
     else:
         table = chain_params.get("M_table")
         _require(
@@ -81,7 +82,8 @@ def build_from_descriptor(desc: dict) -> fr.FrameSystem:
         if "dimension" in params:
             dim = params["dimension"]
             _require(type(dim) is int and dim == len(table), "group.params.dimension", "need one M_table row per axis")
-        chain = euclidean_chain(table)
+        with fr._malformed("chain.M_table"):
+            chain = euclidean_chain(table)
 
     family = desc.get("family")
     _require(isinstance(family, dict), "family", "missing family object")

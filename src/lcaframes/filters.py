@@ -8,12 +8,16 @@ level-(k+1) annihilator lattice.  Two representations are supported:
 * CosetPiecewise  -- constant on each piece of a fundamental domain, extended
   periodically (first matching piece wins, pieces are listed disjointly).
 
-Both evaluate in floats over point arrays (`eval_many`); `eval` is the
-one-point case of it.  Exact values are read from value keys: `exact_keys`
-gives, over a point array, small integers that fix each value (the quarter
-turn of each character value, or the piece index), and `eval_exact` turns one
-key into a Radical (sum_j c_j i^{q_j}, or the piece's value).  A point with a
-given key has that value by construction; no phase is reduced per point.
+Rows of filters are evaluated together at gamma + nu_l, for every point gamma
+and coset column l: in floats (`_row_values`), or as value keys (`_row_keys`),
+small integers that fix each value (the quarter turn of a character value, or
+a piece index).  A filter's `eval_many` and `exact_keys` are the one-row case
+at nu = 0; `eval` is one point and `eval_exact` turns one key into a Radical.
+Trig rows share one character table per evaluation: each distinct shift
+element x_j = -j eta is formed exactly once and paired once with the points
+and the nu_l together, since (x, gamma + nu) = (x, gamma)(x, nu); a row is the
+table times its coefficients.  Piecewise rows that share a fundamental domain
+reduce each column into it once.
 
 The UEP matrix P_k stacks the refinement filter over the wavelet filters and
 evaluates column l at gamma + nu_{k,l}.  Verification measures the largest
@@ -29,6 +33,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -36,11 +41,7 @@ from . import domains
 from .chains import MAX_POINTS, LatticeChain
 from .exact import MAX_RADICAND, ZERO, Radical, radical, to_float
 from .exceptions import (
-    EmptySamplingPlanError,
-    FilterVariantError,
-    PeriodicityMismatchError,
-    ResourceLimitError,
-    SchemaError,
+    EmptySamplingPlanError, FilterVariantError, PeriodicityMismatchError, ResourceLimitError, SchemaError
 )
 from .groups import GroupSpec, dual_group, element_scale, pairing, point_array, residue
 from .lattices import ScaledLattice
@@ -77,29 +78,16 @@ class TrigPolynomial:
         return complex(self.eval_many(gamma)[0])
 
     def eval_many(self, gammas) -> np.ndarray:
-        pts = point_array(gammas, dual_group(self.group))
-        out = np.zeros(len(pts), dtype=complex)
-        for j, c in zip(self.shifts, self.coeffs):
-            out += complex(c) * pairing(self.group, element_scale(self.group, -j, self.step), pts)
-        return out
+        return _row_values((self,), gammas, dual_group(self.group))[:, 0, 0]
 
     @property
     def key_width(self) -> int:
         return len(self.shifts)
 
-    def exact_keys(self, pts: np.ndarray) -> np.ndarray | None:
-        """Quarter turn 0-3 of each character value at the points of a discrete dual.
-
-        Shape (points, shifts); NO_EXACT where a value is not a quarter turn.
-        None unless every coefficient is a Radical.
-        """
-        if not all(isinstance(c, Radical) for c in self.coeffs):
-            return None
-        keys = np.empty((len(pts), len(self.shifts)), dtype=np.int64)
-        for col, j in enumerate(self.shifts):
-            r, d = residue(self.group, element_scale(self.group, -j, self.step), pts)
-            keys[:, col] = np.where(4 * r % d == 0, 4 * r // d, NO_EXACT)
-        return keys
+    def exact_keys(self, pts) -> np.ndarray | None:
+        """Quarter turn 0-3 of each character value, shape (points, shifts), as in `_row_keys`."""
+        keys = _row_keys((self,), pts, dual_group(self.group))
+        return None if keys is None else keys[0]
 
     def eval_exact(self, key) -> Radical | None:
         """sum_j c_j i^{q_j} for one key row of quarter turns q_j.
@@ -129,44 +117,93 @@ class CosetPiecewise:
         unit = 1 if self.dual.is_discrete else 0  # integer bounds are inclusive
         widths = [b - a + unit for a, b in zip(lo, hi)]
         box = math.prod(widths) * (self.dual.point_mass or 1)
-        if widths != [Fraction(s) for s in self.lattice.step] or (
-            domains.measure(self.domain, self.dual) != box
-        ):
+        if widths != [Fraction(s) for s in self.lattice.step] or domains.measure(self.domain, self.dual) != box:
             raise PeriodicityMismatchError(
                 f"filter domain {self.domain!r} is not a box of the lattice steps {self.lattice.step}"
             )
-
-    def _piece_index(self, gammas) -> np.ndarray:
-        """Index of the piece holding each point's representative (-1: none)."""
-        pts = point_array(gammas, self.dual)
-        lo = point_array(domains.bounds(self.domain, self.dual)[0], self.dual)
-        step = point_array(self.lattice.step, self.dual)
-        rep = pts - (pts - lo) // step * step
-        idx = np.full(len(pts), -1)
-        for i in reversed(range(len(self.pieces))):  # the first match wins
-            idx[domains.contains_many(self.pieces[i][0], rep, self.dual)] = i
-        return idx
 
     def eval(self, gamma) -> complex:
         return complex(self.eval_many(gamma)[0])
 
     def eval_many(self, gammas) -> np.ndarray:
-        values = np.array([complex(v) for _, v in self.pieces] + [0j])
-        return values[self._piece_index(gammas)]
+        return _row_values((self,), gammas, self.dual)[:, 0, 0]
 
-    def exact_keys(self, pts: np.ndarray) -> np.ndarray:
-        """Piece index of each point of a discrete dual (-1: no piece, value 0), shape (points, 1).
-
-        NO_EXACT where the piece value is not a Radical.
-        """
-        idx = self._piece_index(pts)
-        exact = np.array([isinstance(v, Radical) for _, v in self.pieces] + [True])
-        return np.where(exact[idx], idx, NO_EXACT)[:, None]
+    def exact_keys(self, pts) -> np.ndarray:
+        """Piece index of each point, shape (points, 1), as in `_row_keys`."""
+        return _row_keys((self,), pts, self.dual)[0]
 
     def eval_exact(self, key) -> Radical | None:
         """The value of the piece a key names; 0 for index -1, None for NO_EXACT."""
         i = key[0]
         return None if i == NO_EXACT else ZERO if i < 0 else self.pieces[i][1]
+
+
+def _row_tables(rows, gammas, dual, nus, char) -> tuple:
+    """(n, columns, table, at, pieces): what rows at gamma + nu_l share, for n points and each column l.
+
+    table[i] is char(group, x_i, .) at the points, then at the nu_l (one column,
+    nu = 0, by default): one call per distinct x_i = -j eta of the trig rows,
+    formed exactly once per step and j; at[r] lists row r's shifts as indices.
+    pieces[r, l] is the index of the piece holding each point + nu_l (-1: none);
+    rows that share a fundamental domain reduce each column into it once.
+    """
+    pts, nus = point_array(gammas, dual), nus or (dual.element([0] * dual.dimension),)
+    group, index, at = None, {}, {}
+    for f in rows:
+        for j in getattr(f, "shifts", ()):
+            if (f.step, j) not in at:
+                group, x = f.group, element_scale(f.group, -j, f.step)
+                at[f.step, j] = index.setdefault(x, len(index))
+    both = np.concatenate([pts, point_array(nus, dual)])
+    table = [char(group, x, both) for x in index]
+    pieces, reps = {}, {}
+    for r, f in enumerate(rows):
+        if not isinstance(f, CosetPiecewise):
+            continue
+        if f.domain not in reps:  # points + nu_l reduced into the domain, once for the rows that share it
+            lo, step = point_array(domains.bounds(f.domain, dual)[0], dual), point_array(f.lattice.step, dual)
+            reps[f.domain] = [c - (c - lo) // step * step for c in (domains.shift_points(pts, nu, dual) for nu in nus)]
+        for l, rep in enumerate(reps[f.domain]):
+            idx = pieces[r, l] = np.full(len(pts), -1)
+            for i in reversed(range(len(f.pieces))):  # the first match wins
+                idx[domains.contains_many(f.pieces[i][0], rep, dual)] = i
+    return len(pts), len(nus), table, [[at[f.step, j] for j in getattr(f, "shifts", ())] for f in rows], pieces
+
+
+def _row_values(rows, gammas, dual, nus=None) -> np.ndarray:
+    """Every row at gamma + nu_l in floats, shape (points, rows, columns): a trig row is table times coefficients."""
+    n, cols, table, at, pieces = _row_tables(rows, gammas, dual, nus, pairing)
+    coef = np.zeros((len(table), len(rows)), dtype=complex)
+    for r, f in enumerate(rows):
+        for i, c in zip(at[r], getattr(f, "coeffs", ())):
+            coef[i, r] += complex(c)
+    out = np.zeros((len(rows), cols, n), dtype=complex)  # points innermost, so each product runs over them
+    for chars, c in zip(table, coef):
+        out += np.multiply.outer(np.multiply.outer(c, chars[n:]), chars[:n])
+    for (r, l), idx in pieces.items():
+        out[r, l] = np.array([complex(v) for _, v in rows[r].pieces] + [0j])[idx]
+    return out.transpose(2, 0, 1)
+
+
+def _row_keys(rows, gammas, dual, nus=None) -> list | None:
+    """Value keys of every row at gamma + nu_l on a discrete dual, a (points, width) array per row and column.
+
+    A trig key is the quarter turn 0-3 of each character value, from the
+    residues of (x_j, gamma) and (x_j, nu_l) added mod D; a piecewise key is
+    the piece index (-1: no piece, value 0).  NO_EXACT marks a value with no
+    exact form.  None unless every trig coefficient is a Radical.
+    """
+    if not all(isinstance(c, Radical) for f in rows for c in getattr(f, "coeffs", ())):
+        return None
+    n, cols, table, at, pieces = _row_tables(rows, gammas, dual, nus, residue)
+    turns = np.empty((len(table), n, cols), dtype=np.int64)
+    for i, (r, d) in enumerate(table):
+        s = (r[:n, None] + r[n:]) % d
+        turns[i] = np.where(4 * s % d == 0, 4 * s // d, NO_EXACT)
+    for (r, l), idx in pieces.items():
+        exact = np.array([isinstance(v, Radical) for _, v in rows[r].pieces] + [True])
+        pieces[r, l] = np.where(exact[idx], idx, NO_EXACT)[:, None]
+    return [pieces.get((r, l), turns[at[r], :, l].T) for r in range(len(rows)) for l in range(cols)]
 
 
 @dataclass(frozen=True)
@@ -185,16 +222,9 @@ class UepMatrix:
     def nu(self) -> tuple:
         return self.chain.cosets(self.k)
 
-    def _columns(self, gammas) -> list:
-        """The coset columns: the points gamma + nu_{k,l}, one array per l."""
-        dual = self.chain.dual
-        pts = point_array(gammas, dual)
-        return [domains.shift_points(pts, nu, dual) for nu in self.nu]
-
     def eval_many(self, gammas) -> np.ndarray:
         """The matrix at every point, as an array of shape (points, rows, d_k)."""
-        cols = self._columns(gammas)
-        return np.stack([np.stack([f.eval_many(c) for c in cols], axis=-1) for f in self.rows], axis=1)
+        return _row_values(self.rows, gammas, self.chain.dual, self.nu)
 
     def exact_keys(self, gammas) -> np.ndarray | None:
         """Value keys of every row at every coset column, one key row per point.
@@ -202,9 +232,8 @@ class UepMatrix:
         Points with equal key rows have equal exact matrices.  None where a row
         has no keys.  Keys are defined on discrete duals only.
         """
-        cols = self._columns(gammas)
-        keys = [f.exact_keys(c) for f in self.rows for c in cols]
-        return None if any(k is None for k in keys) else np.concatenate(keys, axis=1)
+        keys = _row_keys(self.rows, gammas, self.chain.dual, self.nu)
+        return None if keys is None else np.concatenate(keys, axis=1)
 
     def exact_values(self, key) -> list:
         """The matrix at a point with this key row, as rows of Radicals (None: no exact value).
@@ -224,9 +253,7 @@ def assemble_uep(chain: LatticeChain, k: int, h, g_list) -> UepMatrix:
     target = chain.level(k + 1).annihilator
     for f in (h, *g_list):
         if f.lattice != target:
-            raise PeriodicityMismatchError(
-                f"filter periodicity {f.lattice} does not match level {k + 1} annihilator"
-            )
+            raise PeriodicityMismatchError(f"filter periodicity {f.lattice} does not match level {k + 1} annihilator")
     return UepMatrix(chain, k, (h, *g_list))
 
 
@@ -247,12 +274,7 @@ class SamplingPlan:
 
 
 def dual_sampling_plan(
-    chain: LatticeChain,
-    k: int,
-    grid: int = 4096,
-    random: int = 1024,
-    seed: int = DEFAULT_SEED,
-    domain=None,
+    chain: LatticeChain, k: int, grid: int = 4096, random: int = 1024, seed: int = DEFAULT_SEED, domain=None
 ) -> SamplingPlan:
     """Sampling plan covering V_k: exhaustive on discrete duals, grid+random else."""
     dom = domain if domain is not None else chain.level(k).domain_v
@@ -288,16 +310,14 @@ def _gram_residual_exact(P: UepMatrix, key) -> Fraction | None:
     vals = P.exact_values(key)
     if any(v is None for row in vals for v in row):
         return None
-    d = P.d
     worst = Fraction(0)
-    for l in range(d):
-        for lp in range(d):
-            acc = radical(-d if l == lp else 0)  # diagonal products |v|^2 are rational, like d
-            for row in vals:
-                acc = acc.add(row[l].conj().mul(row[lp]))
-                if acc is None:
-                    return None
-            worst = max(worst, acc.abs2())
+    for l, lp in combinations_with_replacement(range(P.d), 2):  # |(P*P)_{l',l}| = |(P*P)_{l,l'}|
+        acc = radical(-P.d if l == lp else 0)  # diagonal products |v|^2 are rational, like d
+        for row in vals:
+            acc = acc.add(row[l].conj().mul(row[lp]))
+            if acc is None:
+                return None
+        worst = max(worst, acc.abs2())
     return worst
 
 
@@ -319,10 +339,13 @@ def exact_residuals(keys: np.ndarray | None, abs2_of) -> np.ndarray | None:
 
 
 def pointwise_residuals(P: UepMatrix, points) -> np.ndarray:
-    """Largest entry of |P*P - d I| at each point, one batched Gram product."""
-    m = P.eval_many(points)
-    gram = np.einsum("nrl,nrm->nlm", m.conj(), m) - P.d * np.eye(P.d)
-    return np.max(np.abs(gram), axis=(1, 2))
+    """Largest entry of |P*P - d I| per point over its d(d+1)/2 upper-triangle entries; np.maximum keeps a NaN."""
+    m = P.eval_many(points).transpose(1, 2, 0)  # (rows, d, points)
+    worst = np.zeros(m.shape[-1])
+    for l, lp in combinations_with_replacement(range(P.d), 2):
+        entry = (m[:, l].conj() * m[:, lp]).sum(axis=0) - (P.d if l == lp else 0)
+        worst = np.maximum(worst, np.abs(entry))
+    return worst
 
 
 def verify_uep(P: UepMatrix, plan: SamplingPlan) -> UepReport:
@@ -381,9 +404,7 @@ def filter_to_json(f) -> dict:
         return {
             "kind": "piecewise",
             "domain": domains.domain_to_json(f.domain),
-            "pieces": [
-                {"domain": domains.domain_to_json(d), "value": _value_json(v)} for d, v in f.pieces
-            ],
+            "pieces": [{"domain": domains.domain_to_json(d), "value": _value_json(v)} for d, v in f.pieces],
         }
     raise FilterVariantError(f"cannot serialize {type(f).__name__}")
 
@@ -394,31 +415,19 @@ def filter_from_json(data: dict, chain: LatticeChain, k: int):
     if data["kind"] == "trig":
         step = domains._point_from_json(data["eta"])
         shifts = data["shifts"]
-        if not (
-            shifts
-            and len(data["coeffs"]) == len(shifts)
-            and all(type(j) is int for j in shifts)
-            and chain.level(k + 1).lattice.contains(step)
-        ):
+        well_formed = shifts and len(data["coeffs"]) == len(shifts) and all(type(j) is int for j in shifts)
+        if not (well_formed and chain.level(k + 1).lattice.contains(step)):
             raise PeriodicityMismatchError(
                 f"trig filter needs integer shifts, one coefficient each, and a level-{k + 1} lattice step"
             )
         if max(shifts) - min(shifts) >= MAX_POINTS:
             raise ResourceLimitError(f"trig filter shifts span more than {MAX_POINTS} points (desk-scale cap)")
-        coeffs = []
-        for i, pair in enumerate(data["coeffs"]):
-            exact = data.get("coeffs_exact")
-            if exact is not None and "exact" in exact[i]:
-                coeffs.append(_value_from_json(exact[i]))
-            else:
-                coeffs.append(complex(pair[0], pair[1]))
-        return TrigPolynomial(
-            chain.group,
-            step,
-            tuple(shifts),
-            tuple(coeffs),
-            lattice,
+        exact = data.get("coeffs_exact")
+        coeffs = tuple(
+            _value_from_json(exact[i]) if exact is not None and "exact" in exact[i] else complex(pair[0], pair[1])
+            for i, pair in enumerate(data["coeffs"])
         )
+        return TrigPolynomial(chain.group, step, tuple(shifts), coeffs, lattice)
     if data["kind"] == "piecewise":
         pieces = tuple(
             (domains.domain_from_json(p["domain"], chain.dual), _value_from_json(p["value"]))

@@ -41,9 +41,10 @@ def pairing_phase(group, x, gamma):
 
 
 def cis(t) -> complex:
-    """e^{2 pi i t}; exactly 1, i, -1 or -i at a rational quarter turn."""
+    """e^{2 pi i t}; exactly 1, i, -1 or -i at a rational quarter turn, which is reduced mod 1 exactly."""
     if isinstance(t, (int, Fraction)):
-        q = QUARTER_TURNS.get(Fraction(t) % 1)
+        t = Fraction(t) % 1
+        q = QUARTER_TURNS.get(t)
         if q is not None:
             return complex(*q)
     t = float(t) % 1.0
@@ -144,6 +145,19 @@ def scale_filter(f, factor: complex):
         pieces = tuple((d, complex(v) * factor) for d, v in f.pieces)
         return CosetPiecewise(f.dual, pieces, f.domain, f.lattice)
     raise FilterVariantError(f"cannot scale {type(f).__name__}")
+
+
+def trig_values(P: UepMatrix, gamma) -> np.ndarray:
+    """The matrix of trig rows at one point, entry by entry: sum_j c_j e^{2 pi i t}.
+
+    t is -j times the scalar phase of (eta, gamma + nu_l), so no element
+    -j eta is formed and no filter is evaluated.
+    """
+    def value(f, g):
+        return sum(complex(c) * cis(-j * pairing_phase(f.group, f.step, g)) for j, c in zip(f.shifts, f.coeffs))
+
+    cols = [element_add(P.chain.dual, gamma, nu) for nu in P.nu]
+    return np.array([[value(f, g) for g in cols] for f in P.rows])
 
 
 def gram_entry(P: UepMatrix, gamma, l: int, lp: int) -> complex:

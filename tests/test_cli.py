@@ -537,24 +537,33 @@ def test_construct_order_above_desk_scale_exit_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "desc",
+    "desc, message",
     [
-        dict(Z_BSPLINE, family={"bspline": 2}),
-        dict(Z8_SHANNON, family={"charfun": "proper"}),
-        dict(Z8_SHANNON, group={"variant": "cyclic", "params": [8]}),
-        dict(Z8_SHANNON, family={"charfun": {"mode": "proper", "L": 5}}),
-        dict(EUCLID_BOXES, chain={"M_table": [3]}),
-        dict(EUCLID_BOXES, family={"charfun": {"mode": "proper", "L": ["x", "1"], "shape": "balls"}}),
-        dict(EUCLID_BOXES, group={"variant": "euclidean", "params": {"dimension": 3}}),
-        dict(EUCLID_BOXES, group={"variant": "euclidean", "params": {"dimension": "banana"}}),
-        dict(Z_BSPLINE, chain={"M": True}),
-        dict(Z_BSPLINE, family={"bspline": {"order": True}}),
-        dict(Z_BSPLINE, k0=True),
-        _band_bounds(Z16_BAND, [False, 1, 2, 3, 15]),
-        _band_bounds(T_BAND, [False, 1, 3]),
-        dict(T_BAND, chain={"M_seq": ["a"]}),
-        dict(EUCLID_BOXES, group={"variant": "euclidean", "params": {}}, chain={"M_table": [["a"]]}),
-        _band_bounds(Z16_BAND, [0, 1, 2, 3, "15"]),
+        (dict(Z_BSPLINE, family={"bspline": 2}), "family.bspline: "),
+        (dict(Z8_SHANNON, family={"charfun": "proper"}), "family.charfun: "),
+        (dict(Z8_SHANNON, group={"variant": "cyclic", "params": [8]}), "group.params: "),
+        (dict(Z8_SHANNON, family={"charfun": {"mode": "proper", "L": 5}}), "family.charfun.L: "),
+        (dict(EUCLID_BOXES, chain={"M_table": [3]}), "chain.M_table: "),
+        (
+            dict(EUCLID_BOXES, family={"charfun": {"mode": "proper", "L": ["x", "1"], "shape": "balls"}}),
+            "balls band parameters: ",
+        ),
+        (dict(EUCLID_BOXES, group={"variant": "euclidean", "params": {"dimension": 3}}), "group.params.dimension: "),
+        (
+            dict(EUCLID_BOXES, group={"variant": "euclidean", "params": {"dimension": "banana"}}),
+            "group.params.dimension: ",
+        ),
+        (dict(Z_BSPLINE, chain={"M": True}), "chain.M: "),
+        (dict(Z_BSPLINE, family={"bspline": {"order": True}}), "family.bspline.order: "),
+        (dict(Z_BSPLINE, k0=True), "k0: "),
+        (_band_bounds(Z16_BAND, [False, 1, 2, 3, 15]), "cyclic band parameters: "),
+        (_band_bounds(T_BAND, [False, 1, 3]), "torus band parameters: "),
+        (dict(T_BAND, chain={"M_seq": ["a"]}), "chain.M_seq: chain factor must be an integer, got 'a'\n"),
+        (
+            dict(EUCLID_BOXES, group={"variant": "euclidean", "params": {}}, chain={"M_table": [["a"]]}),
+            "chain.M_table: chain factor must be an integer, got 'a'\n",
+        ),
+        (_band_bounds(Z16_BAND, [0, 1, 2, 3, "15"]), "cyclic band parameters: "),
     ],
     ids=[
         "bspline-not-object", "charfun-not-object", "params-not-object", "L-not-list", "M_table-row",
@@ -562,10 +571,11 @@ def test_construct_order_above_desk_scale_exit_3(tmp_path, capsys):
         "k0-bool", "Z16-L-bool", "T-L-bool", "M_seq-str", "M_table-str", "Z16-L-str",
     ],
 )
-def test_construct_malformed_descriptor_exit_2(tmp_path, capsys, desc):
+def test_construct_malformed_descriptor_exit_2(tmp_path, capsys, desc, message):
+    # the message names the descriptor field, also where the library rejects the value
     dpath = write_descriptor(tmp_path, desc)
     assert main(["construct", "--descriptor", dpath, "--out", str(tmp_path / "x.json")]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err.startswith("error: " + message)
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Periodic filters, the coset-evaluation matrix, and its verification."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcaframes.bspline import refinement_filter, wavelet_filters
-from lcaframes.chains import cyclic_chain, integer_chain
+from lcaframes.chains import cyclic_chain, euclidean_chain, integer_chain, torus_chain
 from lcaframes.charfun import (
     band_chain_cyclic,
     full_band_chain,
@@ -30,7 +31,10 @@ from lcaframes.filters import (
     pointwise_residuals,
     verify_uep,
 )
-from oracles import entrywise_residual, scale_filter
+from lcaframes.frame import build_bspline_system
+from lcaframes.groups import element_scale
+from lcaframes.verify import run_verification
+from oracles import entrywise_residual, scale_filter, trig_values
 
 RT2 = math.sqrt(2)
 
@@ -265,3 +269,97 @@ def test_piecewise_domain_must_be_one_lattice_step(z8chain):
         CosetPiecewise(z8chain.dual, (), IntegerInterval(0, 2), lattice)
     with pytest.raises(PeriodicityMismatchError):  # right width, but a gap inside
         CosetPiecewise(z8chain.dual, (), CosetUnion(IntegerInterval(0, 0), (0, 3)), lattice)
+
+
+# one float-sampled spline level per group: Z, Z_N off the quarter turns, T (rational steps) and R^1
+SPLINE_LEVELS = {
+    "z10-spline": (lambda: build_bspline_system(integer_chain(10), 2), 3),
+    "z256-spline": (lambda: build_bspline_system(cyclic_chain(8), 4), 4),
+    "t-spline": (lambda: build_bspline_system(torus_chain([2, 2, 2, 2]), 2), 1),
+    "r1-spline": (lambda: build_bspline_system(euclidean_chain([[2, 2, 2]]), 2), 1),
+}
+
+
+def _mixed_steps(P):
+    """P with rows of different steps and shift sets, negative shifts among them."""
+    h = P.rows[0]
+    tripled = TrigPolynomial(h.group, element_scale(h.group, 3, h.step), (-1, 4), (0.5 + 0.25j, -0.75), h.lattice)
+    spread = TrigPolynomial(h.group, h.step, (-3, -1, 0, 2), (1j, 0.5, -0.25, 0.125 - 1j), h.lattice)
+    return assemble_uep(P.chain, P.k, h, [tripled, spread])
+
+
+@pytest.mark.parametrize("edit", [None, _mixed_steps], ids=["built", "mixed-steps"])
+@pytest.mark.parametrize("name", sorted(SPLINE_LEVELS))
+def test_uep_values_match_per_character_oracle(name, edit):
+    # the shared character table against sum_j c_j e^{2 pi i t_j}, one scalar phase per entry
+    build, k = SPLINE_LEVELS[name]
+    system = build()
+    P = system.uep_matrix(k) if edit is None else edit(system.uep_matrix(k))
+    plan = dual_sampling_plan(system.chain, k, grid=64, random=16)
+    values = P.eval_many(plan.points)
+    rows = np.stack([f.eval_many(plan.points) for f in P.rows], axis=1)  # the one-row case, at nu_0 = 0
+    assert P.nu[0] in (0, (0,))
+    for i in range(len(plan.points)):
+        want = trig_values(P, plan.point(i))
+        assert np.max(np.abs(values[i] - want)) <= 1e-12
+        assert np.max(np.abs(rows[i] - want[:, 0])) <= 1e-12
+
+
+def test_mixed_rows_match_each_row_at_shifted_points(z8chain):
+    # a trig and a piecewise row in one matrix: values and keys per coset column as each filter alone
+    band = band_chain_cyclic(3, [0, 1, 3, 7])
+    P = assemble_uep(z8chain, 1, refinement_filter(z8chain, 1, 1), [indicator_refinement_filter(band, 1)])
+    pts = np.arange(8)
+    cols = [shift_points(pts, nu, z8chain.dual) for nu in P.nu]
+    want = np.stack([np.stack([f.eval_many(c) for c in cols], axis=-1) for f in P.rows], axis=1)
+    assert np.array_equal(P.eval_many(pts), want)
+    keys = np.concatenate([f.exact_keys(c) for f in P.rows for c in cols], axis=1)
+    assert np.array_equal(P.exact_keys(pts), keys)
+
+
+def _wrap_shift(f, i, order, m):
+    """f with its i-th shift j replaced by j + m ord(eta): the same filter."""
+    shifts = list(f.shifts)
+    shifts[i] += m * order
+    return dataclasses.replace(f, shifts=tuple(shifts))
+
+
+@pytest.mark.parametrize("group", ["torus", "cyclic"])
+def test_shift_beyond_int64_gives_the_same_values(group):
+    # j gamma for the wrapped shift is beyond 2^63: only exactly reduced -j eta keeps the values
+    if group == "torus":  # step 1/6 of order 6; its characters are the rows of a 3-point DFT
+        chain, k, order = torus_chain([2, 3, 2]), 0, 6
+        lattice = chain.level(1).annihilator
+        rows = [TrigPolynomial(chain.group, Fraction(1, 6), (m,), (1 + 0j,), lattice) for m in range(3)]
+        wrapped = [rows[0], _wrap_shift(rows[1], 0, order, 2**59), *rows[2:]]
+        assert wrapped[1].shifts == (6 * 2**59 + 1,)
+        plan = SamplingPlan(np.arange(-64, 64), "wide")
+    else:  # a Z_256 spline level off the quarter turns, with float coefficients
+        system = build_bspline_system(cyclic_chain(8), 4)
+        chain, k = system.chain, 4
+        lf = system.filters_at(k)
+        rows = [dataclasses.replace(f, coeffs=tuple(complex(c) for c in f.coeffs)) for f in (lf.h, *lf.gs)]
+        order = 256 // math.gcd(rows[0].step, 256)
+        wrapped = [_wrap_shift(rows[0], 1, order, 2**59), *rows[1:]]
+        plan = SamplingPlan(np.arange(256), "all of Z_256")
+    for f, g in zip(rows, wrapped):
+        assert np.array_equal(g.eval_many(plan.points), f.eval_many(plan.points))
+    base = verify_uep(assemble_uep(chain, k, rows[0], rows[1:]), plan)
+    report = verify_uep(assemble_uep(chain, k, wrapped[0], wrapped[1:]), plan)
+    assert not report.exact and base.residual <= 1e-12
+    assert report.residual == base.residual
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_coefficient_fails_its_level_and_the_telescope(bad):
+    system = build_bspline_system(cyclic_chain(4), 2)
+    h = system.filters_at(2).h
+    h = dataclasses.replace(h, coeffs=(complex(bad, 0), *h.coeffs[1:]))
+    level_filters = tuple(dataclasses.replace(lf, h=h) if lf.k == 2 else lf for lf in system.level_filters)
+    entries, status = run_verification(dataclasses.replace(system, level_filters=level_filters), "all", 64, 4, 1, 1e-10)
+    uep = {e["level"]: e for e in entries if e["condition"] == "uep-gram-identity"}
+    assert uep[2]["status"] == "fail" and not uep[2]["exact"] and not math.isfinite(uep[2]["residual"])
+    assert all(e["status"] == "pass" for k, e in uep.items() if k != 2)
+    (telescope,) = [e for e in entries if e["condition"] == "level-telescoping"]
+    assert telescope["status"] == "fail" and "level 2 matrix identity fails" in telescope["detail"]
+    assert status == "fail"
