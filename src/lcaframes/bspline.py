@@ -10,7 +10,8 @@ piecewise-polynomial time side).
 Consecutive levels are linked by a binomial lowpass mask whenever the chain
 has index-2 nesting and the fundamental-domain splitting
 Q_k = Q_{k+1} u (eta_k + Q_{k+1}) holds; highpass masks ship for order 1 and
-all even orders.
+all even orders.  The mask refines the spline, so any lowpass h is checked
+against it coefficient by coefficient (`refinement_bound`).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .exceptions import (
     UnsupportedRepresentationError,
     require_int,
 )
-from .filters import SamplingPlan, TrigPolynomial, worst_residual
+from .filters import SamplingPlan, TrigPolynomial, coefficient_grid, worst_residual
 from .functions import DiscreteFunction
 from .groups import point_array
 
@@ -211,10 +212,22 @@ def wavelet_filters(chain: LatticeChain, k: int, order: int) -> list:
     raise UnsupportedOrderError(f"no wavelet masks for odd order {order}")
 
 
+def refinement_bound(chain: LatticeChain, k: int, order: int, h) -> float | None:
+    """sum_x |h_x - b_x| mu(Q_{k+1})^{1/2} >= |Phi_k - H_{k+1} Phi_{k+1}| at every gamma; None without a grid.
+
+    b is the binomial mask, which refines the spline: the residual is (B - H) Phi_{k+1}, and
+    |Phi_{k+1}| <= Phi_{k+1}(0) = mu(Q_{k+1})^{1/2}.
+    """
+    check_refinement_splitting(chain, k)
+    grid = coefficient_grid((h, refinement_filter(chain, k, order)), chain.level(k + 1).lattice)
+    with np.errstate(invalid="ignore", over="ignore"):
+        return None if grid is None else float(np.abs(grid[0] - grid[1]).sum()) * float(chain.density(k + 1)) ** 0.5
+
+
 def refinement_residual(chain: LatticeChain, k: int, order: int, plan: SamplingPlan, h=None) -> float:
     """max over the plan of |Phi_k - H_{k+1} Phi_{k+1}| for the spline family.
 
-    h defaults to the family's binomial lowpass mask.
+    h defaults to the family's binomial lowpass mask.  The reference for `refinement_bound`.
     """
     check_refinement_splitting(chain, k)
     if h is None:

@@ -21,10 +21,10 @@ reduce each column into it once.
 
 The UEP matrix P_k stacks the refinement filter over the wavelet filters and
 evaluates column l at gamma + nu_{k,l}.  Verification measures the largest
-entry of P*P - d_k I over a sampling plan.  On discrete duals the plan is
-exhaustive and the arithmetic exact, evaluated once per distinct key row, so
-a true identity reports residual 0; a level with any point that has no exact
-value, and every level on a continuous dual, is sampled in floats instead.
+entry of P*P - d_k I.  On discrete duals the plan is exhaustive and the
+arithmetic exact, once per distinct key row, so a true identity reports 0;
+elsewhere a level of trig rows is bounded at every gamma from its
+coefficients, and any other level is sampled in floats.
 """
 
 from __future__ import annotations
@@ -50,6 +50,9 @@ DEFAULT_SEED = 0x5EED
 
 #: `exact_keys` mark for a point where a filter value has no exact form
 NO_EXACT = -2
+
+#: desk-scale caps on an artifact's trig shift size (a float holds every integer below) and on grid entries
+MAX_SHIFT, MAX_GRID = 2**53, 2**20
 
 
 def worst_residual(residuals) -> tuple[float, int]:
@@ -139,11 +142,11 @@ class CosetPiecewise:
 
 
 def _row_tables(rows, gammas, dual, nus, char) -> tuple:
-    """(n, columns, table, at, pieces): what rows at gamma + nu_l share, for n points and each column l.
+    """(n, columns, xs, table, at, pieces): what rows at gamma + nu_l share, for n points and each column l.
 
-    table[i] is char(group, x_i, .) at the points, then at the nu_l (one column,
-    nu = 0, by default): one call per distinct x_i = -j eta of the trig rows,
-    formed exactly once per step and j; at[r] lists row r's shifts as indices.
+    xs are the distinct x_i = -j eta of the trig rows, formed exactly once per step and j; table[i] is
+    char(group, x_i, .) at the points, then at the nu_l (one column, nu = 0, by default), one call per
+    x_i; at[r] lists row r's shifts as indices into xs.
     pieces[r, l] is the index of the piece holding each point + nu_l (-1: none);
     rows that share a fundamental domain reduce each column into it once.
     """
@@ -167,19 +170,20 @@ def _row_tables(rows, gammas, dual, nus, char) -> tuple:
             idx = pieces[r, l] = np.full(len(pts), -1)
             for i in reversed(range(len(f.pieces))):  # the first match wins
                 idx[domains.contains_many(f.pieces[i][0], rep, dual)] = i
-    return len(pts), len(nus), table, [[at[f.step, j] for j in getattr(f, "shifts", ())] for f in rows], pieces
+    return len(pts), len(nus), list(index), table, [[at[f.step, j] for j in getattr(f, "shifts", ())] for f in rows], pieces
 
 
 def _row_values(rows, gammas, dual, nus=None) -> np.ndarray:
     """Every row at gamma + nu_l in floats, shape (points, rows, columns): a trig row is table times coefficients."""
-    n, cols, table, at, pieces = _row_tables(rows, gammas, dual, nus, pairing)
+    n, cols, _, table, at, pieces = _row_tables(rows, gammas, dual, nus, pairing)
     coef = np.zeros((len(table), len(rows)), dtype=complex)
     for r, f in enumerate(rows):
         for i, c in zip(at[r], getattr(f, "coeffs", ())):
             coef[i, r] += complex(c)
     out = np.zeros((len(rows), cols, n), dtype=complex)  # points innermost, so each product runs over them
-    for chars, c in zip(table, coef):
-        out += np.multiply.outer(np.multiply.outer(c, chars[n:]), chars[:n])
+    with np.errstate(invalid="ignore", over="ignore"):
+        for chars, c in zip(table, coef):
+            out += np.multiply.outer(np.multiply.outer(c, chars[n:]), chars[:n])
     for (r, l), idx in pieces.items():
         out[r, l] = np.array([complex(v) for _, v in rows[r].pieces] + [0j])[idx]
     return out.transpose(2, 0, 1)
@@ -195,7 +199,7 @@ def _row_keys(rows, gammas, dual, nus=None) -> list | None:
     """
     if not all(isinstance(c, Radical) for f in rows for c in getattr(f, "coeffs", ())):
         return None
-    n, cols, table, at, pieces = _row_tables(rows, gammas, dual, nus, residue)
+    n, cols, _, table, at, pieces = _row_tables(rows, gammas, dual, nus, residue)
     turns = np.empty((len(table), n, cols), dtype=np.int64)
     for i, (r, d) in enumerate(table):
         s = (r[:n, None] + r[n:]) % d
@@ -204,6 +208,31 @@ def _row_keys(rows, gammas, dual, nus=None) -> list | None:
         exact = np.array([isinstance(v, Radical) for _, v in rows[r].pieces] + [True])
         pieces[r, l] = np.where(exact[idx], idx, NO_EXACT)[:, None]
     return [pieces.get((r, l), turns[at[r], :, l].T) for r in range(len(rows)) for l in range(cols)]
+
+
+def coefficient_grid(rows, lattice: ScaledLattice, nus=None) -> np.ndarray | None:
+    """c_{r,x} (x, nu_l) per trig row r and column l at the cell of each x = -j eta, shape (rows, columns, *span).
+
+    A cell is x over the lattice step, `ScaledLattice.coordinates`, so j and j + ord(eta) share one.  None
+    for a row that is not trig, or past MAX_GRID rows x columns x prod(2 span - 1), before allocating.
+    """
+    if not all(isinstance(f, TrigPolynomial) for f in rows):
+        return None
+    _, cols, xs, table, at, _ = _row_tables(rows, (), dual_group(lattice.group), nus, pairing)
+    cells = [lattice.coordinates(x) for x in xs]
+    if None in cells:
+        raise PeriodicityMismatchError(f"a trig filter shift is off the lattice of steps {lattice.step}")
+    lo = [min(c) for c in zip(*cells)]
+    cells = [[j - a for j, a in zip(js, lo)] for js in cells]
+    span = [max(c) + 1 for c in zip(*cells)]
+    if len(rows) * cols * math.prod(2 * s - 1 for s in span) > MAX_GRID:
+        return None
+    grid = np.zeros((len(rows), cols, *span), dtype=complex)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for r, f in enumerate(rows):
+            for i, c in zip(at[r], f.coeffs):
+                grid[(r, slice(None), *cells[i])] += complex(c) * table[i]
+    return grid
 
 
 @dataclass(frozen=True)
@@ -292,17 +321,14 @@ class UepReport:
     residual: float
     exact: bool
     worst_point: object
-    samples: int
+    samples: int  # plan points; 0 for a coefficient bound, which holds over the whole dual
     label: str
 
     def to_json(self) -> dict:
-        return {
-            "residual": self.residual,
-            "exact": self.exact,
-            "worst_point": repr(self.worst_point),
-            "samples": self.samples,
-            "sampling": self.label,
-        }
+        out = {"residual": self.residual, "exact": self.exact}
+        if not self.samples:  # a coefficient bound names its method in place of a plan
+            return {**out, "method": "coefficients"}
+        return {**out, "worst_point": repr(self.worst_point), "samples": self.samples, "sampling": self.label}
 
 
 def _gram_residual_exact(P: UepMatrix, key) -> Fraction | None:
@@ -348,19 +374,40 @@ def pointwise_residuals(P: UepMatrix, points) -> np.ndarray:
     return worst
 
 
-def verify_uep(P: UepMatrix, plan: SamplingPlan) -> UepReport:
-    """Largest deviation of P*P from d_k I over the plan.
+def coefficient_residual(P: UepMatrix) -> float | None:
+    """A bound on |P*P - d I| over the whole dual from the rows' coefficients; None where `coefficient_grid` is.
 
-    On a discrete dual the Gram matrix is evaluated in exact arithmetic once
-    per distinct key row (`UepMatrix.exact_keys`), from values read off the
-    key (`UepMatrix.exact_values`), so every point with that key has that
-    residual by construction; the report is flagged exact.  A level with any
-    point that has no exact value, and any plan on a continuous dual, is
-    sampled in floats at every point.
+    (P*P - d I)_{l,l'} = sum_z E_{l,l',z} (z, .) - d delta_{ll'}, E_{l,l'} the correlation over the rows of
+    grid columns l and l', so the largest sum_z |E_{l,l',z} - d delta_{ll'} delta_{z0}| bounds it at every
+    gamma.  It is circular over 2 span - 1 lags per axis, or the order if fewer: z and z + ord are one character.
+    """
+    lattice = P.chain.level(P.k + 1).lattice
+    grid = coefficient_grid(P.rows, lattice, P.nu)
+    if grid is None:
+        return None
+    orders = lattice.order or [None] * grid.ndim
+    lengths = [2 * s - 1 if o is None else min(2 * s - 1, o) for s, o in zip(grid.shape[2:], orders)]
+    with np.errstate(invalid="ignore", over="ignore"):
+        F = np.fft.fftn(grid, lengths, axes=range(2, grid.ndim))
+        # E at lag z sits at index z mod the length; d delta_{z0} transforms to d at every frequency
+        pairs = combinations_with_replacement(range(P.d), 2)
+        E = (np.fft.ifftn((F[:, l].conj() * F[:, lp]).sum(0) - P.d * (l == lp)) for l, lp in pairs)
+        return worst_residual([np.abs(e).sum() for e in E])[0]
+
+
+def verify_uep(P: UepMatrix, plan: SamplingPlan) -> UepReport:
+    """Largest deviation of P*P from d_k I.
+
+    On a discrete dual the Gram matrix is first evaluated in exact arithmetic once per distinct key row
+    (`UepMatrix.exact_keys`), from values read off the key (`UepMatrix.exact_values`), so every point with
+    that key has that residual by construction; the report is flagged exact.  Otherwise a level of trig
+    rows reports the `coefficient_residual` bound, with 0 samples; any other is sampled at every plan point.
     """
     res = None
     if P.chain.dual.is_discrete:
         res = exact_residuals(P.exact_keys(plan.points), partial(_gram_residual_exact, P))
+    if res is None and (bound := coefficient_residual(P)) is not None:
+        return UepReport(bound, False, None, 0, "coefficients")
     exact = res is not None
     if not exact:
         res = pointwise_residuals(P, plan.points)
@@ -420,8 +467,8 @@ def filter_from_json(data: dict, chain: LatticeChain, k: int):
             raise PeriodicityMismatchError(
                 f"trig filter needs integer shifts, one coefficient each, and a level-{k + 1} lattice step"
             )
-        if max(shifts) - min(shifts) >= MAX_POINTS:
-            raise ResourceLimitError(f"trig filter shifts span more than {MAX_POINTS} points (desk-scale cap)")
+        if max(shifts) - min(shifts) >= MAX_POINTS or max(map(abs, shifts)) >= MAX_SHIFT:
+            raise ResourceLimitError(f"trig filter shifts span {MAX_POINTS} points or reach {MAX_SHIFT} (desk-scale cap)")
         exact = data.get("coeffs_exact")
         coeffs = tuple(
             _value_from_json(exact[i]) if exact is not None and "exact" in exact[i] else complex(pair[0], pair[1])

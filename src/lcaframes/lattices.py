@@ -42,16 +42,16 @@ class ScaledLattice:
         return self.group.element([int(v) if v.denominator == 1 else v for v in vals])
 
     def contains(self, p) -> bool:
-        # finite lattices live in compact groups whose canonical coordinates
-        # make the range check automatic; only divisibility matters
+        return self.coordinates(p) is not None
+
+    def coordinates(self, p) -> tuple | None:
+        """The integers j with p = j * step per axis (centred mod a finite order), or None off the lattice."""
         cs = self.group.coords(p)
-        if len(cs) != len(self.step):
-            return False
-        for x, s in zip(cs, self.step):
-            q = Fraction(x) / Fraction(s)
-            if q.denominator != 1:
-                return False
-        return True
+        qs = [Fraction(x) / Fraction(s) for x, s in zip(cs, self.step)]
+        if len(cs) != len(self.step) or any(q.denominator != 1 for q in qs):
+            return None
+        orders = self.order or [None] * len(qs)
+        return tuple(int(q) if o is None else (int(q) + o // 2) % o - o // 2 for q, o in zip(qs, orders))
 
     def points(self) -> list:
         """The points of a finite lattice, in increasing order of j."""

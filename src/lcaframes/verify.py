@@ -13,7 +13,7 @@ import numpy as np
 from . import charfun as cf
 from . import domains
 from . import frame as fr
-from .bspline import refinement_residual
+from .bspline import refinement_bound, refinement_residual
 from .chains import MAX_POINTS
 from .exceptions import UncertifiedLevelError
 from .filters import dual_sampling_plan, verify_uep, worst_residual
@@ -82,11 +82,13 @@ def run_verification(system: fr.FrameSystem, suite: str, samples: int, trials: i
             entries.append(_measured(COND_UEP, entry.pop("residual"), tol, level=k, **entry))
     if suite in ("refinement", "all"):
         for lf in system.level_filters:
-            if system.family["type"] == "bspline":
-                res = refinement_residual(chain, lf.k, system.family["order"], plans[lf.k], lf.h)
+            if system.family["type"] == "charfun":
+                res, how = cf.indicator_refinement_residual(system.band, lf.k, plans[lf.k], lf.h), {}
+            elif (res := refinement_bound(chain, lf.k, system.family["order"], lf.h)) is not None:
+                how = {"method": "coefficients"}
             else:
-                res = cf.indicator_refinement_residual(system.band, lf.k, plans[lf.k], lf.h)
-            entries.append(_measured(COND_REFINE, res, tol, level=lf.k))
+                res, how = refinement_residual(chain, lf.k, system.family["order"], plans[lf.k], lf.h), {}
+            entries.append(_measured(COND_REFINE, res, tol, level=lf.k, **how))
     if suite in ("fiber", "all"):
         if chain.group.is_finite:
             entries.append(_measured(COND_FIBER, _fiber_suite(system, seed), tol))

@@ -18,6 +18,7 @@ from lcaframes.bspline import (
     check_refinement_splitting,
     even_order_wavelet_filters,
     first_order_wavelet_filter,
+    refinement_bound,
     refinement_filter,
     refinement_residual,
     wavelet_filters,
@@ -32,6 +33,8 @@ from lcaframes.exceptions import (
 )
 from lcaframes.filters import dual_sampling_plan
 from lcaframes.frame import build_bspline_system, system_from_json, system_to_json
+from lcaframes.groups import element_scale
+from lcaframes.verify import run_verification
 
 from oracles import function_hat
 
@@ -215,6 +218,57 @@ def test_refinement_residual_cyclic():
     for k in range(3):
         plan = dual_sampling_plan(ch, k)
         assert refinement_residual(ch, k, 2, plan) <= 1e-12
+
+
+REFINE_CHAINS = {
+    "z": lambda: integer_chain(4),
+    "zn": lambda: cyclic_chain(4),
+    "t": lambda: torus_chain([2, 2, 2]),
+    "r1": lambda: euclidean_chain([[2, 2, 2]]),
+}
+
+
+@pytest.mark.parametrize("order", [1, 2, 4])
+@pytest.mark.parametrize("name", sorted(REFINE_CHAINS))
+def test_refinement_bound_is_zero_on_constructed_systems(name, order):
+    system = build_bspline_system(REFINE_CHAINS[name](), order)
+    entries, status = run_verification(system, "refinement", 64, None, 1, 1e-10)
+    assert [(e["level"], e["residual"], e["method"]) for e in entries] == [
+        (lf.k, 0.0, "coefficients") for lf in system.level_filters
+    ]
+    assert status == "pass"
+
+
+def _negated(h):
+    return dataclasses.replace(h, coeffs=tuple(-complex(c) for c in h.coeffs))
+
+
+def _nudged(h):
+    return dataclasses.replace(h, coeffs=(complex(h.coeffs[0]) + 1e-7, *h.coeffs[1:]))
+
+
+def _doubled_step(h):
+    return dataclasses.replace(h, step=element_scale(h.group, 2, h.step))  # still a level-(k+1) lattice point
+
+
+@pytest.mark.parametrize("edit", [_negated, _nudged, _doubled_step], ids=["negated", "nudged", "doubled-step"])
+@pytest.mark.parametrize("name", sorted(REFINE_CHAINS))
+def test_refinement_bound_covers_the_per_point_residual(name, edit):
+    chain = REFINE_CHAINS[name]()
+    system = build_bspline_system(chain, 2)
+    broken = dataclasses.replace(
+        system, level_filters=tuple(dataclasses.replace(lf, h=edit(lf.h)) for lf in system.level_filters)
+    )
+    entries, status = run_verification(broken, "refinement", 64, None, 1, 1e-10)
+    for lf, entry in zip(broken.level_filters, entries):
+        # V_{k+1} is a whole period of h; V_k alone is one coset of it, and on Z_16 at level 0 the
+        # doubled step agrees with the mask there
+        plan = dual_sampling_plan(chain, lf.k, grid=1024, random=256, domain=chain.level(lf.k + 1).domain_v)
+        per_point = refinement_residual(chain, lf.k, 2, plan, lf.h)
+        assert entry["status"] == "fail" and entry["method"] == "coefficients"
+        assert entry["residual"] == refinement_bound(chain, lf.k, 2, lf.h)
+        assert entry["residual"] + 1e-12 >= per_point > 1e-10
+    assert status == "fail"
 
 
 def test_refinement_splitting_witness():

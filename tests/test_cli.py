@@ -344,11 +344,18 @@ def test_verify_reports_exactness_flag(tmp_path):
     assert all(e["exact"] for e in report["checks"])
     # each UEP entry names its sampling plan: exhaustive, or grid plus seeded random points
     assert [e["sampling"] for e in report["checks"]] == [f"exhaustive V_{k} ({2**k} points)" for k in range(3)]
+    bpath = construct(tmp_path, EUCLID_BOXES, out="boxes.json")
+    main(["verify", str(bpath), "--suite", "uep", "--samples", "256", "--seed", "0x2a", "--report", str(rpath)])
+    report = json.loads(rpath.read_text())
+    assert not any(e["exact"] for e in report["checks"])
+    assert [e["sampling"] for e in report["checks"]] == ["grid+random V_0 (320 points, seed 0x2a)"]
+    # trig levels are bounded from their coefficients over the whole dual: a method, no plan
     zpath = construct(tmp_path, Z_BSPLINE, out="zs.json")
     main(["verify", str(zpath), "--suite", "uep", "--samples", "256", "--seed", "0x2a", "--report", str(rpath)])
     report = json.loads(rpath.read_text())
     assert not any(e["exact"] for e in report["checks"])
-    assert [e["sampling"] for e in report["checks"]] == [f"grid+random V_{k} (320 points, seed 0x2a)" for k in range(3)]
+    assert [e["method"] for e in report["checks"]] == ["coefficients"] * 3
+    assert not any({"samples", "sampling", "worst_point"} & set(e) for e in report["checks"])
 
 
 def test_verify_bad_seed_exit_2(tmp_path, capsys):
@@ -421,6 +428,23 @@ def test_exact_residual_beyond_float_range_fails(tmp_path):
     assert main(["verify", str(cpath), "--suite", "uep", "--report", str(rpath)]) == 1
     failed = [e for e in json.loads(rpath.read_text())["checks"] if e["status"] == "fail"]
     assert [(e["level"], e["exact"], e["residual"]) for e in failed] == [(0, True, float("inf"))]
+
+
+def test_non_finite_coefficient_fails_without_a_warning(tmp_path):
+    # JSON's Infinity loads as a float coefficient; the float paths see it and say nothing on stderr
+    data = json.loads(construct(tmp_path, dict(Z16_BAND, family={"bspline": {"order": 2}}, k0=0)).read_text())
+    [h] = [entry["h"] for entry in data["filters"] if entry["k"] == 2]
+    h["coeffs"][0], h["coeffs_exact"][0] = [math.inf, 0.0], {"re": math.inf, "im": 0.0}
+    cpath, rpath = tmp_path / "infinite.json", tmp_path / "report.json"
+    cpath.write_text(json.dumps(data))
+    # a process of its own, since pytest would capture a numpy RuntimeWarning before it reached stderr
+    env = dict(os.environ, PYTHONPATH=str(Path(lcaframes.__file__).resolve().parents[1]))
+    cmd = [sys.executable, "-m", "lcaframes.cli", "verify", str(cpath), "--suite", "all", "--report", str(rpath)]
+    done = subprocess.run(cmd, env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (1, "")
+    checks = json.loads(rpath.read_text())["checks"]
+    failed = [(e["condition"], e.get("level")) for e in checks if e["status"] == "fail"]
+    assert failed == [("uep-gram-identity", 2), ("refinement-transfer", 2), ("level-telescoping", None)]
 
 
 def test_ball_radius_beyond_float_square_fails(tmp_path):
@@ -500,8 +524,11 @@ def test_verify_order_8_spline_beyond_int64_passes(tmp_path):
             lambda data: data["filters"][0]["h"]["coeffs_exact"][0]["exact"].update(rad=str(10**18 + 3)),
         ),
         (Z_BSPLINE, lambda data: data["filters"][0]["g"][0]["shifts"].__setitem__(1, 10**6)),
+        # each shift element -j eta is paired in floats, so a shift beyond 2^53 is refused on load
+        (dict(Z_BSPLINE, family={"bspline": {"order": 1}}),
+         lambda data: data["filters"][0]["g"][0].update(shifts=[10**400, 10**400 + 1])),
     ],
-    ids=["radicand-1e18", "shift-1e6"],
+    ids=["radicand-1e18", "shift-1e6", "shift-1e400"],
 )
 def test_verify_artifact_values_above_desk_scale_exit_3(tmp_path, capsys, desc, corrupt):
     spath = construct(tmp_path, desc)

@@ -25,6 +25,7 @@ from lcaframes.filters import (
     SamplingPlan,
     TrigPolynomial,
     assemble_uep,
+    coefficient_residual,
     dual_sampling_plan,
     filter_from_json,
     filter_to_json,
@@ -131,7 +132,8 @@ def test_verify_uep_haar_grid(zchain):
     report = verify_uep(P, plan)
     assert report.residual <= 1e-12
     assert not report.exact
-    assert report.samples == len(plan.points)
+    # bounded from the coefficients, so no plan point is evaluated
+    assert report.samples == 0 and report.to_json() == {"residual": report.residual, "exact": False, "method": "coefficients"}
 
 
 def test_verify_uep_shannon_exact_zero(z8chain):
@@ -303,6 +305,65 @@ def test_uep_values_match_per_character_oracle(name, edit):
         want = trig_values(P, plan.point(i))
         assert np.max(np.abs(values[i] - want)) <= 1e-12
         assert np.max(np.abs(rows[i] - want[:, 0])) <= 1e-12
+
+
+def _oracle_gram_residual(P, gamma) -> float:
+    """max |V*V - d I| at one point, V from the per-character oracle."""
+    V = trig_values(P, gamma)
+    return float(np.max(np.abs(V.conj().T @ V - P.d * np.eye(P.d))))
+
+
+@pytest.mark.parametrize("edit", [None, _mixed_steps], ids=["built", "mixed-steps"])
+@pytest.mark.parametrize("name", sorted(SPLINE_LEVELS))
+def test_coefficient_bound_holds_at_every_plan_point(name, edit):
+    # the bound sums |E_z| over the lags, so it is at least |P*P - d I| at any gamma
+    build, k = SPLINE_LEVELS[name]
+    system = build()
+    P = system.uep_matrix(k) if edit is None else edit(system.uep_matrix(k))
+    plan = dual_sampling_plan(system.chain, k, grid=1024, random=256)
+    worst = max(_oracle_gram_residual(P, plan.point(i)) for i in range(len(plan.points)))
+    report = verify_uep(P, plan)
+    assert report.samples == 0 and not report.exact and report.residual == coefficient_residual(P)
+    assert report.residual + 1e-12 >= worst
+    if edit is None:
+        assert report.residual <= 1e-12
+    else:  # a broken identity, so the two are not compared at rounding level only
+        assert worst > 0.1
+
+
+@pytest.mark.parametrize("name", ["z256-spline", "t-spline"])
+def test_coefficient_bound_groups_shifts_by_element(name):
+    # on a finite lattice j and j + ord(eta) name one character; grouped by j they would not cancel
+    build, k = SPLINE_LEVELS[name]
+    P = build().uep_matrix(k)
+    (order,) = P.chain.level(k + 1).lattice.order  # eta_k is the lattice step, of this order
+    g = P.rows[1]
+    aliased = dataclasses.replace(g, shifts=(g.shifts[0] - 3 * order, *g.shifts[1:-1], g.shifts[-1] + order))
+    Q = assemble_uep(P.chain, k, P.rows[0], [aliased, *P.rows[2:]])
+    plan = dual_sampling_plan(P.chain, k, grid=64, random=16)
+    assert np.max(np.abs(Q.eval_many(plan.points) - P.eval_many(plan.points))) <= 1e-12
+    assert coefficient_residual(Q) == coefficient_residual(P) <= 1e-12
+    # a row times the character of -(ord/2) eta, a point of Lambda_k, keeps the identity; its cells wrap
+    # around the centred window, so its lags cancel the other rows' only once folded mod the order
+    moved = dataclasses.replace(g, shifts=tuple(j + order // 2 for j in g.shifts))
+    R = assemble_uep(P.chain, k, P.rows[0], [moved, *P.rows[2:]])
+    assert max(_oracle_gram_residual(R, plan.point(i)) for i in range(len(plan.points))) <= 1e-12
+    assert coefficient_residual(R) <= 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(SPLINE_LEVELS))
+def test_coefficient_bound_fails_a_corrupted_coefficient(name):
+    build, k = SPLINE_LEVELS[name]
+    system = build()
+    P = system.uep_matrix(k)
+    plan = dual_sampling_plan(system.chain, k, grid=64, random=16)
+    for r, f in enumerate(P.rows):
+        for bad in (complex(f.coeffs[0]) + 1e-7, complex("nan")):
+            rows = list(P.rows)
+            rows[r] = dataclasses.replace(f, coeffs=(bad, *f.coeffs[1:]))
+            report = verify_uep(assemble_uep(system.chain, k, rows[0], rows[1:]), plan)
+            assert report.samples == 0 and not report.residual <= 1e-10
+            assert math.isfinite(report.residual) == (bad == bad)
 
 
 def test_mixed_rows_match_each_row_at_shifted_points(z8chain):
