@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import domains
-from .chains import LatticeChain
+from .chains import MAX_POINTS, LatticeChain
 from .domains import HalfOpenBox, IntegerInterval
 from .exact import cis_many, radical
 from .exceptions import (
@@ -253,6 +253,8 @@ def wavelet_time(chain: LatticeChain, k: int, filt: TrigPolynomial, phi: Discret
         terms = [complex(c) * np.roll(phi.array, o) for o, c in zip(offsets, filt.coeffs)]
         return DiscreteFunction(chain.group, 0, sum(terms[1:], terms[0]))
     lo = min(offsets)
+    if max(offsets) - lo > MAX_ORDER * MAX_POINTS:  # a built system's masks span at most order * 2^M
+        raise ResourceLimitError(f"wavelet time side spans more than {MAX_ORDER * MAX_POINTS} points (desk-scale cap)")
     acc = np.zeros(len(phi.values) + max(offsets) - lo, dtype=complex)
     for o, c in zip(offsets, filt.coeffs):
         acc[o - lo : o - lo + len(phi.values)] += complex(c) * phi.array

@@ -193,14 +193,6 @@ def grid_points(dom, total: int, group: GroupSpec) -> np.ndarray:
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, s)
 
 
-def random_points(dom, n: int, rng, group: GroupSpec) -> np.ndarray:
-    """n uniform points in the bounding box of dom, one row of coordinates each."""
-    lo, hi = bounds(dom, group)
-    lo_f = np.array([float(a) for a in lo])
-    hi_f = np.array([float(b) for b in hi])
-    return lo_f + rng.random((n, len(lo))) * (hi_f - lo_f)
-
-
 def domain_to_json(dom) -> dict:
     if isinstance(dom, IntegerInterval):
         return {"kind": "integer_interval", "lo": dom.lo, "hi": dom.hi}

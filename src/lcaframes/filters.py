@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import combinations_with_replacement
+from random import Random
 
 import numpy as np
 
@@ -43,6 +44,7 @@ from .exact import MAX_RADICAND, ZERO, Radical, radical, to_float
 from .exceptions import (
     EmptySamplingPlanError, FilterVariantError, PeriodicityMismatchError, ResourceLimitError, SchemaError
 )
+from .functions import uniform
 from .groups import GroupSpec, dual_group, element_scale, pairing, point_array, residue
 from .lattices import ScaledLattice
 
@@ -310,8 +312,8 @@ def dual_sampling_plan(
     if chain.dual.is_discrete:
         pts = np.fromiter(domains.iter_points(dom, chain.dual), dtype=np.int64)
         return SamplingPlan(pts, f"exhaustive V_{k} ({len(pts)} points)")
-    rng = np.random.default_rng(seed)
-    rows = [domains.grid_points(dom, grid, chain.dual), domains.random_points(dom, random, rng, chain.dual)]
+    lo, hi = (np.array([float(a) for a in v]) for v in domains.bounds(dom, chain.dual))  # uniform in the bounding box
+    rows = [domains.grid_points(dom, grid, chain.dual), lo + uniform(Random(seed), (random, len(lo))) * (hi - lo)]
     pts = point_array(np.concatenate(rows), chain.dual)
     return SamplingPlan(pts, f"grid+random V_{k} ({len(pts)} points, seed {seed:#x})")
 
@@ -467,8 +469,8 @@ def filter_from_json(data: dict, chain: LatticeChain, k: int):
             raise PeriodicityMismatchError(
                 f"trig filter needs integer shifts, one coefficient each, and a level-{k + 1} lattice step"
             )
-        if max(shifts) - min(shifts) >= MAX_POINTS or max(map(abs, shifts)) >= MAX_SHIFT:
-            raise ResourceLimitError(f"trig filter shifts span {MAX_POINTS} points or reach {MAX_SHIFT} (desk-scale cap)")
+        if max(shifts) - min(shifts) >= MAX_POINTS or max(map(abs, (*shifts, *chain.group.coords(step)))) >= MAX_SHIFT:
+            raise ResourceLimitError(f"trig filter shifts span {MAX_POINTS} points, or shifts or step reach {MAX_SHIFT} (desk-scale cap)")
         exact = data.get("coeffs_exact")
         coeffs = tuple(
             _value_from_json(exact[i]) if exact is not None and "exact" in exact[i] else complex(pair[0], pair[1])

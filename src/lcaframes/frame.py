@@ -8,7 +8,7 @@ translates of every wavelet (equivalently, on the Fourier side, modulations).
 Verification entry points:
 
 * analysis / parseval_residual  -- coefficient energy against the norm;
-* frame_operator                -- N x N operator on Z_N from all translates;
+* frame_operator                -- N x N operator on Z_N (the dense reference of `_frame_residual`);
 * fiber_identity_sides          -- coefficient sum vs dual-cell fiber integral;
 * telescoping_residual          -- one-level energy split through the filters.
 
@@ -16,7 +16,8 @@ A system is analysed on the first of its time and frequency sides where
 every generator has finite values: by translates on Z and Z_N, by modulates
 for band systems on T (their dual is discrete), with energies from fiber folds
 on finite lattices.  Systems with no such side (splines on T, all on R^s) are
-matrix-condition only and rejected here.
+matrix-condition only and rejected here.  On Z_N the energies and the frame
+operator read one table of generator spectra, `FrameSystem.spectra`.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -54,6 +56,8 @@ from .filters import (
 from .functions import DiscreteFunction
 from .groups import pairing
 from .lattices import cyclic_annihilator
+
+BLOCK_ENTRIES = 2**14  # entries of U S U* - I that `_frame_residual` holds at once
 
 
 @dataclass(frozen=True)
@@ -96,6 +100,11 @@ class FrameSystem:
     def uep_matrix(self, k: int) -> UepMatrix:
         lf = self.filters_at(k)
         return assemble_uep(self.chain, k, lf.h, lf.gs)
+
+    @cached_property
+    def spectra(self) -> np.ndarray:
+        """FFT of each generator of (*scalings, *wavelets) on Z_N, one row each: computed on first use, not on build."""
+        return np.fft.fft([g.time.array for g in (*self.scalings, *self.wavelets)])
 
 
 def _levels(chain: LatticeChain, k0, k1) -> tuple[int, int]:
@@ -257,32 +266,43 @@ def _coefficients(system: FrameSystem, gen: Generator, side: str, start: int, F:
     return 0, weight * np.einsum("jx,tx->tj", chars.reshape(lat.size, hi - lo).conj(), prod)
 
 
-def _energies(system: FrameSystem, gens, side: str, start: int, F: np.ndarray) -> np.ndarray:
-    """Per stacked test function, the sum over gens of its squared coefficients.
+def _energy_table(system: FrameSystem, side: str, start: int, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(E, ||F[t]||^2): E[t, i] sums the squared coefficients of F[t] against generator i of (*scalings, *wavelets).
 
     On a finite lattice of r points, Plancherel on the quotient by x mod r gives
-    sum_j |c_j|^2 = weight^2 r sum_{a mod r} |sum_{x = a mod r} F(x) conj g(x)|^2
-    for modulates; translates on Z_N are modulates after one FFT (weight point_mass / N).
-    On Z, whose lattices are infinite, the coefficients come from translates.
+    sum_j |c_j|^2 = weight^2 r sum_{a mod r} |sum_{x = a mod r} F(x) conj g(x)|^2 for modulates;
+    translates on Z_N are modulates after one FFT of the block (weight point_mass / N), against
+    `system.spectra`.  On Z, whose lattices are infinite, the coefficients come from translates.
     """
-    group = _side_group(system, side)
+    group, gens = _side_group(system, side), (*system.scalings, *system.wavelets)
     weight, fourier = float(group.point_mass), side == "time" and group.is_finite
+    E, n2 = np.empty((len(F), len(gens))), weight * np.sum(F.real**2 + F.imag**2, axis=1)
     if fourier:
         F, weight = np.fft.fft(F), weight / group.modulus
-    total = np.zeros(len(F))
-    for gen in gens:
+    for i, gen in enumerate(gens):
         lat = system.chain.level(gen.level).lattice
         if lat.is_finite:
             g, r = _generator_function(system, gen, side), lat.size
             lo, hi = max(start, g.start), max(start, g.start, min(start + F.shape[1], g.stop))
-            gv = (np.fft.fft(g.array) if fourier else g.array)[lo - g.start : hi - g.start]
+            gv = (system.spectra[i] if fourier else g.array)[lo - g.start : hi - g.start]
             prod = np.zeros((len(F), -(-(hi - lo + lo % r) // r) * r), dtype=complex)  # whole periods from lo - lo % r
             np.multiply(F[:, lo - start : hi - start], gv.conj(), out=prod[:, lo % r : hi - lo + lo % r])
             c, w2 = prod.reshape(len(F), -1, r).sum(axis=1), weight**2 * r
         else:
             c, w2 = _coefficients(system, gen, side, start, F)[1], 1.0
-        total += w2 * np.sum(c.real**2 + c.imag**2, axis=1)
-    return total
+        E[:, i] = w2 * np.sum(c.real**2 + c.imag**2, axis=1)
+    return E, n2
+
+
+def _parseval_of(system: FrameSystem, E: np.ndarray, n2: np.ndarray) -> np.ndarray:
+    """Per row of an energy table, |energy of the system generators - ||f||^2| / ||f||^2."""
+    return np.abs(E[:, 0] + E[:, len(system.scalings) :].sum(axis=1) - n2) / n2
+
+
+def _gaps_of(system: FrameSystem, k: int, E: np.ndarray) -> np.ndarray:
+    """Per row of an energy table, |energy at level k+1 - (energy at level k + wavelet energies at k)|."""
+    i, ns = k - system.k0, len(system.scalings)
+    return np.abs(E[:, i + 1] - E[:, [i, *(ns + j for j, w in enumerate(system.wavelets) if w.level == k)]].sum(axis=1))
 
 
 def _stack_of_one(system: FrameSystem, f: DiscreteFunction, side: str | None) -> tuple[str, int, np.ndarray]:
@@ -318,17 +338,11 @@ def parseval_residual(system: FrameSystem, f: DiscreteFunction, side: str | None
     """|sum of squared coefficients - ||f||^2| / ||f||^2."""
     if f.norm2() == 0:
         raise DomainParameterError("zero test function")
-    return float(_parseval_residuals(system, *_stack_of_one(system, f, side))[0])
-
-
-def _parseval_residuals(system: FrameSystem, side: str, start: int, F: np.ndarray) -> np.ndarray:
-    """parseval_residual of each stacked test function."""
-    n2 = float(_side_group(system, side).point_mass) * np.sum(F.real**2 + F.imag**2, axis=1)
-    return np.abs(_energies(system, system.system_generators(), side, start, F) - n2) / n2
+    return float(_parseval_of(system, *_energy_table(system, *_stack_of_one(system, f, side)))[0])
 
 
 def frame_operator(system: FrameSystem) -> np.ndarray:
-    """Sum of rank-one projectors of all system elements on a cyclic group.
+    """Sum of rank-one projectors of all system elements on a cyclic group (dense; `_frame_residual` is the check).
 
     A generator's term S_g commutes with its step-s translates,
     S_g[x + s, y + s] = S_g[x, y], so its first s columns are one product
@@ -351,6 +365,33 @@ def frame_operator(system: FrameSystem) -> np.ndarray:
     return S
 
 
+def _frame_residual(system: FrameSystem) -> float:
+    """||S - I||_F >= max |S - I| for the frame operator S on Z_N, from Fourier blocks, without forming S.
+
+    With U the unitary DFT, which keeps the norm, (U S U*)[xi, eta] = sum over g with r_g | xi - eta of
+    (r_g / N) g^(xi) conj g^(eta), for g with r_g translates (the tq-equations).  The Hermitian U S U* - I
+    is summed in blocks of BLOCK_ENTRIES entries (a row when N is larger), from the diagonal on.
+    """
+    n, by_size = system.chain.group.modulus, {}  # r -> spectra of the system generators with r translates
+    for gen, gh in zip(system.system_generators(), system.spectra[[0, *range(len(system.scalings), len(system.spectra))]]):
+        by_size.setdefault(system.chain.level(gen.level).lattice.size, []).append(gh)
+    b = min(n, max(1, BLOCK_ENTRIES // n))
+    assert all(r & (r - 1) == 0 for r in by_size) and b & (b - 1) == 0, "dyadic: a block meets residues mod r in slices"
+    groups = [(r, (r / n) ** 0.5 * np.array(ghs)) for r, ghs in by_size.items()]
+    total, D = 0.0, np.empty((b, n), dtype=complex)
+    for a in range(0, n, b):
+        D[...] = 0
+        D.reshape(-1)[a :: n + 1] = -1  # -I on rows a..a+b-1
+        for r, gh in groups:
+            u, off, q0 = min(r, b), a % r, a // r  # row a + p u + c meets columns q r + off + c, from q0 on right of a
+            rows = gh[:, a : a + b].conj().reshape(len(gh), b // u, u)  # D is the conjugate, of equal norm
+            diag = np.einsum("pcqc->pcq", D[:, q0 * r :].reshape(b // u, u, n // r - q0, r)[..., off : off + u])
+            diag += np.einsum("gpc,gqc->pcq", rows, gh.reshape(len(gh), n // r, r)[:, q0:, off : off + u])
+        sq = D[:, a:].real ** 2 + D[:, a:].imag ** 2  # right of the diagonal block, each entry stands for its mirror too
+        total += float(sq[:, :b].sum() + 2 * sq[:, b:].sum())
+    return total**0.5
+
+
 def fiber_identity_sides(lat, v_domain, F: DiscreteFunction, Phi: DiscreteFunction):
     """Both sides of the coefficient-sum / fiber-integral identity on Z_N.
 
@@ -360,15 +401,17 @@ def fiber_identity_sides(lat, v_domain, F: DiscreteFunction, Phi: DiscreteFuncti
     """
     if not lat.group.is_finite:
         raise UnsupportedVerificationError("fiber identity oracle runs on Z_N")
-    n = lat.group.modulus
-    weight = float(F.group.point_mass)
-    prod = F.array * Phi.array.conj()
-    lhs = float(np.sum(np.abs(weight * np.fft.fft(prod)[:: int(lat.step[0])]) ** 2))
+    return tuple(float(side[0]) for side in _fiber_sides(lat, v_domain, F.group, (F.array * Phi.array.conj())[None]))
+
+
+def _fiber_sides(lat, v_domain, dual, prod: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`fiber_identity_sides` of each row of prod = F conj(Phi), with one FFT and one gather for all rows."""
+    n, weight = lat.group.modulus, float(dual.point_mass)
+    lhs = np.sum(np.abs(weight * np.fft.fft(prod, axis=1)[:, :: int(lat.step[0])]) ** 2, axis=1)
     ann = cyclic_annihilator(lat)
-    gammas = np.fromiter(domains.iter_points(v_domain, F.group), dtype=np.int64)
-    fibers = prod[(gammas[:, None] + int(ann.step[0]) * np.arange(ann.order[0])) % n].sum(axis=1)
-    rhs = len(gammas) * weight * weight * float(np.sum(np.abs(fibers) ** 2))
-    return lhs, rhs
+    gammas = np.fromiter(domains.iter_points(v_domain, dual), dtype=np.int64)
+    fibers = prod[:, (gammas[:, None] + int(ann.step[0]) * np.arange(ann.order[0])) % n].sum(axis=2)
+    return lhs, len(gammas) * weight * weight * np.sum(np.abs(fibers) ** 2, axis=1)
 
 
 def ensure_certified(system: FrameSystem, k: int, tol: float = 1e-9):
@@ -391,19 +434,12 @@ def telescoping_residual(
     """|energy at level k+1 - (energy at level k + wavelet energies at k)|.
 
     Certifies level k first; `verify.run_verification` certifies each level
-    once from its own UEP reports and then uses `_energy_gaps`.
+    once from its own UEP reports and then reads the gaps from its energy table.
     """
     if not system.k0 <= k < system.k1:
         raise DomainParameterError(f"need a level with a successor, got {k}")
     ensure_certified(system, k)
-    return float(_energy_gaps(system, k, *_stack_of_one(system, f, side))[0])
-
-
-def _energy_gaps(system: FrameSystem, k: int, side: str, start: int, F: np.ndarray) -> np.ndarray:
-    """The telescoping gap at level k of each stacked test function."""
-    lhs = _energies(system, [system.scaling(k + 1)], side, start, F)
-    rhs = _energies(system, [system.scaling(k), *(w for w in system.wavelets if w.level == k)], side, start, F)
-    return np.abs(lhs - rhs)
+    return float(_gaps_of(system, k, _energy_table(system, *_stack_of_one(system, f, side))[0])[0])
 
 
 def system_to_json(system: FrameSystem, seed: int | None = None) -> dict:

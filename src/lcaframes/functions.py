@@ -7,7 +7,9 @@ and norms respect the group's Haar point mass.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from random import Random
 
 import numpy as np
 
@@ -79,13 +81,18 @@ def delta(group: GroupSpec, at: int = 0) -> DiscreteFunction:
     return DiscreteFunction(group, at, [1])
 
 
-def random_test_function(group: GroupSpec, window: tuple[int, int], rng) -> DiscreteFunction:
-    """Uniform complex entries in the unit square on [window[0], window[1]]."""
+def uniform(rng: Random, shape) -> np.ndarray:
+    """Uniform doubles in [0, 1): the top 53 bits of 8 bytes of the stdlib generator (no numpy.random import)."""
+    bits = np.frombuffer(rng.randbytes(8 * math.prod(shape)), dtype="<u8") >> np.uint64(11)
+    return (bits * 2.0**-53).reshape(shape)
+
+
+def random_test_function(group: GroupSpec, window: tuple[int, int], rng: Random) -> DiscreteFunction:
+    """Uniform complex entries in the unit square on [window[0], window[1]], each a real then an imaginary draw."""
     lo, hi = window
-    n = hi - lo + 1
-    vals = rng.random(n) + 1j * rng.random(n)
+    vals = uniform(rng, (hi - lo + 1, 2)).view(complex)[:, 0]
     if group.is_finite:
         full = np.zeros(group.modulus, dtype=complex)
-        np.add.at(full, (lo + np.arange(n)) % group.modulus, vals)
+        np.add.at(full, np.arange(lo, hi + 1) % group.modulus, vals)
         return DiscreteFunction(group, 0, full)
     return DiscreteFunction(group, lo, vals)

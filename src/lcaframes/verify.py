@@ -8,6 +8,8 @@ tolerance it was held to.
 
 from __future__ import annotations
 
+from random import Random
+
 import numpy as np
 
 from . import charfun as cf
@@ -17,7 +19,7 @@ from .bspline import refinement_bound, refinement_residual
 from .chains import MAX_POINTS
 from .exceptions import UncertifiedLevelError
 from .filters import dual_sampling_plan, verify_uep, worst_residual
-from .functions import random_test_function
+from .functions import uniform
 
 COND_UEP = "uep-gram-identity"
 COND_REFINE = "refinement-transfer"
@@ -69,6 +71,8 @@ def run_verification(system: fr.FrameSystem, suite: str, samples: int, trials: i
     side = fr._default_side(system)
     no_side = "out of desk-scale scope: no side where every generator is finite"
     telescope = suite in ("telescope", "all") and side is not None
+    n_tel = (20 if trials is None else trials) if telescope else 0
+    n_par = (100 if trials is None else trials) if suite in ("parseval", "all") and side is not None else 0
     plans, reports = {}, {}
     if suite in ("uep", "refinement", "all") or telescope:
         for lf in system.level_filters:
@@ -83,7 +87,9 @@ def run_verification(system: fr.FrameSystem, suite: str, samples: int, trials: i
     if suite in ("refinement", "all"):
         for lf in system.level_filters:
             if system.family["type"] == "charfun":
-                res, how = cf.indicator_refinement_residual(system.band, lf.k, plans[lf.k], lf.h), {}
+                # on discrete duals all of V_{k+1}, the period of h, not only its coset V_k
+                plan = dual_sampling_plan(chain, lf.k, domain=chain.level(lf.k + 1).domain_v) if chain.dual.is_discrete else plans[lf.k]
+                res, how = cf.indicator_refinement_residual(system.band, lf.k, plan, lf.h), {}
             elif (res := refinement_bound(chain, lf.k, system.family["order"], lf.h)) is not None:
                 how = {"method": "coefficients"}
             else:
@@ -94,13 +100,14 @@ def run_verification(system: fr.FrameSystem, suite: str, samples: int, trials: i
             entries.append(_measured(COND_FIBER, _fiber_suite(system, seed), tol))
         else:
             entries.append(_entry(COND_FIBER, "skip", detail="fiber oracle runs on finite groups"))
+    if n_tel or n_par:
+        worst_parseval, worst_gap = _energy_suites(system, side, max(n_tel, n_par), n_tel, seed)
     if suite in ("telescope", "all"):
         if telescope:
             try:
                 for k, rep in reports.items():
                     fr._require_certified(k, rep, tol)
-                res = _telescope_suite(system, side, 20 if trials is None else trials, seed)
-                entries.append(_measured(COND_TELESCOPE, res, tol))
+                entries.append(_measured(COND_TELESCOPE, worst_gap, tol))
             except UncertifiedLevelError as exc:
                 entries.append(_entry(COND_TELESCOPE, "fail", detail=str(exc)))
         else:
@@ -109,7 +116,7 @@ def run_verification(system: fr.FrameSystem, suite: str, samples: int, trials: i
         if side is None:
             entries.append(_entry(COND_PARSEVAL, "skip", detail=no_side))
         else:
-            entries.extend(_parseval_suite(system, side, 100 if trials is None else trials, seed, tol))
+            entries.extend(_parseval_suite(system, worst_parseval, n_par, tol))
     if suite == "all":
         entries.extend(_condition_suite(system))
     status = "fail" if any(e["status"] == "fail" for e in entries) else "pass"
@@ -117,18 +124,16 @@ def run_verification(system: fr.FrameSystem, suite: str, samples: int, trials: i
 
 
 def _fiber_suite(system, seed, count: int = 50) -> float:
-    rng = np.random.default_rng(seed)
-    chain = system.chain
-    n = chain.group.modulus
+    """Worst fiber-identity residual over seeded trials on Z_N: levels, then F and Phi as blocks, grouped by level."""
+    rng, chain = Random(seed), system.chain
+    ks = [rng.randrange(chain.k0, chain.k1 + 1) for _ in range(count)]
+    F, Phi = uniform(rng, (2, count, chain.group.modulus, 2)).view(complex)[..., 0]  # as in `random_test_function`
     residuals = []
-    for _ in range(count):
-        k = int(rng.integers(chain.k0, chain.k1 + 1))
-        lat = chain.level(k).lattice
-        F = random_test_function(chain.dual, (0, n - 1), rng)
-        Phi = random_test_function(chain.dual, (0, n - 1), rng)
-        lhs, rhs = fr.fiber_identity_sides(lat, chain.level(k).domain_v, F, Phi)
-        residuals.append(abs(lhs - rhs) / (1 + abs(lhs)))
-    return worst_residual(residuals)[0]
+    for k in sorted(set(ks)):
+        t = [i for i in range(count) if ks[i] == k]
+        lhs, rhs = fr._fiber_sides(chain.level(k).lattice, chain.level(k).domain_v, chain.dual, F[t] * Phi[t].conj())
+        residuals.append(np.abs(lhs - rhs) / (1 + np.abs(lhs)))
+    return worst_residual(np.concatenate(residuals))[0]
 
 
 def _test_window(system) -> tuple[int, int]:
@@ -148,35 +153,31 @@ def _test_functions(system, side: str, trials: int, seed: int):
     most `chains.MAX_POINTS` complex entries (at least one row), so memory
     does not grow with the number of trials.
     """
-    rng = np.random.default_rng(seed)
+    rng = Random(seed)
     lo, hi = _test_window(system)
     width = hi - lo + 1
     rows = max(1, MAX_POINTS // width)
     for first in range(0, trials, rows):
-        F = np.empty((min(rows, trials - first), width), dtype=complex)
-        for row in F:
-            row[:] = random_test_function(fr._side_group(system, side), (lo, hi), rng).array
-        yield lo, F
+        yield lo, uniform(rng, (min(rows, trials - first), width, 2)).view(complex)[..., 0]
 
 
-def _telescope_suite(system, side: str, trials: int, seed: int) -> float:
-    """Worst telescoping gap over seeded trials, on levels already certified."""
-    gaps = [
-        fr._energy_gaps(system, lf.k, side, start, F)
-        for start, F in _test_functions(system, side, trials, seed)
-        for lf in system.level_filters
-    ]
-    return worst_residual(np.concatenate(gaps))[0]
+def _energy_suites(system, side: str, trials: int, telescope_trials: int, seed: int) -> tuple[float, float]:
+    """(worst Parseval residual, worst telescoping gap of the first `telescope_trials`) from one energy table per block."""
+    parseval, gaps, done = [], [], 0
+    for start, F in _test_functions(system, side, trials, seed):
+        E, n2 = fr._energy_table(system, side, start, F)
+        parseval.append(fr._parseval_of(system, E, n2))
+        gaps += [fr._gaps_of(system, lf.k, E[: max(0, telescope_trials - done)]) for lf in system.level_filters]
+        done += len(F)
+    return worst_residual(np.concatenate(parseval))[0], worst_residual(np.concatenate(gaps))[0]
 
 
-def _parseval_suite(system, side: str, trials: int, seed: int, tol: float) -> list:
-    blocks = _test_functions(system, side, trials, seed)
-    residuals = np.concatenate([fr._parseval_residuals(system, side, start, F) for start, F in blocks])
-    entries = [_measured(COND_PARSEVAL, worst_residual(residuals)[0], tol, trials=trials)]
+def _parseval_suite(system, residual: float, trials: int, tol: float) -> list:
+    """The Parseval entry of the trials and, on Z_N, ||S - I||_F >= max |S - I| for the frame operator S."""
+    entries = [_measured(COND_PARSEVAL, residual, tol, trials=trials)]
     if system.chain.group.is_finite:
-        S = fr.frame_operator(system)
-        dev = float(np.max(np.abs(S - np.eye(S.shape[0]))))
-        entries.append(_measured(COND_PARSEVAL, dev, tol, detail="frame operator vs identity"))
+        detail = "frame operator vs identity: Frobenius norm from Fourier blocks"
+        entries.append(_measured(COND_PARSEVAL, fr._frame_residual(system), tol, detail=detail))
     return entries
 
 

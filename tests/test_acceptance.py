@@ -5,6 +5,7 @@ inline).  Tolerances are pinned here, not configurable.
 """
 
 import json
+import random
 import time
 from fractions import Fraction
 
@@ -96,13 +97,13 @@ def test_criterion_2_refinement_identity():
 
 def test_criterion_3_fiber_oracle():
     t0 = time.monotonic()
-    rng = np.random.default_rng(SEED)
+    rng = random.Random(SEED)
     worst = 0.0
     for M in (3, 4):  # Z_8 and Z_16
         chain = lf.cyclic_chain(M)
         n = chain.group.modulus
         for _ in range(50):
-            k = int(rng.integers(0, M + 1))
+            k = rng.randrange(0, M + 1)
             F = lf.random_test_function(chain.dual, (0, n - 1), rng)
             Phi = lf.random_test_function(chain.dual, (0, n - 1), rng)
             lhs, rhs = lf.fiber_identity_sides(
@@ -121,7 +122,7 @@ def test_criterion_3_fiber_oracle():
 
 def test_criterion_4_telescoping():
     t0 = time.monotonic()
-    rng = np.random.default_rng(SEED)
+    rng = random.Random(SEED)
     worst = 0.0
     spline = lf.build_bspline_system(lf.integer_chain(3), 2)
     for _ in range(20):
@@ -160,7 +161,7 @@ def test_criterion_5_parseval_bound_one():
     ch = lf.integer_chain(10)
     for order in (1, 2, 4):
         system = lf.build_bspline_system(ch, order)
-        rng = np.random.default_rng(SEED)
+        rng = random.Random(SEED)
         for _ in range(100):
             f = lf.random_test_function(lf.integer_group(), (0, 20), rng)
             res = lf.parseval_residual(system, f)

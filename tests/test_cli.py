@@ -527,8 +527,13 @@ def test_verify_order_8_spline_beyond_int64_passes(tmp_path):
         # each shift element -j eta is paired in floats, so a shift beyond 2^53 is refused on load
         (dict(Z_BSPLINE, family={"bspline": {"order": 1}}),
          lambda data: data["filters"][0]["g"][0].update(shifts=[10**400, 10**400 + 1])),
+        # the wavelet's time side spans j eta, so a step beyond 2^53 is refused on load too
+        (dict(Z_BSPLINE, family={"bspline": {"order": 1}}),
+         lambda data: data["filters"][0]["g"][0].update(eta=4 * 10**400)),
+        # below 2^53 the step is still refused before the time side is allocated
+        (dict(Z_BSPLINE, family={"bspline": {"order": 1}}), lambda data: data["filters"][0]["g"][0].update(eta=2**50)),
     ],
-    ids=["radicand-1e18", "shift-1e6", "shift-1e400"],
+    ids=["radicand-1e18", "shift-1e6", "shift-1e400", "eta-4e400", "eta-2e50"],
 )
 def test_verify_artifact_values_above_desk_scale_exit_3(tmp_path, capsys, desc, corrupt):
     spath = construct(tmp_path, desc)
@@ -538,7 +543,8 @@ def test_verify_artifact_values_above_desk_scale_exit_3(tmp_path, capsys, desc, 
     t0 = time.monotonic()
     assert main(["verify", str(spath), "--suite", "all"]) == 3
     assert time.monotonic() - t0 < 1.0
-    assert "desk-scale" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "desk-scale" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -713,6 +719,22 @@ def _negate_level_3_lowpass(data):
             _negate_value(piece["value"])
 
 
+def test_band_refinement_sees_both_cosets_of_the_filter_period(tmp_path):
+    # h has period V_3 here; a piece on V_3 minus V_2, where Phi_2 is 0 and Phi_3 is not, breaks refinement
+    desc = dict(Z8_SHANNON, family={"charfun": {"mode": "proper", "L": [0, 0, 1, 7]}}, k0=1)
+    data = json.loads(construct(tmp_path, desc).read_text())
+    [h] = [entry["h"] for entry in data["filters"] if entry["k"] == 2]
+    one = {"re": 1.0, "im": 0.0, "exact": {"re": "1", "im": "0", "rad": "1"}}
+    h["pieces"].insert(0, {"domain": {"kind": "integer_interval", "lo": 4, "hi": 7}, "value": one})
+    cpath = tmp_path / "corrupted.json"
+    cpath.write_text(json.dumps(data))
+    rpath = tmp_path / "report.json"
+    assert main(["verify", str(cpath), "--suite", "refinement", "--report", str(rpath)]) == 1
+    entries = {e["level"]: e for e in json.loads(rpath.read_text())["checks"]}
+    assert entries[1]["status"] == "pass"
+    assert entries[2]["status"] == "fail" and entries[2]["residual"] == 1.0
+
+
 @pytest.mark.parametrize(
     "desc",
     [
@@ -734,3 +756,22 @@ def test_negated_lowpass_fails_refinement_transfer(tmp_path, desc):
     assert main(["verify", str(cpath), "--suite", "all", "--report", str(rpath)]) == 1
     failed = [(e["condition"], e.get("level")) for e in json.loads(rpath.read_text())["checks"] if e["status"] == "fail"]
     assert failed == [("refinement-transfer", 3)]
+
+
+def test_verify_all_leaves_numpy_random_unimported(tmp_path):
+    # seeded draws come from the stdlib generator, so no run pays numpy.random's import
+    r2_balls = {
+        "group": {"variant": "euclidean", "params": {"dimension": 2}},
+        "chain": {"M_table": [[2, 2, 2], [2, 3, 2]]},
+        "family": {"charfun": {"mode": "proper", "L": ["1/4", "1/2", "1"], "shape": "balls"}},
+    }
+    z64 = dict(Z8_SHANNON, group={"variant": "cyclic", "params": {"modulus": 64}}, chain={"M": 6}, family={"bspline": {"order": 2}})
+    runs = [(str(construct(tmp_path, desc, f"s{i}.json")), extra) for i, (desc, extra) in enumerate([(z64, []), (r2_balls, ["--samples", "512"])])]
+    script = (
+        "import sys\nfrom lcaframes.cli import main\n"
+        f"codes = [main(['verify', path, '--suite', 'all', *extra]) for path, extra in {runs!r}]\n"
+        "print(codes, 'numpy.random' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(lcaframes.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.stdout.splitlines()[-1] == "[0, 0] False", done.stderr
