@@ -25,7 +25,7 @@ import numpy as np
 from . import domains
 from .chains import MAX_POINTS, LatticeChain
 from .domains import HalfOpenBox, IntegerInterval
-from .exact import cis_many, radical
+from .exact import Radical, cis_many, radical
 from .exceptions import (
     ResourceLimitError,
     SplittingError,
@@ -167,9 +167,7 @@ def refinement_filter(chain: LatticeChain, k: int, order: int) -> TrigPolynomial
     require_order(order)
     _require_index_two(chain, k)
     eta = chain.splitter(k)
-    coeffs = tuple(
-        radical(Fraction(math.comb(order, j), 2**order), 0, 2) for j in range(order + 1)
-    )
+    coeffs = tuple(Radical(Fraction(math.comb(order, j), 2**order), 0, 2) for j in range(order + 1))  # 2 is square-free
     return TrigPolynomial(chain.group, eta, tuple(range(order + 1)), coeffs, chain.level(k + 1).annihilator)
 
 
@@ -249,13 +247,15 @@ def wavelet_time(chain: LatticeChain, k: int, filt: TrigPolynomial, phi: Discret
     if phi is None:
         raise UnsupportedRepresentationError("time-domain wavelets need Z or Z_N")
     offsets = [j * filt.step for j in filt.shifts]
-    if chain.group.is_finite:
-        terms = [complex(c) * np.roll(phi.array, o) for o, c in zip(offsets, filt.coeffs)]
-        return DiscreteFunction(chain.group, 0, sum(terms[1:], terms[0]))
+    coeffs = np.array([complex(c) for c in filt.coeffs])
+    if chain.group.is_finite:  # phi(x - o) for every offset o in one gather, then one contraction with the c_j
+        n = chain.group.modulus
+        rolled = phi.array[(np.arange(n) - np.array([o % n for o in offsets])[:, None]) % n]
+        return DiscreteFunction(chain.group, 0, np.einsum("j,jx->x", coeffs, rolled))
     lo = min(offsets)
     if max(offsets) - lo > MAX_ORDER * MAX_POINTS:  # a built system's masks span at most order * 2^M
         raise ResourceLimitError(f"wavelet time side spans more than {MAX_ORDER * MAX_POINTS} points (desk-scale cap)")
     acc = np.zeros(len(phi.values) + max(offsets) - lo, dtype=complex)
-    for o, c in zip(offsets, filt.coeffs):
-        acc[o - lo : o - lo + len(phi.values)] += complex(c) * phi.array
+    for o, c in zip(offsets, coeffs):
+        acc[o - lo : o - lo + len(phi.values)] += c * phi.array
     return DiscreteFunction(chain.group, phi.start + lo, acc)

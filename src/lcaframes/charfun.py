@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -139,7 +140,7 @@ class IndicatorGenerator:
     band: OmegaChain
     k: int
 
-    @property
+    @cached_property
     def scale(self) -> Radical:
         return sqrt_rational(1 / Fraction(self.band.chain.dual_cell_measure(self.k)))
 

@@ -13,9 +13,10 @@ and coset column l: in floats (`_row_values`), or as value keys (`_row_keys`),
 small integers that fix each value (the quarter turn of a character value, or
 a piece index).  A filter's `eval_many` and `exact_keys` are the one-row case
 at nu = 0; `eval` is one point and `eval_exact` turns one key into a Radical.
-Trig rows share one character table per evaluation: each distinct shift
-element x_j = -j eta is formed exactly once and paired once with the points
-and the nu_l together, since (x, gamma + nu) = (x, gamma)(x, nu); a row is the
+Trig rows share one character table per evaluation, from one character per
+step: eta is paired once with the points and the nu_l together, and each shift
+x_j = -j eta follows as (eta, .)^(-j), in integer residues on discrete duals;
+the columns follow from (x, gamma + nu) = (x, gamma)(x, nu), and a row is the
 table times its coefficients.  Piecewise rows that share a fundamental domain
 reduce each column into it once.
 
@@ -40,12 +41,12 @@ import numpy as np
 
 from . import domains
 from .chains import MAX_POINTS, LatticeChain
-from .exact import MAX_RADICAND, ZERO, Radical, radical, to_float
+from .exact import MAX_RADICAND, ZERO, Radical, cis_many, radical, to_float
 from .exceptions import (
     EmptySamplingPlanError, FilterVariantError, PeriodicityMismatchError, ResourceLimitError, SchemaError
 )
 from .functions import uniform
-from .groups import GroupSpec, dual_group, element_scale, pairing, point_array, residue
+from .groups import GroupSpec, dual_group, element_scale, phase, point_array, residue
 from .lattices import ScaledLattice
 
 DEFAULT_SEED = 0x5EED
@@ -143,24 +144,41 @@ class CosetPiecewise:
         return None if i == NO_EXACT else ZERO if i < 0 else self.pieces[i][1]
 
 
-def _row_tables(rows, gammas, dual, nus, char) -> tuple:
+def _step_characters(group: GroupSpec, step, js, both: np.ndarray, exact: bool):
+    """(-j step, .) at the points `both`, one row per j, from one character of the step: (step, .)^(-j).
+
+    exact: the integer residues (R, D) with R = -j r mod D for `residue`'s (r, D).  Else the values: from
+    those residues where `phase` gives them, so quarter turns stay exact, and from the float phases -j t
+    elsewhere.
+    """
+    r, d = residue(group, element_scale(group, 1, step), both) if exact else phase(group, step, both)
+    if d is None:
+        return cis_many(np.multiply.outer(np.array([-j for j in js], dtype=float), r))
+    R = np.multiply.outer(np.array([-j % d for j in js], dtype=np.int64), r) % d  # j reduced exactly first
+    return (R, d) if exact else cis_many(R / d)
+
+
+def _row_tables(rows, gammas, dual, nus, exact: bool) -> tuple:
     """(n, columns, xs, table, at, pieces): what rows at gamma + nu_l share, for n points and each column l.
 
-    xs are the distinct x_i = -j eta of the trig rows, formed exactly once per step and j; table[i] is
-    char(group, x_i, .) at the points, then at the nu_l (one column, nu = 0, by default), one call per
-    x_i; at[r] lists row r's shifts as indices into xs.
+    xs are the distinct (step, j) of the trig rows, standing for x = -j step; table[i] is the character of
+    xs[i] at the points, then at the nu_l (one column, nu = 0, by default), as `_step_characters` gives it
+    (residues when exact), with one character per step; at[r] lists row r's shifts as indices into xs.
     pieces[r, l] is the index of the piece holding each point + nu_l (-1: none);
     rows that share a fundamental domain reduce each column into it once.
     """
     pts, nus = point_array(gammas, dual), nus or (dual.element([0] * dual.dimension),)
-    group, index, at = None, {}, {}
-    for f in rows:
-        for j in getattr(f, "shifts", ()):
-            if (f.step, j) not in at:
-                group, x = f.group, element_scale(f.group, -j, f.step)
-                at[f.step, j] = index.setdefault(x, len(index))
     both = np.concatenate([pts, point_array(nus, dual)])
-    table = [char(group, x, both) for x in index]
+    steps = {}  # step -> (group, {j: None}): the distinct shifts of each step, in order
+    for f in rows:
+        if isinstance(f, TrigPolynomial):
+            steps.setdefault(f.step, (f.group, {}))[1].update(dict.fromkeys(f.shifts))
+    xs, table = [], []
+    for step, (group, js) in steps.items():
+        chars = _step_characters(group, step, list(js), both, exact)
+        xs += [(step, j) for j in js]
+        table += [(R, chars[1]) for R in chars[0]] if exact else list(chars)
+    index = {x: i for i, x in enumerate(xs)}
     pieces, reps = {}, {}
     for r, f in enumerate(rows):
         if not isinstance(f, CosetPiecewise):
@@ -172,12 +190,12 @@ def _row_tables(rows, gammas, dual, nus, char) -> tuple:
             idx = pieces[r, l] = np.full(len(pts), -1)
             for i in reversed(range(len(f.pieces))):  # the first match wins
                 idx[domains.contains_many(f.pieces[i][0], rep, dual)] = i
-    return len(pts), len(nus), list(index), table, [[at[f.step, j] for j in getattr(f, "shifts", ())] for f in rows], pieces
+    return len(pts), len(nus), xs, table, [[index[f.step, j] for j in getattr(f, "shifts", ())] for f in rows], pieces
 
 
 def _row_values(rows, gammas, dual, nus=None) -> np.ndarray:
     """Every row at gamma + nu_l in floats, shape (points, rows, columns): a trig row is table times coefficients."""
-    n, cols, _, table, at, pieces = _row_tables(rows, gammas, dual, nus, pairing)
+    n, cols, _, table, at, pieces = _row_tables(rows, gammas, dual, nus, False)
     coef = np.zeros((len(table), len(rows)), dtype=complex)
     for r, f in enumerate(rows):
         for i, c in zip(at[r], getattr(f, "coeffs", ())):
@@ -201,7 +219,7 @@ def _row_keys(rows, gammas, dual, nus=None) -> list | None:
     """
     if not all(isinstance(c, Radical) for f in rows for c in getattr(f, "coeffs", ())):
         return None
-    n, cols, _, table, at, pieces = _row_tables(rows, gammas, dual, nus, residue)
+    n, cols, _, table, at, pieces = _row_tables(rows, gammas, dual, nus, True)
     turns = np.empty((len(table), n, cols), dtype=np.int64)
     for i, (r, d) in enumerate(table):
         s = (r[:n, None] + r[n:]) % d
@@ -215,25 +233,27 @@ def _row_keys(rows, gammas, dual, nus=None) -> list | None:
 def coefficient_grid(rows, lattice: ScaledLattice, nus=None) -> np.ndarray | None:
     """c_{r,x} (x, nu_l) per trig row r and column l at the cell of each x = -j eta, shape (rows, columns, *span).
 
-    A cell is x over the lattice step, `ScaledLattice.coordinates`, so j and j + ord(eta) share one.  None
-    for a row that is not trig, or past MAX_GRID rows x columns x prod(2 span - 1), before allocating.
+    A cell is x over the lattice step, -j times `ScaledLattice.coordinates` of eta, centred, so j and
+    j + ord(eta) share one.  None for a row that is not trig, or past MAX_GRID rows x columns x
+    prod(2 span - 1), before allocating.
     """
     if not all(isinstance(f, TrigPolynomial) for f in rows):
         return None
-    _, cols, xs, table, at, _ = _row_tables(rows, (), dual_group(lattice.group), nus, pairing)
-    cells = [lattice.coordinates(x) for x in xs]
-    if None in cells:
+    _, cols, xs, table, at, _ = _row_tables(rows, (), dual_group(lattice.group), nus, False)
+    coords = {step: lattice.coordinates(step) for step in dict.fromkeys(step for step, _ in xs)}
+    if None in coords.values():
         raise PeriodicityMismatchError(f"a trig filter shift is off the lattice of steps {lattice.step}")
+    cells = [lattice.centred([-j * c for c in coords[step]]) for step, j in xs]
     lo = [min(c) for c in zip(*cells)]
     cells = [[j - a for j, a in zip(js, lo)] for js in cells]
     span = [max(c) + 1 for c in zip(*cells)]
     if len(rows) * cols * math.prod(2 * s - 1 for s in span) > MAX_GRID:
         return None
+    terms = [(r, i, complex(c)) for r, f in enumerate(rows) for i, c in zip(at[r], f.coeffs)]
+    r, i, c = (np.array(v) for v in zip(*terms))
     grid = np.zeros((len(rows), cols, *span), dtype=complex)
-    with np.errstate(invalid="ignore", over="ignore"):
-        for r, f in enumerate(rows):
-            for i, c in zip(at[r], f.coeffs):
-                grid[(r, slice(None), *cells[i])] += complex(c) * table[i]
+    with np.errstate(invalid="ignore", over="ignore"):  # one scatter; shifts that share a cell add in order
+        np.add.at(grid, (r[:, None], np.arange(cols), *np.array(cells)[i].T[..., None]), c[:, None] * np.array(table)[i])
     return grid
 
 
@@ -338,9 +358,9 @@ def _gram_residual_exact(P: UepMatrix, key) -> Fraction | None:
     vals = P.exact_values(key)
     if any(v is None for row in vals for v in row):
         return None
-    worst = Fraction(0)
+    worst, diagonal = Fraction(0), Radical(-P.d, 0, 1)
     for l, lp in combinations_with_replacement(range(P.d), 2):  # |(P*P)_{l',l}| = |(P*P)_{l,l'}|
-        acc = radical(-P.d if l == lp else 0)  # diagonal products |v|^2 are rational, like d
+        acc = diagonal if l == lp else ZERO  # diagonal products |v|^2 are rational, like d
         for row in vals:
             acc = acc.add(row[l].conj().mul(row[lp]))
             if acc is None:
@@ -359,11 +379,15 @@ def exact_residuals(keys: np.ndarray | None, abs2_of) -> np.ndarray | None:
     """
     if keys is None or (keys == NO_EXACT).any():
         return None
-    rows, inverse = np.unique(keys, axis=0, return_inverse=True)
-    abs2 = [abs2_of(row) for row in rows]
-    if any(w is None for w in abs2):
+    keys = np.ascontiguousarray(keys)
+    rows = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel().tolist()  # one bytes object a row
+    first = {}  # a key row's bytes -> its first point
+    at = [first.setdefault(row, i) for i, row in enumerate(rows)]
+    abs2 = {i: abs2_of(keys[i]) for i in first.values()}
+    if None in abs2.values():
         return None
-    return np.array([math.sqrt(to_float(w)) for w in abs2])[inverse.reshape(-1)]
+    res = {i: math.sqrt(to_float(w)) for i, w in abs2.items()}
+    return np.array([res[i] for i in at])
 
 
 def pointwise_residuals(P: UepMatrix, points) -> np.ndarray:
@@ -393,25 +417,29 @@ def coefficient_residual(P: UepMatrix) -> float | None:
         F = np.fft.fftn(grid, lengths, axes=range(2, grid.ndim))
         # E at lag z sits at index z mod the length; d delta_{z0} transforms to d at every frequency
         pairs = combinations_with_replacement(range(P.d), 2)
-        E = (np.fft.ifftn((F[:, l].conj() * F[:, lp]).sum(0) - P.d * (l == lp)) for l, lp in pairs)
-        return worst_residual([np.abs(e).sum() for e in E])[0]
+        G = [(F[:, l].conj() * F[:, lp]).sum(0) - P.d * (l == lp) for l, lp in pairs]
+        E = np.fft.ifftn(G, axes=range(1, grid.ndim - 1))  # the d(d+1)/2 pairs in one call
+        return worst_residual(np.abs(E).reshape(len(E), -1).sum(axis=1))[0]
 
 
-def verify_uep(P: UepMatrix, plan: SamplingPlan) -> UepReport:
+def verify_uep(P: UepMatrix, plan) -> UepReport:
     """Largest deviation of P*P from d_k I.
 
     On a discrete dual the Gram matrix is first evaluated in exact arithmetic once per distinct key row
     (`UepMatrix.exact_keys`), from values read off the key (`UepMatrix.exact_values`), so every point with
     that key has that residual by construction; the report is flagged exact.  Otherwise a level of trig
     rows reports the `coefficient_residual` bound, with 0 samples; any other is sampled at every plan point.
+    plan is a SamplingPlan, or a function of no arguments that builds one, called only where points are read.
     """
     res = None
     if P.chain.dual.is_discrete:
+        plan = plan() if callable(plan) else plan
         res = exact_residuals(P.exact_keys(plan.points), partial(_gram_residual_exact, P))
     if res is None and (bound := coefficient_residual(P)) is not None:
         return UepReport(bound, False, None, 0, "coefficients")
     exact = res is not None
     if not exact:
+        plan = plan() if callable(plan) else plan
         res = pointwise_residuals(P, plan.points)
     worst, i = worst_residual(res)
     return UepReport(worst, exact, plan.point(i), len(res), plan.label)
@@ -425,18 +453,25 @@ def _value_json(v) -> dict:
     return out
 
 
-def _value_from_json(data) -> object:
-    """A filter value; exact parts are read through their string form, so a JSON bool or 2.7 radicand is refused."""
+def _value_from_json(data, parsed: dict) -> object:
+    """A filter value; exact parts are read through their string form, so a JSON bool or 2.7 radicand is refused.
+
+    parsed maps the string forms already read, within one load, to their values, so each distinct exact
+    value is parsed once.
+    """
     if "exact" in data:
         e = data["exact"]
-        rad = int(str(e["rad"]))
-        if rad < 1:
-            raise SchemaError(f"radicand must be positive, got {rad}")
-        if rad > MAX_RADICAND:
-            raise ResourceLimitError(f"radicand {rad} exceeds {MAX_RADICAND} (desk-scale cap)")
-        value = radical(str(e["re"]), str(e["im"]), rad)  # square-free, as Radical.mul needs
-        complex(value)  # the float paths need it: OverflowError beyond the float range
-        return value
+        key = (str(e["re"]), str(e["im"]), str(e["rad"]))
+        if key not in parsed:
+            rad = int(key[2])
+            if rad < 1:
+                raise SchemaError(f"radicand must be positive, got {rad}")
+            if rad > MAX_RADICAND:
+                raise ResourceLimitError(f"radicand {rad} exceeds {MAX_RADICAND} (desk-scale cap)")
+            value = radical(key[0], key[1], rad)  # square-free, as Radical.mul needs
+            complex(value)  # the float paths need it: OverflowError beyond the float range
+            parsed[key] = value
+        return parsed[key]
     return complex(data["re"], data["im"])
 
 
@@ -458,8 +493,12 @@ def filter_to_json(f) -> dict:
     raise FilterVariantError(f"cannot serialize {type(f).__name__}")
 
 
-def filter_from_json(data: dict, chain: LatticeChain, k: int):
-    """Rebind a serialized filter to level k of the chain (periodicity k+1)."""
+def filter_from_json(data: dict, chain: LatticeChain, k: int, parsed: dict | None = None):
+    """Rebind a serialized filter to level k of the chain (periodicity k+1).
+
+    parsed holds the exact values read so far by the same load (`_value_from_json`); a fresh one by default.
+    """
+    parsed = {} if parsed is None else parsed
     lattice = chain.level(k + 1).annihilator
     if data["kind"] == "trig":
         step = domains._point_from_json(data["eta"])
@@ -473,13 +512,13 @@ def filter_from_json(data: dict, chain: LatticeChain, k: int):
             raise ResourceLimitError(f"trig filter shifts span {MAX_POINTS} points, or shifts or step reach {MAX_SHIFT} (desk-scale cap)")
         exact = data.get("coeffs_exact")
         coeffs = tuple(
-            _value_from_json(exact[i]) if exact is not None and "exact" in exact[i] else complex(pair[0], pair[1])
+            _value_from_json(exact[i], parsed) if exact is not None and "exact" in exact[i] else complex(pair[0], pair[1])
             for i, pair in enumerate(data["coeffs"])
         )
         return TrigPolynomial(chain.group, step, tuple(shifts), coeffs, lattice)
     if data["kind"] == "piecewise":
         pieces = tuple(
-            (domains.domain_from_json(p["domain"], chain.dual), _value_from_json(p["value"]))
+            (domains.domain_from_json(p["domain"], chain.dual), _value_from_json(p["value"], parsed))
             for p in data["pieces"]
         )
         return CosetPiecewise(chain.dual, pieces, domains.domain_from_json(data["domain"], chain.dual), lattice)

@@ -10,14 +10,17 @@ Verification entry points:
 * analysis / parseval_residual  -- coefficient energy against the norm;
 * frame_operator                -- N x N operator on Z_N (the dense reference of `_frame_residual`);
 * fiber_identity_sides          -- coefficient sum vs dual-cell fiber integral;
-* telescoping_residual          -- one-level energy split through the filters.
+* telescoping_residual          -- one-level energy split through the filters, relative to ||f||^2.
 
 A system is analysed on the first of its time and frequency sides where
 every generator has finite values: by translates on Z and Z_N, by modulates
 for band systems on T (their dual is discrete), with energies from fiber folds
-on finite lattices.  Systems with no such side (splines on T, all on R^s) are
-matrix-condition only and rejected here.  On Z_N the energies and the frame
-operator read one table of generator spectra, `FrameSystem.spectra`.
+on finite lattices, one contraction per generator over whole periods.
+Systems with no such side (splines on T, all on R^s) are matrix-condition
+only and rejected here.  On Z_N the energies and the frame operator read one
+table of generator spectra, `FrameSystem.spectra`.  An energy table computes
+the columns of the scalings past the first, which only the telescope reads,
+for the telescope's rows alone.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -266,31 +269,41 @@ def _coefficients(system: FrameSystem, gen: Generator, side: str, start: int, F:
     return 0, weight * np.einsum("jx,tx->tj", chars.reshape(lat.size, hi - lo).conj(), prod)
 
 
-def _energy_table(system: FrameSystem, side: str, start: int, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _energy_table(
+    system: FrameSystem, side: str, start: int, F: np.ndarray, scaling_rows: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """(E, ||F[t]||^2): E[t, i] sums the squared coefficients of F[t] against generator i of (*scalings, *wavelets).
 
     On a finite lattice of r points, Plancherel on the quotient by x mod r gives
-    sum_j |c_j|^2 = weight^2 r sum_{a mod r} |sum_{x = a mod r} F(x) conj g(x)|^2 for modulates;
-    translates on Z_N are modulates after one FFT of the block (weight point_mass / N), against
-    `system.spectra`.  On Z, whose lattices are infinite, the coefficients come from translates.
+    sum_j |c_j|^2 = weight^2 r sum_{a mod r} |sum_{x = a mod r} F(x) conj g(x)|^2 for modulates, one
+    contraction of F and conj g over whole periods; translates on Z_N are modulates after one FFT of the
+    block (weight point_mass / N), against `system.spectra`.  On Z, whose lattices are infinite, the
+    coefficients come from translates.  The scalings past the first are not system generators and only the
+    telescope reads them: their columns are computed for the first `scaling_rows` rows (all by default)
+    and are NaN below.
     """
     group, gens = _side_group(system, side), (*system.scalings, *system.wavelets)
     weight, fourier = float(group.point_mass), side == "time" and group.is_finite
-    E, n2 = np.empty((len(F), len(gens))), weight * np.sum(F.real**2 + F.imag**2, axis=1)
+    E, n2 = np.full((len(F), len(gens)), np.nan), weight * np.sum(F.real**2 + F.imag**2, axis=1)
     if fourier:
         F, weight = np.fft.fft(F), weight / group.modulus
     for i, gen in enumerate(gens):
+        rows = F[:scaling_rows] if 0 < i < len(system.scalings) else F
+        if not len(rows):
+            continue
         lat = system.chain.level(gen.level).lattice
         if lat.is_finite:
             g, r = _generator_function(system, gen, side), lat.size
             lo, hi = max(start, g.start), max(start, g.start, min(start + F.shape[1], g.stop))
-            gv = (system.spectra[i] if fourier else g.array)[lo - g.start : hi - g.start]
-            prod = np.zeros((len(F), -(-(hi - lo + lo % r) // r) * r), dtype=complex)  # whole periods from lo - lo % r
-            np.multiply(F[:, lo - start : hi - start], gv.conj(), out=prod[:, lo % r : hi - lo + lo % r])
-            c, w2 = prod.reshape(len(F), -1, r).sum(axis=1), weight**2 * r
+            gv = (system.spectra[i] if fourier else g.array)[lo - g.start : hi - g.start].conj()
+            rows = rows[:, lo - start : hi - start]
+            pad = (lo % r, -(hi - lo + lo % r) % r)  # to whole periods from lo - lo % r
+            if any(pad):
+                rows, gv = np.pad(rows, ((0, 0), pad)), np.pad(gv, pad)
+            c, w2 = np.einsum("tqa,qa->ta", rows.reshape(len(rows), -1, r), gv.reshape(-1, r)), weight**2 * r
         else:
-            c, w2 = _coefficients(system, gen, side, start, F)[1], 1.0
-        E[:, i] = w2 * np.sum(c.real**2 + c.imag**2, axis=1)
+            c, w2 = _coefficients(system, gen, side, start, rows)[1], 1.0
+        E[: len(c), i] = w2 * np.sum(c.real**2 + c.imag**2, axis=1)
     return E, n2
 
 
@@ -299,10 +312,15 @@ def _parseval_of(system: FrameSystem, E: np.ndarray, n2: np.ndarray) -> np.ndarr
     return np.abs(E[:, 0] + E[:, len(system.scalings) :].sum(axis=1) - n2) / n2
 
 
-def _gaps_of(system: FrameSystem, k: int, E: np.ndarray) -> np.ndarray:
-    """Per row of an energy table, |energy at level k+1 - (energy at level k + wavelet energies at k)|."""
+def _gaps_of(system: FrameSystem, k: int, E: np.ndarray, n2: np.ndarray) -> np.ndarray:
+    """Per row of an energy table, |energy at level k+1 - (energy at level k + wavelet energies at k)| / ||f||^2.
+
+    The gap is relative, as Parseval's is, since both energies grow with ||f||^2; a zero f has gap 0, and a
+    NaN stays NaN.
+    """
     i, ns = k - system.k0, len(system.scalings)
-    return np.abs(E[:, i + 1] - E[:, [i, *(ns + j for j, w in enumerate(system.wavelets) if w.level == k)]].sum(axis=1))
+    gaps = np.abs(E[:, i + 1] - E[:, [i, *(ns + j for j, w in enumerate(system.wavelets) if w.level == k)]].sum(axis=1))
+    return np.divide(gaps, n2[: len(E)], out=np.zeros(len(E)), where=n2[: len(E)] != 0)
 
 
 def _stack_of_one(system: FrameSystem, f: DiscreteFunction, side: str | None) -> tuple[str, int, np.ndarray]:
@@ -338,7 +356,7 @@ def parseval_residual(system: FrameSystem, f: DiscreteFunction, side: str | None
     """|sum of squared coefficients - ||f||^2| / ||f||^2."""
     if f.norm2() == 0:
         raise DomainParameterError("zero test function")
-    return float(_parseval_of(system, *_energy_table(system, *_stack_of_one(system, f, side)))[0])
+    return float(_parseval_of(system, *_energy_table(system, *_stack_of_one(system, f, side), scaling_rows=0))[0])
 
 
 def frame_operator(system: FrameSystem) -> np.ndarray:
@@ -415,8 +433,8 @@ def _fiber_sides(lat, v_domain, dual, prod: np.ndarray) -> tuple[np.ndarray, np.
 
 
 def ensure_certified(system: FrameSystem, k: int, tol: float = 1e-9):
-    """Re-verify the level-k matrix identity on a small plan before use."""
-    plan = dual_sampling_plan(system.chain, k, grid=256, random=64)
+    """Re-verify the level-k matrix identity before use, on a small plan where it reads one."""
+    plan = partial(dual_sampling_plan, system.chain, k, grid=256, random=64)
     _require_certified(k, verify_uep(system.uep_matrix(k), plan), tol)
 
 
@@ -431,7 +449,7 @@ def _require_certified(k: int, report, tol: float = 1e-9):
 def telescoping_residual(
     system: FrameSystem, k: int, f: DiscreteFunction, side: str | None = None
 ) -> float:
-    """|energy at level k+1 - (energy at level k + wavelet energies at k)|.
+    """|energy at level k+1 - (energy at level k + wavelet energies at k)| / ||f||^2.
 
     Certifies level k first; `verify.run_verification` certifies each level
     once from its own UEP reports and then reads the gaps from its energy table.
@@ -439,7 +457,7 @@ def telescoping_residual(
     if not system.k0 <= k < system.k1:
         raise DomainParameterError(f"need a level with a successor, got {k}")
     ensure_certified(system, k)
-    return float(_gaps_of(system, k, _energy_table(system, *_stack_of_one(system, f, side))[0])[0])
+    return float(_gaps_of(system, k, *_energy_table(system, *_stack_of_one(system, f, side)))[0])
 
 
 def system_to_json(system: FrameSystem, seed: int | None = None) -> dict:
@@ -473,11 +491,12 @@ def system_from_json(data: dict) -> FrameSystem:
             band = _band_from_params(family["band"], family["band_params"])
         elif family["type"] != "bspline" or type(family["order"]) is not int:
             raise SchemaError(f"need a charfun band or an integer bspline order, got family {family!r}")
+        parsed = {}  # each distinct exact value of the artifact is parsed once
         level_filters = [
             LevelFilters(
                 entry["k"],
-                filter_from_json(entry["h"], chain, entry["k"]),
-                tuple(filter_from_json(g, chain, entry["k"]) for g in entry["g"]),
+                filter_from_json(entry["h"], chain, entry["k"], parsed),
+                tuple(filter_from_json(g, chain, entry["k"], parsed) for g in entry["g"]),
             )
             for entry in data["filters"]
         ]

@@ -16,7 +16,8 @@ Everything else a group kind implies is decided here and read off the
 `GroupSpec`: whether it is discrete or finite, the period its coordinates
 reduce by, and the conversion between elements and coordinate tuples.
 `point_array` holds many points of one group as an array, and `pairing` is
-the one evaluation of the character (x, gamma): one x, an array of gammas.
+the one evaluation of the character (x, gamma): one x, an array of gammas,
+through its `phase`.
 """
 
 from __future__ import annotations
@@ -174,19 +175,27 @@ def residue(group: GroupSpec, x, pts: np.ndarray) -> tuple[np.ndarray, int]:
     return x.numerator * pts % x.denominator, x.denominator
 
 
-def pairing(group: GroupSpec, x, gammas) -> np.ndarray:
-    """Character values (x, gamma) for x in the group, at an array of dual points.
+def phase(group: GroupSpec, x, gammas) -> tuple[np.ndarray, int | None]:
+    """(t, D) with (x, gamma) = e^{2 pi i t / D} for x in the group, at an array of dual points.
 
-    On the discrete duals (of Z_N, and of T at a rational x) the phase is
-    reduced mod 1 in exact integer arithmetic, so quarter turns come out as
-    exactly 1, i, -1 and -i; on T and R^s it is a float product.
+    On the discrete duals (of Z_N, and of T at a rational x) t is the integer
+    residue of `residue`, reduced mod D exactly; on T and R^s it is a float
+    product in turns, and D is None.
     """
     x = check_element(group, x, "group element")
     pts = point_array(gammas, dual_group(group))
     if group.is_finite or isinstance(x, Fraction):
-        t = np.divide(*residue(group, x, pts))
-    elif group.kind == EUCLIDEAN:
-        t = pts @ np.array([float(c) for c in x])
-    else:
-        t = float(x) * pts
-    return cis_many(t)
+        return residue(group, x, pts)
+    if group.kind == EUCLIDEAN:
+        return pts @ np.array([float(c) for c in x]), None
+    return float(x) * pts, None
+
+
+def pairing(group: GroupSpec, x, gammas) -> np.ndarray:
+    """Character values (x, gamma) for x in the group, at an array of dual points.
+
+    The phase is `phase`'s, so on the discrete duals quarter turns come out
+    as exactly 1, i, -1 and -i.
+    """
+    t, d = phase(group, x, gammas)
+    return cis_many(t if d is None else np.divide(t, d))

@@ -50,8 +50,12 @@ class ScaledLattice:
         qs = [Fraction(x) / Fraction(s) for x, s in zip(cs, self.step)]
         if len(cs) != len(self.step) or any(q.denominator != 1 for q in qs):
             return None
-        orders = self.order or [None] * len(qs)
-        return tuple(int(q) if o is None else (int(q) + o // 2) % o - o // 2 for q, o in zip(qs, orders))
+        return self.centred([int(q) for q in qs])
+
+    def centred(self, js) -> tuple:
+        """Integer coordinates js, each reduced mod a finite order into [-order/2, order/2)."""
+        orders = self.order or [None] * len(js)
+        return tuple(j if o is None else (j + o // 2) % o - o // 2 for j, o in zip(js, orders))
 
     def points(self) -> list:
         """The points of a finite lattice, in increasing order of j."""

@@ -8,6 +8,7 @@ tolerance it was held to.
 
 from __future__ import annotations
 
+from functools import partial
 from random import Random
 
 import numpy as np
@@ -74,12 +75,15 @@ def run_verification(system: fr.FrameSystem, suite: str, samples: int, trials: i
     n_tel = (20 if trials is None else trials) if telescope else 0
     n_par = (100 if trials is None else trials) if suite in ("parseval", "all") and side is not None else 0
     plans, reports = {}, {}
-    if suite in ("uep", "refinement", "all") or telescope:
-        for lf in system.level_filters:
-            plans[lf.k] = dual_sampling_plan(chain, lf.k, grid=samples, random=n_random, seed=seed)
+
+    def plan(k):  # a level's plan, built when a check first reads it and shared after
+        if k not in plans:
+            plans[k] = dual_sampling_plan(chain, k, grid=samples, random=n_random, seed=seed)
+        return plans[k]
+
     if suite in ("uep", "all") or telescope:
         for lf in system.level_filters:
-            reports[lf.k] = verify_uep(system.uep_matrix(lf.k), plans[lf.k])
+            reports[lf.k] = verify_uep(system.uep_matrix(lf.k), partial(plan, lf.k))
     if suite in ("uep", "all"):
         for k, rep in reports.items():
             entry = rep.to_json()
@@ -88,12 +92,12 @@ def run_verification(system: fr.FrameSystem, suite: str, samples: int, trials: i
         for lf in system.level_filters:
             if system.family["type"] == "charfun":
                 # on discrete duals all of V_{k+1}, the period of h, not only its coset V_k
-                plan = dual_sampling_plan(chain, lf.k, domain=chain.level(lf.k + 1).domain_v) if chain.dual.is_discrete else plans[lf.k]
-                res, how = cf.indicator_refinement_residual(system.band, lf.k, plan, lf.h), {}
+                v = dual_sampling_plan(chain, lf.k, domain=chain.level(lf.k + 1).domain_v) if chain.dual.is_discrete else plan(lf.k)
+                res, how = cf.indicator_refinement_residual(system.band, lf.k, v, lf.h), {}
             elif (res := refinement_bound(chain, lf.k, system.family["order"], lf.h)) is not None:
                 how = {"method": "coefficients"}
             else:
-                res, how = refinement_residual(chain, lf.k, system.family["order"], plans[lf.k], lf.h), {}
+                res, how = refinement_residual(chain, lf.k, system.family["order"], plan(lf.k), lf.h), {}
             entries.append(_measured(COND_REFINE, res, tol, level=lf.k, **how))
     if suite in ("fiber", "all"):
         if chain.group.is_finite:
@@ -162,12 +166,13 @@ def _test_functions(system, side: str, trials: int, seed: int):
 
 
 def _energy_suites(system, side: str, trials: int, telescope_trials: int, seed: int) -> tuple[float, float]:
-    """(worst Parseval residual, worst telescoping gap of the first `telescope_trials`) from one energy table per block."""
+    """(worst Parseval residual, worst relative telescope gap of the first `telescope_trials`), one energy table a block."""
     parseval, gaps, done = [], [], 0
     for start, F in _test_functions(system, side, trials, seed):
-        E, n2 = fr._energy_table(system, side, start, F)
+        rows = max(0, telescope_trials - done)
+        E, n2 = fr._energy_table(system, side, start, F, scaling_rows=rows)
         parseval.append(fr._parseval_of(system, E, n2))
-        gaps += [fr._gaps_of(system, lf.k, E[: max(0, telescope_trials - done)]) for lf in system.level_filters]
+        gaps += [fr._gaps_of(system, lf.k, E[:rows], n2) for lf in system.level_filters]
         done += len(F)
     return worst_residual(np.concatenate(parseval))[0], worst_residual(np.concatenate(gaps))[0]
 

@@ -6,19 +6,78 @@ The exact values are computed point by point from the phase of each
 character value and exact membership in each piece, not from value keys.
 The phase is the scalar `pairing_phase` below, in `Fraction` arithmetic, so
 the oracle shares no phase or exact evaluation code with the library.
+`FractionRadical` is the reference form of `exact.Radical`, with `Fraction`
+parts in place of the library's integer fields.
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from lcaframes import domains
 from lcaframes.charfun import indicator_generator, indicator_refinement_filter
-from lcaframes.exact import Radical, radical
+from lcaframes.exact import Radical, _square_split, radical
 from lcaframes.exceptions import FilterVariantError
 from lcaframes.filters import CosetPiecewise, TrigPolynomial, UepMatrix, pointwise_residuals
 from lcaframes.groups import CYCLIC, EUCLIDEAN, element_add, element_scale
+
+@dataclass(frozen=True)
+class FractionRadical:
+    """(re + i*im) * sqrt(rad) with Fraction re, im and square-free int rad: the reference for `exact.Radical`."""
+
+    re: Fraction
+    im: Fraction
+    rad: int
+
+    def conj(self) -> "FractionRadical":
+        return FractionRadical(self.re, -self.im, self.rad)
+
+    def __neg__(self) -> "FractionRadical":
+        return FractionRadical(-self.re, -self.im, self.rad)
+
+    def turn(self, q: int) -> "FractionRadical":
+        re, im = ((self.re, self.im), (-self.im, self.re), (-self.re, -self.im), (self.im, -self.re))[q % 4]
+        return FractionRadical(re, im, self.rad)
+
+    def mul(self, other: "FractionRadical") -> "FractionRadical":
+        g = math.gcd(self.rad, other.rad)
+        re = (self.re * other.re - self.im * other.im) * g
+        im = (self.re * other.im + self.im * other.re) * g
+        return _fraction_normal(re, im, (self.rad // g) * (other.rad // g))
+
+    def add(self, other: "FractionRadical") -> "FractionRadical | None":
+        if self.re == 0 and self.im == 0:
+            return other
+        if other.re == 0 and other.im == 0:
+            return self
+        if self.rad != other.rad:
+            return None
+        return _fraction_normal(self.re + other.re, self.im + other.im, self.rad)
+
+    def abs2(self) -> Fraction:
+        return (self.re * self.re + self.im * self.im) * self.rad
+
+    def __complex__(self) -> complex:
+        root = math.sqrt(self.rad)
+        return complex(float(self.re) * root, float(self.im) * root)
+
+
+def _fraction_normal(re: Fraction, im: Fraction, rad: int) -> FractionRadical:
+    return FractionRadical(re, im, rad if re or im else 1)
+
+
+def fraction_radical(re, im=0, rad=1) -> FractionRadical:
+    """Normalized FractionRadical: sqrt(p/q) = sqrt(p q)/q with the square part of p q pulled out; zero gets rad 1."""
+    re, im, rad = Fraction(re), Fraction(im), Fraction(rad)
+    if rad == 0 or (re == 0 and im == 0):
+        return FractionRadical(Fraction(0), Fraction(0), 1)
+    p, q = rad.numerator, rad.denominator
+    s, f = _square_split(p * q)
+    c = Fraction(s, q)
+    return FractionRadical(re * c, im * c, f)
+
 
 #: e^{2 pi i t} at the quarter turns t, as (re, im)
 QUARTER_TURNS = {Fraction(0): (1, 0), Fraction(1, 4): (0, 1), Fraction(1, 2): (-1, 0), Fraction(3, 4): (0, -1)}

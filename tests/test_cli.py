@@ -775,3 +775,34 @@ def test_verify_all_leaves_numpy_random_unimported(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(lcaframes.__file__).resolve().parents[1]))
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert done.stdout.splitlines()[-1] == "[0, 0] False", done.stderr
+
+
+def test_z4096_spline_passes_suite_all_at_the_identity_tolerance(tmp_path):
+    # the telescope gap is relative to ||f||^2, as Parseval's is: both energies grow with N
+    spath = construct(tmp_path, dict(Z_BSPLINE, group={"variant": "cyclic", "params": {"modulus": 4096}}, chain={"M": 12}))
+    rpath = tmp_path / "report.json"
+    assert main(["verify", str(spath), "--suite", "all", "--tolerance", "1e-12", "--report", str(rpath)]) == 0
+    [telescope] = [e for e in json.loads(rpath.read_text())["checks"] if e["condition"] == "level-telescoping"]
+    assert telescope["status"] == "pass" and telescope["residual"] <= 1e-14
+
+
+def test_z10_spline_suite_all_builds_no_sampling_plan(tmp_path, monkeypatch):
+    # every UEP and refinement level on T, Z's dual, is bounded from coefficients, so no check reads a plan
+    from lcaframes import filters
+
+    spath, built = construct(tmp_path, dict(Z_BSPLINE, chain={"M": 10})), []
+    plan, uep = filters.dual_sampling_plan, filters.verify_uep
+
+    def counted(*args, **kwargs):
+        built.append(args[1])
+        return plan(*args, **kwargs)
+
+    for module in (filters, verify, lcaframes.frame):
+        monkeypatch.setattr(module, "dual_sampling_plan", counted)
+    lazy, eager = tmp_path / "lazy.json", tmp_path / "eager.json"
+    assert main(["verify", str(spath), "--suite", "all", "--report", str(lazy)]) == 0
+    assert built == []
+    # the report is the one a plan built up front for every level gives
+    monkeypatch.setattr(verify, "verify_uep", lambda P, plan: uep(P, plan()))
+    assert main(["verify", str(spath), "--suite", "all", "--report", str(eager)]) == 0
+    assert built == list(range(10)) and lazy.read_bytes() == eager.read_bytes()

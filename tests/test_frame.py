@@ -721,8 +721,15 @@ def test_energy_table_matches_per_function_residuals(name):
     for f, res in zip(fs, parseval):
         assert abs(res - parseval_residual(system, f)) <= 1e-15
     for lf in system.level_filters:
-        for f, gap in zip(fs, _gaps_of(system, lf.k, E)):
-            assert abs(gap - telescoping_residual(system, lf.k, f)) <= 1e-12 * max(1.0, f.norm2())
+        for f, gap in zip(fs, _gaps_of(system, lf.k, E, n2)):
+            assert abs(gap - telescoping_residual(system, lf.k, f)) <= 1e-12
+    # a block longer than its telescope rows: the scalings past the first are computed for those rows only
+    ns, part = len(system.scalings), _energy_table(system, side, start, F, scaling_rows=3)
+    assert np.array_equal(part[1], n2) and np.array_equal(part[0][:3], E[:3])
+    assert np.array_equal(np.delete(part[0], range(1, ns), axis=1), np.delete(E, range(1, ns), axis=1))
+    assert np.isnan(part[0][3:, 1:ns]).all()
+    if name == "zn-spline":  # the Z_N fold at lattice sizes 1, 2 and N
+        assert {1, 2, 32} <= {system.chain.level(k).lattice.size for k in range(system.k0, system.k1 + 1)}
 
 
 @pytest.mark.parametrize("name", ["z-spline", "zn-spline", "zn-band", "t-shannon"])

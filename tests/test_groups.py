@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lcaframes.exact import MAX_RADICAND, ZERO, Radical, _square_split, cis_many, radical, sqrt_rational
@@ -16,7 +16,7 @@ from lcaframes.groups import (
     pairing,
     torus_group,
 )
-from oracles import cis, pairing_exact, pairing_phase
+from oracles import cis, fraction_radical, pairing_exact, pairing_phase
 
 Z = integer_group()
 T = torus_group()
@@ -154,3 +154,30 @@ def test_radical_add_incompatible_is_none():
     assert radical(1, 0, 2).add(radical(1, 0, 3)) is None
     # zero is compatible with everything
     assert radical(0).add(radical(1, 0, 3)) == radical(1, 0, 3)
+
+
+_big_rationals = st.builds(Fraction, st.integers(-(2**80), 2**80), st.integers(1, 2**80))
+_radicands = st.one_of(st.integers(0, MAX_RADICAND), st.builds(Fraction, st.integers(0, MAX_RADICAND), st.integers(1, 64)))
+
+
+def _same(got, want) -> bool:
+    return isinstance(got.re, Fraction) and (got.re, got.im, got.rad) == (want.re, want.im, want.rad)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_big_rationals, _big_rationals, _radicands, _big_rationals, _big_rationals, _radicands, st.integers(-5, 5))
+@example(Fraction(0), Fraction(0), 12, Fraction(1), Fraction(-1), 12, 1)  # zero, and a square factor
+@example(Fraction(3, 2**70), Fraction(2**90), 2**20, Fraction(-(2**66), 7), Fraction(1), MAX_RADICAND - 1, 3)
+def test_integer_radical_matches_the_fraction_reference(re1, im1, ra, re2, im2, rb, q):
+    # numerators and denominators beyond 2^64 and radicands up to MAX_RADICAND, against `Fraction` arithmetic
+    u, fu = radical(re1, im1, ra), fraction_radical(re1, im1, ra)
+    v, fv = radical(re2, im2, rb), fraction_radical(re2, im2, rb)
+    assert _same(u, fu) and _same(v, fv)  # normalization: zero gets rad 1, squares leave the radicand
+    assert _same(u.mul(v), fu.mul(fv)) and _same(v.mul(u), fu.mul(fv))
+    s, fs = u.add(v), fu.add(fv)
+    assert (s is None) == (fs is None) and (s is None or _same(s, fs))  # None for incompatible radicands
+    w, fw = radical(re2, im2, ra), fraction_radical(re2, im2, ra)
+    assert _same(u.add(w), fu.add(fw)) and _same(u.add(-u), fraction_radical(0))
+    assert _same(u.turn(q), fu.turn(q)) and _same(u.conj(), fu.conj()) and _same(-u, -fu)
+    assert u.abs2() == fu.abs2() and complex(u) == complex(fu) and complex(u.mul(v)) == complex(fu.mul(fv))
+    assert u == radical(u.re, u.im, u.rad) and hash(u) == hash(radical(u.re, u.im, u.rad))
