@@ -8,7 +8,6 @@ Parseval bound 1 (exactly, on finite groups).
 """
 
 from .bspline import (
-    BSplineGenerator,
     bspline_hat,
     bspline_time,
     check_refinement_splitting,

@@ -17,7 +17,6 @@ against it coefficient by coefficient (`refinement_bound`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -55,14 +54,6 @@ def require_order(order: int):
         raise ResourceLimitError(f"order {order} exceeds {MAX_ORDER} (desk-scale cap)")
 
 
-@dataclass(frozen=True)
-class BSplineGenerator:
-    chain: LatticeChain
-    k: int
-    order: int
-    time: DiscreteFunction | None  # explicit values on Z / Z_N, None otherwise
-
-
 def _require_index_two(chain: LatticeChain, k: int):
     if chain.index(k) != 2:
         raise UnsupportedIndexError(
@@ -96,13 +87,13 @@ def check_refinement_splitting(chain: LatticeChain, k: int):
     raise SplittingError(f"no splitting check for domain {type(qk).__name__}")
 
 
-def bspline_time(chain: LatticeChain, k: int, order: int) -> BSplineGenerator:
-    """Order-`order` generator at level k, with time values on Z / Z_N."""
+def bspline_time(chain: LatticeChain, k: int, order: int) -> DiscreteFunction | None:
+    """Time values of the order-`order` generator at level k on Z / Z_N; None elsewhere, as in `frame.Generator`."""
     require_order(order)
     group = chain.group
     q = chain.level(k).domain_q
     if not group.is_discrete:
-        return BSplineGenerator(chain, k, order, None)
+        return None
     pts = list(domains.iter_points(q, group))
     base = np.ones(len(pts))  # float: int64 wraps once |Q_k|^(order-1) passes 2^63
     conv = base
@@ -113,10 +104,8 @@ def bspline_time(chain: LatticeChain, k: int, order: int) -> BSplineGenerator:
         n = group.modulus
         full = np.zeros(n, dtype=complex)
         np.add.at(full, (pts[0] * order + np.arange(len(conv))) % n, conv)
-        fn = DiscreteFunction(group, 0, full * scale)
-    else:
-        fn = DiscreteFunction(group, pts[0] * order, conv * scale)
-    return BSplineGenerator(chain, k, order, fn)
+        return DiscreteFunction(group, 0, full * scale)
+    return DiscreteFunction(group, pts[0] * order, conv * scale)
 
 
 def _dirichlet(q: IntegerInterval, t: np.ndarray) -> np.ndarray:

@@ -34,7 +34,7 @@ class OmegaChain:
     chain: LatticeChain
     omegas: tuple  # one band set per level, omegas[i] for level k0 + i
     label: str  # construction tag for serialization
-    params: dict
+    params: dict  # the band bounds of the construction, {"L": ...}; the chain serializes itself
 
     def omega(self, k: int):
         self.chain.level(k)
@@ -74,7 +74,7 @@ def band_chain_cyclic(M: int, bounds: list[int]) -> OmegaChain:
     if bounds[M] != 2**M - 1:
         raise DomainParameterError(f"top band bound must exhaust the dual group ({2**M - 1})")
     omegas = [IntegerInterval(0, L) for L in bounds]
-    return _validate(chain, omegas, "cyclic", {"M": M, "L": list(bounds)})
+    return _validate(chain, omegas, "cyclic", {"L": list(bounds)})
 
 
 def band_chain_torus(m_factors: list[int], bounds: list[int]) -> OmegaChain:
@@ -92,7 +92,7 @@ def band_chain_torus(m_factors: list[int], bounds: list[int]) -> OmegaChain:
         if k and L <= bounds[k - 1]:
             raise DomainParameterError(f"band bounds must strictly increase at level {k}")
     omegas = [IntegerInterval(-L, L) for L in bounds]
-    return _validate(chain, omegas, "torus", {"m_factors": list(m_factors), "L": list(bounds)})
+    return _validate(chain, omegas, "torus", {"L": list(bounds)})
 
 
 def band_chain_boxes(m_table: list[list[int]], bound_table: list[list]) -> OmegaChain:
@@ -106,12 +106,7 @@ def band_chain_boxes(m_table: list[list[int]], bound_table: list[list]) -> Omega
         raise DomainParameterError("band bound table must match the factor table shape")
     half_widths = [[Fraction(row[k]) for row in bound_table] for k in range(depth)]
     omegas = [HalfOpenBox(tuple(-L for L in ls), tuple(ls)) for ls in half_widths]
-    return _validate(
-        chain,
-        omegas,
-        "boxes",
-        {"m_table": [list(r) for r in m_table], "L": [[str(x) for x in r] for r in bound_table]},
-    )
+    return _validate(chain, omegas, "boxes", {"L": [[str(x) for x in r] for r in bound_table]})
 
 
 def band_chain_balls(m_table: list[list[int]], bounds: list) -> OmegaChain:
@@ -121,9 +116,7 @@ def band_chain_balls(m_table: list[list[int]], bounds: list) -> OmegaChain:
     if len(bounds) != depth:
         raise DomainParameterError(f"need {depth} ball radii, got {len(bounds)}")
     omegas = [Ball(Fraction(b)) for b in bounds]
-    return _validate(
-        chain, omegas, "balls", {"m_table": [list(r) for r in m_table], "L": [str(b) for b in bounds]}
-    )
+    return _validate(chain, omegas, "balls", {"L": [str(b) for b in bounds]})
 
 
 def full_band_chain(chain: LatticeChain) -> OmegaChain:
@@ -132,7 +125,7 @@ def full_band_chain(chain: LatticeChain) -> OmegaChain:
         if not domains.is_subset(chain.level(k).domain_v, chain.level(k + 1).domain_v, chain.dual):
             raise DomainParameterError(f"dual cells fail to nest between levels {k} and {k + 1}")
     omegas = [chain.level(k).domain_v for k in range(chain.k0, chain.k1 + 1)]
-    return OmegaChain(chain, tuple(omegas), "full", {"kind": chain.kind, "chain_params": chain.params})
+    return OmegaChain(chain, tuple(omegas), "full", {})
 
 
 @dataclass(frozen=True)

@@ -111,7 +111,7 @@ def build_from_descriptor(desc: dict) -> fr.FrameSystem:
             _require(variant != "integers", "family.charfun", "integer-group chains have no band instantiation")
             shape = spec.get("shape", "boxes")
             _require(variant != "euclidean" or shape in ("boxes", "balls"), "family.charfun.shape", "boxes or balls")
-            band = fr._band_from_params(shape if variant == "euclidean" else variant, {**chain.params, "L": L})
+            band = fr._band_from_params(shape if variant == "euclidean" else variant, chain, {"L": L})
         return fr.build_charfun_system(band, mode, k0, k1)
     raise SchemaError("family: need one of 'bspline' or 'charfun'")
 

@@ -26,6 +26,9 @@ entry of P*P - d_k I.  On discrete duals the plan is exhaustive and the
 arithmetic exact, once per distinct key row, so a true identity reports 0;
 elsewhere a level of trig rows is bounded at every gamma from its
 coefficients, and any other level is sampled in floats.
+
+An artifact stores each filter value in one form (`_value_json`), exact
+for a Radical and floats otherwise, and `filter_from_json` reads all of it.
 """
 
 from __future__ import annotations
@@ -446,33 +449,37 @@ def verify_uep(P: UepMatrix, plan) -> UepReport:
 
 
 def _value_json(v) -> dict:
-    c = complex(v)
-    out = {"re": c.real, "im": c.imag}
+    """A filter value's one stored form: {"exact": {"re", "im", "rad"}} for a Radical, floats {"re", "im"} for any other."""
     if isinstance(v, Radical):
-        out["exact"] = {"re": str(v.re), "im": str(v.im), "rad": str(v.rad)}
-    return out
+        return {"exact": {"re": str(v.re), "im": str(v.im), "rad": str(v.rad)}}
+    c = complex(v)
+    return {"re": c.real, "im": c.imag}
 
 
 def _value_from_json(data, parsed: dict) -> object:
-    """A filter value; exact parts are read through their string form, so a JSON bool or 2.7 radicand is refused.
+    """A filter value in the form `_value_json` writes; any other form is refused.
 
+    Floats must be JSON numbers.  Exact parts are read through their string form, so a JSON bool or 2.7
+    radicand is refused, and the radicand must be the value's own, so that each part changes the value.
     parsed maps the string forms already read, within one load, to their values, so each distinct exact
     value is parsed once.
     """
-    if "exact" in data:
-        e = data["exact"]
-        key = (str(e["re"]), str(e["im"]), str(e["rad"]))
-        if key not in parsed:
-            rad = int(key[2])
-            if rad < 1:
-                raise SchemaError(f"radicand must be positive, got {rad}")
-            if rad > MAX_RADICAND:
-                raise ResourceLimitError(f"radicand {rad} exceeds {MAX_RADICAND} (desk-scale cap)")
-            value = radical(key[0], key[1], rad)  # square-free, as Radical.mul needs
-            complex(value)  # the float paths need it: OverflowError beyond the float range
-            parsed[key] = value
-        return parsed[key]
-    return complex(data["re"], data["im"])
+    if set(data) != {"exact"}:
+        if set(data) != {"re", "im"} or not all(type(data[part]) in (int, float) for part in ("re", "im")):
+            raise SchemaError(f"a filter value is an exact form or the numbers re and im, got {data!r}")
+        return complex(data["re"], data["im"])
+    e = data["exact"]
+    key = (str(e["re"]), str(e["im"]), str(e["rad"]))
+    if key not in parsed:
+        rad = int(key[2])
+        if rad > MAX_RADICAND:
+            raise ResourceLimitError(f"radicand {rad} exceeds {MAX_RADICAND} (desk-scale cap)")
+        value = radical(key[0], key[1], rad)  # refuses a negative radicand
+        if value.rad != rad:  # square-free, as Radical.mul needs, and positive
+            raise SchemaError(f"radicand {rad} is not the value's own: square-free, and 1 for zero")
+        complex(value)  # the float paths need it: OverflowError beyond the float range
+        parsed[key] = value
+    return parsed[key]
 
 
 def filter_to_json(f) -> dict:
@@ -481,8 +488,7 @@ def filter_to_json(f) -> dict:
             "kind": "trig",
             "eta": domains._point_json(f.step),
             "shifts": list(f.shifts),
-            "coeffs": [[complex(c).real, complex(c).imag] for c in f.coeffs],
-            "coeffs_exact": [_value_json(c) for c in f.coeffs],
+            "coeffs": [_value_json(c) for c in f.coeffs],
         }
     if isinstance(f, CosetPiecewise):
         return {
@@ -510,11 +516,7 @@ def filter_from_json(data: dict, chain: LatticeChain, k: int, parsed: dict | Non
             )
         if max(shifts) - min(shifts) >= MAX_POINTS or max(map(abs, (*shifts, *chain.group.coords(step)))) >= MAX_SHIFT:
             raise ResourceLimitError(f"trig filter shifts span {MAX_POINTS} points, or shifts or step reach {MAX_SHIFT} (desk-scale cap)")
-        exact = data.get("coeffs_exact")
-        coeffs = tuple(
-            _value_from_json(exact[i], parsed) if exact is not None and "exact" in exact[i] else complex(pair[0], pair[1])
-            for i, pair in enumerate(data["coeffs"])
-        )
+        coeffs = tuple(_value_from_json(c, parsed) for c in data["coeffs"])
         return TrigPolynomial(chain.group, step, tuple(shifts), coeffs, lattice)
     if data["kind"] == "piecewise":
         pieces = tuple(

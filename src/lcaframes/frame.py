@@ -21,6 +21,10 @@ only and rejected here.  On Z_N the energies and the frame operator read one
 table of generator spectra, `FrameSystem.spectra`.  An energy table computes
 the columns of the scalings past the first, which only the telescope reads,
 for the telescope's rows alone.
+
+An artifact (`system_to_json`) states each fact once: the chain, a band's
+bounds alone, built on that chain, and the filters; `system_from_json` reads
+the FORMAT form only.
 """
 
 from __future__ import annotations
@@ -61,6 +65,7 @@ from .groups import pairing
 from .lattices import cyclic_annihilator
 
 BLOCK_ENTRIES = 2**14  # entries of U S U* - I that `_frame_residual` holds at once
+FORMAT = "lcaframes/2"  # the artifact form `system_to_json` writes and `system_from_json` reads
 
 
 @dataclass(frozen=True)
@@ -163,15 +168,12 @@ def _assemble(chain: LatticeChain, family: dict, k0: int, k1: int, level_filters
     """
     scalings, wavelets = [], []
     if family["type"] == "bspline":
-        order = family["order"]
-        discrete = chain.group.is_discrete
         for k in range(k0, k1 + 1):
-            time = bsp.bspline_time(chain, k, order).time if discrete else None
-            scalings.append(Generator(f"phi[{k}]", k, None, time, None))
+            scalings.append(Generator(f"phi[{k}]", k, None, bsp.bspline_time(chain, k, family["order"]), None))
         for lf in level_filters:
             phi_next = scalings[lf.k + 1 - k0].time
             for m, g in enumerate(lf.gs, start=1):
-                wt = bsp.wavelet_time(chain, lf.k, g, phi_next) if discrete else None
+                wt = None if phi_next is None else bsp.wavelet_time(chain, lf.k, g, phi_next)
                 wavelets.append(Generator(f"psi[{lf.k}][{m}]", lf.k, m, wt, None))
     else:
         for k in range(k0, k1 + 1):
@@ -462,7 +464,7 @@ def telescoping_residual(
 
 def system_to_json(system: FrameSystem, seed: int | None = None) -> dict:
     data = {
-        "format": "lcaframes/1",
+        "format": FORMAT,
         "chain": {"kind": system.chain.kind, "params": system.chain.params},
         "family": system.family,
         "k0": system.k0,
@@ -478,8 +480,10 @@ def system_to_json(system: FrameSystem, seed: int | None = None) -> dict:
 
 
 def system_from_json(data: dict) -> FrameSystem:
-    """Rebuild a system from its artifact; filters are taken from the file."""
+    """Rebuild a system from its artifact; filters are taken from the file, and other formats are refused."""
     with _malformed("malformed system artifact"):
+        if data["format"] != FORMAT:
+            raise SchemaError(f"artifact format {data['format']!r} is not {FORMAT!r}; run construct again on its embedded descriptor")
         chain = chain_from_params(data["chain"]["kind"], data["chain"]["params"])
         family = data["family"]
         k0, k1 = require_int(data["k0"], "k0"), require_int(data["k1"], "k1")
@@ -488,7 +492,9 @@ def system_from_json(data: dict) -> FrameSystem:
             raise SchemaError(f"filters must be levels {k0}..{k1 - 1} of the chain in order, got {ks}")
         band = None
         if family["type"] == "charfun":
-            band = _band_from_params(family["band"], family["band_params"])
+            band = _band_from_params(family["band"], chain, family["band_params"])
+            if band.chain != chain:
+                raise SchemaError(f"a {family['band']} band does not fit the {chain.kind} chain")
         elif family["type"] != "bspline" or type(family["order"]) is not int:
             raise SchemaError(f"need a charfun band or an integer bspline order, got family {family!r}")
         parsed = {}  # each distinct exact value of the artifact is parsed once
@@ -503,22 +509,22 @@ def system_from_json(data: dict) -> FrameSystem:
     return _assemble(chain, family, k0, k1, level_filters, band)
 
 
-def _band_from_params(label: str, params: dict) -> cf.OmegaChain:
-    """The band chain of a construction label and its parameters.
+def _band_from_params(label: str, chain: LatticeChain, params: dict) -> cf.OmegaChain:
+    """The band of a construction label and its bounds `params["L"]`, from the parameters of `chain`.
 
     Rational bounds are read through their string form, so a JSON 0.1 is 1/10.
     """
     with _malformed(f"{label} band parameters"):
         if label == "cyclic":
-            return cf.band_chain_cyclic(params["M"], params["L"])
+            return cf.band_chain_cyclic(chain.params["M"], params["L"])
         if label == "torus":
-            return cf.band_chain_torus(params["m_factors"], params["L"])
+            return cf.band_chain_torus(chain.params["m_factors"], params["L"])
         if label == "boxes":
-            return cf.band_chain_boxes(params["m_table"], [[Fraction(str(x)) for x in r] for r in params["L"]])
+            return cf.band_chain_boxes(chain.params["m_table"], [[Fraction(str(x)) for x in r] for r in params["L"]])
         if label == "balls":
-            return cf.band_chain_balls(params["m_table"], [Fraction(str(x)) for x in params["L"]])
+            return cf.band_chain_balls(chain.params["m_table"], [Fraction(str(x)) for x in params["L"]])
         if label == "full":
-            return cf.full_band_chain(chain_from_params(params["kind"], params["chain_params"]))
+            return cf.full_band_chain(chain)
     raise SchemaError(f"unknown band construction {label!r}")
 
 

@@ -182,7 +182,7 @@ def test_criterion_6_orthonormal_families():
     M = 6
     haar = lf.build_bspline_system(lf.integer_chain(M), 1)
     for k in range(M + 1):
-        worst = max(worst, abs(lf.bspline_time(haar.chain, k, 1).time.norm2() - 1))
+        worst = max(worst, abs(lf.bspline_time(haar.chain, k, 1).norm2() - 1))
     for gen in haar.wavelets:
         worst = max(worst, abs(gen.time.norm2() - 1))
     n = 2**M

@@ -44,8 +44,8 @@ RT2 = math.sqrt(2)
 def test_time_values_first_order():
     ch = integer_chain(2)
     g = bspline_time(ch, 1, 1)
-    assert g.time.start == 0
-    assert np.allclose(np.asarray(g.time.values), [2**-0.5, 2**-0.5])
+    assert g.start == 0
+    assert np.allclose(np.asarray(g.values), [2**-0.5, 2**-0.5])
 
 
 def test_time_values_second_order():
@@ -53,8 +53,8 @@ def test_time_values_second_order():
     ch = integer_chain(2)
     g = bspline_time(ch, 0, 2)
     expected = np.array([1, 2, 3, 4, 3, 2, 1]) * 4.0**-1.5
-    assert g.time.start == 0
-    assert np.allclose(np.asarray(g.time.values), expected)
+    assert g.start == 0
+    assert np.allclose(np.asarray(g.values), expected)
 
 
 def _exact_bspline_counts(n: int, order: int) -> list:
@@ -75,7 +75,7 @@ def test_time_values_beyond_int64(order):
         assert k > 0 or max(exact) > 2**63
         scale = float(ch.density(k)) ** (-order + 0.5)
         want = np.array([float(c) for c in exact]) * scale
-        got = bspline_time(ch, k, order).time.array
+        got = bspline_time(ch, k, order).array
         assert got.shape == want.shape
         assert np.max(np.abs(got - want) / want) <= 1e-14
 
@@ -84,8 +84,14 @@ def test_time_top_level_is_delta():
     ch = integer_chain(2)
     for order in (1, 2, 3):
         g = bspline_time(ch, 2, order)
-        assert np.allclose(np.asarray(g.time.values), [1.0])
-        assert g.time.start == 0
+        assert np.allclose(np.asarray(g.values), [1.0])
+        assert g.start == 0
+
+
+def test_time_values_only_on_discrete_groups():
+    # on T and R^s the generator has no finite time values, as in frame.Generator.time
+    for ch in (torus_chain([2, 2]), euclidean_chain([[2, 2]])):
+        assert bspline_time(ch, 0, 2) is None
 
 
 def test_hat_at_zero():
@@ -119,7 +125,7 @@ def test_hat_matches_time_transform(order):
     g = bspline_time(ch, 1, order)
     rng = np.random.default_rng(5)
     for gamma in rng.random(40):
-        direct = function_hat(g.time, gamma)
+        direct = function_hat(g, gamma)
         closed = bspline_hat(ch, 1, order, gamma)
         assert abs(direct - closed) < 1e-12
 
@@ -128,7 +134,7 @@ def test_hat_matches_time_transform_cyclic():
     ch = cyclic_chain(3)
     g = bspline_time(ch, 1, 2)
     for gamma in range(8):
-        assert abs(function_hat(g.time, gamma) - bspline_hat(ch, 1, 2, gamma)) < 1e-12
+        assert abs(function_hat(g, gamma) - bspline_hat(ch, 1, 2, gamma)) < 1e-12
 
 
 def test_hat_many_matches_scalar():
@@ -140,7 +146,7 @@ def test_hat_many_matches_scalar():
         g = bspline_time(ch, 1, 2)
         many = bspline_hat(ch, 1, 2, gammas)
         assert many.shape == gammas.shape
-        each = np.array([function_hat(g.time, int(x) if ch.kind == "cyclic" else x) for x in gammas])
+        each = np.array([function_hat(g, int(x) if ch.kind == "cyclic" else x) for x in gammas])
         assert np.max(np.abs(many - each)) < 1e-12
 
 
@@ -327,7 +333,7 @@ def test_odd_orders_have_no_masks():
 
 def test_wavelet_time_haar():
     ch = integer_chain(2)
-    psi = wavelet_time(ch, 1, first_order_wavelet_filter(ch, 1), bspline_time(ch, 2, 1).time)
+    psi = wavelet_time(ch, 1, first_order_wavelet_filter(ch, 1), bspline_time(ch, 2, 1))
     assert psi.start == 0
     assert np.allclose(np.asarray(psi.values), [2**-0.5, -(2**-0.5)])
 
@@ -336,17 +342,17 @@ def test_wavelet_time_norm_one_first_order():
     for M in (2, 4, 6):
         ch = integer_chain(M)
         for k in range(M):
-            psi = wavelet_time(ch, k, first_order_wavelet_filter(ch, k), bspline_time(ch, k + 1, 1).time)
+            psi = wavelet_time(ch, k, first_order_wavelet_filter(ch, k), bspline_time(ch, k + 1, 1))
             assert abs(psi.norm2() - 1) < 1e-12
             phi = bspline_time(ch, k, 1)
-            assert abs(phi.time.norm2() - 1) < 1e-12
+            assert abs(phi.norm2() - 1) < 1e-12
 
 
 def test_wavelet_zeroth_moment_vanishes():
     ch = integer_chain(4)
     for order in (1, 2, 4):
         for m, g in enumerate(wavelet_filters(ch, 1, order), start=1):
-            psi = wavelet_time(ch, 1, g, bspline_time(ch, 2, order).time)
+            psi = wavelet_time(ch, 1, g, bspline_time(ch, 2, order))
             assert abs(psi.array.sum()) < 1e-12
 
 
@@ -354,7 +360,7 @@ def test_wavelet_transform_matches_filter_product():
     ch = integer_chain(3)
     order = 2
     g = wavelet_filters(ch, 1, order)[0]
-    psi = wavelet_time(ch, 1, g, bspline_time(ch, 2, order).time)
+    psi = wavelet_time(ch, 1, g, bspline_time(ch, 2, order))
     rng = np.random.default_rng(17)
     for gamma in rng.random(1000):
         product = g.eval(gamma) * bspline_hat(ch, 2, order, gamma)
@@ -366,7 +372,7 @@ def test_wavelet_support_arithmetic():
     for M, k, order in [(3, 0, 2), (3, 1, 2), (4, 1, 4), (4, 2, 1)]:
         ch = integer_chain(M)
         for g in wavelet_filters(ch, k, order):
-            psi = wavelet_time(ch, k, g, bspline_time(ch, k + 1, order).time)
+            psi = wavelet_time(ch, k, g, bspline_time(ch, k + 1, order))
             lo, hi = psi.support()
             q1 = 2 ** (M - k - 1)
             assert lo == 0
@@ -377,7 +383,7 @@ def test_wavelet_time_step_must_be_lattice_point():
     ch = integer_chain(2)
     fine = first_order_wavelet_filter(ch, 1)  # step 1
     with pytest.raises(UnsupportedRepresentationError):
-        wavelet_time(ch, 0, fine, bspline_time(ch, 1, 1).time)  # level-1 lattice is 2Z; step 1 not in it
+        wavelet_time(ch, 0, fine, bspline_time(ch, 1, 1))  # level-1 lattice is 2Z; step 1 not in it
 
 
 def test_artifact_load_builds_each_spline_generator_once(monkeypatch):

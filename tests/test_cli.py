@@ -16,6 +16,7 @@ import pytest
 import lcaframes
 from lcaframes import chains, verify
 from lcaframes.cli import main
+from lcaframes.exact import radical
 from lcaframes.verify import ALL_CONDITIONS
 
 Z8_SHANNON = {
@@ -192,9 +193,7 @@ def _zero_level_1_wavelet(data):
 
 
 def _nan_level_1_lowpass(data):
-    h = data["filters"][1]["h"]
-    del h["coeffs_exact"]
-    h["coeffs"][0] = [float("nan"), 0.0]
+    data["filters"][1]["h"]["coeffs"][0] = {"re": float("nan"), "im": 0.0}
 
 
 @pytest.mark.parametrize("suite", ["telescope", "all"])
@@ -223,8 +222,8 @@ def test_telescope_certifies_levels_at_the_run_tolerance(tmp_path):
                 family={"bspline": {"order": 2}})
     data = json.loads(construct(tmp_path, desc).read_text())
     g = data["filters"][1]["g"][0]
-    del g["coeffs_exact"]
-    g["coeffs"][0] = [c * (1 + 1e-7) for c in g["coeffs"][0]]
+    c = complex(radical(**g["coeffs"][0]["exact"]))
+    g["coeffs"][0] = {"re": c.real * (1 + 1e-7), "im": c.imag * (1 + 1e-7)}
     cpath = tmp_path / "perturbed.json"
     cpath.write_text(json.dumps(data))
     rpath = tmp_path / "report.json"
@@ -422,7 +421,7 @@ def test_verify_euclidean_factor_beyond_int64_exit_3(tmp_path, monkeypatch, caps
 def test_exact_residual_beyond_float_range_fails(tmp_path):
     desc = dict(Z16_BAND, family={"bspline": {"order": 2}}, k0=0)
     data = json.loads(construct(tmp_path, desc).read_text())
-    data["filters"][0]["h"]["coeffs_exact"][0]["exact"]["im"] = "1e200"
+    data["filters"][0]["h"]["coeffs"][0]["exact"]["im"] = "1e200"
     cpath, rpath = tmp_path / "huge.json", tmp_path / "report.json"
     cpath.write_text(json.dumps(data))
     assert main(["verify", str(cpath), "--suite", "uep", "--report", str(rpath)]) == 1
@@ -434,7 +433,7 @@ def test_non_finite_coefficient_fails_without_a_warning(tmp_path):
     # JSON's Infinity loads as a float coefficient; the float paths see it and say nothing on stderr
     data = json.loads(construct(tmp_path, dict(Z16_BAND, family={"bspline": {"order": 2}}, k0=0)).read_text())
     [h] = [entry["h"] for entry in data["filters"] if entry["k"] == 2]
-    h["coeffs"][0], h["coeffs_exact"][0] = [math.inf, 0.0], {"re": math.inf, "im": 0.0}
+    h["coeffs"][0] = {"re": math.inf, "im": 0.0}
     cpath, rpath = tmp_path / "infinite.json", tmp_path / "report.json"
     cpath.write_text(json.dumps(data))
     # a process of its own, since pytest would capture a numpy RuntimeWarning before it reached stderr
@@ -465,9 +464,7 @@ def test_ball_radius_beyond_float_square_fails(tmp_path):
 def test_nan_filter_fails_verification(tmp_path):
     spath = construct(tmp_path, Z_BSPLINE)
     data = json.loads(spath.read_text())
-    h = data["filters"][1]["h"]
-    del h["coeffs_exact"]
-    h["coeffs"][0] = [float("nan"), 0.0]
+    data["filters"][1]["h"]["coeffs"][0] = {"re": float("nan"), "im": 0.0}
     cpath = tmp_path / "nan.json"
     cpath.write_text(json.dumps(data))
     rpath = tmp_path / "report.json"
@@ -521,7 +518,7 @@ def test_verify_order_8_spline_beyond_int64_passes(tmp_path):
         (
             dict(Z8_SHANNON, group={"variant": "cyclic", "params": {"modulus": 16}}, chain={"M": 4},
                  family={"bspline": {"order": 1}}),
-            lambda data: data["filters"][0]["h"]["coeffs_exact"][0]["exact"].update(rad=str(10**18 + 3)),
+            lambda data: data["filters"][0]["h"]["coeffs"][0]["exact"].update(rad=str(10**18 + 3)),
         ),
         (Z_BSPLINE, lambda data: data["filters"][0]["g"][0]["shifts"].__setitem__(1, 10**6)),
         # each shift element -j eta is paired in floats, so a shift beyond 2^53 is refused on load
@@ -616,8 +613,8 @@ def test_construct_malformed_descriptor_exit_2(tmp_path, capsys, desc, message):
     [
         lambda data: data["family"].pop("order"),
         lambda data: data.update(family="x"),
-        lambda data: data["filters"][0]["h"]["coeffs_exact"][0]["exact"].update(re="1/x"),
-        lambda data: data["filters"][0]["h"]["coeffs_exact"][0]["exact"].update(rad="-2"),
+        lambda data: data["filters"][0]["h"]["coeffs"][0]["exact"].update(re="1/x"),
+        lambda data: data["filters"][0]["h"]["coeffs"][0]["exact"].update(rad="-2"),
         lambda data: data["filters"][0]["g"][0].update(shifts=[[0], 1, 2]),
         lambda data: data["filters"][0]["g"][0].update(shifts=[]),
         lambda data: data["filters"][1]["g"][0].update(coeffs=[]),
@@ -629,8 +626,18 @@ def test_construct_malformed_descriptor_exit_2(tmp_path, capsys, desc, message):
         lambda data: data["filters"][0].update(k=False),
         lambda data: data["family"].update(order=True),
         lambda data: data["chain"]["params"].update(M=4.0),
-        lambda data: data["filters"][0]["h"]["coeffs_exact"][0]["exact"].update(rad=2.7),
-        lambda data: data["filters"][0]["h"]["coeffs_exact"][0]["exact"].update(re="1e400"),
+        lambda data: data["filters"][0]["h"]["coeffs"][0]["exact"].update(rad=2.7),
+        lambda data: data["filters"][0]["h"]["coeffs"][0]["exact"].update(re="1e400"),
+        # each filter value has one stored form: no float copy next to the exact one, no [re, im] pair, no JSON
+        # bool as a float, and the value's own square-free radicand (1 for zero)
+        lambda data: data["filters"][0]["h"]["coeffs"][0].update(re=0.5, im=0.0),
+        lambda data: data["filters"][0]["h"]["coeffs"].__setitem__(0, [0.5, 0.0]),
+        lambda data: data["filters"][0]["h"]["coeffs"].__setitem__(0, {"re": True, "im": False}),
+        lambda data: data["filters"][0]["h"]["coeffs"][0]["exact"].update(rad="4"),
+        lambda data: data["filters"][0]["g"][0]["coeffs"][1]["exact"].update(rad="2"),
+        # the chain is Z's: a cyclic band cannot be built on it
+        lambda data: data.update(family={"type": "charfun", "mode": "proper", "band": "cyclic",
+                                         "band_params": {"L": [0, 1, 3, 7]}}),
     ],
     ids=[
         "family-without-order",
@@ -650,6 +657,12 @@ def test_construct_malformed_descriptor_exit_2(tmp_path, capsys, desc, message):
         "M-float",
         "radicand-float",
         "coefficient-beyond-float",
+        "float-copy-next-to-exact",
+        "coefficient-pair",
+        "bool-floats",
+        "square-radicand",
+        "zero-with-radicand-2",
+        "band-on-another-chain",
     ],
 )
 def test_verify_malformed_artifact_exit_2(tmp_path, capsys, corrupt):
@@ -695,6 +708,56 @@ def test_entry_point_exit_code_without_traceback(tmp_path):
     assert subprocess.run(cmd, env=env, capture_output=True).returncode == 0
 
 
+# the Z, M=1, order-1 artifact as format lcaframes/1 wrote it, with a float copy of every exact value
+FORMAT_1_ARTIFACT = {
+    "chain": {"kind": "integer", "params": {"M": 1}},
+    "descriptor": {"chain": {"M": 1}, "family": {"bspline": {"order": 1}}, "group": {"variant": "integers"}},
+    "descriptor_hash": "a901c9de09ee6b8a",
+    "family": {"order": 1, "type": "bspline"},
+    "filters": [
+        {
+            "g": [
+                {
+                    "coeffs": [[0.7071067811865476, 0.0], [-0.7071067811865476, 0.0]],
+                    "coeffs_exact": [
+                        {"exact": {"im": "0", "rad": "2", "re": "1/2"}, "im": 0.0, "re": 0.7071067811865476},
+                        {"exact": {"im": "0", "rad": "2", "re": "-1/2"}, "im": 0.0, "re": -0.7071067811865476},
+                    ],
+                    "eta": 1, "kind": "trig", "shifts": [0, 1],
+                }
+            ],
+            "h": {
+                "coeffs": [[0.7071067811865476, 0.0], [0.7071067811865476, 0.0]],
+                "coeffs_exact": [
+                    {"exact": {"im": "0", "rad": "2", "re": "1/2"}, "im": 0.0, "re": 0.7071067811865476},
+                    {"exact": {"im": "0", "rad": "2", "re": "1/2"}, "im": 0.0, "re": 0.7071067811865476},
+                ],
+                "eta": 1, "kind": "trig", "shifts": [0, 1],
+            },
+            "k": 0,
+        }
+    ],
+    "format": "lcaframes/1",
+    "k0": 0,
+    "k1": 1,
+    "seed": 24301,
+}
+
+
+def test_artifact_of_an_earlier_format_exit_2_and_rebuilds_from_its_descriptor(tmp_path, capsys):
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(FORMAT_1_ARTIFACT))
+    for argv in (["verify", str(old), "--suite", "all"], ["emit", str(old), "--what", "generators", "--out", str(tmp_path)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed system artifact: artifact format 'lcaframes/1' is not 'lcaframes/2'")
+        assert "run construct again on its embedded descriptor" in err
+    # what the message asks for: construct from the artifact's own descriptor
+    new = construct(tmp_path, FORMAT_1_ARTIFACT["descriptor"], out="new.json")
+    assert json.loads(new.read_text())["format"] == "lcaframes/2"
+    assert main(["verify", str(new), "--suite", "all"]) == 0
+
+
 def test_undecodable_input_files_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_bytes(b"\xff\xfe{}")
@@ -702,21 +765,10 @@ def test_undecodable_input_files_exit_2(tmp_path):
     assert main(["verify", str(bad), "--suite", "uep"]) == 2
 
 
-def _negate_value(v):
-    v["re"], v["im"] = -v["re"], -v["im"]
-    if "exact" in v:
-        v["exact"]["re"], v["exact"]["im"] = (str(-Fraction(v["exact"][c])) for c in ("re", "im"))
-
-
 def _negate_level_3_lowpass(data):
     [h] = [entry["h"] for entry in data["filters"] if entry["k"] == 3]
-    if h["kind"] == "trig":
-        h["coeffs"] = [[-re, -im] for re, im in h["coeffs"]]
-        for v in h["coeffs_exact"]:
-            _negate_value(v)
-    else:
-        for piece in h["pieces"]:
-            _negate_value(piece["value"])
+    for v in h["coeffs"] if h["kind"] == "trig" else [piece["value"] for piece in h["pieces"]]:
+        v["exact"].update({part: str(-Fraction(v["exact"][part])) for part in ("re", "im")})
 
 
 def test_band_refinement_sees_both_cosets_of_the_filter_period(tmp_path):
@@ -724,7 +776,7 @@ def test_band_refinement_sees_both_cosets_of_the_filter_period(tmp_path):
     desc = dict(Z8_SHANNON, family={"charfun": {"mode": "proper", "L": [0, 0, 1, 7]}}, k0=1)
     data = json.loads(construct(tmp_path, desc).read_text())
     [h] = [entry["h"] for entry in data["filters"] if entry["k"] == 2]
-    one = {"re": 1.0, "im": 0.0, "exact": {"re": "1", "im": "0", "rad": "1"}}
+    one = {"exact": {"re": "1", "im": "0", "rad": "1"}}
     h["pieces"].insert(0, {"domain": {"kind": "integer_interval", "lo": 4, "hi": 7}, "value": one})
     cpath = tmp_path / "corrupted.json"
     cpath.write_text(json.dumps(data))

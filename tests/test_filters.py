@@ -13,6 +13,7 @@ from lcaframes.bspline import refinement_filter, wavelet_filters
 from lcaframes.chains import cyclic_chain, euclidean_chain, integer_chain, torus_chain
 from lcaframes.charfun import (
     band_chain_cyclic,
+    bandlimited_wavelet_filters,
     full_band_chain,
     indicator_refinement_filter,
     orthonormal_wavelet_filters,
@@ -236,6 +237,34 @@ def test_filter_json_round_trip(zchain, z8chain):
     hc = indicator_refinement_filter(band, 1)
     back2 = filter_from_json(filter_to_json(hc), z8chain, 1)
     assert back2 == hc
+
+
+def _exact(re, rad="1"):
+    return {"exact": {"re": re, "im": "0", "rad": rad}}
+
+
+def _interval(lo, hi, shifts=None):
+    box = {"kind": "integer_interval", "lo": lo, "hi": hi}
+    return box if shifts is None else {"kind": "coset_union", "base": box, "shifts": shifts}
+
+
+def test_filter_json_states_each_value_once():
+    # a Radical is stored in its exact form only, any other value as floats only
+    h = refinement_filter(integer_chain(2), 0, 2)
+    assert filter_to_json(h) == {
+        "kind": "trig", "eta": 2, "shifts": [0, 1, 2], "coeffs": [_exact("1/4", "2"), _exact("1/2", "2"), _exact("1/4", "2")],
+    }
+    assert filter_to_json(scale_filter(h, 0.5))["coeffs"][1] == {"re": 0.5 * RT2 / 2, "im": 0.0}
+    g = bandlimited_wavelet_filters(band_chain_cyclic(3, [0, 0, 1, 7]), 1)[0]
+    assert filter_to_json(g) == {
+        "kind": "piecewise",
+        "domain": _interval(0, 1, [0, 2]),
+        "pieces": [
+            {"domain": _interval(0, 0, [2]), "value": _exact("1", "2")},
+            {"domain": _interval(0, 0, [0]), "value": _exact("0")},
+            {"domain": _interval(0, 1, [0]), "value": _exact("1", "2")},
+        ],
+    }
 
 
 def test_scale_filter_zeroes(zchain):

@@ -1,6 +1,7 @@
 """System-level identities: analysis, Parseval, fiber sums, telescoping."""
 
 import dataclasses
+import json
 import math
 import random
 import tracemalloc
@@ -14,6 +15,7 @@ from lcaframes.chains import cyclic_chain, euclidean_chain, integer_chain, torus
 from lcaframes.charfun import band_chain_cyclic, band_chain_torus, full_band_chain
 from lcaframes.exceptions import (
     DomainParameterError,
+    LcaError,
     ProperSubsetError,
     UncertifiedLevelError,
     UnsupportedVerificationError,
@@ -354,6 +356,41 @@ def test_system_json_round_trip_preserves_verification():
     assert [g.label for g in back.system_generators()] == [
         g.label for g in system.system_generators()
     ]
+
+
+STORED_PARTS_SYSTEMS = {
+    "z16-spline": lambda: build_bspline_system(cyclic_chain(4), 2),
+    "z8-band": lambda: build_charfun_system(band_chain_cyclic(3, [0, 0, 1, 7]), "proper", k0=1),
+    "t-band": lambda: build_charfun_system(band_chain_torus([2, 3, 2], [0, 1, 3]), "proper"),
+}
+
+
+def _leaves(node, skip=("kind", "eta", "shifts", "domain")):
+    """(container, key) of every number or string below node, except below the keys in skip."""
+    for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+        if key not in skip:
+            yield from _leaves(child, skip) if isinstance(child, (dict, list)) else [(node, key)]
+
+
+@pytest.mark.parametrize("name", sorted(STORED_PARTS_SYSTEMS))
+def test_every_stored_filter_value_and_band_bound_is_read(name):
+    # each part of each coefficient and piece value, and each band bound, changed alone: the load must
+    # give another system or refuse the file, so no part is a copy that the loader ignores
+    system = STORED_PARTS_SYSTEMS[name]()
+    data = json.loads(json.dumps(system_to_json(system)))
+    assert system_from_json(data) == system
+    parts = [data["family"].get("band_params", {}), *(f for entry in data["filters"] for f in (entry["h"], *entry["g"]))]
+    leaves = [leaf for part in parts for leaf in _leaves(part)]
+    assert len(leaves) >= 30
+    for container, key in leaves:
+        old = container[key]
+        container[key] = str(Fraction(old) + 1) if isinstance(old, str) else old + 1
+        try:
+            loaded = system_from_json(data)
+        except LcaError:
+            loaded = None
+        container[key] = old
+        assert loaded != system, f"{key}: {old!r} changed, and the loaded system is the same"
 
 
 def test_build_counts():
