@@ -27,6 +27,7 @@ from .chains import (
 )
 from .charfun import (
     OmegaChain,
+    band_chain,
     band_chain_balls,
     band_chain_boxes,
     band_chain_cyclic,

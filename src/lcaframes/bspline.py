@@ -10,8 +10,9 @@ piecewise-polynomial time side).
 Consecutive levels are linked by a binomial lowpass mask whenever the chain
 has index-2 nesting and the fundamental-domain splitting
 Q_k = Q_{k+1} u (eta_k + Q_{k+1}) holds; highpass masks ship for order 1 and
-all even orders.  The mask refines the spline, so any lowpass h is checked
-against it coefficient by coefficient (`refinement_bound`).
+all even orders, all from one binomial formula (Ron and Shen's UEP family).
+The lowpass mask refines the spline, so any lowpass h is checked against it
+coefficient by coefficient (`refinement_bound`).
 """
 
 from __future__ import annotations
@@ -151,52 +152,38 @@ def bspline_hat(chain: LatticeChain, k: int, order: int, gammas) -> np.ndarray:
     return float(chain.density(k)) ** (-order + 0.5) * base**order
 
 
-def refinement_filter(chain: LatticeChain, k: int, order: int) -> TrigPolynomial:
-    """Binomial lowpass mask 2^{-(N-1/2)} (1 + (-eta_k, .))^N as a trig filter."""
+def _binomial_masks(chain: LatticeChain, k: int, order: int, ms) -> list:
+    """The masks sqrt(C(N,m)) 2^{-(N-1/2)} (1+z)^{N-m} (1-z)^m, z = (-eta_k, .), for m in ms, as trig filters.
+
+    m = 0 is the binomial lowpass and m = 1..N the highpass masks of Ron and
+    Shen's UEP family (N = 1 or even).  Each mask's root sqrt(2 C(N,m)) / 2^N
+    is normalized once and scaled by the integer coefficients of the product.
+    """
     require_order(order)
     _require_index_two(chain, k)
-    eta = chain.splitter(k)
-    coeffs = tuple(Radical(Fraction(math.comb(order, j), 2**order), 0, 2) for j in range(order + 1))  # 2 is square-free
-    return TrigPolynomial(chain.group, eta, tuple(range(order + 1)), coeffs, chain.level(k + 1).annihilator)
-
-
-def first_order_wavelet_filter(chain: LatticeChain, k: int) -> TrigPolynomial:
-    """Highpass mask (1 - (-eta_k, .)) / sqrt(2)."""
-    _require_index_two(chain, k)
-    eta = chain.splitter(k)
-    half_rt2 = radical(Fraction(1, 2), 0, 2)
-    return TrigPolynomial(
-        chain.group, eta, (0, 1), (half_rt2, -half_rt2), chain.level(k + 1).annihilator
-    )
-
-
-def even_order_wavelet_filters(chain: LatticeChain, k: int, half_order: int) -> list:
-    """The 2M highpass masks sqrt(C(2M,m)) 2^{-(2M-1/2)} (1+z)^{2M-m} (1-z)^m."""
-    require_order(2 * half_order)
-    _require_index_two(chain, k)
-    eta = chain.splitter(k)
-    n = 2 * half_order
-    lattice = chain.level(k + 1).annihilator
+    eta, lattice = chain.splitter(k), chain.level(k + 1).annihilator
     out = []
-    for m in range(1, n + 1):
-        poly = np.array([1], dtype=object)
-        for _ in range(n - m):
-            poly = np.convolve(poly, np.array([1, 1], dtype=object))
-        for _ in range(m):
-            poly = np.convolve(poly, np.array([1, -1], dtype=object))
-        rad = 2 * math.comb(n, m)
-        coeffs = tuple(radical(Fraction(int(c), 2**n), 0, rad) for c in poly)
-        out.append(TrigPolynomial(chain.group, eta, tuple(range(n + 1)), coeffs, lattice))
+    for m in ms:
+        poly = [1]
+        for sign in [1] * (order - m) + [-1] * m:  # times (1 + sign z)
+            poly = [a + sign * b for a, b in zip([*poly, 0], [0, *poly])]
+        root = radical(Fraction(1, 2**order), 0, 2 * math.comb(order, m))
+        coeffs = tuple(Radical(c * root.re, 0, root.rad) for c in poly)
+        out.append(TrigPolynomial(chain.group, eta, tuple(range(order + 1)), coeffs, lattice))
     return out
 
 
+def refinement_filter(chain: LatticeChain, k: int, order: int) -> TrigPolynomial:
+    """Binomial lowpass mask 2^{-(N-1/2)} (1 + (-eta_k, .))^N as a trig filter (mask m = 0)."""
+    return _binomial_masks(chain, k, order, [0])[0]
+
+
 def wavelet_filters(chain: LatticeChain, k: int, order: int) -> list:
-    """Wavelet masks paired with the order-N lowpass; orders 1 and even only."""
-    if order == 1:
-        return [first_order_wavelet_filter(chain, k)]
-    if order >= 2 and order % 2 == 0:
-        return even_order_wavelet_filters(chain, k, order // 2)
-    raise UnsupportedOrderError(f"no wavelet masks for odd order {order}")
+    """The N highpass masks m = 1..N paired with the order-N lowpass; orders 1 and even only."""
+    require_order(order)
+    if order > 1 and order % 2:
+        raise UnsupportedOrderError(f"no wavelet masks for odd order {order}")
+    return _binomial_masks(chain, k, order, range(1, order + 1))
 
 
 def refinement_bound(chain: LatticeChain, k: int, order: int, h) -> float | None:

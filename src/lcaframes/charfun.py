@@ -7,8 +7,12 @@ takes the value sqrt(d_k) on Omega_k and 0 on the rest of the refined cell.
 
 Two wavelet-mask families ship: the compactly-supported family (one filter
 per coset, needs Omega_k properly inside V_k) and the orthonormal family
-(d_k - 1 filters, needs Omega_k = V_k with nested cells).  Concrete band
-chains: dyadic on Z_{2^M}, product on T, boxes and balls on R^s.
+(d_k - 1 filters, needs Omega_k = V_k with nested cells).
+
+Bands take a built chain and their bounds: dyadic on Z_{2^M}, product on T,
+boxes and balls on R^s (each refusing a chain on another group), and the full
+band on any chain, all checked by `_validate`.  `band_chain`, the one place
+that knows the construction labels, maps a label and bounds to a band.
 """
 
 from __future__ import annotations
@@ -20,13 +24,13 @@ from functools import cached_property
 import numpy as np
 
 from . import domains
-from .chains import LatticeChain, cyclic_chain, euclidean_chain, refined_dual_domain, torus_chain
+from .chains import LatticeChain, refined_dual_domain
 from .domains import Ball, CosetUnion, HalfOpenBox, IntegerInterval
 from .exact import ZERO, Radical, sqrt_rational
-from .exceptions import DomainParameterError, ProperSubsetError, require_int
+from .exceptions import DomainParameterError, ProperSubsetError, SchemaError, VariantMismatchError, _malformed, require_int
 from .filters import CosetPiecewise, SamplingPlan, exact_residuals, worst_residual
 from .functions import DiscreteFunction
-from .groups import point_array
+from .groups import euclidean_group, point_array, torus_group
 
 
 @dataclass(frozen=True)
@@ -34,7 +38,7 @@ class OmegaChain:
     chain: LatticeChain
     omegas: tuple  # one band set per level, omegas[i] for level k0 + i
     label: str  # construction tag for serialization
-    params: dict  # the band bounds of the construction, {"L": ...}; the chain serializes itself
+    params: dict  # the band bounds of the construction, {"L": ...} ({} for the full band); the chain serializes itself
 
     def omega(self, k: int):
         self.chain.level(k)
@@ -49,6 +53,7 @@ class OmegaChain:
 
 
 def _validate(chain: LatticeChain, omegas, label, params) -> OmegaChain:
+    """The band with these sets, after checking that each lies in its dual cell and nests in the next."""
     for i, om in enumerate(omegas):
         k = chain.k0 + i
         v = chain.level(k).domain_v
@@ -59,35 +64,40 @@ def _validate(chain: LatticeChain, omegas, label, params) -> OmegaChain:
     return OmegaChain(chain, tuple(omegas), label, params)
 
 
-def band_chain_cyclic(M: int, bounds: list[int]) -> OmegaChain:
+def _require_group(chain: LatticeChain, fits: bool, label: str):
+    if not fits:
+        raise VariantMismatchError(f"a {label} band does not fit a chain on {chain.group.describe()}")
+
+
+def band_chain_cyclic(chain: LatticeChain, bounds: list[int]) -> OmegaChain:
     """Band sets {0..L_k} on the Z_{2^M} chain.
 
     Needs integer L with the sets inside their dual cells and nested
     (`_validate`), and the top level exhausting the dual group
     (L_M = 2^M - 1).
     """
-    chain = cyclic_chain(M)
+    _require_group(chain, chain.group.is_finite, "cyclic")
     for L in bounds:
         require_int(L, "band bound")
-    if len(bounds) != M + 1:
-        raise DomainParameterError(f"need {M + 1} band bounds, got {len(bounds)}")
-    if bounds[M] != 2**M - 1:
-        raise DomainParameterError(f"top band bound must exhaust the dual group ({2**M - 1})")
+    if len(bounds) != len(chain.levels):
+        raise DomainParameterError(f"need {len(chain.levels)} band bounds, got {len(bounds)}")
+    if bounds[-1] != chain.group.modulus - 1:
+        raise DomainParameterError(f"top band bound must exhaust the dual group ({chain.group.modulus - 1})")
     omegas = [IntegerInterval(0, L) for L in bounds]
     return _validate(chain, omegas, "cyclic", {"L": list(bounds)})
 
 
-def band_chain_torus(m_factors: list[int], bounds: list[int]) -> OmegaChain:
+def band_chain_torus(chain: LatticeChain, bounds: list[int]) -> OmegaChain:
     """Symmetric band sets {-L_k..L_k} on the torus chain.
 
     Needs strictly increasing integer L with the sets inside their dual
     cells (`_validate`).
     """
-    chain = torus_chain(m_factors)
+    _require_group(chain, chain.group == torus_group(), "torus")
     for k, L in enumerate(bounds):
         require_int(L, f"band bound at level {k}")
-    if len(bounds) != len(m_factors):
-        raise DomainParameterError(f"need {len(m_factors)} band bounds, got {len(bounds)}")
+    if len(bounds) != len(chain.levels):
+        raise DomainParameterError(f"need {len(chain.levels)} band bounds, got {len(bounds)}")
     for k, L in enumerate(bounds):
         if k and L <= bounds[k - 1]:
             raise DomainParameterError(f"band bounds must strictly increase at level {k}")
@@ -95,37 +105,45 @@ def band_chain_torus(m_factors: list[int], bounds: list[int]) -> OmegaChain:
     return _validate(chain, omegas, "torus", {"L": list(bounds)})
 
 
-def band_chain_boxes(m_table: list[list[int]], bound_table: list[list]) -> OmegaChain:
-    """Separable bands prod_r [-L_{k,r}, L_{k,r}) on the R^s chain.
+def band_chain_boxes(chain: LatticeChain, bound_table: list[list]) -> OmegaChain:
+    """Separable bands prod_r [-L_{k,r}, L_{k,r}) on the R^s chain, one row of L per axis.
 
-    The boxes must lie inside their dual cells and nest (`_validate`).
+    Bounds are read through their string form, so a float 0.1 is 1/10.  The
+    boxes must lie inside their dual cells and nest (`_validate`).
     """
-    chain = euclidean_chain(m_table)
-    s, depth = len(m_table), len(m_table[0])
-    if len(bound_table) != s or any(len(row) != depth for row in bound_table):
+    _require_group(chain, chain.group == euclidean_group(chain.group.dimension), "boxes")
+    table = [[Fraction(str(x)) for x in row] for row in bound_table]
+    if len(table) != chain.group.dimension or any(len(row) != len(chain.levels) for row in table):
         raise DomainParameterError("band bound table must match the factor table shape")
-    half_widths = [[Fraction(row[k]) for row in bound_table] for k in range(depth)]
-    omegas = [HalfOpenBox(tuple(-L for L in ls), tuple(ls)) for ls in half_widths]
-    return _validate(chain, omegas, "boxes", {"L": [[str(x) for x in r] for r in bound_table]})
+    omegas = [HalfOpenBox(tuple(-L for L in ls), ls) for ls in zip(*table)]
+    return _validate(chain, omegas, "boxes", {"L": [[str(x) for x in row] for row in table]})
 
 
-def band_chain_balls(m_table: list[list[int]], bounds: list) -> OmegaChain:
-    """Euclidean balls ||gamma|| <= L_k, inside their dual cells and nested (`_validate`)."""
-    chain = euclidean_chain(m_table)
-    depth = len(m_table[0])
-    if len(bounds) != depth:
-        raise DomainParameterError(f"need {depth} ball radii, got {len(bounds)}")
-    omegas = [Ball(Fraction(b)) for b in bounds]
-    return _validate(chain, omegas, "balls", {"L": [str(b) for b in bounds]})
+def band_chain_balls(chain: LatticeChain, bounds: list) -> OmegaChain:
+    """Euclidean balls ||gamma|| <= L_k, radii read as the boxes' bounds, inside their dual cells and nested (`_validate`)."""
+    _require_group(chain, chain.group == euclidean_group(chain.group.dimension), "balls")
+    radii = [Fraction(str(b)) for b in bounds]
+    if len(radii) != len(chain.levels):
+        raise DomainParameterError(f"need {len(chain.levels)} ball radii, got {len(radii)}")
+    return _validate(chain, [Ball(r) for r in radii], "balls", {"L": [str(r) for r in radii]})
 
 
 def full_band_chain(chain: LatticeChain) -> OmegaChain:
-    """Omega_k = V_k at every level (the orthonormal-family setting)."""
-    for k in range(chain.k0, chain.k1):
-        if not domains.is_subset(chain.level(k).domain_v, chain.level(k + 1).domain_v, chain.dual):
-            raise DomainParameterError(f"dual cells fail to nest between levels {k} and {k + 1}")
-    omegas = [chain.level(k).domain_v for k in range(chain.k0, chain.k1 + 1)]
-    return OmegaChain(chain, tuple(omegas), "full", {})
+    """Omega_k = V_k at every level (the orthonormal-family setting), on any chain whose dual cells nest."""
+    return _validate(chain, [lvl.domain_v for lvl in chain.levels], "full", {})
+
+
+_BANDS = {"cyclic": band_chain_cyclic, "torus": band_chain_torus, "boxes": band_chain_boxes, "balls": band_chain_balls}
+
+
+def band_chain(label: str, chain: LatticeChain, params: dict) -> OmegaChain:
+    """The band of a construction label on a built chain: `params` is {"L": bounds}, or {} for the full band."""
+    with _malformed(f"{label} band parameters"):
+        if label == "full" and params == {}:
+            return full_band_chain(chain)
+        if label not in _BANDS or list(params) != ["L"]:
+            raise SchemaError(f"need a band of {sorted(_BANDS)} with bounds L alone, or the full band with none")
+        return _BANDS[label](chain, params["L"])
 
 
 @dataclass(frozen=True)
@@ -210,10 +228,8 @@ def orthonormal_wavelet_filters(band: OmegaChain, k: int) -> list:
     """The d_k - 1 masks making the coset matrix sqrt(d_k) I (full bands)."""
     chain = band.chain
     d = chain.index(k)
-    if band.is_proper(k):
+    if band.is_proper(k):  # Omega_k = V_k then nests in Omega_{k+1}, inside V_{k+1} (`_validate`)
         raise ProperSubsetError(f"level {k} band set must equal the dual cell")
-    if not domains.is_subset(chain.level(k).domain_v, chain.level(k + 1).domain_v, chain.dual):
-        raise DomainParameterError(f"dual cells fail to nest between levels {k} and {k + 1}")
     nu = chain.cosets(k)
     v = chain.level(k).domain_v
     dom = refined_dual_domain(chain, k)

@@ -21,7 +21,7 @@ from . import frame as fr
 from . import tiles
 from . import verify
 from .chains import MAX_POINTS, cyclic_chain, euclidean_chain, integer_chain, torus_chain
-from .exceptions import LcaError, PeriodicityMismatchError, SchemaError
+from .exceptions import LcaError, PeriodicityMismatchError, SchemaError, _malformed
 from .filters import DEFAULT_SEED
 from .groups import integer_group
 
@@ -70,7 +70,7 @@ def build_from_descriptor(desc: dict) -> fr.FrameSystem:
     elif variant == "torus":
         seq = chain_params.get("M_seq")
         _require(isinstance(seq, list) and seq, "chain.M_seq", "missing factor list")
-        with fr._malformed("chain.M_seq"):
+        with _malformed("chain.M_seq"):
             chain = torus_chain(seq)
     else:
         table = chain_params.get("M_table")
@@ -82,7 +82,7 @@ def build_from_descriptor(desc: dict) -> fr.FrameSystem:
         if "dimension" in params:
             dim = params["dimension"]
             _require(type(dim) is int and dim == len(table), "group.params.dimension", "need one M_table row per axis")
-        with fr._malformed("chain.M_table"):
+        with _malformed("chain.M_table"):
             chain = euclidean_chain(table)
 
     family = desc.get("family")
@@ -111,7 +111,7 @@ def build_from_descriptor(desc: dict) -> fr.FrameSystem:
             _require(variant != "integers", "family.charfun", "integer-group chains have no band instantiation")
             shape = spec.get("shape", "boxes")
             _require(variant != "euclidean" or shape in ("boxes", "balls"), "family.charfun.shape", "boxes or balls")
-            band = fr._band_from_params(shape if variant == "euclidean" else variant, chain, {"L": L})
+            band = cf.band_chain(shape if variant == "euclidean" else variant, chain, {"L": L})
         return fr.build_charfun_system(band, mode, k0, k1)
     raise SchemaError("family: need one of 'bspline' or 'charfun'")
 
@@ -248,7 +248,7 @@ def cmd_emit(args) -> int:
             system.chain.group == integer_group()
             and fam.get("type") == "bspline"
             and fam.get("order") == 2
-            and system.chain.params.get("M") == 10
+            and system.chain.k1 == 10
             and system.k0 <= 5 < system.k1
         ):
             return _fail(3, "figure1 needs the integer-chain order-2 system with depth 10")

@@ -4,6 +4,8 @@ Everything derives from LcaError (a ValueError) so callers can catch broadly,
 while tests and the CLI can distinguish the specific failure.
 """
 
+from contextlib import contextmanager
+
 
 class LcaError(ValueError):
     """Base class for library-specific errors."""
@@ -78,3 +80,21 @@ def require_int(value, what: str) -> int:
     if type(value) is not int:
         raise SchemaError(f"{what} must be an integer, got {value!r}")
     return value
+
+
+@contextmanager
+def _malformed(what: str):
+    """Report the errors a malformed JSON value raises as SchemaError, prefixed by `what`.
+
+    Other library errors pass through with their own meaning; a filter
+    periodicity that does not fit the chain, a value that is not an element
+    of its group, or one beyond the float range, is a schema error too.
+    """
+    try:
+        yield
+    except (SchemaError, PeriodicityMismatchError, VariantMismatchError) as exc:
+        raise SchemaError(f"{what}: {exc}") from exc
+    except LcaError:
+        raise
+    except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise SchemaError(f"{what}: {exc!r}") from exc

@@ -22,17 +22,17 @@ table of generator spectra, `FrameSystem.spectra`.  An energy table computes
 the columns of the scalings past the first, which only the telescope reads,
 for the telescope's rows alone.
 
-An artifact (`system_to_json`) states each fact once: the chain, a band's
-bounds alone, built on that chain, and the filters; `system_from_json` reads
-the FORMAT form only.
+An artifact (`system_to_json`, sharing no value with the system) states each
+fact once: the chain, the family (spline order, or band mode with the band's
+label and bounds), and the filters.  `system_from_json` reads the FORMAT form
+only, every family key, and builds the chain once, the band on it.
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
-from contextlib import contextmanager
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, partial
 
 import numpy as np
@@ -43,13 +43,11 @@ from . import domains
 from .chains import LatticeChain, chain_from_params
 from .exceptions import (
     DomainParameterError,
-    LcaError,
-    PeriodicityMismatchError,
     ProperSubsetError,
     SchemaError,
     UncertifiedLevelError,
     UnsupportedVerificationError,
-    VariantMismatchError,
+    _malformed,
     require_int,
 )
 from .filters import (
@@ -153,8 +151,7 @@ def build_charfun_system(band: cf.OmegaChain, mode: str, k0=None, k1=None) -> Fr
             else cf.orthonormal_wavelet_filters(band, k)
         )
         level_filters.append(LevelFilters(k, h, tuple(gs)))
-    family = {"type": "charfun", "mode": mode, "band": band.label, "band_params": band.params}
-    return _assemble(chain, family, k0, k1, level_filters, band)
+    return _assemble(chain, {"type": "charfun", "mode": mode}, k0, k1, level_filters, band)
 
 
 def _assemble(chain: LatticeChain, family: dict, k0: int, k1: int, level_filters, band) -> FrameSystem:
@@ -463,10 +460,14 @@ def telescoping_residual(
 
 
 def system_to_json(system: FrameSystem, seed: int | None = None) -> dict:
+    """The artifact of a system, sharing no value with it: a band adds its label and bounds to the family."""
+    family = dict(system.family)
+    if system.band is not None:
+        family.update(band=system.band.label, band_params=copy.deepcopy(system.band.params))
     data = {
         "format": FORMAT,
-        "chain": {"kind": system.chain.kind, "params": system.chain.params},
-        "family": system.family,
+        "chain": {"kind": system.chain.kind, "params": copy.deepcopy(system.chain.params)},
+        "family": family,
         "k0": system.k0,
         "k1": system.k1,
         "filters": [
@@ -480,23 +481,29 @@ def system_to_json(system: FrameSystem, seed: int | None = None) -> dict:
 
 
 def system_from_json(data: dict) -> FrameSystem:
-    """Rebuild a system from its artifact; filters are taken from the file, and other formats are refused."""
+    """Rebuild a system from its artifact; filters are taken from the file, and other formats are refused.
+
+    Every family part is read: a bspline family is its integer order, a charfun family its mode and its band,
+    built on the artifact's chain; a missing or extra key is refused.
+    """
     with _malformed("malformed system artifact"):
         if data["format"] != FORMAT:
             raise SchemaError(f"artifact format {data['format']!r} is not {FORMAT!r}; run construct again on its embedded descriptor")
         chain = chain_from_params(data["chain"]["kind"], data["chain"]["params"])
-        family = data["family"]
         k0, k1 = require_int(data["k0"], "k0"), require_int(data["k1"], "k1")
         ks = [require_int(entry["k"], "filter level k") for entry in data["filters"]]
         if not (chain.k0 <= k0 < k1 <= chain.k1 and ks == list(range(k0, k1))):
             raise SchemaError(f"filters must be levels {k0}..{k1 - 1} of the chain in order, got {ks}")
-        band = None
-        if family["type"] == "charfun":
-            band = _band_from_params(family["band"], chain, family["band_params"])
-            if band.chain != chain:
-                raise SchemaError(f"a {family['band']} band does not fit the {chain.kind} chain")
-        elif family["type"] != "bspline" or type(family["order"]) is not int:
-            raise SchemaError(f"need a charfun band or an integer bspline order, got family {family!r}")
+        stored, band = data["family"], None
+        if stored["type"] == "bspline" and sorted(stored) == ["order", "type"]:
+            family = {"type": "bspline", "order": require_int(stored["order"], "bspline order")}
+        elif stored["type"] == "charfun" and sorted(stored) == ["band", "band_params", "mode", "type"]:
+            if stored["mode"] not in ("proper", "shannon"):
+                raise SchemaError(f"unknown band mode {stored['mode']!r}")
+            family = {"type": "charfun", "mode": stored["mode"]}
+            band = cf.band_chain(stored["band"], chain, stored["band_params"])
+        else:
+            raise SchemaError(f"need a bspline family of order or a charfun one of mode, band and band_params, got {stored!r}")
         parsed = {}  # each distinct exact value of the artifact is parsed once
         level_filters = [
             LevelFilters(
@@ -507,40 +514,3 @@ def system_from_json(data: dict) -> FrameSystem:
             for entry in data["filters"]
         ]
     return _assemble(chain, family, k0, k1, level_filters, band)
-
-
-def _band_from_params(label: str, chain: LatticeChain, params: dict) -> cf.OmegaChain:
-    """The band of a construction label and its bounds `params["L"]`, from the parameters of `chain`.
-
-    Rational bounds are read through their string form, so a JSON 0.1 is 1/10.
-    """
-    with _malformed(f"{label} band parameters"):
-        if label == "cyclic":
-            return cf.band_chain_cyclic(chain.params["M"], params["L"])
-        if label == "torus":
-            return cf.band_chain_torus(chain.params["m_factors"], params["L"])
-        if label == "boxes":
-            return cf.band_chain_boxes(chain.params["m_table"], [[Fraction(str(x)) for x in r] for r in params["L"]])
-        if label == "balls":
-            return cf.band_chain_balls(chain.params["m_table"], [Fraction(str(x)) for x in params["L"]])
-        if label == "full":
-            return cf.full_band_chain(chain)
-    raise SchemaError(f"unknown band construction {label!r}")
-
-
-@contextmanager
-def _malformed(what: str):
-    """Report the errors a malformed JSON value raises as SchemaError, prefixed by `what`.
-
-    Other library errors pass through with their own meaning; a filter
-    periodicity that does not fit the chain, a value that is not an element
-    of its group, or one beyond the float range, is a schema error too.
-    """
-    try:
-        yield
-    except (SchemaError, PeriodicityMismatchError, VariantMismatchError) as exc:
-        raise SchemaError(f"{what}: {exc}") from exc
-    except LcaError:
-        raise
-    except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise SchemaError(f"{what}: {exc!r}") from exc

@@ -43,13 +43,13 @@ def certificate_systems():
             out.append((f"Z M={M} spline order {order}", lf.build_bspline_system(ch, order)))
     for M in (3, 6):
         bounds, k0 = PROPER_CYCLIC[M]
-        band = lf.band_chain_cyclic(M, bounds)
+        band = lf.band_chain_cyclic(lf.cyclic_chain(M), bounds)
         out.append((f"Z_{2**M} proper", lf.build_charfun_system(band, "proper", k0=k0)))
         full = lf.full_band_chain(lf.cyclic_chain(M))
         out.append((f"Z_{2**M} shannon", lf.build_charfun_system(full, "shannon")))
     tch = lf.torus_chain([2, 3, 2])
     out.append(
-        ("T proper", lf.build_charfun_system(lf.band_chain_torus([2, 3, 2], [0, 1, 3]), "proper"))
+        ("T proper", lf.build_charfun_system(lf.band_chain_torus(lf.torus_chain([2, 3, 2]), [0, 1, 3]), "proper"))
     )
     out.append(("T shannon", lf.build_charfun_system(lf.full_band_chain(tch), "shannon")))
     return out
@@ -153,7 +153,7 @@ def test_criterion_5_parseval_bound_one():
         assert dev <= 1e-12, ("shannon", M, dev)
         worst_op = max(worst_op, dev)
         bounds, k0 = PROPER_CYCLIC[M]
-        proper = lf.build_charfun_system(lf.band_chain_cyclic(M, bounds), "proper", k0=k0)
+        proper = lf.build_charfun_system(lf.band_chain_cyclic(lf.cyclic_chain(M), bounds), "proper", k0=k0)
         dev = float(np.max(np.abs(lf.frame_operator(proper) - np.eye(n))))
         assert dev <= 1e-12, ("proper", M, dev)
         worst_op = max(worst_op, dev)

@@ -16,8 +16,6 @@ from lcaframes.bspline import (
     bspline_hat,
     bspline_time,
     check_refinement_splitting,
-    even_order_wavelet_filters,
-    first_order_wavelet_filter,
     refinement_bound,
     refinement_filter,
     refinement_residual,
@@ -287,7 +285,7 @@ def test_refinement_splitting_witness():
 
 def test_first_order_wavelet_values():
     ch = integer_chain(3)
-    g = first_order_wavelet_filter(ch, 0)
+    (g,) = wavelet_filters(ch, 0, 1)
     assert abs(g.eval(0)) < 1e-15
     nu = ch.cosets(0)[1]
     assert abs(g.eval(nu) - RT2) < 1e-15
@@ -300,7 +298,7 @@ def test_first_order_wavelet_values():
 
 def test_even_order_wavelet_masks():
     ch = integer_chain(3)
-    g1, g2 = even_order_wavelet_filters(ch, 0, 1)
+    g1, g2 = wavelet_filters(ch, 0, 2)
     assert np.allclose([complex(c) for c in g1.coeffs], [0.5, 0, -0.5])
     assert np.allclose([complex(c) for c in g2.coeffs], [2**-1.5, -(2**-0.5), 2**-1.5])
     for m, g in enumerate((g1, g2), start=1):
@@ -314,7 +312,7 @@ def test_even_order_wavelet_masks():
 def test_even_order_energy_identity(order):
     ch = integer_chain(3)
     h = refinement_filter(ch, 1, order)
-    gs = even_order_wavelet_filters(ch, 1, order // 2)
+    gs = wavelet_filters(ch, 1, order)
     rng = np.random.default_rng(13)
     for gamma in rng.random(300):
         total = abs(h.eval(gamma)) ** 2 + sum(abs(g.eval(gamma)) ** 2 for g in gs)
@@ -326,14 +324,14 @@ def test_odd_orders_have_no_masks():
     with pytest.raises(UnsupportedOrderError):
         wavelet_filters(ch, 0, 3)
     with pytest.raises(UnsupportedOrderError):
-        even_order_wavelet_filters(ch, 0, 0)
+        wavelet_filters(ch, 0, 0)
     # lowpass side still exists for odd orders
     assert refinement_filter(ch, 0, 3) is not None
 
 
 def test_wavelet_time_haar():
     ch = integer_chain(2)
-    psi = wavelet_time(ch, 1, first_order_wavelet_filter(ch, 1), bspline_time(ch, 2, 1))
+    psi = wavelet_time(ch, 1, wavelet_filters(ch, 1, 1)[0], bspline_time(ch, 2, 1))
     assert psi.start == 0
     assert np.allclose(np.asarray(psi.values), [2**-0.5, -(2**-0.5)])
 
@@ -342,7 +340,7 @@ def test_wavelet_time_norm_one_first_order():
     for M in (2, 4, 6):
         ch = integer_chain(M)
         for k in range(M):
-            psi = wavelet_time(ch, k, first_order_wavelet_filter(ch, k), bspline_time(ch, k + 1, 1))
+            psi = wavelet_time(ch, k, wavelet_filters(ch, k, 1)[0], bspline_time(ch, k + 1, 1))
             assert abs(psi.norm2() - 1) < 1e-12
             phi = bspline_time(ch, k, 1)
             assert abs(phi.norm2() - 1) < 1e-12
@@ -381,7 +379,7 @@ def test_wavelet_support_arithmetic():
 
 def test_wavelet_time_step_must_be_lattice_point():
     ch = integer_chain(2)
-    fine = first_order_wavelet_filter(ch, 1)  # step 1
+    fine = wavelet_filters(ch, 1, 1)[0]  # step 1
     with pytest.raises(UnsupportedRepresentationError):
         wavelet_time(ch, 0, fine, bspline_time(ch, 1, 1))  # level-1 lattice is 2Z; step 1 not in it
 

@@ -220,7 +220,7 @@ def test_level_outside_index_set():
         lambda: integer_chain(200),
         lambda: cyclic_chain(10**9),
         lambda: torus_chain([2] * 200),
-        lambda: band_chain_cyclic(200, list(range(201))),
+        lambda: band_chain_cyclic(cyclic_chain(200), list(range(201))),
     ],
     ids=["integer", "cyclic", "torus", "cyclic-band"],
 )

@@ -21,7 +21,7 @@ from lcaframes.charfun import (
     orthonormal_wavelet_filters,
 )
 from lcaframes.domains import Ball, IntegerInterval
-from lcaframes.exceptions import DomainParameterError, ProperSubsetError
+from lcaframes.exceptions import DomainParameterError, ProperSubsetError, VariantMismatchError
 from lcaframes.filters import assemble_uep, dual_sampling_plan, verify_uep
 from lcaframes.groups import pairing
 from oracles import indicator_hat_exact, value_at
@@ -31,7 +31,7 @@ RT3 = math.sqrt(3)
 
 
 def test_cyclic_band_sets():
-    band = band_chain_cyclic(3, [0, 1, 3, 7])
+    band = band_chain_cyclic(cyclic_chain(3), [0, 1, 3, 7])
     assert band.omega(0) == IntegerInterval(0, 0)
     assert band.omega(1) == IntegerInterval(0, 1)
     assert band.omega(2) == IntegerInterval(0, 3)
@@ -41,17 +41,17 @@ def test_cyclic_band_sets():
 
 def test_cyclic_band_validation():
     with pytest.raises(DomainParameterError, match="level 1"):
-        band_chain_cyclic(3, [0, 2, 3, 7])  # L_1 > 2^1 - 1
+        band_chain_cyclic(cyclic_chain(3), [0, 2, 3, 7])  # L_1 > 2^1 - 1
     with pytest.raises(DomainParameterError, match="nest between levels 1 and 2"):
-        band_chain_cyclic(3, [0, 1, 0, 7])  # decreasing
+        band_chain_cyclic(cyclic_chain(3), [0, 1, 0, 7])  # decreasing
     with pytest.raises(DomainParameterError, match="top band"):
-        band_chain_cyclic(3, [0, 1, 3, 6])
+        band_chain_cyclic(cyclic_chain(3), [0, 1, 3, 6])
     # non-strict repeats are fine on the cyclic chain
-    assert band_chain_cyclic(3, [0, 0, 0, 7]) is not None
+    assert band_chain_cyclic(cyclic_chain(3), [0, 0, 0, 7]) is not None
 
 
 def test_torus_band_sets():
-    band = band_chain_torus([2, 3], [0, 2])
+    band = band_chain_torus(torus_chain([2, 3]), [0, 2])
     assert band.omega(0) == IntegerInterval(0, 0)
     assert band.omega(1) == IntegerInterval(-2, 2)
     assert band.chain.level(1).domain_v == IntegerInterval(-3, 2)
@@ -59,27 +59,27 @@ def test_torus_band_sets():
 
 def test_torus_band_strictly_increasing():
     with pytest.raises(DomainParameterError, match="strictly"):
-        band_chain_torus([2, 3], [0, 0])
+        band_chain_torus(torus_chain([2, 3]), [0, 0])
     with pytest.raises(DomainParameterError, match="level 1 is not inside the dual cell"):
-        band_chain_torus([2, 3], [0, 3])
+        band_chain_torus(torus_chain([2, 3]), [0, 3])
 
 
 def test_ball_band_rejects_large_radius():
     with pytest.raises(DomainParameterError, match="level 0 is not inside the dual cell"):
-        band_chain_balls([[2, 2], [2, 2]], [Fraction(1), Fraction(3, 2)])  # radius = min N/2
-    band = band_chain_balls([[2, 2], [2, 2]], [Fraction(9, 10), Fraction(19, 10)])
+        band_chain_balls(euclidean_chain([[2, 2], [2, 2]]), [Fraction(1), Fraction(3, 2)])  # radius = min N/2
+    band = band_chain_balls(euclidean_chain([[2, 2], [2, 2]]), [Fraction(9, 10), Fraction(19, 10)])
     assert band.omega(0) == Ball(Fraction(9, 10))
 
 
 def test_box_band_validation():
     with pytest.raises(DomainParameterError, match="degenerate box"):
-        band_chain_boxes([[2, 2]], [[0, 1]])
+        band_chain_boxes(euclidean_chain([[2, 2]]), [[0, 1]])
     with pytest.raises(DomainParameterError, match="level 0 is not inside the dual cell"):
-        band_chain_boxes([[2, 2]], [[Fraction(3, 2), 2]])
+        band_chain_boxes(euclidean_chain([[2, 2]]), [[Fraction(3, 2), 2]])
 
 
 def test_indicator_generator_values():
-    band = band_chain_cyclic(3, [0, 1, 3, 7])
+    band = band_chain_cyclic(cyclic_chain(3), [0, 1, 3, 7])
     gen = indicator_generator(band, 1)
     # dual-cell measure is 2/8, so the indicator is scaled by 2
     assert gen.hat(0) == 2 and gen.hat(1) == 2
@@ -90,13 +90,13 @@ def test_indicator_generator_values():
 
 
 def test_refinement_filter_values_and_first_row():
-    band = band_chain_cyclic(3, [0, 1, 3, 7])
+    band = band_chain_cyclic(cyclic_chain(3), [0, 1, 3, 7])
     h = indicator_refinement_filter(band, 1)
     assert [round(h.eval(g).real, 12) for g in range(4)] == pytest.approx(
         [RT2, RT2, 0, 0]
     )
     # first row of the coset matrix on V_k is (H, 0, ..., 0)
-    band2 = band_chain_cyclic(3, [0, 1, 2, 7])
+    band2 = band_chain_cyclic(cyclic_chain(3), [0, 1, 2, 7])
     h2 = indicator_refinement_filter(band2, 2)
     P = assemble_uep(band2.chain, 2, h2, bandlimited_wavelet_filters(band2, 2))
     for gamma, m in enumerate(P.eval_many(np.arange(4))):
@@ -105,7 +105,7 @@ def test_refinement_filter_values_and_first_row():
 
 
 def test_refinement_identity_exact_everywhere():
-    band = band_chain_cyclic(3, [0, 1, 3, 7])
+    band = band_chain_cyclic(cyclic_chain(3), [0, 1, 3, 7])
     for k in range(3):
         h = indicator_refinement_filter(band, k)
         gk = indicator_generator(band, k)
@@ -116,28 +116,28 @@ def test_refinement_identity_exact_everywhere():
 
 @pytest.mark.parametrize("bounds", [[0, 1, 3, 7], [0, 1, 2, 7]])
 def test_refinement_residual_exactly_zero(bounds):
-    band = band_chain_cyclic(3, bounds)
+    band = band_chain_cyclic(cyclic_chain(3), bounds)
     for k in range(3):
         assert indicator_refinement_residual(band, k, dual_sampling_plan(band.chain, k)) == 0.0
 
 
 def test_torus_refinement_residual_zero():
-    band = band_chain_torus([2, 3, 2], [0, 1, 3])
+    band = band_chain_torus(torus_chain([2, 3, 2]), [0, 1, 3])
     for k in range(2):
         assert indicator_refinement_residual(band, k, dual_sampling_plan(band.chain, k)) == 0.0
 
 
 def test_box_and_ball_refinement_residual():
     for band in (
-        band_chain_boxes([[2, 2], [2, 2]], [[Fraction(3, 4), Fraction(3, 2)]] * 2),
-        band_chain_balls([[2, 2], [2, 2]], [Fraction(9, 10), Fraction(19, 10)]),
+        band_chain_boxes(euclidean_chain([[2, 2], [2, 2]]), [[Fraction(3, 4), Fraction(3, 2)]] * 2),
+        band_chain_balls(euclidean_chain([[2, 2], [2, 2]]), [Fraction(9, 10), Fraction(19, 10)]),
     ):
         plan = dual_sampling_plan(band.chain, 0, grid=256, random=64)
         assert indicator_refinement_residual(band, 0, plan) == 0.0
 
 
 def test_proper_masks_values_on_cyclic():
-    band = band_chain_cyclic(3, [0, 1, 2, 7])
+    band = band_chain_cyclic(cyclic_chain(3), [0, 1, 2, 7])
     g1, g2 = bandlimited_wavelet_filters(band, 2)
     # level 2: Omega = {0,1,2} inside V = {0..3}, nu = (0, 4)
     assert [round(g1.eval(g).real, 12) for g in range(8)] == pytest.approx(
@@ -149,7 +149,7 @@ def test_proper_masks_values_on_cyclic():
 
 
 def test_proper_masks_gram_identity_both_cases():
-    band = band_chain_cyclic(3, [0, 1, 2, 7])
+    band = band_chain_cyclic(cyclic_chain(3), [0, 1, 2, 7])
     P = assemble_uep(
         band.chain, 2, indicator_refinement_filter(band, 2), bandlimited_wavelet_filters(band, 2)
     )
@@ -161,7 +161,7 @@ def test_proper_masks_gram_identity_both_cases():
 
 
 def test_proper_masks_refuse_full_band():
-    band = band_chain_cyclic(3, [0, 1, 3, 7])
+    band = band_chain_cyclic(cyclic_chain(3), [0, 1, 3, 7])
     with pytest.raises(ProperSubsetError):
         bandlimited_wavelet_filters(band, 1)  # Omega_1 = {0,1} = V_1
 
@@ -179,7 +179,7 @@ def test_orthonormal_masks_scaled_identity():
 
 
 def test_orthonormal_masks_need_full_band():
-    band = band_chain_cyclic(3, [0, 1, 2, 7])
+    band = band_chain_cyclic(cyclic_chain(3), [0, 1, 2, 7])
     with pytest.raises(ProperSubsetError):
         orthonormal_wavelet_filters(band, 2)
 
@@ -197,7 +197,7 @@ def test_orthonormal_masks_on_torus():
 
 
 def test_proper_masks_on_torus_gram():
-    band = band_chain_torus([2, 3, 2], [0, 1, 3])
+    band = band_chain_torus(torus_chain([2, 3, 2]), [0, 1, 3])
     for k in range(2):
         P = assemble_uep(
             band.chain,
@@ -212,8 +212,8 @@ def test_proper_masks_on_torus_gram():
 
 def test_euclidean_boxes_and_balls_gram():
     for band in (
-        band_chain_boxes([[2, 2], [2, 2]], [[Fraction(3, 4), Fraction(3, 2)]] * 2),
-        band_chain_balls([[2, 2], [2, 2]], [Fraction(9, 10), Fraction(19, 10)]),
+        band_chain_boxes(euclidean_chain([[2, 2], [2, 2]]), [[Fraction(3, 4), Fraction(3, 2)]] * 2),
+        band_chain_balls(euclidean_chain([[2, 2], [2, 2]]), [Fraction(9, 10), Fraction(19, 10)]),
     ):
         P = assemble_uep(
             band.chain,
@@ -227,7 +227,7 @@ def test_euclidean_boxes_and_balls_gram():
 
 def test_wavelet_support_inside_next_band():
     # supp Psi_k^(m) stays inside Omega_{k+1}
-    band = band_chain_cyclic(3, [0, 1, 2, 7])
+    band = band_chain_cyclic(cyclic_chain(3), [0, 1, 2, 7])
     from lcaframes.frame import build_charfun_system
 
     system = build_charfun_system(band, "proper", k0=2)
@@ -241,7 +241,7 @@ def test_wavelet_support_inside_next_band():
 
 def test_deep_level_normalization_and_disjointness():
     # at the exhaustion level the normalized energy is exactly 1 on the target
-    band = band_chain_cyclic(3, [0, 1, 3, 7])
+    band = band_chain_cyclic(cyclic_chain(3), [0, 1, 3, 7])
     gen = indicator_generator(band, 3)
     mu_v = band.chain.dual_cell_measure(3)
     for gamma in range(8):
@@ -251,7 +251,7 @@ def test_deep_level_normalization_and_disjointness():
 
 
 def test_torus_deep_level_translate_disjointness():
-    band = band_chain_torus([2, 3], [0, 2])
+    band = band_chain_torus(torus_chain([2, 3]), [0, 2])
     target = band.exhaustion_target  # {-2..2}
     ann = band.chain.level(1).annihilator  # 6Z
     pts = set(range(-2, 3))
@@ -262,8 +262,17 @@ def test_torus_deep_level_translate_disjointness():
 
 def test_band_mismatch_lengths():
     with pytest.raises(DomainParameterError):
-        band_chain_cyclic(3, [0, 1, 7])
+        band_chain_cyclic(cyclic_chain(3), [0, 1, 7])
     with pytest.raises(DomainParameterError):
-        band_chain_torus([2, 3], [0])
+        band_chain_torus(torus_chain([2, 3]), [0])
     with pytest.raises(DomainParameterError):
-        band_chain_balls([[2, 2]], [Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)])
+        band_chain_balls(euclidean_chain([[2, 2]]), [Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)])
+
+
+def test_band_refuses_a_chain_on_another_group():
+    with pytest.raises(VariantMismatchError, match="torus band does not fit a chain on Z_8"):
+        band_chain_torus(cyclic_chain(3), [0, 1, 3])
+    with pytest.raises(VariantMismatchError):
+        band_chain_cyclic(torus_chain([2, 2, 2]), [0, 1, 7])
+    with pytest.raises(VariantMismatchError):
+        band_chain_balls(torus_chain([2, 2]), ["1/2", "1"])

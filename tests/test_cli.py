@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 import lcaframes
-from lcaframes import chains, verify
-from lcaframes.cli import main
+from lcaframes import chains, frame, verify
+from lcaframes.cli import build_from_descriptor, main
 from lcaframes.exact import radical
 from lcaframes.verify import ALL_CONDITIONS
 
@@ -512,6 +512,25 @@ def test_verify_order_8_spline_beyond_int64_passes(tmp_path):
     assert json.loads(rpath.read_text())["status"] == "pass"
 
 
+MANIFEST = json.loads((Path(__file__).resolve().parent.parent / "perfbench" / "manifest.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "desc",
+    [MANIFEST["z64-band"]["descriptor"], MANIFEST["r2-balls"]["descriptor"], T_BAND, EUCLID_BOXES],
+    ids=["z64-band", "r2-balls", "T-band", "R2-boxes"],
+)
+def test_band_system_builds_its_chain_once_per_construct_and_load(monkeypatch, desc):
+    # the band is built on the chain the descriptor or artifact gives, never on a second copy of it
+    calls = []
+    with_cosets = chains._with_cosets
+    monkeypatch.setattr(chains, "_with_cosets", lambda levels: calls.append(len(levels)) or with_cosets(levels))
+    system = build_from_descriptor(desc)
+    assert len(calls) == 1
+    frame.system_from_json(frame.system_to_json(system))
+    assert len(calls) == 2
+
+
 @pytest.mark.parametrize(
     "desc, corrupt",
     [
@@ -609,35 +628,47 @@ def test_construct_malformed_descriptor_exit_2(tmp_path, capsys, desc, message):
 
 
 @pytest.mark.parametrize(
-    "corrupt",
+    "desc, corrupt",
     [
-        lambda data: data["family"].pop("order"),
-        lambda data: data.update(family="x"),
-        lambda data: data["filters"][0]["h"]["coeffs"][0]["exact"].update(re="1/x"),
-        lambda data: data["filters"][0]["h"]["coeffs"][0]["exact"].update(rad="-2"),
-        lambda data: data["filters"][0]["g"][0].update(shifts=[[0], 1, 2]),
-        lambda data: data["filters"][0]["g"][0].update(shifts=[]),
-        lambda data: data["filters"][1]["g"][0].update(coeffs=[]),
-        lambda data: data["filters"][0]["h"].update(eta="1/3"),
-        lambda data: data["filters"].pop(),
-        lambda data: data["filters"][0].update(k=5),
-        lambda data: data["chain"].update(kind="nope"),
-        lambda data: data.update(k0=False),
-        lambda data: data["filters"][0].update(k=False),
-        lambda data: data["family"].update(order=True),
-        lambda data: data["chain"]["params"].update(M=4.0),
-        lambda data: data["filters"][0]["h"]["coeffs"][0]["exact"].update(rad=2.7),
-        lambda data: data["filters"][0]["h"]["coeffs"][0]["exact"].update(re="1e400"),
+        (Z_BSPLINE, lambda data: data["family"].pop("order")),
+        (Z_BSPLINE, lambda data: data.update(family="x")),
+        (Z_BSPLINE, lambda data: data["filters"][0]["h"]["coeffs"][0]["exact"].update(re="1/x")),
+        (Z_BSPLINE, lambda data: data["filters"][0]["h"]["coeffs"][0]["exact"].update(rad="-2")),
+        (Z_BSPLINE, lambda data: data["filters"][0]["g"][0].update(shifts=[[0], 1, 2])),
+        (Z_BSPLINE, lambda data: data["filters"][0]["g"][0].update(shifts=[])),
+        (Z_BSPLINE, lambda data: data["filters"][1]["g"][0].update(coeffs=[])),
+        (Z_BSPLINE, lambda data: data["filters"][0]["h"].update(eta="1/3")),
+        (Z_BSPLINE, lambda data: data["filters"].pop()),
+        (Z_BSPLINE, lambda data: data["filters"][0].update(k=5)),
+        (Z_BSPLINE, lambda data: data["chain"].update(kind="nope")),
+        (Z_BSPLINE, lambda data: data.update(k0=False)),
+        (Z_BSPLINE, lambda data: data["filters"][0].update(k=False)),
+        (Z_BSPLINE, lambda data: data["family"].update(order=True)),
+        (Z_BSPLINE, lambda data: data["chain"]["params"].update(M=4.0)),
+        (Z_BSPLINE, lambda data: data["filters"][0]["h"]["coeffs"][0]["exact"].update(rad=2.7)),
+        (Z_BSPLINE, lambda data: data["filters"][0]["h"]["coeffs"][0]["exact"].update(re="1e400")),
         # each filter value has one stored form: no float copy next to the exact one, no [re, im] pair, no JSON
         # bool as a float, and the value's own square-free radicand (1 for zero)
-        lambda data: data["filters"][0]["h"]["coeffs"][0].update(re=0.5, im=0.0),
-        lambda data: data["filters"][0]["h"]["coeffs"].__setitem__(0, [0.5, 0.0]),
-        lambda data: data["filters"][0]["h"]["coeffs"].__setitem__(0, {"re": True, "im": False}),
-        lambda data: data["filters"][0]["h"]["coeffs"][0]["exact"].update(rad="4"),
-        lambda data: data["filters"][0]["g"][0]["coeffs"][1]["exact"].update(rad="2"),
+        (Z_BSPLINE, lambda data: data["filters"][0]["h"]["coeffs"][0].update(re=0.5, im=0.0)),
+        (Z_BSPLINE, lambda data: data["filters"][0]["h"]["coeffs"].__setitem__(0, [0.5, 0.0])),
+        (Z_BSPLINE, lambda data: data["filters"][0]["h"]["coeffs"].__setitem__(0, {"re": True, "im": False})),
+        (Z_BSPLINE, lambda data: data["filters"][0]["h"]["coeffs"][0]["exact"].update(rad="4")),
+        (Z_BSPLINE, lambda data: data["filters"][0]["g"][0]["coeffs"][1]["exact"].update(rad="2")),
         # the chain is Z's: a cyclic band cannot be built on it
-        lambda data: data.update(family={"type": "charfun", "mode": "proper", "band": "cyclic",
-                                         "band_params": {"L": [0, 1, 3, 7]}}),
+        (Z_BSPLINE, lambda data: data.update(family={"type": "charfun", "mode": "proper", "band": "cyclic",
+                                                     "band_params": {"L": [0, 1, 3, 7]}})),
+        # a band built on a chain of another group: each label once
+        (Z16_BAND, lambda data: data["family"].update(band="torus", band_params={"L": [0, 1, 2, 3, 4]})),
+        (T_BAND, lambda data: data["family"].update(band="cyclic", band_params={"L": [0, 1, 7]})),
+        (T_BAND, lambda data: data["family"].update(band="boxes", band_params={"L": [["1/2", "1", "2"]]})),
+        (T_BAND, lambda data: data["family"].update(band="balls", band_params={"L": ["1/2", "1", "2"]})),
+        (EUCLID_BOXES, lambda data: data["family"].update(band="torus", band_params={"L": [0, 1]})),
+        # every family part is read: no key outside the family's own set, none missing, a known mode
+        (Z16_BAND, lambda data: data["family"].update(junk=[1, 2])),
+        (Z16_BAND, lambda data: data["family"].pop("mode")),
+        (Z16_BAND, lambda data: data["family"].update(mode="edited")),
+        (Z16_BAND, lambda data: data["family"]["band_params"].update(junk=[1, 2])),
+        (Z_BSPLINE, lambda data: data["family"].update(junk=[1, 2])),
     ],
     ids=[
         "family-without-order",
@@ -663,10 +694,20 @@ def test_construct_malformed_descriptor_exit_2(tmp_path, capsys, desc, message):
         "square-radicand",
         "zero-with-radicand-2",
         "band-on-another-chain",
+        "torus-band-on-Z16",
+        "cyclic-band-on-T",
+        "boxes-band-on-T",
+        "balls-band-on-T",
+        "torus-band-on-R2",
+        "family-extra-key",
+        "family-without-mode",
+        "family-unknown-mode",
+        "band-params-extra-key",
+        "bspline-family-extra-key",
     ],
 )
-def test_verify_malformed_artifact_exit_2(tmp_path, capsys, corrupt):
-    spath = construct(tmp_path, Z_BSPLINE)
+def test_verify_malformed_artifact_exit_2(tmp_path, capsys, desc, corrupt):
+    spath = construct(tmp_path, desc)
     data = json.loads(spath.read_text())
     corrupt(data)
     spath.write_text(json.dumps(data))

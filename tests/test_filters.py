@@ -70,7 +70,7 @@ def test_trig_periodicity(zchain):
 
 
 def test_piecewise_value_on_band(z8chain):
-    band = band_chain_cyclic(3, [0, 1, 3, 7])
+    band = band_chain_cyclic(cyclic_chain(3), [0, 1, 3, 7])
     h = indicator_refinement_filter(band, 1)
     assert h.eval(0) == RT2 and h.eval(1) == RT2
     assert h.eval(2) == 0 and h.eval(3) == 0
@@ -221,7 +221,7 @@ def test_built_filters_are_periodic(zchain, order):
 
 
 def test_piecewise_filter_periodicity_exhaustive(z8chain):
-    band = band_chain_cyclic(3, [0, 1, 3, 7])
+    band = band_chain_cyclic(cyclic_chain(3), [0, 1, 3, 7])
     h = indicator_refinement_filter(band, 1)
     for gamma in range(8):
         for omega in (4,):  # level-2 annihilator of Z_8
@@ -255,7 +255,7 @@ def test_filter_json_states_each_value_once():
         "kind": "trig", "eta": 2, "shifts": [0, 1, 2], "coeffs": [_exact("1/4", "2"), _exact("1/2", "2"), _exact("1/4", "2")],
     }
     assert filter_to_json(scale_filter(h, 0.5))["coeffs"][1] == {"re": 0.5 * RT2 / 2, "im": 0.0}
-    g = bandlimited_wavelet_filters(band_chain_cyclic(3, [0, 0, 1, 7]), 1)[0]
+    g = bandlimited_wavelet_filters(band_chain_cyclic(cyclic_chain(3), [0, 0, 1, 7]), 1)[0]
     assert filter_to_json(g) == {
         "kind": "piecewise",
         "domain": _interval(0, 1, [0, 2]),
@@ -397,7 +397,7 @@ def test_coefficient_bound_fails_a_corrupted_coefficient(name):
 
 def test_mixed_rows_match_each_row_at_shifted_points(z8chain):
     # a trig and a piecewise row in one matrix: values and keys per coset column as each filter alone
-    band = band_chain_cyclic(3, [0, 1, 3, 7])
+    band = band_chain_cyclic(cyclic_chain(3), [0, 1, 3, 7])
     P = assemble_uep(z8chain, 1, refinement_filter(z8chain, 1, 1), [indicator_refinement_filter(band, 1)])
     pts = np.arange(8)
     cols = [shift_points(pts, nu, z8chain.dual) for nu in P.nu]

@@ -108,7 +108,7 @@ def test_frame_operator_shannon_identity():
 
 
 def test_frame_operator_proper_identity():
-    band = band_chain_cyclic(3, [0, 1, 2, 7])
+    band = band_chain_cyclic(cyclic_chain(3), [0, 1, 2, 7])
     system = build_charfun_system(band, "proper", k0=2)
     S = frame_operator(system)
     assert np.max(np.abs(S - np.eye(8))) <= 1e-12
@@ -227,7 +227,7 @@ def _scaling_energy(system, k, f) -> float:
 
 def test_energy_bounds_cyclic_band():
     # the scaling translates alone keep the energy of f at the top level
-    band = band_chain_cyclic(3, [0, 1, 2, 7])
+    band = band_chain_cyclic(cyclic_chain(3), [0, 1, 2, 7])
     system = build_charfun_system(band, "proper", k0=2)
     rng = random.Random(SEED)
     f = random_test_function(cyclic_group(8), (0, 7), rng)
@@ -283,7 +283,7 @@ def test_translation_modulation_equivalence_cyclic():
 
 
 def test_torus_system_parseval_inside_target():
-    band = band_chain_torus([2, 3, 2], [0, 1, 3])
+    band = band_chain_torus(torus_chain([2, 3, 2]), [0, 1, 3])
     system = build_charfun_system(band, "proper")
     rng = random.Random(SEED)
     for _ in range(20):
@@ -329,7 +329,7 @@ def test_shannon_norms_and_gram():
 
 
 def test_proper_mode_refuses_full_band_level():
-    band = band_chain_cyclic(3, [0, 1, 2, 7])
+    band = band_chain_cyclic(cyclic_chain(3), [0, 1, 2, 7])
     with pytest.raises(ProperSubsetError):
         build_charfun_system(band, "proper", k0=0)  # level 0 band equals the cell
 
@@ -360,8 +360,8 @@ def test_system_json_round_trip_preserves_verification():
 
 STORED_PARTS_SYSTEMS = {
     "z16-spline": lambda: build_bspline_system(cyclic_chain(4), 2),
-    "z8-band": lambda: build_charfun_system(band_chain_cyclic(3, [0, 0, 1, 7]), "proper", k0=1),
-    "t-band": lambda: build_charfun_system(band_chain_torus([2, 3, 2], [0, 1, 3]), "proper"),
+    "z8-band": lambda: build_charfun_system(band_chain_cyclic(cyclic_chain(3), [0, 0, 1, 7]), "proper", k0=1),
+    "t-band": lambda: build_charfun_system(band_chain_torus(torus_chain([2, 3, 2]), [0, 1, 3]), "proper"),
 }
 
 
@@ -377,7 +377,7 @@ def test_every_stored_filter_value_and_band_bound_is_read(name):
     # each part of each coefficient and piece value, and each band bound, changed alone: the load must
     # give another system or refuse the file, so no part is a copy that the loader ignores
     system = STORED_PARTS_SYSTEMS[name]()
-    data = json.loads(json.dumps(system_to_json(system)))
+    data = system_to_json(system)
     assert system_from_json(data) == system
     parts = [data["family"].get("band_params", {}), *(f for entry in data["filters"] for f in (entry["h"], *entry["g"]))]
     leaves = [leaf for part in parts for leaf in _leaves(part)]
@@ -393,6 +393,26 @@ def test_every_stored_filter_value_and_band_bound_is_read(name):
         assert loaded != system, f"{key}: {old!r} changed, and the loaded system is the same"
 
 
+def test_artifact_dict_shares_no_value_with_the_system():
+    system = build_charfun_system(band_chain_cyclic(cyclic_chain(3), [0, 0, 1, 7]), "proper", k0=1)
+    data = system_to_json(system)
+    data["family"]["band_params"]["L"][0] = 5
+    assert system.band.params == {"L": [0, 0, 1, 7]}
+    torus = build_charfun_system(band_chain_torus(torus_chain([2, 3, 2]), [0, 1, 3]), "proper")
+    data = system_to_json(torus)
+    data["chain"]["params"]["m_factors"][0] = 4
+    assert torus.chain.params == {"m_factors": [2, 3, 2]}
+
+
+def test_loaded_system_shares_no_value_with_its_artifact():
+    system = build_charfun_system(band_chain_cyclic(cyclic_chain(3), [0, 0, 1, 7]), "proper", k0=1)
+    data = system_to_json(system)
+    loaded = system_from_json(data)
+    data["family"]["mode"] = "edited"
+    data["family"]["band_params"]["L"][0] = 5
+    assert loaded == system and loaded.family == {"type": "charfun", "mode": "proper"}
+
+
 def test_build_counts():
     system = build_bspline_system(integer_chain(10), 2)
     assert len(system.wavelets) == 2 * 10
@@ -406,7 +426,7 @@ def test_cyclic_parseval_seeded_deep():
     full = build_charfun_system(full_band_chain(cyclic_chain(6)), "shannon")
     from lcaframes.charfun import band_chain_cyclic as bcc
 
-    proper = build_charfun_system(bcc(6, [0, 1, 2, 3, 4, 5, 63]), "proper", k0=2)
+    proper = build_charfun_system(bcc(cyclic_chain(6), [0, 1, 2, 3, 4, 5, 63]), "proper", k0=2)
     for system in (full, proper):
         worst = 0.0
         for _ in range(100):
@@ -493,7 +513,7 @@ def _pruned(system):
 ORACLE_SYSTEMS = {
     "z-spline": lambda: build_bspline_system(integer_chain(4), 2),
     "zn-spline": lambda: build_bspline_system(cyclic_chain(5), 4),
-    "zn-band": lambda: build_charfun_system(band_chain_cyclic(6, [0, 1, 2, 3, 4, 5, 63]), "proper", k0=2),
+    "zn-band": lambda: build_charfun_system(band_chain_cyclic(cyclic_chain(6), [0, 1, 2, 3, 4, 5, 63]), "proper", k0=2),
     "zn-shannon": lambda: build_charfun_system(full_band_chain(cyclic_chain(4)), "shannon"),
     "zn-shannon-pruned": lambda: _pruned(build_charfun_system(full_band_chain(cyclic_chain(4)), "shannon")),
     "t-shannon": lambda: build_charfun_system(full_band_chain(torus_chain([2, 3, 2, 2])), "shannon"),
@@ -705,7 +725,7 @@ def _corrupt_wavelet(system, level, scale=1 + 1e-6):
 
 FOURIER_BLOCK_SYSTEMS = {
     "z8-shannon": lambda: build_charfun_system(full_band_chain(cyclic_chain(3)), "shannon"),
-    "z8-proper": lambda: build_charfun_system(band_chain_cyclic(3, [0, 1, 2, 7]), "proper", k0=2),
+    "z8-proper": lambda: build_charfun_system(band_chain_cyclic(cyclic_chain(3), [0, 1, 2, 7]), "proper", k0=2),
     "z64-band": ORACLE_SYSTEMS["zn-band"],
     "z256-spline": lambda: build_bspline_system(cyclic_chain(8), 4),
     "z8-shannon-pruned": lambda: _pruned(build_charfun_system(full_band_chain(cyclic_chain(3)), "shannon")),

@@ -11,7 +11,7 @@ import pytest
 
 from lcaframes import charfun, filters
 from lcaframes.bspline import refinement_filter
-from lcaframes.chains import cyclic_chain, torus_chain
+from lcaframes.chains import cyclic_chain, euclidean_chain, torus_chain
 from lcaframes.charfun import (
     band_chain_balls,
     band_chain_cyclic,
@@ -37,10 +37,10 @@ from oracles import indicator_refinement_per_point, refinement_exact, uep_per_po
 
 SYSTEMS = {
     "z8-shannon": lambda: build_charfun_system(full_band_chain(cyclic_chain(3)), "shannon"),
-    "z8-band": lambda: build_charfun_system(band_chain_cyclic(3, [0, 0, 1, 7]), "proper", k0=1),
-    "z64-band": lambda: build_charfun_system(band_chain_cyclic(6, [0, 1, 2, 3, 4, 5, 63]), "proper", k0=2),
+    "z8-band": lambda: build_charfun_system(band_chain_cyclic(cyclic_chain(3), [0, 0, 1, 7]), "proper", k0=1),
+    "z64-band": lambda: build_charfun_system(band_chain_cyclic(cyclic_chain(6), [0, 1, 2, 3, 4, 5, 63]), "proper", k0=2),
     "t-shannon": lambda: build_charfun_system(full_band_chain(torus_chain([2, 3, 2, 2])), "shannon"),
-    "t-band": lambda: build_charfun_system(band_chain_torus([2, 3, 2], [0, 1, 3]), "proper"),
+    "t-band": lambda: build_charfun_system(band_chain_torus(torus_chain([2, 3, 2]), [0, 1, 3]), "proper"),
     "z16-spline-1": lambda: build_bspline_system(cyclic_chain(4), 1),
     "z16-spline-2": lambda: build_bspline_system(cyclic_chain(4), 2),
     "z256-spline-4": lambda: build_bspline_system(cyclic_chain(8), 4),
@@ -121,7 +121,7 @@ def _with_piece_value(f, i, value):
     "value, exact", [(radical(1), True), (1 + 0j, False)], ids=["radical", "float"]
 )
 def test_keyed_pass_matches_oracle_on_corrupted_piece_value(value, exact):
-    band = band_chain_cyclic(3, [0, 0, 1, 7])
+    band = band_chain_cyclic(cyclic_chain(3), [0, 0, 1, 7])
     system = build_charfun_system(band, "proper", k0=1)
     lf = system.filters_at(1)
     plan = dual_sampling_plan(system.chain, 1)
@@ -134,8 +134,8 @@ def test_keyed_pass_matches_oracle_on_corrupted_piece_value(value, exact):
 
 def test_refinement_keys_see_band_membership():
     # a lowpass from another band is constant where Omega_1 is not
-    band = band_chain_cyclic(3, [0, 0, 1, 7])
-    h = indicator_refinement_filter(band_chain_cyclic(3, [0, 1, 1, 7]), 1)
+    band = band_chain_cyclic(cyclic_chain(3), [0, 0, 1, 7])
+    h = indicator_refinement_filter(band_chain_cyclic(cyclic_chain(3), [0, 1, 1, 7]), 1)
     plan = dual_sampling_plan(band.chain, 1)
     assert h.exact_keys(plan.points).ravel().tolist() == [0, 0]
     assert assert_refinement_matches_oracle(band, 1, plan, h) > 0.1
@@ -162,12 +162,12 @@ def test_one_non_quarter_turn_point_bounds_the_level_from_coefficients():
 
 
 def test_piecewise_keys_mark_values_without_exact_form():
-    band = band_chain_cyclic(3, [0, 1, 3, 7])
+    band = band_chain_cyclic(cyclic_chain(3), [0, 1, 3, 7])
     h = indicator_refinement_filter(band, 1)
     assert h.exact_keys([0, 1, 2, 3]).ravel().tolist() == [0, 0, -1, -1]
     assert _with_piece_value(h, 0, 1.0).exact_keys([0, 2]).ravel().tolist() == [NO_EXACT, -1]
     # exactness comes from the dual: on a continuous one the keys are not tried
-    balls = build_charfun_system(band_chain_balls([[2, 2], [2, 2]], ["1/4", "1/2"]), "proper")
+    balls = build_charfun_system(band_chain_balls(euclidean_chain([[2, 2], [2, 2]]), ["1/4", "1/2"]), "proper")
     report = verify_uep(balls.uep_matrix(0), dual_sampling_plan(balls.chain, 0, grid=64, random=16))
     assert not report.exact and report.residual <= 1e-12
 
