@@ -55,6 +55,7 @@ from .frame import (
     analysis,
     build_bspline_system,
     build_charfun_system,
+    build_from_descriptor,
     fiber_identity_sides,
     frame_operator,
     parseval_residual,

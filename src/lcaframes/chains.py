@@ -7,7 +7,8 @@ dual coset representatives nu_{k,l} (nu_{k,1} = 0) and, when d_k = 2, the
 group-side splitter eta_k with Q_k = Q_{k+1} u (eta_k + Q_{k+1}).
 
 Four constructions are shipped: the dyadic chain on Z, the dyadic chain on
-Z_{2^M}, product chains on T, and diagonally scaled chains on R^s.
+Z_{2^M}, product chains on T, and diagonally scaled chains on R^s, each kept
+with the descriptor objects it is built from (`chain_from_params`).
 """
 
 from __future__ import annotations
@@ -18,7 +19,9 @@ from fractions import Fraction
 
 from . import domains
 from .domains import CosetUnion, HalfOpenBox, IntegerInterval, interval
-from .exceptions import DomainParameterError, IndexRangeError, ResourceLimitError, SchemaError, require_int
+from .exceptions import (
+    DomainParameterError, IndexRangeError, ResourceLimitError, _malformed, require, require_int, require_object
+)
 from .groups import (
     GroupSpec,
     cyclic_group,
@@ -63,8 +66,8 @@ class ChainLevel:
 class LatticeChain:
     group: GroupSpec
     dual: GroupSpec
-    kind: str
-    params: dict
+    kind: str  # the descriptor's group variant
+    params: dict  # the descriptor's "group" and "chain" objects, normalized, which `chain_from_params` reads
     levels: tuple
 
     @property
@@ -116,7 +119,7 @@ def integer_chain(M: int) -> LatticeChain:
         q = IntegerInterval(0, step - 1)
         v = interval(0, Fraction(1, step))
         levels.append(ChainLevel(k, lat, ann, q, v))
-    return LatticeChain(G, Gd, "integer", {"M": M}, _with_cosets(levels))
+    return _described(G, Gd, "integers", {}, {"M": M}, levels)
 
 
 def cyclic_chain(M: int) -> LatticeChain:
@@ -135,7 +138,7 @@ def cyclic_chain(M: int) -> LatticeChain:
         q = IntegerInterval(0, step - 1)
         v = IntegerInterval(0, 2**k - 1)
         levels.append(ChainLevel(k, lat, ann, q, v))
-    return LatticeChain(G, Gd, "cyclic", {"M": M}, _with_cosets(levels))
+    return _described(G, Gd, "cyclic", {"modulus": n}, {"M": M}, levels)
 
 
 def torus_chain(m_factors: list[int]) -> LatticeChain:
@@ -144,7 +147,7 @@ def torus_chain(m_factors: list[int]) -> LatticeChain:
     m_0 must be even (so the symmetric dual cells have integer endpoints) and
     every factor at least 2.
     """
-    if not m_factors or min([require_int(m, "chain factor") for m in m_factors]) < 2:
+    if min([require_int(m, "chain factor") for m in m_factors] or [0]) < 2:
         raise DomainParameterError(f"all chain factors must be integers >= 2, got {m_factors}")
     if m_factors[0] % 2:
         raise DomainParameterError(f"the first chain factor must be even, got {m_factors[0]}")
@@ -162,7 +165,7 @@ def torus_chain(m_factors: list[int]) -> LatticeChain:
         q = interval(0, Fraction(1, nk))
         v = IntegerInterval(-nk // 2, nk // 2 - 1)
         levels.append(ChainLevel(k, lat, ann, q, v))
-    return LatticeChain(G, Gd, "torus", {"m_factors": list(m_factors)}, _with_cosets(levels))
+    return _described(G, Gd, "torus", {}, {"M_seq": list(m_factors)}, levels)
 
 
 def euclidean_chain(m_table: list[list[int]]) -> LatticeChain:
@@ -171,7 +174,7 @@ def euclidean_chain(m_table: list[list[int]]) -> LatticeChain:
     m_table[r] is the factor sequence along axis r; all axes share one depth
     and every factor is at least 2.
     """
-    if not m_table or any(not row for row in m_table):
+    if min(map(len, m_table), default=0) == 0:
         raise DomainParameterError("factor table must be non-empty per axis")
     depth = len(m_table[0])
     if any(len(row) != depth for row in m_table):
@@ -199,7 +202,13 @@ def euclidean_chain(m_table: list[list[int]]) -> LatticeChain:
             tuple(Fraction(n, 2) for n in nk),
         )
         levels.append(ChainLevel(k, lat, ann, q, v))
-    return LatticeChain(G, Gd, "euclidean", {"m_table": [list(r) for r in m_table]}, _with_cosets(levels))
+    return _described(G, Gd, "euclidean", {"dimension": s}, {"M_table": [list(r) for r in m_table]}, levels)
+
+
+def _described(G, Gd, variant: str, group_params: dict, chain_params: dict, levels: list) -> LatticeChain:
+    """The chain of these levels, its params the descriptor objects it is built from."""
+    params = {"group": {"variant": variant, "params": group_params}, "chain": chain_params}
+    return LatticeChain(G, Gd, variant, params, _with_cosets(levels))
 
 
 def _with_cosets(levels: list) -> tuple:
@@ -228,13 +237,34 @@ def refined_dual_domain(chain: LatticeChain, k: int) -> CosetUnion:
     return CosetUnion(chain.level(k).domain_v, chain.cosets(k))
 
 
-def chain_from_params(kind: str, params: dict) -> LatticeChain:
-    if kind == "integer":
-        return integer_chain(params["M"])
-    if kind == "cyclic":
-        return cyclic_chain(params["M"])
-    if kind == "torus":
-        return torus_chain(params["m_factors"])
-    if kind == "euclidean":
-        return euclidean_chain(params["m_table"])
-    raise SchemaError(f"unknown chain kind {kind!r}")
+# variant -> (keys of group.params, the key of chain, its builder): the parts `chain_from_params` reads
+_VARIANTS = {
+    "integers": ((), "M", integer_chain),
+    "cyclic": (("modulus",), "M", cyclic_chain),
+    "torus": ((), "M_seq", torus_chain),
+    "euclidean": (("dimension",), "M_table", euclidean_chain),
+}
+
+
+def chain_from_params(group: dict, chain: dict) -> LatticeChain:
+    """The chain of a descriptor's `group` and `chain` objects; a SchemaError names the descriptor path.
+
+    Every key is read, and any other refused: the variant, the modulus on Z_N, a power of two, the dimension
+    on R^s (optional), and the depth M on Z (optional on Z_N), the factors M_seq on T or M_table on R^s.
+    """
+    variant = require_object(group, "group", ("variant", "params")).get("variant")
+    require(isinstance(variant, str) and variant in _VARIANTS, "group.variant", f"unknown variant {variant!r}")
+    keys, key, build = _VARIANTS[variant]
+    params = require_object(group.get("params", {}), "group.params", keys)
+    require_object(chain, "chain", (key,))
+    if variant == "cyclic":  # the depth follows from the modulus
+        n = params.get("modulus")
+        require(type(n) is int and n >= 2 and n & (n - 1) == 0, "group.params.modulus", "need a power of two >= 2")
+        m = n.bit_length() - 1
+        chain = {key: m, **chain}
+        require(chain[key] == m, "chain.M", f"depth must be {m} for modulus {n}")
+    with _malformed(f"chain.{key}"):
+        built = build(chain[key])
+    dim = params.get("dimension", built.group.dimension)
+    require(type(dim) is int and dim == built.group.dimension, "group.params.dimension", "one M_table row per axis")
+    return built

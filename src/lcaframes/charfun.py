@@ -12,7 +12,8 @@ per coset, needs Omega_k properly inside V_k) and the orthonormal family
 Bands take a built chain and their bounds: dyadic on Z_{2^M}, product on T,
 boxes and balls on R^s (each refusing a chain on another group), and the full
 band on any chain, all checked by `_validate`.  `band_chain`, the one place
-that knows the construction labels, maps a label and bounds to a band.
+that knows the construction labels, maps a label and bounds to a band, which
+keeps the descriptor fields it is built from: its bounds L, and its shape on R^s.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from . import domains
 from .chains import LatticeChain, refined_dual_domain
 from .domains import Ball, CosetUnion, HalfOpenBox, IntegerInterval
 from .exact import ZERO, Radical, sqrt_rational
-from .exceptions import DomainParameterError, ProperSubsetError, SchemaError, VariantMismatchError, _malformed, require_int
+from .exceptions import DomainParameterError, ProperSubsetError, VariantMismatchError, _malformed, require_int
 from .filters import CosetPiecewise, SamplingPlan, exact_residuals, worst_residual
 from .functions import DiscreteFunction
 from .groups import euclidean_group, point_array, torus_group
@@ -37,8 +38,7 @@ from .groups import euclidean_group, point_array, torus_group
 class OmegaChain:
     chain: LatticeChain
     omegas: tuple  # one band set per level, omegas[i] for level k0 + i
-    label: str  # construction tag for serialization
-    params: dict  # the band bounds of the construction, {"L": ...} ({} for the full band); the chain serializes itself
+    params: dict  # the descriptor's charfun fields but the mode: {"L": ...}, with "shape" on R^s ({} for the full band)
 
     def omega(self, k: int):
         self.chain.level(k)
@@ -52,8 +52,10 @@ class OmegaChain:
         return self.omegas[-1]
 
 
-def _validate(chain: LatticeChain, omegas, label, params) -> OmegaChain:
-    """The band with these sets, after checking that each lies in its dual cell and nests in the next."""
+def _validate(chain: LatticeChain, omegas, params) -> OmegaChain:
+    """The band with these sets, after checking one a level, each inside its dual cell and nested in the next."""
+    if len(omegas) != len(chain.levels):
+        raise DomainParameterError(f"need {len(chain.levels)} band bounds, got {len(omegas)}")
     for i, om in enumerate(omegas):
         k = chain.k0 + i
         v = chain.level(k).domain_v
@@ -61,7 +63,7 @@ def _validate(chain: LatticeChain, omegas, label, params) -> OmegaChain:
             raise DomainParameterError(f"band set at level {k} is not inside the dual cell")
         if i + 1 < len(omegas) and not domains.is_subset(om, omegas[i + 1], chain.dual):
             raise DomainParameterError(f"band sets fail to nest between levels {k} and {k + 1}")
-    return OmegaChain(chain, tuple(omegas), label, params)
+    return OmegaChain(chain, tuple(omegas), params)
 
 
 def _require_group(chain: LatticeChain, fits: bool, label: str):
@@ -79,12 +81,10 @@ def band_chain_cyclic(chain: LatticeChain, bounds: list[int]) -> OmegaChain:
     _require_group(chain, chain.group.is_finite, "cyclic")
     for L in bounds:
         require_int(L, "band bound")
-    if len(bounds) != len(chain.levels):
-        raise DomainParameterError(f"need {len(chain.levels)} band bounds, got {len(bounds)}")
-    if bounds[-1] != chain.group.modulus - 1:
+    if not bounds or bounds[-1] != chain.group.modulus - 1:
         raise DomainParameterError(f"top band bound must exhaust the dual group ({chain.group.modulus - 1})")
     omegas = [IntegerInterval(0, L) for L in bounds]
-    return _validate(chain, omegas, "cyclic", {"L": list(bounds)})
+    return _validate(chain, omegas, {"L": list(bounds)})
 
 
 def band_chain_torus(chain: LatticeChain, bounds: list[int]) -> OmegaChain:
@@ -96,13 +96,11 @@ def band_chain_torus(chain: LatticeChain, bounds: list[int]) -> OmegaChain:
     _require_group(chain, chain.group == torus_group(), "torus")
     for k, L in enumerate(bounds):
         require_int(L, f"band bound at level {k}")
-    if len(bounds) != len(chain.levels):
-        raise DomainParameterError(f"need {len(chain.levels)} band bounds, got {len(bounds)}")
     for k, L in enumerate(bounds):
         if k and L <= bounds[k - 1]:
             raise DomainParameterError(f"band bounds must strictly increase at level {k}")
     omegas = [IntegerInterval(-L, L) for L in bounds]
-    return _validate(chain, omegas, "torus", {"L": list(bounds)})
+    return _validate(chain, omegas, {"L": list(bounds)})
 
 
 def band_chain_boxes(chain: LatticeChain, bound_table: list[list]) -> OmegaChain:
@@ -116,34 +114,28 @@ def band_chain_boxes(chain: LatticeChain, bound_table: list[list]) -> OmegaChain
     if len(table) != chain.group.dimension or any(len(row) != len(chain.levels) for row in table):
         raise DomainParameterError("band bound table must match the factor table shape")
     omegas = [HalfOpenBox(tuple(-L for L in ls), ls) for ls in zip(*table)]
-    return _validate(chain, omegas, "boxes", {"L": [[str(x) for x in row] for row in table]})
+    return _validate(chain, omegas, {"L": [[str(x) for x in row] for row in table], "shape": "boxes"})
 
 
 def band_chain_balls(chain: LatticeChain, bounds: list) -> OmegaChain:
     """Euclidean balls ||gamma|| <= L_k, radii read as the boxes' bounds, inside their dual cells and nested (`_validate`)."""
     _require_group(chain, chain.group == euclidean_group(chain.group.dimension), "balls")
     radii = [Fraction(str(b)) for b in bounds]
-    if len(radii) != len(chain.levels):
-        raise DomainParameterError(f"need {len(chain.levels)} ball radii, got {len(radii)}")
-    return _validate(chain, [Ball(r) for r in radii], "balls", {"L": [str(r) for r in radii]})
+    return _validate(chain, [Ball(r) for r in radii], {"L": [str(r) for r in radii], "shape": "balls"})
 
 
 def full_band_chain(chain: LatticeChain) -> OmegaChain:
     """Omega_k = V_k at every level (the orthonormal-family setting), on any chain whose dual cells nest."""
-    return _validate(chain, [lvl.domain_v for lvl in chain.levels], "full", {})
+    return _validate(chain, [lvl.domain_v for lvl in chain.levels], {})
 
 
 _BANDS = {"cyclic": band_chain_cyclic, "torus": band_chain_torus, "boxes": band_chain_boxes, "balls": band_chain_balls}
 
 
-def band_chain(label: str, chain: LatticeChain, params: dict) -> OmegaChain:
-    """The band of a construction label on a built chain: `params` is {"L": bounds}, or {} for the full band."""
+def band_chain(label: str, chain: LatticeChain, bounds) -> OmegaChain:
+    """The band of a construction label (cyclic, torus, boxes or balls) on a built chain, from its bounds L."""
     with _malformed(f"{label} band parameters"):
-        if label == "full" and params == {}:
-            return full_band_chain(chain)
-        if label not in _BANDS or list(params) != ["L"]:
-            raise SchemaError(f"need a band of {sorted(_BANDS)} with bounds L alone, or the full band with none")
-        return _BANDS[label](chain, params["L"])
+        return _BANDS[label](chain, bounds)
 
 
 @dataclass(frozen=True)

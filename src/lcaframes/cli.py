@@ -16,13 +16,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import charfun as cf
 from . import frame as fr
 from . import tiles
 from . import verify
-from .chains import MAX_POINTS, cyclic_chain, euclidean_chain, integer_chain, torus_chain
-from .exceptions import LcaError, PeriodicityMismatchError, SchemaError, _malformed
-from .filters import DEFAULT_SEED
+from .chains import MAX_POINTS
+from .exceptions import LcaError, PeriodicityMismatchError, SchemaError
+from .frame import build_from_descriptor, parse_seed
 from .groups import integer_group
 
 
@@ -36,86 +35,6 @@ def _descriptor_hash(data: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _require(cond: bool, path: str, message: str):
-    if not cond:
-        raise SchemaError(f"{path}: {message}")
-
-
-def build_from_descriptor(desc: dict) -> fr.FrameSystem:
-    """Validate a descriptor and construct the described system."""
-    _require(isinstance(desc, dict), "$", "descriptor must be a JSON object")
-    group = desc.get("group")
-    _require(isinstance(group, dict), "group", "missing group object")
-    variant = group.get("variant")
-    _require(
-        variant in ("integers", "cyclic", "torus", "euclidean"),
-        "group.variant",
-        f"unknown variant {variant!r}",
-    )
-    params = group.get("params", {})
-    _require(isinstance(params, dict), "group.params", "group parameters must be an object")
-    chain_params = desc.get("chain", {})
-    _require(isinstance(chain_params, dict), "chain", "chain parameters must be an object")
-    if variant == "integers":
-        _require(type(chain_params.get("M")) is int, "chain.M", "missing integer depth M")
-        chain = integer_chain(chain_params["M"])
-    elif variant == "cyclic":
-        modulus = params.get("modulus")
-        _require(type(modulus) is int and modulus >= 2, "group.params.modulus", "need modulus >= 2")
-        m = modulus.bit_length() - 1
-        _require(2**m == modulus, "group.params.modulus", "modulus must be a power of two")
-        depth = chain_params.get("M", m)
-        _require(type(depth) is int and depth == m, "chain.M", f"depth must be {m} for modulus {modulus}")
-        chain = cyclic_chain(m)
-    elif variant == "torus":
-        seq = chain_params.get("M_seq")
-        _require(isinstance(seq, list) and seq, "chain.M_seq", "missing factor list")
-        with _malformed("chain.M_seq"):
-            chain = torus_chain(seq)
-    else:
-        table = chain_params.get("M_table")
-        _require(
-            isinstance(table, list) and table and all(isinstance(row, list) for row in table),
-            "chain.M_table",
-            "need one factor list per axis",
-        )
-        if "dimension" in params:
-            dim = params["dimension"]
-            _require(type(dim) is int and dim == len(table), "group.params.dimension", "need one M_table row per axis")
-        with _malformed("chain.M_table"):
-            chain = euclidean_chain(table)
-
-    family = desc.get("family")
-    _require(isinstance(family, dict), "family", "missing family object")
-    k0 = desc.get("k0")
-    k1 = desc.get("k1")
-    _require(k0 is None or type(k0) is int, "k0", "must be an integer")
-    _require(k1 is None or type(k1) is int, "k1", "must be an integer")
-
-    if "bspline" in family:
-        spec = family["bspline"]
-        _require(isinstance(spec, dict), "family.bspline", "must be an object")
-        order = spec.get("order")
-        _require(type(order) is int and order >= 1, "family.bspline.order", "need order >= 1")
-        return fr.build_bspline_system(chain, order, k0, k1)
-    if "charfun" in family:
-        spec = family["charfun"]
-        _require(isinstance(spec, dict), "family.charfun", "must be an object")
-        mode = spec.get("mode")
-        _require(mode in ("proper", "shannon"), "family.charfun.mode", f"unknown mode {mode!r}")
-        if mode == "shannon":
-            band = cf.full_band_chain(chain)
-        else:
-            L = spec.get("L")
-            _require(isinstance(L, list), "family.charfun.L", "proper mode needs a list of band bounds L")
-            _require(variant != "integers", "family.charfun", "integer-group chains have no band instantiation")
-            shape = spec.get("shape", "boxes")
-            _require(variant != "euclidean" or shape in ("boxes", "balls"), "family.charfun.shape", "boxes or balls")
-            band = cf.band_chain(shape if variant == "euclidean" else variant, chain, {"L": L})
-        return fr.build_charfun_system(band, mode, k0, k1)
-    raise SchemaError("family: need one of 'bspline' or 'charfun'")
-
-
 def _read_json(path: str, what: str):
     """The JSON document in a file; SchemaError when it cannot be read or decoded."""
     try:
@@ -127,10 +46,7 @@ def _read_json(path: str, what: str):
 def cmd_construct(args) -> int:
     desc = _read_json(args.descriptor, "descriptor")
     system = build_from_descriptor(desc)
-    seed = _parse_seed(desc.get("seed"))
-    artifact = fr.system_to_json(system, seed=seed)
-    artifact["descriptor"] = desc
-    artifact["descriptor_hash"] = _descriptor_hash(desc)
+    artifact = fr.system_to_json(system, parse_seed(desc.get("seed")))
     Path(args.out).write_text(json.dumps(artifact, sort_keys=True, indent=1) + "\n")
     chain = system.chain
     print(f"system: {chain.group.describe()} family={system.family['type']} levels {system.k0}..{system.k1}")
@@ -149,22 +65,9 @@ def cmd_construct(args) -> int:
     return 0
 
 
-def _parse_seed(value) -> int:
-    """A seed given as a nonnegative int or a hex string; SchemaError otherwise."""
-    if value is None:
-        return DEFAULT_SEED
-    try:
-        seed = value if type(value) is int else int(value, 16)
-    except (TypeError, ValueError):
-        seed = -1
-    if seed < 0:
-        raise SchemaError(f"seed: need a nonnegative integer or hex string, got {value!r}")
-    return seed
-
-
 def _load_system(path: str):
     data = _read_json(path, "system artifact")
-    return fr.system_from_json(data), data
+    return fr.system_from_json(data), data["descriptor"]
 
 
 def cmd_verify(args) -> int:
@@ -173,8 +76,8 @@ def cmd_verify(args) -> int:
             return _fail(2, f"{flag} must lie in 1..{MAX_POINTS}, got {count}")
     if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
         return _fail(2, f"--tolerance must be finite and nonnegative, got {args.tolerance}")
-    system, data = _load_system(args.system)
-    seed = _parse_seed(args.seed if args.seed is not None else data.get("seed"))
+    system, desc = _load_system(args.system)
+    seed = parse_seed(args.seed if args.seed is not None else desc.get("seed"))
     entries, status = verify.run_verification(system, args.suite, args.samples, args.trials, seed, args.tolerance)
     report = {
         "suite": args.suite,
@@ -228,8 +131,8 @@ def cmd_emit(args) -> int:
         return 0
     if not args.system:
         return _fail(2, "generators/figure1 emission needs a system artifact")
-    system, data = _load_system(args.system)
-    tag = f"system={data.get('descriptor_hash', 'unknown')} seed={data.get('seed', DEFAULT_SEED)}"
+    system, desc = _load_system(args.system)
+    tag = f"system={_descriptor_hash(desc)} seed={parse_seed(desc.get('seed'))}"
     if args.what == "generators":
         count = 0
         for gen in system.system_generators():
@@ -242,29 +145,27 @@ def cmd_emit(args) -> int:
             count += 1
         print(f"wrote {count} generator files to {out_dir}")
         return 0
-    if args.what == "figure1":
-        fam = system.family
-        if not (
-            system.chain.group == integer_group()
-            and fam.get("type") == "bspline"
-            and fam.get("order") == 2
-            and system.chain.k1 == 10
-            and system.k0 <= 5 < system.k1
-        ):
-            return _fail(3, "figure1 needs the integer-chain order-2 system with depth 10")
-        emitted = []
-        for gen in system.wavelets:
-            if gen.level == 5:
-                rows = [
-                    f"{gen.time.start + i},{v.real:.17g}"
-                    for i, v in enumerate(gen.time.values)
-                ]
-                path = out_dir / f"psi_5_{gen.m}.csv"
-                _write_csv(path, f"{tag} generator={gen.label}", ["index,value", *rows])
-                emitted.append(path)
-        print(f"wrote {len(emitted)} wavelet files to {out_dir}")
-        return 0
-    return _fail(2, f"unknown emission target {args.what!r}")
+    fam = system.family
+    if not (
+        system.chain.group == integer_group()
+        and fam.get("type") == "bspline"
+        and fam.get("order") == 2
+        and system.chain.k1 == 10
+        and system.k0 <= 5 < system.k1
+    ):
+        return _fail(3, "figure1 needs the integer-chain order-2 system with depth 10")
+    emitted = []
+    for gen in system.wavelets:
+        if gen.level == 5:
+            rows = [
+                f"{gen.time.start + i},{v.real:.17g}"
+                for i, v in enumerate(gen.time.values)
+            ]
+            path = out_dir / f"psi_5_{gen.m}.csv"
+            _write_csv(path, f"{tag} generator={gen.label}", ["index,value", *rows])
+            emitted.append(path)
+    print(f"wrote {len(emitted)} wavelet files to {out_dir}")
+    return 0
 
 
 def main(argv=None) -> int:

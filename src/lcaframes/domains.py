@@ -51,10 +51,6 @@ def interval(lo, hi) -> HalfOpenBox:
     return HalfOpenBox((Fraction(lo),), (Fraction(hi),))
 
 
-def box(lo, hi) -> HalfOpenBox:
-    return HalfOpenBox(tuple(Fraction(a) for a in lo), tuple(Fraction(b) for b in hi))
-
-
 @dataclass(frozen=True)
 class CosetUnion:
     base: object

@@ -75,6 +75,20 @@ class SchemaError(LcaError):
     """A JSON descriptor or artifact violates its schema."""
 
 
+def require(cond: bool, path: str, message: str):
+    """SchemaError naming the descriptor path of a part that fails its condition."""
+    if not cond:
+        raise SchemaError(f"{path}: {message}")
+
+
+def require_object(obj, path: str, keys) -> dict:
+    """obj when it is a JSON object with no key outside keys, the ones its reader reads; SchemaError otherwise."""
+    require(isinstance(obj, dict), path, "must be an object")
+    extra = sorted(set(obj) - set(keys))
+    require(not extra, f"{path}.{''.join(extra[:1])}", f"unknown key; the keys read here are {list(keys)}")
+    return obj
+
+
 def require_int(value, what: str) -> int:
     """value when it is an int, not a bool; otherwise SchemaError, since a wrong type is an input error."""
     if type(value) is not int:

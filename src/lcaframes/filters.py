@@ -289,6 +289,16 @@ class UepMatrix:
         keys = _row_keys(self.rows, gammas, self.chain.dual, self.nu)
         return None if keys is None else np.concatenate(keys, axis=1)
 
+    @property
+    def keyable(self) -> bool:
+        """Whether every trig shift x_j has a character of order dividing 4, so that keys can fix the values.
+
+        x_j lies in Lambda_{k+1}, so (x_j, .) takes all its values on V_{k+1}, the points gamma + nu_l of an
+        exhaustive plan: a value that is no quarter turn marks a point NO_EXACT there.
+        """
+        trig = (f for f in self.rows if isinstance(f, TrigPolynomial))
+        return not any(any(f.group.coords(element_scale(f.group, 4 * j, f.step))) for f in trig for j in f.shifts)
+
     def exact_values(self, key) -> list:
         """The matrix at a point with this key row, as rows of Radicals (None: no exact value).
 
@@ -432,10 +442,12 @@ def verify_uep(P: UepMatrix, plan) -> UepReport:
     (`UepMatrix.exact_keys`), from values read off the key (`UepMatrix.exact_values`), so every point with
     that key has that residual by construction; the report is flagged exact.  Otherwise a level of trig
     rows reports the `coefficient_residual` bound, with 0 samples; any other is sampled at every plan point.
-    plan is a SamplingPlan, or a function of no arguments that builds one, called only where points are read.
+    plan is a SamplingPlan, or a function of no arguments that builds one, called only where points are read;
+    on a discrete dual the plan it builds is exhaustive (`dual_sampling_plan`), so a level that cannot key
+    there (`UepMatrix.keyable`) builds neither that plan nor its keys.
     """
     res = None
-    if P.chain.dual.is_discrete:
+    if P.chain.dual.is_discrete and (P.keyable or not callable(plan)):
         plan = plan() if callable(plan) else plan
         res = exact_residuals(P.exact_keys(plan.points), partial(_gram_residual_exact, P))
     if res is None and (bound := coefficient_residual(P)) is not None:

@@ -22,10 +22,10 @@ table of generator spectra, `FrameSystem.spectra`.  An energy table computes
 the columns of the scalings past the first, which only the telescope reads,
 for the telescope's rows alone.
 
-An artifact (`system_to_json`, sharing no value with the system) states each
-fact once: the chain, the family (spline order, or band mode with the band's
-label and bounds), and the filters.  `system_from_json` reads the FORMAT form
-only, every family key, and builds the chain once, the band on it.
+An artifact (`system_to_json`, sharing no value with the system) is the
+system's normalized descriptor and its filters, each fact once.  Construct and
+load read the descriptor alike (`read_descriptor`): the chain once, the band on
+it; construct builds the masks, and `system_from_json` reads them from the file.
 """
 
 from __future__ import annotations
@@ -48,9 +48,13 @@ from .exceptions import (
     UncertifiedLevelError,
     UnsupportedVerificationError,
     _malformed,
+    require,
     require_int,
+    require_object,
 )
 from .filters import (
+    DEFAULT_SEED,
+    TrigPolynomial,
     UepMatrix,
     assemble_uep,
     dual_sampling_plan,
@@ -63,7 +67,7 @@ from .groups import pairing
 from .lattices import cyclic_annihilator
 
 BLOCK_ENTRIES = 2**14  # entries of U S U* - I that `_frame_residual` holds at once
-FORMAT = "lcaframes/2"  # the artifact form `system_to_json` writes and `system_from_json` reads
+FORMAT = "lcaframes/3"  # the artifact form `system_to_json` writes and `system_from_json` reads
 
 
 @dataclass(frozen=True)
@@ -138,6 +142,8 @@ def build_charfun_system(band: cf.OmegaChain, mode: str, k0=None, k1=None) -> Fr
     k0, k1 = _levels(chain, k0, k1)
     if mode not in ("proper", "shannon"):
         raise DomainParameterError(f"unknown band mode {mode!r}")
+    if mode == "shannon" and band.params:  # its artifact states the mode alone, and loads the full band
+        raise DomainParameterError("a shannon system is built on the full band, `full_band_chain`")
     level_filters = []
     for k in range(k0, k1):
         if mode == "proper" and not band.is_proper(k):
@@ -459,51 +465,96 @@ def telescoping_residual(
     return float(_gaps_of(system, k, *_energy_table(system, *_stack_of_one(system, f, side)))[0])
 
 
-def system_to_json(system: FrameSystem, seed: int | None = None) -> dict:
-    """The artifact of a system, sharing no value with it: a band adds its label and bounds to the family."""
-    family = dict(system.family)
-    if system.band is not None:
-        family.update(band=system.band.label, band_params=copy.deepcopy(system.band.params))
-    data = {
+def parse_seed(value) -> int:
+    """A seed given as a nonnegative int or a hex string, DEFAULT_SEED for None; SchemaError otherwise."""
+    if value is None:
+        return DEFAULT_SEED
+    try:
+        seed = value if type(value) is int else int(value, 16)
+    except (TypeError, ValueError):
+        seed = -1
+    require(seed >= 0, "seed", f"need a nonnegative integer or hex string, got {value!r}")
+    return seed
+
+
+def read_descriptor(desc) -> tuple:
+    """(chain, family, band, k0, k1) of a descriptor, the one reader of construct and load.
+
+    Every key is read, and any other refused with its path: `group` and `chain` (`chain_from_params`), the
+    family, the levels k0 and k1 (the chain's by default) and the seed.  A spline family is its order, a band
+    family its mode, then its bounds L and, on R^s, its shape; shannon is the mode alone, of the full band.
+    """
+    require_object(desc, "$", ("group", "chain", "family", "k0", "k1", "seed"))
+    chain = chain_from_params(desc.get("group"), desc.get("chain", {}))
+    family = require_object(desc.get("family"), "family", ("bspline", "charfun"))
+    require(len(family) == 1, "family", "need one of 'bspline' or 'charfun'")
+    for key in ("k0", "k1"):
+        require(desc.get(key) is None or type(desc[key]) is int, key, "must be an integer")
+    parse_seed(desc.get("seed"))
+    k0, k1 = _levels(chain, desc.get("k0"), desc.get("k1"))
+    if "bspline" in family:
+        order = require_object(family["bspline"], "family.bspline", ("order",)).get("order")
+        require(type(order) is int and order >= 1, "family.bspline.order", "need order >= 1")
+        return chain, {"type": "bspline", "order": order}, None, k0, k1
+    variant = desc["group"]["variant"]  # a known one, since the chain is built
+    keys = ("mode", "L", "shape") if variant == "euclidean" else ("mode", "L")
+    spec = require_object(family["charfun"], "family.charfun", keys)
+    mode = spec.get("mode")
+    require(mode in ("proper", "shannon"), "family.charfun.mode", f"unknown mode {mode!r}")
+    if mode == "shannon":
+        require(list(spec) == ["mode"], "family.charfun", "a shannon band is the full band, with no bounds L or shape")
+        return chain, {"type": "charfun", "mode": mode}, cf.full_band_chain(chain), k0, k1
+    L = spec.get("L")
+    require(isinstance(L, list), "family.charfun.L", "proper mode needs a list of band bounds L")
+    require(variant != "integers", "family.charfun", "integer-group chains have no band instantiation")
+    label = variant
+    if variant == "euclidean":
+        label = spec.get("shape", "boxes")
+        require(label in ("boxes", "balls"), "family.charfun.shape", "boxes or balls")
+    return chain, {"type": "charfun", "mode": mode}, cf.band_chain(label, chain, L), k0, k1
+
+
+def build_from_descriptor(desc) -> FrameSystem:
+    """Validate a descriptor and construct the described system: masks built on the parts `read_descriptor` gives."""
+    chain, family, band, k0, k1 = read_descriptor(desc)
+    if band is None:
+        return build_bspline_system(chain, family["order"], k0, k1)
+    return build_charfun_system(band, family["mode"], k0, k1)
+
+
+def system_to_json(system: FrameSystem, seed: int = DEFAULT_SEED) -> dict:
+    """The artifact of a system, sharing no value with it: the normalized descriptor of the system, and its filters.
+
+    The descriptor states the levels and the seed, and construct on it writes the same artifact again.
+    """
+    fam = system.family
+    spec = {"order": fam["order"]} if system.band is None else {"mode": fam["mode"], **system.band.params}
+    descriptor = {**system.chain.params, "family": {fam["type"]: spec}, "k0": system.k0, "k1": system.k1, "seed": seed}
+    return {
         "format": FORMAT,
-        "chain": {"kind": system.chain.kind, "params": copy.deepcopy(system.chain.params)},
-        "family": family,
-        "k0": system.k0,
-        "k1": system.k1,
+        "descriptor": copy.deepcopy(descriptor),
         "filters": [
             {"k": lf.k, "h": filter_to_json(lf.h), "g": [filter_to_json(g) for g in lf.gs]}
             for lf in system.level_filters
         ],
     }
-    if seed is not None:
-        data["seed"] = seed
-    return data
 
 
 def system_from_json(data: dict) -> FrameSystem:
-    """Rebuild a system from its artifact; filters are taken from the file, and other formats are refused.
+    """Rebuild a system from its artifact: the descriptor read as construct reads it, the filters from the file.
 
-    Every family part is read: a bspline family is its integer order, a charfun family its mode and its band,
-    built on the artifact's chain; a missing or extra key is refused.
+    An artifact is format, descriptor and filters, nothing else, and another format is refused.  The filters
+    are the levels k0..k1-1 in order, and a spline family's are trig.
     """
     with _malformed("malformed system artifact"):
         if data["format"] != FORMAT:
             raise SchemaError(f"artifact format {data['format']!r} is not {FORMAT!r}; run construct again on its embedded descriptor")
-        chain = chain_from_params(data["chain"]["kind"], data["chain"]["params"])
-        k0, k1 = require_int(data["k0"], "k0"), require_int(data["k1"], "k1")
+        require_object(data, "$", ("format", "descriptor", "filters"))
+        with _malformed("descriptor"):
+            chain, family, band, k0, k1 = read_descriptor(data["descriptor"])
         ks = [require_int(entry["k"], "filter level k") for entry in data["filters"]]
-        if not (chain.k0 <= k0 < k1 <= chain.k1 and ks == list(range(k0, k1))):
+        if ks != list(range(k0, k1)):
             raise SchemaError(f"filters must be levels {k0}..{k1 - 1} of the chain in order, got {ks}")
-        stored, band = data["family"], None
-        if stored["type"] == "bspline" and sorted(stored) == ["order", "type"]:
-            family = {"type": "bspline", "order": require_int(stored["order"], "bspline order")}
-        elif stored["type"] == "charfun" and sorted(stored) == ["band", "band_params", "mode", "type"]:
-            if stored["mode"] not in ("proper", "shannon"):
-                raise SchemaError(f"unknown band mode {stored['mode']!r}")
-            family = {"type": "charfun", "mode": stored["mode"]}
-            band = cf.band_chain(stored["band"], chain, stored["band_params"])
-        else:
-            raise SchemaError(f"need a bspline family of order or a charfun one of mode, band and band_params, got {stored!r}")
         parsed = {}  # each distinct exact value of the artifact is parsed once
         level_filters = [
             LevelFilters(
@@ -513,4 +564,6 @@ def system_from_json(data: dict) -> FrameSystem:
             )
             for entry in data["filters"]
         ]
+        trig = all(isinstance(f, TrigPolynomial) for lf in level_filters for f in (lf.h, *lf.gs))
+        require(band is not None or trig, "filters", "a spline family's filters are trig polynomials")
     return _assemble(chain, family, k0, k1, level_filters, band)

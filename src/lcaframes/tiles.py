@@ -31,15 +31,16 @@ class TileSpec:
         m = self.matrix
         if any(not isinstance(x, int) for row in m for x in row):
             raise DomainParameterError("dilation matrix must have integer entries")
-        det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
+        det, trace = self.det, m[0][0] + m[1][1]
         if abs(det) != 2:
             raise DomainParameterError(f"determinant must be +-2, got {det}")
-        eigs = np.linalg.eigvals(np.array(m, dtype=float))
-        if np.min(np.abs(eigs)) <= 1.0 + 1e-9:
+        # the roots of x^2 - trace x + det lie outside the unit circle exactly when they are complex of
+        # modulus sqrt 2 (det 2, |trace| <= 2) or +-sqrt 2 (det -2, trace 0); decided in integers
+        if not (abs(trace) <= 2 if det == 2 else trace == 0):
             raise DomainParameterError("all eigenvalues must lie outside the unit circle")
         if not (isinstance(self.digit, tuple) and len(self.digit) == 2):
             raise DomainParameterError("digit must be an integer pair")
-        if _in_image(m, self.digit):
+        if _in_image(m, self.digit, det):
             raise DomainParameterError(f"digit {self.digit} lies in A Z^2")
 
     @property
@@ -55,34 +56,38 @@ class TileSpec:
         return sign * np.array([[m[1][1], -m[1][0]], [-m[0][1], m[0][0]]], dtype=np.int64)
 
 
-def _in_image(m, v) -> bool:
-    """v in A Z^2, solved exactly over the rationals."""
-    det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
+def _in_image(m, v, det: int) -> bool:
+    """v in A Z^2, solved exactly over the rationals (det is A's determinant)."""
     x = Fraction(m[1][1] * v[0] - m[0][1] * v[1], det)
     y = Fraction(-m[1][0] * v[0] + m[0][0] * v[1], det)
     return x.denominator == 1 and y.denominator == 1
 
 
-def _check_r(r: int):
+def _check_r(spec: TileSpec, r: int):
+    """Refuse an iteration count out of range, or one at which a scaled point could leave int64.
+
+    With c the largest row sum of |A| (that of 2B) and e the largest digit coordinate, step j maps points of
+    size b to at most c (b + e 2^j): every int64 value of the recursions is at most max(c, e, b_r), checked
+    in integers before any array is built.
+    """
     if r < 0:
         raise DomainParameterError("iteration count must be nonnegative")
     if r > MAX_ITERATIONS:
         raise ResourceLimitError(f"iteration count {r} exceeds the cap {MAX_ITERATIONS}")
-
-
-def _dedup(pts: np.ndarray) -> np.ndarray:
-    return np.unique(pts, axis=0)
+    c, e = max(abs(a) + abs(b) for a, b in spec.matrix), max(map(abs, spec.digit))
+    if max(c, e, sum(c**i * e << (r - i) for i in range(1, r + 1))) >= 2**63:
+        raise ResourceLimitError(f"tile points at r = {r} of this matrix and digit could leave int64 (desk-scale cap)")
 
 
 def scaled_points(spec: TileSpec, r: int) -> np.ndarray:
     """Q(r) * 2^r as deduplicated integer pairs, by the contraction recursion."""
-    _check_r(r)
+    _check_r(spec, r)
     c = spec.doubled_dual_map()
     eta = np.array(spec.digit, dtype=np.int64)
     pts = np.zeros((1, 2), dtype=np.int64)
     for j in range(r):
         shifted = pts + (eta << j)
-        pts = _dedup(np.concatenate([pts, shifted]) @ c.T)
+        pts = np.unique(np.concatenate([pts, shifted]) @ c.T, axis=0)
     return pts
 
 
@@ -92,7 +97,7 @@ def scaled_points_digits(spec: TileSpec, r: int) -> np.ndarray:
     Built in the opposite order from scaled_points: translate by
     2^{r-j} (2B)^j digit for j = 1..r.
     """
-    _check_r(r)
+    _check_r(spec, r)
     c = spec.doubled_dual_map()
     eta = np.array(spec.digit, dtype=np.int64)
     pts = np.zeros((1, 2), dtype=np.int64)
@@ -100,7 +105,7 @@ def scaled_points_digits(spec: TileSpec, r: int) -> np.ndarray:
     for j in range(1, r + 1):
         v = c @ v  # (2B)^j digit, denominator folded into the 2^{r-j} scale
         u = v << (r - j)
-        pts = _dedup(np.concatenate([pts, pts + u]))
+        pts = np.unique(np.concatenate([pts, pts + u]), axis=0)
     return pts
 
 
@@ -120,12 +125,12 @@ def selfsimilarity_holds(spec: TileSpec, r: int, claimed: np.ndarray | None = No
     """
     if r < 1:
         raise DomainParameterError("self-similarity needs r >= 1")
-    _check_r(r)
+    _check_r(spec, r)
     c = spec.doubled_dual_map()
     eta = np.array(spec.digit, dtype=np.int64)
     prev = scaled_points(spec, r - 1)  # scaled by 2^{r-1}
-    step = _dedup(np.concatenate([prev, prev + (eta << (r - 1))]) @ c.T)
-    other = scaled_points_digits(spec, r) if claimed is None else _dedup(np.asarray(claimed))
+    step = np.unique(np.concatenate([prev, prev + (eta << (r - 1))]) @ c.T, axis=0)
+    other = scaled_points_digits(spec, r) if claimed is None else np.unique(np.asarray(claimed), axis=0)
     return step.shape == other.shape and bool(np.array_equal(step, other))
 
 

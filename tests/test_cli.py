@@ -99,7 +99,7 @@ def test_construct_counts_bspline(tmp_path, capsys):
     desc = dict(Z_BSPLINE, chain={"M": 10})
     spath = construct(tmp_path, desc)
     data = json.loads(spath.read_text())
-    assert data["k1"] == 10
+    assert data["descriptor"]["k1"] == 10
     assert len(data["filters"]) == 10
     assert all(len(entry["g"]) == 2 for entry in data["filters"])
 
@@ -307,6 +307,20 @@ def test_emit_tile_bad_params(tmp_path):
     assert main(["emit", "--what", "tile", "--matrix", "nope", "--eta", "1,0", "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "matrix, eta, r",
+    [("1,-1,1,1", "99999999999999999999,0", "12"), ("1,1,-1,1", "4611686018427387905,0", "3")],
+    ids=["digit-beyond-int64", "points-beyond-int64"],
+)
+def test_emit_tile_beyond_int64_exit_3(tmp_path, capsys, matrix, eta, r):
+    # the first overflowed converting the digit, the second wrapped its points and exited 0
+    argv = ["emit", "--what", "tile", "--matrix", matrix, "--eta", eta, "--r", r, "--out", str(tmp_path)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "int64" in err and "Traceback" not in err
+    assert not (tmp_path / "tile.csv").exists()
+
+
 def test_emit_generators_needs_system(tmp_path):
     assert main(["emit", "--what", "generators", "--out", str(tmp_path)]) == 2
 
@@ -496,7 +510,7 @@ def test_unknown_domain_kind_exit_2(tmp_path, capsys, where):
 def test_verify_artifact_above_desk_scale_exit_3(tmp_path, capsys):
     spath = construct(tmp_path, Z_BSPLINE)
     data = json.loads(spath.read_text())
-    data["chain"]["params"]["M"] = 200
+    data["descriptor"]["chain"]["M"] = 200
     spath.write_text(json.dumps(data))
     t0 = time.monotonic()
     assert main(["verify", str(spath), "--suite", "uep"]) == 3
@@ -529,6 +543,91 @@ def test_band_system_builds_its_chain_once_per_construct_and_load(monkeypatch, d
     assert len(calls) == 1
     frame.system_from_json(frame.system_to_json(system))
     assert len(calls) == 2
+
+
+# a leaf edit: a number plus one, a rational string plus one, a name swapped for another of its kind
+OTHER_NAME = {
+    "integers": "cyclic", "cyclic": "torus", "torus": "euclidean", "euclidean": "integers",
+    "proper": "shannon", "shannon": "proper", "boxes": "balls", "balls": "boxes",
+}
+
+
+def _descriptor_leaves(node):
+    """(container, key) of every number or string of a descriptor."""
+    for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+        yield from _descriptor_leaves(child) if isinstance(child, (dict, list)) else [(node, key)]
+
+
+@pytest.mark.parametrize("name", sorted(MANIFEST))
+def test_every_descriptor_part_is_read(tmp_path, name):
+    # each leaf of the embedded descriptor changed alone: the load refuses the artifact (exit 2 or 3) or gives
+    # another system, and the seed, which the system does not hold, is the one verify reports
+    system = build_from_descriptor(MANIFEST[name]["descriptor"])
+    data = frame.system_to_json(system, 7)
+    assert frame.system_from_json(data) == system
+    leaves = list(_descriptor_leaves(data["descriptor"]))
+    assert {key for _, key in leaves} >= {"variant", "k0", "k1", "seed"}
+    for container, key in leaves:
+        old = container[key]
+        container[key] = OTHER_NAME.get(old) or str(Fraction(old) + 1) if isinstance(old, str) else old + 1
+        if key == "seed":
+            spath, rpath = tmp_path / "seeded.json", tmp_path / "report.json"
+            spath.write_text(json.dumps(data))
+            assert main(["verify", str(spath), "--suite", "fiber", "--report", str(rpath)]) in (0, 1)
+            assert json.loads(rpath.read_text())["seed"] == 8
+        else:
+            try:
+                loaded = frame.system_from_json(data)
+            except lcaframes.LcaError:
+                loaded = None
+            assert loaded != system, f"{key}: {old!r} changed, and the loaded system is the same"
+        container[key] = old
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        {"family": {"bspline": {"order": 2}}},
+        # edited into a torus spline system, which verified PASS while the artifact's own chain and family fields
+        # decided the load
+        {
+            "group": {"variant": "torus", "params": {}}, "chain": {"M_seq": [2, 2, 2, 2, 2]},
+            "family": {"bspline": {"order": 2}},
+        },
+    ],
+    ids=["spline-family", "torus-spline"],
+)
+def test_spline_descriptor_over_band_filters_exit_2(tmp_path, capsys, edit):
+    # a spline family reads its filters' steps: piecewise band filters under it are refused, not a traceback
+    spath = construct(tmp_path, Z16_BAND)
+    data = json.loads(spath.read_text())
+    data["descriptor"].update(edit)
+    spath.write_text(json.dumps(data))
+    assert main(["verify", str(spath), "--suite", "all"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed system artifact: ") and "Traceback" not in err
+
+
+def test_z256_builds_a_plan_only_on_levels_that_key(tmp_path, monkeypatch):
+    # from level 2 on, a trig step's character has order 8 or more, so some point of V_{k+1} has no
+    # quarter-turn key: those levels are bounded from coefficients, with no plan and no key table
+    from lcaframes import filters
+
+    spath, built = construct(tmp_path, dict(Z_BSPLINE, group={"variant": "cyclic", "params": {"modulus": 256}},
+                                            chain={"M": 8}, family={"bspline": {"order": 4}})), []
+    plan = filters.dual_sampling_plan
+
+    def counted(*args, **kwargs):
+        built.append(args[1])
+        return plan(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "dual_sampling_plan", counted)
+    rpath = tmp_path / "report.json"
+    assert main(["verify", str(spath), "--suite", "all", "--report", str(rpath)]) == 0
+    assert built == [0, 1]
+    uep = [e for e in json.loads(rpath.read_text())["checks"] if e["condition"] == "uep-gram-identity"]
+    assert [e["exact"] for e in uep] == [True, True] + [False] * 6
+    assert [e.get("method") for e in uep] == [None, None] + ["coefficients"] * 6
 
 
 @pytest.mark.parametrize(
@@ -613,11 +712,12 @@ def test_construct_order_above_desk_scale_exit_3(tmp_path, capsys):
             "chain.M_table: chain factor must be an integer, got 'a'\n",
         ),
         (_band_bounds(Z16_BAND, [0, 1, 2, 3, "15"]), "cyclic band parameters: "),
+        (dict(Z_BSPLINE, group={"variant": ["integers"], "params": {}}), "group.variant: "),
     ],
     ids=[
         "bspline-not-object", "charfun-not-object", "params-not-object", "L-not-list", "M_table-row",
         "L-not-rational", "dimension-not-M_table-rows", "dimension-not-int", "M-bool", "order-bool",
-        "k0-bool", "Z16-L-bool", "T-L-bool", "M_seq-str", "M_table-str", "Z16-L-str",
+        "k0-bool", "Z16-L-bool", "T-L-bool", "M_seq-str", "M_table-str", "Z16-L-str", "variant-list",
     ],
 )
 def test_construct_malformed_descriptor_exit_2(tmp_path, capsys, desc, message):
@@ -630,8 +730,8 @@ def test_construct_malformed_descriptor_exit_2(tmp_path, capsys, desc, message):
 @pytest.mark.parametrize(
     "desc, corrupt",
     [
-        (Z_BSPLINE, lambda data: data["family"].pop("order")),
-        (Z_BSPLINE, lambda data: data.update(family="x")),
+        (Z_BSPLINE, lambda data: data["descriptor"]["family"]["bspline"].pop("order")),
+        (Z_BSPLINE, lambda data: data["descriptor"].update(family="x")),
         (Z_BSPLINE, lambda data: data["filters"][0]["h"]["coeffs"][0]["exact"].update(re="1/x")),
         (Z_BSPLINE, lambda data: data["filters"][0]["h"]["coeffs"][0]["exact"].update(rad="-2")),
         (Z_BSPLINE, lambda data: data["filters"][0]["g"][0].update(shifts=[[0], 1, 2])),
@@ -640,11 +740,12 @@ def test_construct_malformed_descriptor_exit_2(tmp_path, capsys, desc, message):
         (Z_BSPLINE, lambda data: data["filters"][0]["h"].update(eta="1/3")),
         (Z_BSPLINE, lambda data: data["filters"].pop()),
         (Z_BSPLINE, lambda data: data["filters"][0].update(k=5)),
-        (Z_BSPLINE, lambda data: data["chain"].update(kind="nope")),
-        (Z_BSPLINE, lambda data: data.update(k0=False)),
+        # the chain kind is the descriptor's group variant
+        (Z_BSPLINE, lambda data: data["descriptor"]["group"].update(variant="nope")),
+        (Z_BSPLINE, lambda data: data["descriptor"].update(k0=False)),
         (Z_BSPLINE, lambda data: data["filters"][0].update(k=False)),
-        (Z_BSPLINE, lambda data: data["family"].update(order=True)),
-        (Z_BSPLINE, lambda data: data["chain"]["params"].update(M=4.0)),
+        (Z_BSPLINE, lambda data: data["descriptor"]["family"]["bspline"].update(order=True)),
+        (Z_BSPLINE, lambda data: data["descriptor"]["chain"].update(M=4.0)),
         (Z_BSPLINE, lambda data: data["filters"][0]["h"]["coeffs"][0]["exact"].update(rad=2.7)),
         (Z_BSPLINE, lambda data: data["filters"][0]["h"]["coeffs"][0]["exact"].update(re="1e400")),
         # each filter value has one stored form: no float copy next to the exact one, no [re, im] pair, no JSON
@@ -654,21 +755,29 @@ def test_construct_malformed_descriptor_exit_2(tmp_path, capsys, desc, message):
         (Z_BSPLINE, lambda data: data["filters"][0]["h"]["coeffs"].__setitem__(0, {"re": True, "im": False})),
         (Z_BSPLINE, lambda data: data["filters"][0]["h"]["coeffs"][0]["exact"].update(rad="4")),
         (Z_BSPLINE, lambda data: data["filters"][0]["g"][0]["coeffs"][1]["exact"].update(rad="2")),
-        # the chain is Z's: a cyclic band cannot be built on it
-        (Z_BSPLINE, lambda data: data.update(family={"type": "charfun", "mode": "proper", "band": "cyclic",
-                                                     "band_params": {"L": [0, 1, 3, 7]}})),
-        # a band built on a chain of another group: each label once
-        (Z16_BAND, lambda data: data["family"].update(band="torus", band_params={"L": [0, 1, 2, 3, 4]})),
-        (T_BAND, lambda data: data["family"].update(band="cyclic", band_params={"L": [0, 1, 7]})),
-        (T_BAND, lambda data: data["family"].update(band="boxes", band_params={"L": [["1/2", "1", "2"]]})),
-        (T_BAND, lambda data: data["family"].update(band="balls", band_params={"L": ["1/2", "1", "2"]})),
-        (EUCLID_BOXES, lambda data: data["family"].update(band="torus", band_params={"L": [0, 1]})),
-        # every family part is read: no key outside the family's own set, none missing, a known mode
-        (Z16_BAND, lambda data: data["family"].update(junk=[1, 2])),
-        (Z16_BAND, lambda data: data["family"].pop("mode")),
-        (Z16_BAND, lambda data: data["family"].update(mode="edited")),
-        (Z16_BAND, lambda data: data["family"]["band_params"].update(junk=[1, 2])),
-        (Z_BSPLINE, lambda data: data["family"].update(junk=[1, 2])),
+        # the chain is Z's: no band can be built on it
+        (Z_BSPLINE, lambda data: data["descriptor"].update(family={"charfun": {"mode": "proper", "L": [0, 1, 3, 7]}})),
+        # a band on a chain of another group: the band's label is the group variant, or the shape on R^s
+        (Z16_BAND, lambda data: data["descriptor"]["group"].update(variant="torus")),
+        (T_BAND, lambda data: data["descriptor"]["group"].update(variant="cyclic")),
+        (T_BAND, lambda data: data["descriptor"]["family"]["charfun"].update(shape="boxes")),
+        (T_BAND, lambda data: data["descriptor"]["family"]["charfun"].update(shape="balls")),
+        (EUCLID_BOXES, lambda data: data["descriptor"]["family"]["charfun"].update(shape="torus")),
+        # every descriptor part is read: no key outside each object's own set, none missing, a known mode, and
+        # a shannon family is its mode alone
+        (Z16_BAND, lambda data: data["descriptor"]["family"].update(junk=[1, 2])),
+        (Z16_BAND, lambda data: data["descriptor"]["family"]["charfun"].pop("mode")),
+        (Z16_BAND, lambda data: data["descriptor"]["family"]["charfun"].update(mode="edited")),
+        (Z16_BAND, lambda data: data["descriptor"]["family"]["charfun"].update(junk=[1, 2])),
+        (Z_BSPLINE, lambda data: data["descriptor"]["family"]["bspline"].update(junk=[1, 2])),
+        (Z16_BAND, lambda data: data["descriptor"].update(junk=[1, 2])),
+        (Z16_BAND, lambda data: data["descriptor"]["group"]["params"].update(junk=1)),
+        (Z16_BAND, lambda data: data["descriptor"].update(chain={"M_seq": [2, 2, 2, 2]})),
+        (T_BAND, lambda data: data["descriptor"].update(chain={"M": 3})),
+        (Z16_BAND, lambda data: data["descriptor"]["family"]["charfun"].update(mode="shannon")),
+        (EUCLID_BOXES, lambda data: data["descriptor"].update(family={"charfun": {"mode": "shannon", "shape": "boxes"}})),
+        # an artifact is its format, descriptor and filters: a field of an earlier format is refused
+        (Z_BSPLINE, lambda data: data.update(seed=1)),
     ],
     ids=[
         "family-without-order",
@@ -704,6 +813,13 @@ def test_construct_malformed_descriptor_exit_2(tmp_path, capsys, desc, message):
         "family-unknown-mode",
         "band-params-extra-key",
         "bspline-family-extra-key",
+        "descriptor-extra-key",
+        "group-params-extra-key",
+        "M_seq-on-Z16",
+        "M-on-T",
+        "shannon-with-bounds",
+        "shannon-with-shape",
+        "artifact-extra-key",
     ],
 )
 def test_verify_malformed_artifact_exit_2(tmp_path, capsys, desc, corrupt):
@@ -785,18 +901,51 @@ FORMAT_1_ARTIFACT = {
 }
 
 
+# the same artifact as format lcaframes/2 wrote it, with the chain, family, levels and seed next to the descriptor
+FORMAT_2_ARTIFACT = {
+    "chain": {"kind": "integer", "params": {"M": 1}},
+    "descriptor": {"chain": {"M": 1}, "family": {"bspline": {"order": 1}}, "group": {"variant": "integers"}},
+    "descriptor_hash": "a901c9de09ee6b8a",
+    "family": {"order": 1, "type": "bspline"},
+    "filters": [
+        {
+            "g": [
+                {
+                    "coeffs": [
+                        {"exact": {"im": "0", "rad": "2", "re": "1/2"}}, {"exact": {"im": "0", "rad": "2", "re": "-1/2"}}
+                    ],
+                    "eta": 1, "kind": "trig", "shifts": [0, 1],
+                }
+            ],
+            "h": {
+                "coeffs": [
+                    {"exact": {"im": "0", "rad": "2", "re": "1/2"}}, {"exact": {"im": "0", "rad": "2", "re": "1/2"}}
+                ],
+                "eta": 1, "kind": "trig", "shifts": [0, 1],
+            },
+            "k": 0,
+        }
+    ],
+    "format": "lcaframes/2",
+    "k0": 0,
+    "k1": 1,
+    "seed": 24301,
+}
+
+
 def test_artifact_of_an_earlier_format_exit_2_and_rebuilds_from_its_descriptor(tmp_path, capsys):
-    old = tmp_path / "old.json"
-    old.write_text(json.dumps(FORMAT_1_ARTIFACT))
-    for argv in (["verify", str(old), "--suite", "all"], ["emit", str(old), "--what", "generators", "--out", str(tmp_path)]):
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: malformed system artifact: artifact format 'lcaframes/1' is not 'lcaframes/2'")
-        assert "run construct again on its embedded descriptor" in err
-    # what the message asks for: construct from the artifact's own descriptor
-    new = construct(tmp_path, FORMAT_1_ARTIFACT["descriptor"], out="new.json")
-    assert json.loads(new.read_text())["format"] == "lcaframes/2"
-    assert main(["verify", str(new), "--suite", "all"]) == 0
+    for artifact in (FORMAT_1_ARTIFACT, FORMAT_2_ARTIFACT):
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(artifact))
+        for argv in (["verify", str(old), "--suite", "all"], ["emit", str(old), "--what", "generators", "--out", str(tmp_path)]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: malformed system artifact: artifact format {artifact['format']!r} is not 'lcaframes/3'")
+            assert "run construct again on its embedded descriptor" in err
+        # what the message asks for: construct from the artifact's own descriptor
+        new = construct(tmp_path, artifact["descriptor"], out="new.json")
+        assert json.loads(new.read_text())["format"] == "lcaframes/3"
+        assert main(["verify", str(new), "--suite", "all"]) == 0
 
 
 def test_undecodable_input_files_exit_2(tmp_path):

@@ -334,6 +334,16 @@ def test_proper_mode_refuses_full_band_level():
         build_charfun_system(band, "proper", k0=0)  # level 0 band equals the cell
 
 
+def test_shannon_mode_needs_the_full_band():
+    # a shannon artifact states its mode alone and loads the full band, so a band with bounds is refused, even
+    # one whose sets fill every dual cell
+    band = band_chain_cyclic(cyclic_chain(3), [0, 1, 3, 7])
+    with pytest.raises(DomainParameterError, match="full band"):
+        build_charfun_system(band, "shannon")
+    shannon = build_charfun_system(full_band_chain(cyclic_chain(3)), "shannon")
+    assert system_from_json(system_to_json(shannon)) == shannon
+
+
 def test_euclidean_system_is_matrix_condition_only():
     ech = euclidean_chain([[2, 2]])
     system = build_bspline_system(ech, 2)
@@ -379,7 +389,8 @@ def test_every_stored_filter_value_and_band_bound_is_read(name):
     system = STORED_PARTS_SYSTEMS[name]()
     data = system_to_json(system)
     assert system_from_json(data) == system
-    parts = [data["family"].get("band_params", {}), *(f for entry in data["filters"] for f in (entry["h"], *entry["g"]))]
+    bounds = data["descriptor"]["family"].get("charfun", {}).get("L", [])
+    parts = [bounds, *(f for entry in data["filters"] for f in (entry["h"], *entry["g"]))]
     leaves = [leaf for part in parts for leaf in _leaves(part)]
     assert len(leaves) >= 30
     for container, key in leaves:
@@ -396,20 +407,20 @@ def test_every_stored_filter_value_and_band_bound_is_read(name):
 def test_artifact_dict_shares_no_value_with_the_system():
     system = build_charfun_system(band_chain_cyclic(cyclic_chain(3), [0, 0, 1, 7]), "proper", k0=1)
     data = system_to_json(system)
-    data["family"]["band_params"]["L"][0] = 5
+    data["descriptor"]["family"]["charfun"]["L"][0] = 5
     assert system.band.params == {"L": [0, 0, 1, 7]}
     torus = build_charfun_system(band_chain_torus(torus_chain([2, 3, 2]), [0, 1, 3]), "proper")
     data = system_to_json(torus)
-    data["chain"]["params"]["m_factors"][0] = 4
-    assert torus.chain.params == {"m_factors": [2, 3, 2]}
+    data["descriptor"]["chain"]["M_seq"][0] = 4
+    assert torus.chain.params["chain"] == {"M_seq": [2, 3, 2]}
 
 
 def test_loaded_system_shares_no_value_with_its_artifact():
     system = build_charfun_system(band_chain_cyclic(cyclic_chain(3), [0, 0, 1, 7]), "proper", k0=1)
     data = system_to_json(system)
     loaded = system_from_json(data)
-    data["family"]["mode"] = "edited"
-    data["family"]["band_params"]["L"][0] = 5
+    data["descriptor"]["family"]["charfun"]["mode"] = "edited"
+    data["descriptor"]["family"]["charfun"]["L"][0] = 5
     assert loaded == system and loaded.family == {"type": "charfun", "mode": "proper"}
 
 

@@ -1,5 +1,6 @@
 """Self-similar tile iteration, exact dedup, box-count measure."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -106,3 +107,48 @@ def test_rotation_spec_digit_valid():
     # (1,0) is a genuine coset representative for the second matrix too
     assert ROT.det == 2
     assert tile_points(ROT, 1) == [(0, -1), (0, 0)]
+
+
+def test_expansive_check_is_exact_and_agrees_with_the_eigenvalues():
+    # every integer matrix with entries in -3..3 and |det| = 2: the integer test against the float eigenvalues
+    for a, b, c, d in itertools.product(range(-3, 4), repeat=4):
+        if abs(a * d - b * c) != 2:
+            continue
+        expansive = np.min(np.abs(np.linalg.eigvals(np.array([[a, b], [c, d]], dtype=float)))) > 1 + 1e-9
+        try:
+            TileSpec(((a, b), (c, d)), (1, 0))
+            accepted = True
+        except DomainParameterError as exc:
+            accepted = "A Z" in str(exc)  # a digit in A Z^2 is refused after the eigenvalue check
+        assert accepted == expansive, (a, b, c, d)
+
+
+def _exact_tile(spec: TileSpec, r: int) -> list:
+    """Q(r) by the rational recursion Q(j + 1) = B Q(j) u B (digit + Q(j)), B = (A^T)^{-1}, in Fractions."""
+    (a, b), (c, d) = spec.matrix
+    det = Fraction(spec.det)
+    B = ((d / det, -c / det), (-b / det, a / det))
+    pts = {(Fraction(0), Fraction(0))}
+    for _ in range(r):
+        moved = pts | {(x + spec.digit[0], y + spec.digit[1]) for x, y in pts}
+        pts = {(B[0][0] * x + B[0][1] * y, B[1][0] * x + B[1][1] * y) for x, y in moved}
+    return sorted(pts)
+
+
+@pytest.mark.parametrize(
+    "spec, r",
+    [(TileSpec(((1, -1), (1, 1)), (99999999999999999999, 0)), 12), (TileSpec(((1, 1), (-1, 1)), (2**62 + 1, 0)), 3)],
+    ids=["digit-1e20", "digit-2^62"],
+)
+def test_points_that_could_leave_int64_are_refused_before_any_array(spec, r, monkeypatch):
+    monkeypatch.setattr(np, "array", lambda *a, **k: pytest.fail("an array was built"))
+    for run in (tile_points, scaled_points, scaled_points_digits, selfsimilarity_holds):
+        with pytest.raises(ResourceLimitError, match="int64"):
+            run(spec, r)
+
+
+def test_large_digit_below_the_cap_matches_the_exact_recursion():
+    # 24 (2^58 + 1) < 2^63 bounds the r = 3 points, so the int64 recursion holds them exactly
+    spec = TileSpec(((1, 1), (-1, 1)), (2**58 + 1, 0))
+    assert tile_points(spec, 3) == _exact_tile(spec, 3)
+    assert tile_points(TWIN, 6) == _exact_tile(TWIN, 6)
