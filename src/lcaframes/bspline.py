@@ -157,7 +157,7 @@ def _binomial_masks(chain: LatticeChain, k: int, order: int, ms) -> list:
 
     m = 0 is the binomial lowpass and m = 1..N the highpass masks of Ron and
     Shen's UEP family (N = 1 or even).  Each mask's root sqrt(2 C(N,m)) / 2^N
-    is normalized once and scaled by the integer coefficients of the product.
+    is normalized once and scaled by the nonzero integer coefficients of the product, on ascending shifts.
     """
     require_order(order)
     _require_index_two(chain, k)
@@ -168,8 +168,9 @@ def _binomial_masks(chain: LatticeChain, k: int, order: int, ms) -> list:
         for sign in [1] * (order - m) + [-1] * m:  # times (1 + sign z)
             poly = [a + sign * b for a, b in zip([*poly, 0], [0, *poly])]
         root = radical(Fraction(1, 2**order), 0, 2 * math.comb(order, m))
-        coeffs = tuple(Radical(c * root.re, 0, root.rad) for c in poly)
-        out.append(TrigPolynomial(chain.group, eta, tuple(range(order + 1)), coeffs, lattice))
+        shifts = tuple(j for j, c in enumerate(poly) if c)
+        coeffs = tuple(Radical(poly[j] * root.re, 0, root.rad) for j in shifts)
+        out.append(TrigPolynomial(chain.group, eta, shifts, coeffs, lattice))
     return out
 
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .exact import to_float
-from .exceptions import DomainParameterError, SchemaError, require_int
+from .exceptions import DomainParameterError, SchemaError, require_int, require_object
 from .groups import GroupSpec, check_element, element_add, element_neg, point_array
 
 #: relative slack of the closed-ball test: a rational point on the sphere
@@ -205,9 +205,16 @@ def domain_to_json(dom) -> dict:
     raise DomainParameterError(f"unserializable domain {dom!r}")
 
 
-def domain_from_json(data: dict, group: GroupSpec):
-    """A serialized domain in `group`; every coset-union shift must be an element of it."""
+_DOMAIN_KEYS = {"integer_interval": ("lo", "hi"), "box": ("lo", "hi"), "ball": ("radius",), "coset_union": ("base", "shifts")}
+
+
+def domain_from_json(data: dict, group: GroupSpec, path: str = "domain"):
+    """A serialized domain in `group`, at `path` in its file; every coset-union shift must be an element of it.
+
+    A key that the domain's kind does not read is refused, with its path.
+    """
     kind = data["kind"]
+    require_object(data, path, ("kind", *_DOMAIN_KEYS.get(kind, ())))
     if kind == "integer_interval":
         return IntegerInterval(require_int(data["lo"], "interval lo"), require_int(data["hi"], "interval hi"))
     if kind == "box":
@@ -218,8 +225,8 @@ def domain_from_json(data: dict, group: GroupSpec):
         shifts = tuple(_point_from_json(s) for s in data["shifts"])
         for s in shifts:
             check_element(group, s, "coset shift")
-        return CosetUnion(domain_from_json(data["base"], group), shifts)
-    raise SchemaError(f"unknown domain kind {kind!r}")
+        return CosetUnion(domain_from_json(data["base"], group, f"{path}.base"), shifts)
+    raise SchemaError(f"{path}: unknown domain kind {kind!r}")
 
 
 def _point_json(p):

@@ -27,8 +27,11 @@ arithmetic exact, once per distinct key row, so a true identity reports 0;
 elsewhere a level of trig rows is bounded at every gamma from its
 coefficients, and any other level is sampled in floats.
 
-An artifact stores each filter value in one form (`_value_json`), exact
-for a Radical and floats otherwise, and `filter_from_json` reads all of it.
+An artifact stores only what decides a filter, each value in one form
+(`_value_json`), exact for a Radical and floats otherwise: a trig filter's
+nonzero terms on ascending shifts, a piecewise filter's pieces.  The lattice
+and the pieces' fundamental domain come from the chain, and
+`filter_from_json` reads all of it and refuses any key it does not read.
 """
 
 from __future__ import annotations
@@ -43,10 +46,11 @@ from random import Random
 import numpy as np
 
 from . import domains
-from .chains import MAX_POINTS, LatticeChain
+from .chains import MAX_POINTS, LatticeChain, refined_dual_domain
 from .exact import MAX_RADICAND, ZERO, Radical, cis_many, radical, to_float
 from .exceptions import (
-    EmptySamplingPlanError, FilterVariantError, PeriodicityMismatchError, ResourceLimitError, SchemaError
+    EmptySamplingPlanError, FilterVariantError, PeriodicityMismatchError, ResourceLimitError, SchemaError, require,
+    require_object,
 )
 from .functions import uniform
 from .groups import GroupSpec, dual_group, element_scale, phase, point_array, residue
@@ -115,21 +119,9 @@ class TrigPolynomial:
 class CosetPiecewise:
     dual: GroupSpec  # dual group the filter lives on
     pieces: tuple  # ((domain, value), ...); first match wins, uncovered points are 0
-    domain: object  # fundamental domain of the periodicity lattice: a box one step wide
+    domain: object  # fundamental domain of the lattice, `chains.refined_dual_domain`: a box one step wide
     lattice: ScaledLattice
     key_width = 1  # one piece index per point
-
-    def __post_init__(self):
-        # points reduce into the domain by per-axis floor arithmetic, which
-        # needs the domain to fill a box exactly one lattice step wide
-        lo, hi = domains.bounds(self.domain, self.dual)
-        unit = 1 if self.dual.is_discrete else 0  # integer bounds are inclusive
-        widths = [b - a + unit for a, b in zip(lo, hi)]
-        box = math.prod(widths) * (self.dual.point_mass or 1)
-        if widths != [Fraction(s) for s in self.lattice.step] or domains.measure(self.domain, self.dual) != box:
-            raise PeriodicityMismatchError(
-                f"filter domain {self.domain!r} is not a box of the lattice steps {self.lattice.step}"
-            )
 
     def eval(self, gamma) -> complex:
         return complex(self.eval_many(gamma)[0])
@@ -468,8 +460,8 @@ def _value_json(v) -> dict:
     return {"re": c.real, "im": c.imag}
 
 
-def _value_from_json(data, parsed: dict) -> object:
-    """A filter value in the form `_value_json` writes; any other form is refused.
+def _value_from_json(data, parsed: dict, path: str) -> object:
+    """A filter value in the form `_value_json` writes; any other form is refused, with the value's path.
 
     Floats must be JSON numbers.  Exact parts are read through their string form, so a JSON bool or 2.7
     radicand is refused, and the radicand must be the value's own, so that each part changes the value.
@@ -477,10 +469,10 @@ def _value_from_json(data, parsed: dict) -> object:
     value is parsed once.
     """
     if set(data) != {"exact"}:
-        if set(data) != {"re", "im"} or not all(type(data[part]) in (int, float) for part in ("re", "im")):
-            raise SchemaError(f"a filter value is an exact form or the numbers re and im, got {data!r}")
+        floats = set(data) == {"re", "im"} and all(type(data[part]) in (int, float) for part in ("re", "im"))
+        require(floats, path, f"a filter value is an exact form or the numbers re and im, got {data!r}")
         return complex(data["re"], data["im"])
-    e = data["exact"]
+    e = require_object(data["exact"], f"{path}.exact", ("re", "im", "rad"))
     key = (str(e["re"]), str(e["im"]), str(e["rad"]))
     if key not in parsed:
         rad = int(key[2])
@@ -488,7 +480,7 @@ def _value_from_json(data, parsed: dict) -> object:
             raise ResourceLimitError(f"radicand {rad} exceeds {MAX_RADICAND} (desk-scale cap)")
         value = radical(key[0], key[1], rad)  # refuses a negative radicand
         if value.rad != rad:  # square-free, as Radical.mul needs, and positive
-            raise SchemaError(f"radicand {rad} is not the value's own: square-free, and 1 for zero")
+            raise SchemaError(f"{path}: radicand {rad} is not the value's own: square-free, and 1 for zero")
         complex(value)  # the float paths need it: OverflowError beyond the float range
         parsed[key] = value
     return parsed[key]
@@ -505,35 +497,41 @@ def filter_to_json(f) -> dict:
     if isinstance(f, CosetPiecewise):
         return {
             "kind": "piecewise",
-            "domain": domains.domain_to_json(f.domain),
             "pieces": [{"domain": domains.domain_to_json(d), "value": _value_json(v)} for d, v in f.pieces],
         }
     raise FilterVariantError(f"cannot serialize {type(f).__name__}")
 
 
-def filter_from_json(data: dict, chain: LatticeChain, k: int, parsed: dict | None = None):
-    """Rebind a serialized filter to level k of the chain (periodicity k+1).
+_FILTER_KEYS = {"trig": ("eta", "shifts", "coeffs"), "piecewise": ("pieces",)}
 
-    parsed holds the exact values read so far by the same load (`_value_from_json`); a fresh one by default.
+
+def filter_from_json(data: dict, chain: LatticeChain, k: int, parsed: dict | None = None, path: str = "filter"):
+    """Rebind a serialized filter to level k of the chain (periodicity k+1); a key it does not read is refused.
+
+    A trig filter's shifts strictly ascend, one nonzero coefficient each; a piecewise filter's fundamental
+    domain is `refined_dual_domain(chain, k)`.  parsed holds the exact values read so far by the same load
+    (`_value_from_json`); a fresh one by default.  path names the filter in error messages.
     """
     parsed = {} if parsed is None else parsed
     lattice = chain.level(k + 1).annihilator
+    require_object(data, path, ("kind", *_FILTER_KEYS.get(data["kind"], ())))
     if data["kind"] == "trig":
-        step = domains._point_from_json(data["eta"])
-        shifts = data["shifts"]
-        well_formed = shifts and len(data["coeffs"]) == len(shifts) and all(type(j) is int for j in shifts)
-        if not (well_formed and chain.level(k + 1).lattice.contains(step)):
-            raise PeriodicityMismatchError(
-                f"trig filter needs integer shifts, one coefficient each, and a level-{k + 1} lattice step"
-            )
-        if max(shifts) - min(shifts) >= MAX_POINTS or max(map(abs, (*shifts, *chain.group.coords(step)))) >= MAX_SHIFT:
+        step, shifts = domains._point_from_json(data["eta"]), data["shifts"]
+        ascending = all(type(j) is int for j in shifts) and all(a < b for a, b in zip(shifts, shifts[1:]))
+        well_formed = shifts and ascending and len(data["coeffs"]) == len(shifts)
+        require(well_formed and chain.level(k + 1).lattice.contains(step), path, "a trig filter needs strictly "
+                f"ascending integer shifts, one coefficient each, and a level-{k + 1} lattice step")
+        if shifts[-1] - shifts[0] >= MAX_POINTS or max(map(abs, (*shifts, *chain.group.coords(step)))) >= MAX_SHIFT:
             raise ResourceLimitError(f"trig filter shifts span {MAX_POINTS} points, or shifts or step reach {MAX_SHIFT} (desk-scale cap)")
-        coeffs = tuple(_value_from_json(c, parsed) for c in data["coeffs"])
+        coeffs = tuple(_value_from_json(c, parsed, f"{path}.coeffs[{i}]") for i, c in enumerate(data["coeffs"]))
+        require(not any(c in (0, ZERO) for c in coeffs), f"{path}.coeffs", "a zero coefficient is not stored")
         return TrigPolynomial(chain.group, step, tuple(shifts), coeffs, lattice)
     if data["kind"] == "piecewise":
-        pieces = tuple(
-            (domains.domain_from_json(p["domain"], chain.dual), _value_from_json(p["value"], parsed))
-            for p in data["pieces"]
-        )
-        return CosetPiecewise(chain.dual, pieces, domains.domain_from_json(data["domain"], chain.dual), lattice)
-    raise SchemaError(f"unknown filter kind {data['kind']!r}")
+        pieces = []
+        for i, p in enumerate(data["pieces"]):
+            at = f"{path}.pieces[{i}]"
+            require_object(p, at, ("domain", "value"))
+            domain = domains.domain_from_json(p["domain"], chain.dual, f"{at}.domain")
+            pieces.append((domain, _value_from_json(p["value"], parsed, f"{at}.value")))
+        return CosetPiecewise(chain.dual, tuple(pieces), refined_dual_domain(chain, k), lattice)
+    raise SchemaError(f"{path}: unknown filter kind {data['kind']!r}")

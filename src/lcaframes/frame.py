@@ -26,6 +26,8 @@ An artifact (`system_to_json`, sharing no value with the system) is the
 system's normalized descriptor and its filters, each fact once.  Construct and
 load read the descriptor alike (`read_descriptor`): the chain once, the band on
 it; construct builds the masks, and `system_from_json` reads them from the file.
+A filter entry's level is its position, and what the chain fixes (the
+periodicity lattice, a piecewise filter's fundamental domain) is not stored.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ from .exceptions import (
     UnsupportedVerificationError,
     _malformed,
     require,
-    require_int,
     require_object,
 )
 from .filters import (
@@ -67,7 +68,7 @@ from .groups import pairing
 from .lattices import cyclic_annihilator
 
 BLOCK_ENTRIES = 2**14  # entries of U S U* - I that `_frame_residual` holds at once
-FORMAT = "lcaframes/3"  # the artifact form `system_to_json` writes and `system_from_json` reads
+FORMAT = "lcaframes/4"  # the artifact form `system_to_json` writes and `system_from_json` reads
 
 
 @dataclass(frozen=True)
@@ -534,8 +535,7 @@ def system_to_json(system: FrameSystem, seed: int = DEFAULT_SEED) -> dict:
         "format": FORMAT,
         "descriptor": copy.deepcopy(descriptor),
         "filters": [
-            {"k": lf.k, "h": filter_to_json(lf.h), "g": [filter_to_json(g) for g in lf.gs]}
-            for lf in system.level_filters
+            {"h": filter_to_json(lf.h), "g": [filter_to_json(g) for g in lf.gs]} for lf in system.level_filters
         ],
     }
 
@@ -544,7 +544,7 @@ def system_from_json(data: dict) -> FrameSystem:
     """Rebuild a system from its artifact: the descriptor read as construct reads it, the filters from the file.
 
     An artifact is format, descriptor and filters, nothing else, and another format is refused.  The filters
-    are the levels k0..k1-1 in order, and a spline family's are trig.
+    are one entry {h, g} per level k0..k1-1 in order, a spline family's trig, with any key not read refused.
     """
     with _malformed("malformed system artifact"):
         if data["format"] != FORMAT:
@@ -552,18 +552,14 @@ def system_from_json(data: dict) -> FrameSystem:
         require_object(data, "$", ("format", "descriptor", "filters"))
         with _malformed("descriptor"):
             chain, family, band, k0, k1 = read_descriptor(data["descriptor"])
-        ks = [require_int(entry["k"], "filter level k") for entry in data["filters"]]
-        if ks != list(range(k0, k1)):
-            raise SchemaError(f"filters must be levels {k0}..{k1 - 1} of the chain in order, got {ks}")
-        parsed = {}  # each distinct exact value of the artifact is parsed once
-        level_filters = [
-            LevelFilters(
-                entry["k"],
-                filter_from_json(entry["h"], chain, entry["k"], parsed),
-                tuple(filter_from_json(g, chain, entry["k"], parsed) for g in entry["g"]),
-            )
-            for entry in data["filters"]
-        ]
+        require(len(data["filters"]) == k1 - k0, "filters", f"need one entry per level {k0}..{k1 - 1}")
+        parsed, level_filters = {}, []  # each distinct exact value of the artifact is parsed once
+        for k, entry in enumerate(data["filters"], start=k0):
+            path = f"filters[{k - k0}]"
+            require_object(entry, path, ("h", "g"))
+            h = filter_from_json(entry["h"], chain, k, parsed, f"{path}.h")
+            gs = tuple(filter_from_json(g, chain, k, parsed, f"{path}.g[{i}]") for i, g in enumerate(entry["g"]))
+            level_filters.append(LevelFilters(k, h, gs))
         trig = all(isinstance(f, TrigPolynomial) for lf in level_filters for f in (lf.h, *lf.gs))
         require(band is not None or trig, "filters", "a spline family's filters are trig polynomials")
     return _assemble(chain, family, k0, k1, level_filters, band)

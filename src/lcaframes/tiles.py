@@ -139,20 +139,17 @@ def measure_estimate(spec: TileSpec, r: int, h: Fraction) -> tuple[float, float]
 
     Points are binned into h-cells and the cells folded modulo Z^2.  Returns
     (#distinct folded cells) * h^2 as the area estimate, plus the fraction of
-    folded cells claimed by more than one integer translate.
+    folded cells claimed by more than one integer translate.  Cells are counted
+    in Python integers, since a scaled point times 1/h can pass int64.
     """
     h = Fraction(h)
     if h <= 0 or h > 1 or (1 / h).denominator != 1:
         raise DomainParameterError(f"cell size must divide 1 exactly, got {h}")
-    per_unit = int(1 / h)
-    pts = scaled_points(spec, r)
-    denom = 2**r
-    cells = np.floor_divide(pts * per_unit, denom)
-    folded = cells % per_unit
-    owners = cells // per_unit
+    per_unit, denom = int(1 / h), 2**r
     keyed = {}
-    for (fx, fy), (ox, oy) in zip(folded, owners):
-        keyed.setdefault((int(fx), int(fy)), set()).add((int(ox), int(oy)))
+    for x, y in scaled_points(spec, r).tolist():
+        cx, cy = x * per_unit // denom, y * per_unit // denom
+        keyed.setdefault((cx % per_unit, cy % per_unit), set()).add((cx // per_unit, cy // per_unit))
     estimate = len(keyed) * float(h) ** 2
     overlap = sum(1 for o in keyed.values() if len(o) > 1) / max(len(keyed), 1)
     return estimate, overlap

@@ -45,10 +45,20 @@ T_BAND = {
     "chain": {"M_seq": [2, 2, 2]},
     "family": {"charfun": {"mode": "proper", "L": [0, 1, 3]}},
 }
+R2_BALLS = {
+    "group": {"variant": "euclidean", "params": {"dimension": 2}},
+    "chain": {"M_table": [[2, 2, 2], [2, 3, 2]]},
+    "family": {"charfun": {"mode": "proper", "L": ["1/4", "1/2", "1"], "shape": "balls"}},
+}
 
 
 def _band_bounds(desc, bounds):
     return dict(desc, family={"charfun": dict(desc["family"]["charfun"], L=bounds)})
+
+
+def _level_entry(data, k):
+    """The filter entry of level k in an artifact: its entries are the levels k0..k1-1 in order."""
+    return data["filters"][k - data["descriptor"]["k0"]]
 
 
 def write_descriptor(tmp_path, desc, name="desc.json"):
@@ -446,7 +456,7 @@ def test_exact_residual_beyond_float_range_fails(tmp_path):
 def test_non_finite_coefficient_fails_without_a_warning(tmp_path):
     # JSON's Infinity loads as a float coefficient; the float paths see it and say nothing on stderr
     data = json.loads(construct(tmp_path, dict(Z16_BAND, family={"bspline": {"order": 2}}, k0=0)).read_text())
-    [h] = [entry["h"] for entry in data["filters"] if entry["k"] == 2]
+    h = _level_entry(data, 2)["h"]
     h["coeffs"][0] = {"re": math.inf, "im": 0.0}
     cpath, rpath = tmp_path / "infinite.json", tmp_path / "report.json"
     cpath.write_text(json.dumps(data))
@@ -487,13 +497,17 @@ def test_nan_filter_fails_verification(tmp_path):
     assert [e["level"] for e in failed] == [1]
 
 
-def test_piecewise_domain_not_a_lattice_box_exit_2(tmp_path):
+def test_stored_piecewise_domain_exit_2(tmp_path, capsys):
+    # a piecewise filter's fundamental domain is the chain's, so an artifact that states one, even the
+    # chain's own as lcaframes/3 stored it, is refused
     spath = construct(tmp_path, Z8_SHANNON)
     data = json.loads(spath.read_text())
-    data["filters"][1]["h"]["domain"] = {"kind": "integer_interval", "lo": 0, "hi": 2}
-    cpath = tmp_path / "narrow.json"
+    stored = {"kind": "coset_union", "base": {"kind": "integer_interval", "lo": 0, "hi": 1}, "shifts": [0, 2]}
+    data["filters"][1]["h"]["domain"] = stored
+    cpath = tmp_path / "stored.json"
     cpath.write_text(json.dumps(data))
     assert main(["verify", str(cpath), "--suite", "uep"]) == 2
+    assert "filters[1].h.domain: unknown key" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("where", ["filter-domain", "piece-domain"])
@@ -505,6 +519,32 @@ def test_unknown_domain_kind_exit_2(tmp_path, capsys, where):
     spath.write_text(json.dumps(data))
     assert main(["verify", str(spath), "--suite", "uep"]) == 2
     assert "malformed system artifact" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "desc, path",
+    [
+        (Z_BSPLINE, "filters[0]"),
+        (Z_BSPLINE, "filters[0].h"),
+        (Z8_SHANNON, "filters[0].g[0]"),
+        (Z8_SHANNON, "filters[0].h.pieces[0]"),
+        (Z8_SHANNON, "filters[0].h.pieces[0].domain"),
+        (EUCLID_BOXES, "filters[0].h.pieces[0].domain"),
+        (R2_BALLS, "filters[0].h.pieces[0].domain"),
+        (Z8_SHANNON, "filters[0].g[0].pieces[0].domain"),
+    ],
+    ids=["level-entry", "trig-filter", "piecewise-filter", "piece", "integer_interval", "box", "ball", "coset_union"],
+)
+def test_unread_key_below_filters_exit_2(tmp_path, capsys, desc, path):
+    data = json.loads(construct(tmp_path, desc).read_text())
+    node = data
+    for part in path.replace("]", "").replace("[", ".").split("."):
+        node = node[int(part)] if part.isdigit() else node[part]
+    node["junk"] = 1
+    cpath = tmp_path / "junk.json"
+    cpath.write_text(json.dumps(data))
+    assert main(["verify", str(cpath), "--suite", "uep", "--samples", "256"]) == 2
+    assert f"{path}.junk: unknown key" in capsys.readouterr().err
 
 
 def test_verify_artifact_above_desk_scale_exit_3(tmp_path, capsys):
@@ -754,7 +794,12 @@ def test_construct_malformed_descriptor_exit_2(tmp_path, capsys, desc, message):
         (Z_BSPLINE, lambda data: data["filters"][0]["h"]["coeffs"].__setitem__(0, [0.5, 0.0])),
         (Z_BSPLINE, lambda data: data["filters"][0]["h"]["coeffs"].__setitem__(0, {"re": True, "im": False})),
         (Z_BSPLINE, lambda data: data["filters"][0]["h"]["coeffs"][0]["exact"].update(rad="4")),
-        (Z_BSPLINE, lambda data: data["filters"][0]["g"][0]["coeffs"][1]["exact"].update(rad="2")),
+        (Z16_BAND, lambda data: data["filters"][0]["g"][0]["pieces"][1]["value"]["exact"].update(rad="2")),
+        # a trig filter stores its nonzero terms only, on strictly ascending shifts
+        (Z_BSPLINE, lambda data: data["filters"][0]["h"]["coeffs"].__setitem__(0, {"exact": {"re": "0", "im": "0", "rad": "1"}})),
+        (Z_BSPLINE, lambda data: data["filters"][0]["h"]["coeffs"].__setitem__(0, {"re": 0.0, "im": -0.0})),
+        (Z_BSPLINE, lambda data: data["filters"][0]["h"]["shifts"].reverse()),
+        (Z_BSPLINE, lambda data: data["filters"][0]["h"].update(shifts=[0, 1, 1])),
         # the chain is Z's: no band can be built on it
         (Z_BSPLINE, lambda data: data["descriptor"].update(family={"charfun": {"mode": "proper", "L": [0, 1, 3, 7]}})),
         # a band on a chain of another group: the band's label is the group variant, or the shape on R^s
@@ -802,6 +847,10 @@ def test_construct_malformed_descriptor_exit_2(tmp_path, capsys, desc, message):
         "bool-floats",
         "square-radicand",
         "zero-with-radicand-2",
+        "zero-coefficient",
+        "float-zero-coefficient",
+        "descending-shifts",
+        "repeated-shift",
         "band-on-another-chain",
         "torus-band-on-Z16",
         "cyclic-band-on-T",
@@ -933,18 +982,29 @@ FORMAT_2_ARTIFACT = {
 }
 
 
+# the same artifact as format lcaframes/3 wrote it, with the level k of each filter entry
+FORMAT_3_ARTIFACT = {
+    "descriptor": {
+        "chain": {"M": 1}, "family": {"bspline": {"order": 1}}, "group": {"params": {}, "variant": "integers"},
+        "k0": 0, "k1": 1, "seed": 24301,
+    },
+    "filters": [dict(FORMAT_2_ARTIFACT["filters"][0])],
+    "format": "lcaframes/3",
+}
+
+
 def test_artifact_of_an_earlier_format_exit_2_and_rebuilds_from_its_descriptor(tmp_path, capsys):
-    for artifact in (FORMAT_1_ARTIFACT, FORMAT_2_ARTIFACT):
+    for artifact in (FORMAT_1_ARTIFACT, FORMAT_2_ARTIFACT, FORMAT_3_ARTIFACT):
         old = tmp_path / "old.json"
         old.write_text(json.dumps(artifact))
         for argv in (["verify", str(old), "--suite", "all"], ["emit", str(old), "--what", "generators", "--out", str(tmp_path)]):
             assert main(argv) == 2
             err = capsys.readouterr().err
-            assert err.startswith(f"error: malformed system artifact: artifact format {artifact['format']!r} is not 'lcaframes/3'")
+            assert err.startswith(f"error: malformed system artifact: artifact format {artifact['format']!r} is not 'lcaframes/4'")
             assert "run construct again on its embedded descriptor" in err
         # what the message asks for: construct from the artifact's own descriptor
         new = construct(tmp_path, artifact["descriptor"], out="new.json")
-        assert json.loads(new.read_text())["format"] == "lcaframes/3"
+        assert json.loads(new.read_text())["format"] == "lcaframes/4"
         assert main(["verify", str(new), "--suite", "all"]) == 0
 
 
@@ -956,7 +1016,7 @@ def test_undecodable_input_files_exit_2(tmp_path):
 
 
 def _negate_level_3_lowpass(data):
-    [h] = [entry["h"] for entry in data["filters"] if entry["k"] == 3]
+    h = _level_entry(data, 3)["h"]
     for v in h["coeffs"] if h["kind"] == "trig" else [piece["value"] for piece in h["pieces"]]:
         v["exact"].update({part: str(-Fraction(v["exact"][part])) for part in ("re", "im")})
 
@@ -965,7 +1025,7 @@ def test_band_refinement_sees_both_cosets_of_the_filter_period(tmp_path):
     # h has period V_3 here; a piece on V_3 minus V_2, where Phi_2 is 0 and Phi_3 is not, breaks refinement
     desc = dict(Z8_SHANNON, family={"charfun": {"mode": "proper", "L": [0, 0, 1, 7]}}, k0=1)
     data = json.loads(construct(tmp_path, desc).read_text())
-    [h] = [entry["h"] for entry in data["filters"] if entry["k"] == 2]
+    h = _level_entry(data, 2)["h"]
     one = {"exact": {"re": "1", "im": "0", "rad": "1"}}
     h["pieces"].insert(0, {"domain": {"kind": "integer_interval", "lo": 4, "hi": 7}, "value": one})
     cpath = tmp_path / "corrupted.json"

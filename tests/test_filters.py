@@ -18,11 +18,10 @@ from lcaframes.charfun import (
     indicator_refinement_filter,
     orthonormal_wavelet_filters,
 )
-from lcaframes.domains import IntegerInterval, shift_points
+from lcaframes.domains import shift_points
 from lcaframes.exact import radical
 from lcaframes.exceptions import EmptySamplingPlanError, PeriodicityMismatchError
 from lcaframes.filters import (
-    CosetPiecewise,
     SamplingPlan,
     TrigPolynomial,
     assemble_uep,
@@ -84,7 +83,7 @@ def test_mask_coefficients_round_trip(zchain):
     assert h.shifts == (0, 1, 2)
     assert np.allclose([complex(c) for c in h.coeffs], [2**-1.5, 2**-0.5, 2**-1.5])
     g1, g2 = wavelet_filters(zchain, 0, 2)
-    assert np.allclose([complex(c) for c in g1.coeffs], [0.5, 0.0, -0.5])
+    assert g1.shifts == (0, 2) and np.allclose([complex(c) for c in g1.coeffs], [0.5, -0.5])
     assert np.allclose([complex(c) for c in g2.coeffs], [2**-1.5, -(2**-0.5), 2**-1.5])
 
 
@@ -258,7 +257,6 @@ def test_filter_json_states_each_value_once():
     g = bandlimited_wavelet_filters(band_chain_cyclic(cyclic_chain(3), [0, 0, 1, 7]), 1)[0]
     assert filter_to_json(g) == {
         "kind": "piecewise",
-        "domain": _interval(0, 1, [0, 2]),
         "pieces": [
             {"domain": _interval(0, 0, [2]), "value": _exact("1", "2")},
             {"domain": _interval(0, 0, [0]), "value": _exact("0")},
@@ -290,16 +288,6 @@ def test_verify_uep_reports_non_finite_residual(bad):
     report = verify_uep(P, dual_sampling_plan(chain, 1, grid=256, random=64))
     assert not math.isfinite(report.residual)
     assert not report.residual <= 1e-12
-
-
-def test_piecewise_domain_must_be_one_lattice_step(z8chain):
-    from lcaframes.domains import CosetUnion
-
-    lattice = z8chain.level(2).annihilator  # step 4 in Z_8
-    with pytest.raises(PeriodicityMismatchError):
-        CosetPiecewise(z8chain.dual, (), IntegerInterval(0, 2), lattice)
-    with pytest.raises(PeriodicityMismatchError):  # right width, but a gap inside
-        CosetPiecewise(z8chain.dual, (), CosetUnion(IntegerInterval(0, 0), (0, 3)), lattice)
 
 
 # one float-sampled spline level per group: Z, Z_N off the quarter turns, T (rational steps) and R^1

@@ -89,6 +89,15 @@ def test_measure_estimate_degenerate_cases():
     assert est == pytest.approx((1 / 64) ** 2)  # a single point hits one cell
 
 
+def test_measure_estimate_fine_cells_past_int64():
+    # at h = 2^-60 each of the 256 points of Q(8) has a cell of its own; a scaled point times 2^60 passes
+    # int64, which once wrapped them into one cell
+    pts = scaled_points(TWIN, 8)
+    assert len(pts) == 256 and int(np.abs(pts).max()) * 2**60 >= 2**63
+    est, overlap = measure_estimate(TWIN, 8, Fraction(1, 2**60))
+    assert (est, overlap) == (256 * 2.0**-120, 0.0)
+
+
 @pytest.mark.parametrize("spec", [TWIN, ROT], ids=["twin", "rotation"])
 def test_measure_estimate_near_one(spec):
     est, overlap = measure_estimate(spec, 14, Fraction(1, 32))
