@@ -84,8 +84,8 @@ def require(cond: bool, path: str, message: str):
 def require_object(obj, path: str, keys) -> dict:
     """obj when it is a JSON object with no key outside keys, the ones its reader reads; SchemaError otherwise."""
     require(isinstance(obj, dict), path, "must be an object")
-    extra = sorted(set(obj) - set(keys))
-    require(not extra, f"{path}.{''.join(extra[:1])}", f"unknown key; the keys read here are {list(keys)}")
+    if extra := set(obj).difference(keys):  # the message is formatted only for a refusal, since loads call this often
+        raise SchemaError(f"{path}.{min(extra)}: unknown key; the keys read here are {list(keys)}")
     return obj
 
 

@@ -469,8 +469,8 @@ def _value_from_json(data, parsed: dict, path: str) -> object:
     value is parsed once.
     """
     if set(data) != {"exact"}:
-        floats = set(data) == {"re", "im"} and all(type(data[part]) in (int, float) for part in ("re", "im"))
-        require(floats, path, f"a filter value is an exact form or the numbers re and im, got {data!r}")
+        if set(data) != {"re", "im"} or not all(type(data[part]) in (int, float) for part in ("re", "im")):
+            raise SchemaError(f"{path}: a filter value is an exact form or the numbers re and im, got {data!r}")
         return complex(data["re"], data["im"])
     e = require_object(data["exact"], f"{path}.exact", ("re", "im", "rad"))
     key = (str(e["re"]), str(e["im"]), str(e["rad"]))
