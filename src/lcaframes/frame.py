@@ -544,7 +544,7 @@ def system_from_json(data: dict) -> FrameSystem:
     """Rebuild a system from its artifact: the descriptor read as construct reads it, the filters from the file.
 
     An artifact is format, descriptor and filters, nothing else, and another format is refused.  The filters
-    are one entry {h, g} per level k0..k1-1 in order, a spline family's trig, with any key not read refused.
+    are one entry {h, g} per level k0..k1-1 in order, trig for a spline family; any key not read is refused.
     """
     with _malformed("malformed system artifact"):
         if data["format"] != FORMAT:
