@@ -12,15 +12,16 @@ Verification entry points:
 * fiber_identity_sides          -- coefficient sum vs dual-cell fiber integral;
 * telescoping_residual          -- one-level energy split through the filters, relative to ||f||^2.
 
-A system is analysed on the first of its time and frequency sides where
-every generator has finite values: by translates on Z and Z_N, by modulates
-for band systems on T (their dual is discrete), with energies from fiber folds
-on finite lattices, one contraction per generator over whole periods.
-Systems with no such side (splines on T, all on R^s) are matrix-condition
-only and rejected here.  On Z_N the energies and the frame operator read one
-table of generator spectra, `FrameSystem.spectra`.  An energy table computes
-the columns of the scalings past the first, which only the telescope reads,
-for the telescope's rows alone.
+A test function is analysed on the side it lives on: by translates on the
+chain's group (Z and Z_N), by modulates on its dual (band systems on T, whose
+dual is discrete, and on Z_N), with energies from fiber folds on finite
+lattices, one contraction per generator over whole periods.  The suites use
+the first side where every generator has finite values.  Systems with no
+such side (splines on T, all on R^s) are matrix-condition only and rejected
+here.  On Z_N the energies and the frame operator read one table of
+generator spectra, `FrameSystem.spectra`.  An energy table computes the
+columns of the scalings past the first, which only the telescope reads, for
+the telescope's rows alone.
 
 An artifact (`system_to_json`, sharing no value with the system) is the
 system's normalized descriptor and its filters, each fact once.  Construct and
@@ -329,23 +330,21 @@ def _gaps_of(system: FrameSystem, k: int, E: np.ndarray, n2: np.ndarray) -> np.n
     return np.divide(gaps, n2[: len(E)], out=np.zeros(len(E)), where=n2[: len(E)] != 0)
 
 
-def _stack_of_one(system: FrameSystem, f: DiscreteFunction, side: str | None) -> tuple[str, int, np.ndarray]:
-    """(side, start, F): f as a stack of one on its analysis side, after checking that f lives there."""
-    side = side or _default_side(system)
+def _stack_of_one(system: FrameSystem, f: DiscreteFunction) -> tuple[str, int, np.ndarray]:
+    """(side, start, F): f as a stack of one on the side it lives on, time on the chain's group and freq on its dual."""
+    chain = system.chain
+    side = next((side for side in ("time", "freq") if f.group == _side_group(system, side)), None)
     if side is None:
         raise UnsupportedVerificationError(
-            f"no side where every generator has finite values on {system.chain.group.describe()}; "
-            "the system is certified through the matrix condition only"
+            f"test function lives on {f.group.describe()}, "
+            f"expected {chain.group.describe()} or its dual {chain.dual.describe()}"
         )
-    want = _side_group(system, side)
-    if f.group != want:
-        raise UnsupportedVerificationError(f"test function lives on {f.group.describe()}, expected {want.describe()}")
     return side, f.start, f.array[None]
 
 
-def analysis(system: FrameSystem, f: DiscreteFunction, side: str | None = None) -> dict:
+def analysis(system: FrameSystem, f: DiscreteFunction) -> dict:
     """All nonzero frame coefficients of f, keyed (generator label, lattice point)."""
-    side, start, F = _stack_of_one(system, f, side)
+    side, start, F = _stack_of_one(system, f)
     out = {}
     for gen in system.system_generators():
         lat = system.chain.level(gen.level).lattice
@@ -358,11 +357,11 @@ def analysis(system: FrameSystem, f: DiscreteFunction, side: str | None = None) 
     return out
 
 
-def parseval_residual(system: FrameSystem, f: DiscreteFunction, side: str | None = None) -> float:
+def parseval_residual(system: FrameSystem, f: DiscreteFunction) -> float:
     """|sum of squared coefficients - ||f||^2| / ||f||^2."""
     if f.norm2() == 0:
         raise DomainParameterError("zero test function")
-    return float(_parseval_of(system, *_energy_table(system, *_stack_of_one(system, f, side), scaling_rows=0))[0])
+    return float(_parseval_of(system, *_energy_table(system, *_stack_of_one(system, f), scaling_rows=0))[0])
 
 
 def frame_operator(system: FrameSystem) -> np.ndarray:
@@ -444,7 +443,7 @@ def ensure_certified(system: FrameSystem, k: int, tol: float = 1e-9):
     _require_certified(k, verify_uep(system.uep_matrix(k), plan), tol)
 
 
-def _require_certified(k: int, report, tol: float = 1e-9):
+def _require_certified(k: int, report, tol: float):
     """Raise UncertifiedLevelError unless the level-k UEP report is within tol; a NaN fails."""
     if not report.residual <= tol:
         raise UncertifiedLevelError(
@@ -452,9 +451,7 @@ def _require_certified(k: int, report, tol: float = 1e-9):
         )
 
 
-def telescoping_residual(
-    system: FrameSystem, k: int, f: DiscreteFunction, side: str | None = None
-) -> float:
+def telescoping_residual(system: FrameSystem, k: int, f: DiscreteFunction) -> float:
     """|energy at level k+1 - (energy at level k + wavelet energies at k)| / ||f||^2.
 
     Certifies level k first; `verify.run_verification` certifies each level
@@ -463,7 +460,7 @@ def telescoping_residual(
     if not system.k0 <= k < system.k1:
         raise DomainParameterError(f"need a level with a successor, got {k}")
     ensure_certified(system, k)
-    return float(_gaps_of(system, k, *_energy_table(system, *_stack_of_one(system, f, side)))[0])
+    return float(_gaps_of(system, k, *_energy_table(system, *_stack_of_one(system, f)))[0])
 
 
 def parse_seed(value) -> int:
@@ -544,7 +541,8 @@ def system_from_json(data: dict) -> FrameSystem:
     """Rebuild a system from its artifact: the descriptor read as construct reads it, the filters from the file.
 
     An artifact is format, descriptor and filters, nothing else, and another format is refused.  The filters
-    are one entry {h, g} per level k0..k1-1 in order, trig for a spline family; any key not read is refused.
+    are one entry {h, g} per level k0..k1-1 in order, g a nonempty list, trig for a spline family; any key not read
+    is refused.
     """
     with _malformed("malformed system artifact"):
         if data["format"] != FORMAT:
@@ -557,6 +555,7 @@ def system_from_json(data: dict) -> FrameSystem:
         for k, entry in enumerate(data["filters"], start=k0):
             path = f"filters[{k - k0}]"
             require_object(entry, path, ("h", "g"))
+            require(isinstance(entry["g"], list) and entry["g"], f"{path}.g", "need a nonempty list of wavelet filters")
             h = filter_from_json(entry["h"], chain, k, parsed, f"{path}.h")
             gs = tuple(filter_from_json(g, chain, k, parsed, f"{path}.g[{i}]") for i, g in enumerate(entry["g"]))
             level_filters.append(LevelFilters(k, h, gs))

@@ -4,11 +4,16 @@
 Each entry names the condition it certifies and carries its status (`pass`,
 `fail` or `skip`), and, where the check measures one, the residual and the
 tolerance it was held to.
+
+A run builds each shared input when a check first reads it, and no other:
+each level's sampling plan, the UEP reports of every level (read by the UEP
+entries and the telescope's certification) and one energy table (telescope
+and parseval).
 """
 
 from __future__ import annotations
 
-from functools import partial
+from functools import cache, partial
 from random import Random
 
 import numpy as np
@@ -41,6 +46,7 @@ ALL_CONDITIONS = (
 )
 
 SUITES = ("uep", "refinement", "fiber", "telescope", "parseval", "all")
+FIBER_TRIALS = 50  # seeded (level, F, Phi) trials of the fiber suite
 
 
 def _entry(cond, status, *, level=None, residual=None, tolerance=None, detail=None, **extra):
@@ -67,74 +73,85 @@ def run_verification(system: fr.FrameSystem, suite: str, samples: int, trials: i
     """All requested checks; each entry names the condition it certifies."""
     entries = []
     chain = system.chain
-    n_random = min(1024, max(16, samples // 4))
+    selected = SUITES[:-1] if suite == "all" else (suite,)
     # telescope and parseval need a side where every generator has finite values
     side = fr._default_side(system)
     no_side = "out of desk-scale scope: no side where every generator is finite"
-    telescope = suite in ("telescope", "all") and side is not None
-    n_tel = (20 if trials is None else trials) if telescope else 0
-    n_par = (100 if trials is None else trials) if suite in ("parseval", "all") and side is not None else 0
-    plans, reports = {}, {}
+    n_tel, n_par = (20, 100) if trials is None else (trials, trials)
 
-    def plan(k):  # a level's plan, built when a check first reads it and shared after
-        if k not in plans:
-            plans[k] = dual_sampling_plan(chain, k, grid=samples, random=n_random, seed=seed)
-        return plans[k]
+    @cache
+    def plan(k):
+        n_random = min(1024, max(16, samples // 4))
+        return dual_sampling_plan(chain, k, grid=samples, random=n_random, seed=seed)
 
-    if suite in ("uep", "all") or telescope:
-        for lf in system.level_filters:
-            reports[lf.k] = verify_uep(system.uep_matrix(lf.k), partial(plan, lf.k))
-    if suite in ("uep", "all"):
-        for k, rep in reports.items():
+    @cache
+    def reports():
+        return {lf.k: verify_uep(system.uep_matrix(lf.k), partial(plan, lf.k)) for lf in system.level_filters}
+
+    @cache
+    def energies():  # (worst Parseval residual, worst relative telescope gap); the telescope reads the first trials
+        tel_rows = n_tel if "telescope" in selected else 0
+        parseval, gaps, done = [], [], 0
+        for start, F in _test_functions(system, side, n_par if "parseval" in selected else n_tel, seed):
+            rows = max(0, tel_rows - done)
+            E, n2 = fr._energy_table(system, side, start, F, scaling_rows=rows)
+            parseval.append(fr._parseval_of(system, E, n2))
+            gaps += [fr._gaps_of(system, lf.k, E[:rows], n2) for lf in system.level_filters]
+            done += len(F)
+        return worst_residual(np.concatenate(parseval))[0], worst_residual(np.concatenate(gaps))[0]
+
+    if "uep" in selected:
+        for k, rep in reports().items():
             entry = rep.to_json()
             entries.append(_measured(COND_UEP, entry.pop("residual"), tol, level=k, **entry))
-    if suite in ("refinement", "all"):
+    if "refinement" in selected:
         for lf in system.level_filters:
             if system.family["type"] == "charfun":
-                # on discrete duals all of V_{k+1}, the period of h, not only its coset V_k
-                v = dual_sampling_plan(chain, lf.k, domain=chain.level(lf.k + 1).domain_v) if chain.dual.is_discrete else plan(lf.k)
+                # on discrete duals the plan of level k+1, all of V_{k+1}, the period of h, not only its coset V_k
+                v = plan(lf.k + 1) if chain.dual.is_discrete else plan(lf.k)
                 res, how = cf.indicator_refinement_residual(system.band, lf.k, v, lf.h), {}
             elif (res := refinement_bound(chain, lf.k, system.family["order"], lf.h)) is not None:
                 how = {"method": "coefficients"}
             else:
                 res, how = refinement_residual(chain, lf.k, system.family["order"], plan(lf.k), lf.h), {}
             entries.append(_measured(COND_REFINE, res, tol, level=lf.k, **how))
-    if suite in ("fiber", "all"):
+    if "fiber" in selected:
         if chain.group.is_finite:
             entries.append(_measured(COND_FIBER, _fiber_suite(system, seed), tol))
         else:
             entries.append(_entry(COND_FIBER, "skip", detail="fiber oracle runs on finite groups"))
-    if n_tel or n_par:
-        worst_parseval, worst_gap = _energy_suites(system, side, max(n_tel, n_par), n_tel, seed)
-    if suite in ("telescope", "all"):
-        if telescope:
+    if "telescope" in selected:
+        if side is None:
+            entries.append(_entry(COND_TELESCOPE, "skip", detail=no_side))
+        else:
             try:
-                for k, rep in reports.items():
+                for k, rep in reports().items():
                     fr._require_certified(k, rep, tol)
-                entries.append(_measured(COND_TELESCOPE, worst_gap, tol))
+                entries.append(_measured(COND_TELESCOPE, energies()[1], tol))
             except UncertifiedLevelError as exc:
                 entries.append(_entry(COND_TELESCOPE, "fail", detail=str(exc)))
-        else:
-            entries.append(_entry(COND_TELESCOPE, "skip", detail=no_side))
-    if suite in ("parseval", "all"):
+    if "parseval" in selected:
         if side is None:
             entries.append(_entry(COND_PARSEVAL, "skip", detail=no_side))
         else:
-            entries.extend(_parseval_suite(system, worst_parseval, n_par, tol))
+            entries.append(_measured(COND_PARSEVAL, energies()[0], tol, trials=n_par))
+            if chain.group.is_finite:  # ||S - I||_F >= max |S - I| for the frame operator S
+                detail = "frame operator vs identity: Frobenius norm from Fourier blocks"
+                entries.append(_measured(COND_PARSEVAL, fr._frame_residual(system), tol, detail=detail))
     if suite == "all":
         entries.extend(_condition_suite(system))
     status = "fail" if any(e["status"] == "fail" for e in entries) else "pass"
     return entries, status
 
 
-def _fiber_suite(system, seed, count: int = 50) -> float:
+def _fiber_suite(system, seed) -> float:
     """Worst fiber-identity residual over seeded trials on Z_N: levels, then F and Phi as blocks, grouped by level."""
     rng, chain = Random(seed), system.chain
-    ks = [rng.randrange(chain.k0, chain.k1 + 1) for _ in range(count)]
-    F, Phi = uniform(rng, (2, count, chain.group.modulus, 2)).view(complex)[..., 0]  # as in `random_test_function`
+    ks = [rng.randrange(chain.k0, chain.k1 + 1) for _ in range(FIBER_TRIALS)]
+    F, Phi = uniform(rng, (2, FIBER_TRIALS, chain.group.modulus, 2)).view(complex)[..., 0]  # as in `random_test_function`
     residuals = []
     for k in sorted(set(ks)):
-        t = [i for i in range(count) if ks[i] == k]
+        t = [i for i in range(FIBER_TRIALS) if ks[i] == k]
         lhs, rhs = fr._fiber_sides(chain.level(k).lattice, chain.level(k).domain_v, chain.dual, F[t] * Phi[t].conj())
         residuals.append(np.abs(lhs - rhs) / (1 + np.abs(lhs)))
     return worst_residual(np.concatenate(residuals))[0]
@@ -163,27 +180,6 @@ def _test_functions(system, side: str, trials: int, seed: int):
     rows = max(1, MAX_POINTS // width)
     for first in range(0, trials, rows):
         yield lo, uniform(rng, (min(rows, trials - first), width, 2)).view(complex)[..., 0]
-
-
-def _energy_suites(system, side: str, trials: int, telescope_trials: int, seed: int) -> tuple[float, float]:
-    """(worst Parseval residual, worst relative telescope gap of the first `telescope_trials`), one energy table a block."""
-    parseval, gaps, done = [], [], 0
-    for start, F in _test_functions(system, side, trials, seed):
-        rows = max(0, telescope_trials - done)
-        E, n2 = fr._energy_table(system, side, start, F, scaling_rows=rows)
-        parseval.append(fr._parseval_of(system, E, n2))
-        gaps += [fr._gaps_of(system, lf.k, E[:rows], n2) for lf in system.level_filters]
-        done += len(F)
-    return worst_residual(np.concatenate(parseval))[0], worst_residual(np.concatenate(gaps))[0]
-
-
-def _parseval_suite(system, residual: float, trials: int, tol: float) -> list:
-    """The Parseval entry of the trials and, on Z_N, ||S - I||_F >= max |S - I| for the frame operator S."""
-    entries = [_measured(COND_PARSEVAL, residual, tol, trials=trials)]
-    if system.chain.group.is_finite:
-        detail = "frame operator vs identity: Frobenius norm from Fourier blocks"
-        entries.append(_measured(COND_PARSEVAL, fr._frame_residual(system), tol, detail=detail))
-    return entries
 
 
 def _condition_suite(system) -> list:

@@ -283,6 +283,19 @@ def test_emit_generators_cyclic(tmp_path):
         assert len(rows) == 2 + 8  # header comment, column names, 8 samples
 
 
+def test_empty_wavelet_list_exit_2_with_its_path(tmp_path, capsys):
+    # refused at load, by every command that reads the artifact, not only by the suites that assemble the UEP
+    spath = construct(tmp_path, Z_BSPLINE)
+    data = json.loads(spath.read_text())
+    data["filters"][1]["g"] = []
+    spath.write_text(json.dumps(data))
+    out = tmp_path / "gen"
+    for argv in (["emit", str(spath), "--what", "generators", "--out", str(out)], ["verify", str(spath), "--suite", "parseval"]):
+        assert main(argv) == 2
+        assert "malformed system artifact: filters[1].g: need a nonempty list" in capsys.readouterr().err
+    assert list(out.glob("*")) == []  # emit wrote no generator file
+
+
 def test_emit_figure_requires_matching_system(tmp_path):
     spath = construct(tmp_path, Z_BSPLINE)  # depth 3, not the depth-10 artifact
     assert main(["emit", str(spath), "--what", "figure1", "--out", str(tmp_path / "f")]) == 3
@@ -668,6 +681,11 @@ def test_z256_builds_a_plan_only_on_levels_that_key(tmp_path, monkeypatch):
     uep = [e for e in json.loads(rpath.read_text())["checks"] if e["condition"] == "uep-gram-identity"]
     assert [e["exact"] for e in uep] == [True, True] + [False] * 6
     assert [e.get("method") for e in uep] == [None, None] + ["coefficients"] * 6
+    # a band system on a discrete dual builds one plan a level k0..k1: refinement on level k reads the run's plan
+    # of level k+1, all of V_{k+1}, which the UEP entry of level k+1 reads too
+    spath, built[:] = construct(tmp_path, Z16_BAND, out="band.json"), []
+    assert main(["verify", str(spath), "--suite", "all"]) == 0
+    assert built == [2, 3, 4]
 
 
 @pytest.mark.parametrize(
@@ -800,6 +818,8 @@ def test_construct_malformed_descriptor_exit_2(tmp_path, capsys, desc, message):
         (Z_BSPLINE, lambda data: data["filters"][0]["h"]["coeffs"].__setitem__(0, {"re": 0.0, "im": -0.0})),
         (Z_BSPLINE, lambda data: data["filters"][0]["h"]["shifts"].reverse()),
         (Z_BSPLINE, lambda data: data["filters"][0]["h"].update(shifts=[0, 1, 1])),
+        # every level has a wavelet filter
+        (Z_BSPLINE, lambda data: data["filters"][1]["g"].clear()),
         # the chain is Z's: no band can be built on it
         (Z_BSPLINE, lambda data: data["descriptor"].update(family={"charfun": {"mode": "proper", "L": [0, 1, 3, 7]}})),
         # a band on a chain of another group: the band's label is the group variant, or the shape on R^s
@@ -851,6 +871,7 @@ def test_construct_malformed_descriptor_exit_2(tmp_path, capsys, desc, message):
         "float-zero-coefficient",
         "descending-shifts",
         "repeated-shift",
+        "empty-wavelet-list",
         "band-on-another-chain",
         "torus-band-on-Z16",
         "cyclic-band-on-T",

@@ -49,9 +49,9 @@ from oracles import cis, pairing_phase, value_at
 SEED = 0x5EED
 
 
-def _energy(system, f, side=None) -> float:
+def _energy(system, f) -> float:
     """Sum of the squared frame coefficients of f, from `analysis`."""
-    return sum(abs(c) ** 2 for c in analysis(system, f, side).values())
+    return sum(abs(c) ** 2 for c in analysis(system, f).values())
 
 
 def test_analysis_haar_delta():
@@ -277,8 +277,8 @@ def test_translation_modulation_equivalence_cyclic():
         ),
     )
     assert abs(f.norm2() - fhat.norm2()) < 1e-12  # Plancherel under these weights
-    e_time = _energy(system, f, "time")
-    e_freq = _energy(system, fhat, "freq")
+    e_time = _energy(system, f)  # translates on Z_8
+    e_freq = _energy(system, fhat)  # modulates on its dual
     assert abs(e_time - e_freq) < 1e-12
 
 
@@ -355,7 +355,7 @@ def test_torus_bspline_has_no_finite_side():
     system = build_bspline_system(torus_chain([2, 2]), 2)
     f = DiscreteFunction(integer_group(), 0, (1 + 0j,))
     with pytest.raises(UnsupportedVerificationError):
-        analysis(system, f, "freq")
+        analysis(system, f)
 
 
 def test_system_json_round_trip_preserves_verification():
@@ -565,7 +565,7 @@ def test_cyclic_modulation_side_matches_oracle():
     rng = random.Random(SEED)
     F = random_test_function(system.chain.dual, (0, 63), rng)
     want = _oracle_analysis(system, F, "freq")
-    got = analysis(system, F, "freq")
+    got = analysis(system, F)
     assert set(got) == {key for key, c in want.items() if c != 0}
     scale = max(abs(c) for c in want.values())
     assert max(abs(got.get(key, 0) - c) for key, c in want.items()) <= 1e-13 * scale
@@ -804,13 +804,23 @@ def test_energy_table_matches_per_function_residuals(name):
         assert {1, 2, 32} <= {system.chain.level(k).lattice.size for k in range(system.k0, system.k1 + 1)}
 
 
+SUITE_CONDITIONS = {
+    "uep": verify.COND_UEP,
+    "refinement": verify.COND_REFINE,
+    "fiber": verify.COND_FIBER,
+    "telescope": verify.COND_TELESCOPE,
+    "parseval": verify.COND_PARSEVAL,
+}
+
+
+@pytest.mark.parametrize("suite", sorted(SUITE_CONDITIONS))
 @pytest.mark.parametrize("name", ["z-spline", "zn-spline", "zn-band", "t-shannon"])
-def test_telescope_suite_alone_reports_the_residual_of_suite_all(name):
+def test_each_suite_alone_reports_its_entries_of_suite_all(name, suite):
+    # a suite run alone builds only the inputs it reads, and reads them as a run of every suite does
     system = ORACLE_SYSTEMS[name]()
-    alone = run_verification(system, "telescope", 64, None, SEED, 1e-12)[0]
+    alone = run_verification(system, suite, 64, None, SEED, 1e-12)[0]
     every = run_verification(system, "all", 64, None, SEED, 1e-12)[0]
-    [want] = [e for e in every if e["condition"] == "level-telescoping"]
-    assert alone == [want]
+    assert alone == [e for e in every if e["condition"] == SUITE_CONDITIONS[suite]]
 
 
 def test_parseval_suite_memory_on_z2048_stays_small():
