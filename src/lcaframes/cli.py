@@ -30,11 +30,6 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def _descriptor_hash(data: dict) -> str:
-    blob = json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
-
-
 def _read_json(path: str, what: str):
     """The JSON document in a file; SchemaError when it cannot be read or decoded."""
     try:
@@ -115,12 +110,13 @@ def _int_list(text: str | None, flag: str, count: int) -> list[int]:
 
 
 def _write_csv(path: Path, header: str, rows: list[str]):
+    """One CSV file; its directory is made with the first file, so a refused emit leaves none behind."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join([f"# {header}", *rows]) + "\n")
 
 
 def cmd_emit(args) -> int:
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if args.what == "tile":
         m, eta = _int_list(args.matrix, "--matrix", 4), _int_list(args.eta, "--eta", 2)
         pts = tiles.tile_points(tiles.TileSpec(((m[0], m[1]), (m[2], m[3])), tuple(eta)), args.r)
@@ -132,18 +128,19 @@ def cmd_emit(args) -> int:
     if not args.system:
         return _fail(2, "generators/figure1 emission needs a system artifact")
     system, desc = _load_system(args.system)
-    tag = f"system={_descriptor_hash(desc)} seed={parse_seed(desc.get('seed'))}"
+    digest = hashlib.sha256(Path(args.system).read_bytes()).hexdigest()[:16]  # so an edit to the filters changes it
+    tag = f"system={digest} seed={parse_seed(desc.get('seed'))}"
     if args.what == "generators":
-        count = 0
-        for gen in system.system_generators():
-            fn = gen.time or gen.freq
-            if fn is None:
+        gens = system.system_generators()
+        for gen in gens:
+            if (gen.time or gen.freq) is None:
                 return _fail(3, f"{gen.label} has no finite representation to emit")
+        for gen in gens:
+            fn = gen.time or gen.freq
             rows = [f"{fn.start + i},{z.real:.17g},{z.imag:.17g}" for i, z in enumerate(fn.values)]
             name = gen.label.replace("[", "_").replace("]", "").replace("__", "_")
             _write_csv(out_dir / f"{name}.csv", f"{tag} generator={gen.label}", ["index,re,im", *rows])
-            count += 1
-        print(f"wrote {count} generator files to {out_dir}")
+        print(f"wrote {len(gens)} generator files to {out_dir}")
         return 0
     fam = system.family
     if not (

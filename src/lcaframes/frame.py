@@ -440,15 +440,16 @@ def _fiber_sides(lat, v_domain, dual, prod: np.ndarray) -> tuple[np.ndarray, np.
 def ensure_certified(system: FrameSystem, k: int, tol: float = 1e-9):
     """Re-verify the level-k matrix identity before use, on a small plan where it reads one."""
     plan = partial(dual_sampling_plan, system.chain, k, grid=256, random=64)
-    _require_certified(k, verify_uep(system.uep_matrix(k), plan), tol)
+    failure = certification_failure(k, verify_uep(system.uep_matrix(k), plan), tol)
+    if failure is not None:
+        raise UncertifiedLevelError(failure)
 
 
-def _require_certified(k: int, report, tol: float):
-    """Raise UncertifiedLevelError unless the level-k UEP report is within tol; a NaN fails."""
+def certification_failure(k: int, report, tol: float) -> str | None:
+    """Why the level-k UEP report does not certify its level within tol (a NaN fails), or None when it does."""
     if not report.residual <= tol:
-        raise UncertifiedLevelError(
-            f"level {k} matrix identity fails (residual {report.residual:.3e})"
-        )
+        return f"level {k} matrix identity fails (residual {report.residual:.3e})"
+    return None
 
 
 def telescoping_residual(system: FrameSystem, k: int, f: DiscreteFunction) -> float:

@@ -6,9 +6,9 @@ Each entry names the condition it certifies and carries its status (`pass`,
 tolerance it was held to.
 
 A run builds each shared input when a check first reads it, and no other:
-each level's sampling plan, the UEP reports of every level (read by the UEP
-entries and the telescope's certification) and one energy table (telescope
-and parseval).
+each level's sampling plan (band refinement at level k reads level k+1's on
+every dual), the UEP reports of every level (the UEP entries, and the telescope
+reads them as its certification) and one energy table (telescope and parseval).
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ from . import domains
 from . import frame as fr
 from .bspline import refinement_bound, refinement_residual
 from .chains import MAX_POINTS
-from .exceptions import UncertifiedLevelError
 from .filters import dual_sampling_plan, verify_uep, worst_residual
 from .functions import uniform
+from .lattices import cyclic_annihilator
 
 COND_UEP = "uep-gram-identity"
 COND_REFINE = "refinement-transfer"
@@ -46,7 +46,6 @@ ALL_CONDITIONS = (
 )
 
 SUITES = ("uep", "refinement", "fiber", "telescope", "parseval", "all")
-FIBER_TRIALS = 50  # seeded (level, F, Phi) trials of the fiber suite
 
 
 def _entry(cond, status, *, level=None, residual=None, tolerance=None, detail=None, **extra):
@@ -106,10 +105,8 @@ def run_verification(system: fr.FrameSystem, suite: str, samples: int, trials: i
             entries.append(_measured(COND_UEP, entry.pop("residual"), tol, level=k, **entry))
     if "refinement" in selected:
         for lf in system.level_filters:
-            if system.family["type"] == "charfun":
-                # on discrete duals the plan of level k+1, all of V_{k+1}, the period of h, not only its coset V_k
-                v = plan(lf.k + 1) if chain.dual.is_discrete else plan(lf.k)
-                res, how = cf.indicator_refinement_residual(system.band, lf.k, v, lf.h), {}
+            if system.family["type"] == "charfun":  # over V_{k+1}, the period of h, not only its coset V_k
+                res, how = cf.indicator_refinement_residual(system.band, lf.k, plan(lf.k + 1), lf.h), {}
             elif (res := refinement_bound(chain, lf.k, system.family["order"], lf.h)) is not None:
                 how = {"method": "coefficients"}
             else:
@@ -117,19 +114,18 @@ def run_verification(system: fr.FrameSystem, suite: str, samples: int, trials: i
             entries.append(_measured(COND_REFINE, res, tol, level=lf.k, **how))
     if "fiber" in selected:
         if chain.group.is_finite:
-            entries.append(_measured(COND_FIBER, _fiber_suite(system, seed), tol))
+            entries.append(_fiber_entry(chain))
         else:
             entries.append(_entry(COND_FIBER, "skip", detail="fiber oracle runs on finite groups"))
     if "telescope" in selected:
         if side is None:
             entries.append(_entry(COND_TELESCOPE, "skip", detail=no_side))
         else:
-            try:
-                for k, rep in reports().items():
-                    fr._require_certified(k, rep, tol)
+            failures = [fr.certification_failure(k, rep, tol) for k, rep in reports().items()]
+            if any(failures):
+                entries.append(_entry(COND_TELESCOPE, "fail", detail=next(filter(None, failures))))
+            else:
                 entries.append(_measured(COND_TELESCOPE, energies()[1], tol))
-            except UncertifiedLevelError as exc:
-                entries.append(_entry(COND_TELESCOPE, "fail", detail=str(exc)))
     if "parseval" in selected:
         if side is None:
             entries.append(_entry(COND_PARSEVAL, "skip", detail=no_side))
@@ -144,17 +140,22 @@ def run_verification(system: fr.FrameSystem, suite: str, samples: int, trials: i
     return entries, status
 
 
-def _fiber_suite(system, seed) -> float:
-    """Worst fiber-identity residual over seeded trials on Z_N: levels, then F and Phi as blocks, grouped by level."""
-    rng, chain = Random(seed), system.chain
-    ks = [rng.randrange(chain.k0, chain.k1 + 1) for _ in range(FIBER_TRIALS)]
-    F, Phi = uniform(rng, (2, FIBER_TRIALS, chain.group.modulus, 2)).view(complex)[..., 0]  # as in `random_test_function`
-    residuals = []
-    for k in sorted(set(ks)):
-        t = [i for i in range(FIBER_TRIALS) if ks[i] == k]
-        lhs, rhs = fr._fiber_sides(chain.level(k).lattice, chain.level(k).domain_v, chain.dual, F[t] * Phi[t].conj())
-        residuals.append(np.abs(lhs - rhs) / (1 + np.abs(lhs)))
-    return worst_residual(np.concatenate(residuals))[0]
+def _fiber_entry(chain) -> dict:
+    """The fiber-sum identity on Z_N, decided exactly at every level, with no seed or trial.
+
+    It holds for every F and Phi iff V_k holds one point of each residue modulo the annihilator's step.
+    """
+    broken = []
+    for lvl in chain.levels:
+        step = int(cyclic_annihilator(lvl.lattice).step[0])
+        pts = np.fromiter(domains.iter_points(lvl.domain_v, chain.dual), dtype=np.int64)
+        if not np.all(np.bincount(pts % step, minlength=step) == 1):
+            broken.append(lvl.k)
+    if broken:
+        detail = f"V_k not a fundamental domain of the annihilator at levels {', '.join(map(str, broken))}"
+        return _entry(COND_FIBER, "fail", method="exact-domain", detail=detail)
+    detail = f"V_k a fundamental domain of the annihilator at levels {chain.k0}..{chain.k1}"
+    return _entry(COND_FIBER, "pass", method="exact-domain", detail=detail)
 
 
 def _test_window(system) -> tuple[int, int]:

@@ -11,6 +11,7 @@ parts in place of the library's integer fields.
 """
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,7 +21,9 @@ from lcaframes import domains
 from lcaframes.charfun import indicator_generator, indicator_refinement_filter
 from lcaframes.exact import Radical, _square_split, radical
 from lcaframes.exceptions import FilterVariantError
-from lcaframes.filters import CosetPiecewise, TrigPolynomial, UepMatrix, pointwise_residuals
+from lcaframes.filters import CosetPiecewise, TrigPolynomial, UepMatrix, pointwise_residuals, worst_residual
+from lcaframes.frame import _fiber_sides
+from lcaframes.functions import uniform
 from lcaframes.groups import CYCLIC, EUCLIDEAN, element_add, element_scale
 
 @dataclass(frozen=True)
@@ -195,6 +198,15 @@ def refinement_exact(band, k: int, h, gamma) -> Radical | None:
     return phi_k.add(-hv.mul(indicator_hat_exact(indicator_generator(band, k + 1), gamma)))
 
 
+def band_refinement_at(band, k: int, h, gamma) -> float:
+    """|Phi_k - H_{k+1} Phi_{k+1}| at one point: exact where the radicands allow, else from the exact values."""
+    diff = refinement_exact(band, k, h, gamma)
+    if diff is not None:
+        return float(diff.abs2()) ** 0.5
+    phi_k, phi_k1 = (complex(indicator_hat_exact(indicator_generator(band, j), gamma)) for j in (k, k + 1))
+    return abs(phi_k - complex(filter_exact(h, gamma)) * phi_k1)
+
+
 def scale_filter(f, factor: complex):
     """Same filter with every value scaled; used for corruption controls."""
     if isinstance(f, TrigPolynomial):
@@ -212,11 +224,28 @@ def trig_values(P: UepMatrix, gamma) -> np.ndarray:
     t is -j times the scalar phase of (eta, gamma + nu_l), so no element
     -j eta is formed and no filter is evaluated.
     """
-    def value(f, g):
-        return sum(complex(c) * cis(-j * pairing_phase(f.group, f.step, g)) for j, c in zip(f.shifts, f.coeffs))
-
     cols = [element_add(P.chain.dual, gamma, nu) for nu in P.nu]
-    return np.array([[value(f, g) for g in cols] for f in P.rows])
+    return np.array([[trig_value(f, g) for g in cols] for f in P.rows])
+
+
+def trig_value(f, gamma) -> complex:
+    """A trig filter at one point, term by term: sum_j c_j e^{2 pi i t} with t = -j times the phase of (eta, gamma)."""
+    return sum(complex(c) * cis(-j * pairing_phase(f.group, f.step, gamma)) for j, c in zip(f.shifts, f.coeffs))
+
+
+def gram_residual(P: UepMatrix, gamma) -> float:
+    """max |(P*P - d I)_{l,l'}| at one point: exact where every value is, else from the trig rows term by term."""
+    w2 = gram_residual_exact(P, gamma)
+    if w2 is not None:
+        return math.sqrt(w2)
+    V = trig_values(P, gamma)
+    return float(np.max(np.abs(V.conj().T @ V - P.d * np.eye(P.d))))
+
+
+def spline_refinement_at(system, k: int, h, gamma) -> float:
+    """|Phi_k - H_{k+1} Phi_{k+1}| at one point, each Phi the Fourier transform of a scaling generator's time values."""
+    phi_k, phi_k1 = system.scaling(k).time, system.scaling(k + 1).time
+    return abs(function_hat(phi_k, gamma) - trig_value(h, gamma) * function_hat(phi_k1, gamma))
 
 
 def gram_entry(P: UepMatrix, gamma, l: int, lp: int) -> complex:
@@ -269,3 +298,23 @@ def indicator_refinement_per_point(band, k: int, plan, h=None) -> tuple[np.ndarr
             else:
                 res[i] = float(diff.abs2()) ** 0.5
     return res, exact
+
+
+FIBER_TRIALS = 50  # seeded (level, F, Phi) trials of the fiber oracle
+
+
+def fiber_suite(chain, seed) -> float:
+    """Worst fiber-identity residual over seeded trials on Z_N: levels, then F and Phi as blocks, grouped by level.
+
+    The sampled reference of `verify`'s exact fiber decision: the identity holds
+    for every F and Phi iff each V_k is a fundamental domain of the annihilator.
+    """
+    rng = random.Random(seed)
+    ks = [rng.randrange(chain.k0, chain.k1 + 1) for _ in range(FIBER_TRIALS)]
+    F, Phi = uniform(rng, (2, FIBER_TRIALS, chain.group.modulus, 2)).view(complex)[..., 0]  # as in `random_test_function`
+    residuals = []
+    for k in sorted(set(ks)):
+        t = [i for i in range(FIBER_TRIALS) if ks[i] == k]
+        lhs, rhs = _fiber_sides(chain.level(k).lattice, chain.level(k).domain_v, chain.dual, F[t] * Phi[t].conj())
+        residuals.append(np.abs(lhs - rhs) / (1 + np.abs(lhs)))
+    return worst_residual(np.concatenate(residuals))[0]

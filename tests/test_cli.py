@@ -293,7 +293,44 @@ def test_empty_wavelet_list_exit_2_with_its_path(tmp_path, capsys):
     for argv in (["emit", str(spath), "--what", "generators", "--out", str(out)], ["verify", str(spath), "--suite", "parseval"]):
         assert main(argv) == 2
         assert "malformed system artifact: filters[1].g: need a nonempty list" in capsys.readouterr().err
-    assert list(out.glob("*")) == []  # emit wrote no generator file
+    assert not out.exists()  # emit made no output directory
+
+
+TORUS_BSPLINE = {"group": {"variant": "torus"}, "chain": {"M_seq": [2, 2, 2, 2]}, "family": {"bspline": {"order": 2}}}
+
+
+@pytest.mark.parametrize(
+    "desc, argv, code",
+    [
+        (None, ["--what", "tile", "--matrix", "1,2", "--eta", "1,0"], 2),
+        (None, ["--what", "tile", "--matrix", "1,0,0,1", "--eta", "1,0"], 3),
+        (Z_BSPLINE, ["--what", "figure1"], 3),
+        (TORUS_BSPLINE, ["--what", "generators"], 3),  # no generator has finite values on T
+    ],
+    ids=["tile-short-matrix", "tile-singular", "figure1-wrong-system", "generators-not-finite"],
+)
+def test_refused_emit_makes_no_output_directory(tmp_path, desc, argv, code):
+    out = tmp_path / "out"
+    system = [] if desc is None else [str(construct(tmp_path, desc))]
+    assert main(["emit", *system, *argv, "--out", str(out)]) == code
+    assert not out.exists()
+
+
+def test_emit_tags_its_files_with_the_artifact_bytes(tmp_path):
+    # the descriptor embedded in an artifact does not change when its filters are edited; the tag must
+    spath = construct(tmp_path, Z_BSPLINE)
+    data = json.loads(spath.read_text())
+    data["filters"][0]["h"]["coeffs"][0]["exact"]["re"] = "1/8"
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(data))
+    tags = []
+    for path in (spath, edited):
+        out = tmp_path / f"gen-{path.stem}"
+        assert main(["emit", str(path), "--what", "generators", "--out", str(out)]) == 0
+        header = (out / "phi_0.csv").read_text().splitlines()[0]
+        assert header.startswith(f"# system={hashlib.sha256(path.read_bytes()).hexdigest()[:16]} seed=")
+        tags.append(header)
+    assert tags[0] != tags[1]
 
 
 def test_emit_figure_requires_matching_system(tmp_path):
@@ -1056,6 +1093,32 @@ def test_band_refinement_sees_both_cosets_of_the_filter_period(tmp_path):
     entries = {e["level"]: e for e in json.loads(rpath.read_text())["checks"]}
     assert entries[1]["status"] == "pass"
     assert entries[2]["status"] == "fail" and entries[2]["residual"] == 1.0
+
+
+def test_band_refinement_on_a_continuous_dual_samples_v_k_plus_1(tmp_path):
+    # a box of V_1 outside V_0, where Phi_0 is 0 and h Phi_1 is not: |Phi_0 - H Phi_1| is 0.25 at (1.2, 0.1),
+    # which a plan over V_0 alone never samples
+    data = json.loads(construct(tmp_path, EUCLID_BOXES).read_text())
+    box = {"kind": "box", "lo": ["11/10", "0"], "hi": ["7/5", "3/10"]}
+    _level_entry(data, 0)["h"]["pieces"].insert(0, {"domain": box, "value": {"exact": {"re": "1", "im": "0", "rad": "1"}}})
+    cpath, rpath = tmp_path / "corrupted.json", tmp_path / "report.json"
+    cpath.write_text(json.dumps(data))
+    assert main(["verify", str(cpath), "--suite", "refinement", "--report", str(rpath)]) == 1
+    [entry] = json.loads(rpath.read_text())["checks"]
+    assert entry["status"] == "fail" and abs(entry["residual"] - 0.25) <= 1e-12
+
+
+def test_spline_refinement_past_the_coefficient_grid_is_sampled(tmp_path):
+    # eta = 4 * 2^21, a point of Lambda_1, puts h's coefficient grid past filters.MAX_GRID, so no bound is taken
+    data = json.loads(construct(tmp_path, Z_BSPLINE).read_text())
+    _level_entry(data, 0)["h"]["eta"] = 4 * 2**21
+    cpath, rpath = tmp_path / "far.json", tmp_path / "report.json"
+    cpath.write_text(json.dumps(data))
+    assert main(["verify", str(cpath), "--suite", "refinement", "--report", str(rpath)]) == 1
+    entries = json.loads(rpath.read_text())["checks"]
+    assert [e["status"] for e in entries] == ["fail", "pass", "pass"]
+    assert "method" not in entries[0] and entries[0]["residual"] > 1
+    assert [e.get("method") for e in entries[1:]] == ["coefficients", "coefficients"]
 
 
 @pytest.mark.parametrize(

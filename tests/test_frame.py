@@ -37,14 +37,14 @@ from lcaframes.frame import (
     system_to_json,
     telescoping_residual,
 )
-from lcaframes.domains import iter_points
+from lcaframes.domains import IntegerInterval, iter_points
 from lcaframes.filters import worst_residual
 from lcaframes.functions import DiscreteFunction, delta, random_test_function, uniform
 from lcaframes.groups import INTEGERS, TORUS, cyclic_group, dual_group, integer_group
 from lcaframes.lattices import cyclic_annihilator
 from lcaframes.verify import COND_PARSEVAL, _measured, _test_window, run_verification
 
-from oracles import cis, pairing_phase, value_at
+from oracles import cis, fiber_suite, pairing_phase, value_at
 
 SEED = 0x5EED
 
@@ -778,7 +778,35 @@ def test_fiber_suite_matches_per_trial_sides():
         lhs, rhs = fiber_identity_sides(chain.level(k).lattice, chain.level(k).domain_v, F, Phi)
         worst = max(worst, abs(lhs - rhs) / (1 + abs(lhs)))
     assert len(set(ks)) > 3
-    assert abs(verify._fiber_suite(system, SEED) - worst) <= 1e-16
+    assert abs(fiber_suite(chain, SEED) - worst) <= 1e-16
+
+
+def _with_cells(chain, cells):
+    """The chain with V_k replaced at the levels k that `cells` maps to a new domain."""
+    levels = tuple(dataclasses.replace(lvl, domain_v=cells.get(lvl.k, lvl.domain_v)) for lvl in chain.levels)
+    return dataclasses.replace(chain, levels=levels)
+
+
+@pytest.mark.parametrize(
+    "cells, broken",
+    [
+        ({k: IntegerInterval(0, 2**k - 2) for k in (1, 3, 5)}, [1, 3, 5]),  # V_k misses the coset of 2^k - 1
+        ({k: IntegerInterval(1, 2**k) for k in range(7)}, []),  # V_k moved by one point: still one per coset
+    ],
+    ids=["missing-coset", "shifted"],
+)
+def test_fiber_entry_decides_the_domain_as_the_trial_oracle_does(cells, broken):
+    system = build_bspline_system(cyclic_chain(6), 2)
+    system = dataclasses.replace(system, chain=_with_cells(system.chain, cells))
+    [entry] = run_verification(system, "fiber", 4096, None, SEED, 1e-10)[0]
+    assert entry["method"] == "exact-domain" and "residual" not in entry
+    assert entry["status"] == ("fail" if broken else "pass")
+    if broken:
+        assert entry["detail"].endswith(f"at levels {', '.join(map(str, broken))}")
+        assert fiber_suite(system.chain, SEED) > 1e-3
+    else:
+        assert fiber_suite(system.chain, SEED) <= 1e-14
+    assert all(run_verification(system, "fiber", 4096, None, seed, 1e-10)[0] == [entry] for seed in (0, 1, 0xABC))
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_SYSTEMS))
