@@ -26,14 +26,7 @@ from . import domains
 from .chains import MAX_POINTS, LatticeChain
 from .domains import HalfOpenBox, IntegerInterval
 from .exact import Radical, cis_many, radical
-from .exceptions import (
-    ResourceLimitError,
-    SplittingError,
-    UnsupportedIndexError,
-    UnsupportedOrderError,
-    UnsupportedRepresentationError,
-    require_int,
-)
+from .exceptions import LcaError, require_int
 from .filters import SamplingPlan, TrigPolynomial, coefficient_grid, worst_residual
 from .functions import DiscreteFunction
 from .groups import point_array
@@ -50,16 +43,14 @@ def require_order(order: int):
     their exact coefficients carry radicands up to 2 C(N, N/2).
     """
     if require_int(order, "order") < 1:
-        raise UnsupportedOrderError(f"order must be an integer >= 1, got {order!r}")
+        raise LcaError(f"order must be an integer >= 1, got {order!r}")
     if order > MAX_ORDER:
-        raise ResourceLimitError(f"order {order} exceeds {MAX_ORDER} (desk-scale cap)")
+        raise LcaError(f"order {order} exceeds {MAX_ORDER} (desk-scale cap)")
 
 
 def _require_index_two(chain: LatticeChain, k: int):
     if chain.index(k) != 2:
-        raise UnsupportedIndexError(
-            f"spline filters need index-2 lattice nesting, level {k} has d={chain.index(k)}"
-        )
+        raise LcaError(f"spline filters need index-2 lattice nesting, level {k} has d={chain.index(k)}")
 
 
 def check_refinement_splitting(chain: LatticeChain, k: int):
@@ -73,19 +64,19 @@ def check_refinement_splitting(chain: LatticeChain, k: int):
         shifted = domains.shift_points(np.array(small), eta, chain.group).tolist()
         union = set(small) | set(shifted)
         if set(small) & set(shifted):
-            raise SplittingError(f"overlap witness {sorted(set(small) & set(shifted))[0]}")
+            raise LcaError(f"overlap witness {sorted(set(small) & set(shifted))[0]}")
         if union != big:
             witness = sorted(big ^ union)[0]
-            raise SplittingError(f"splitting fails at point {witness}")
+            raise LcaError(f"splitting fails at point {witness}")
         return
     if isinstance(qk, HalfOpenBox):
         ecs = chain.group.coords(eta)
         for axis, (lo, hi, lo1, hi1, e) in enumerate(zip(qk.lo, qk.hi, qk1.lo, qk1.hi, ecs)):
             width = Fraction(hi1) - Fraction(lo1)
             if not (Fraction(lo) == Fraction(lo1) and Fraction(e) == width and Fraction(hi) == Fraction(lo1) + 2 * width):
-                raise SplittingError(f"splitting fails on axis {axis} at offset {e}")
+                raise LcaError(f"splitting fails on axis {axis} at offset {e}")
         return
-    raise SplittingError(f"no splitting check for domain {type(qk).__name__}")
+    raise LcaError(f"no splitting check for domain {type(qk).__name__}")
 
 
 def bspline_time(chain: LatticeChain, k: int, order: int) -> DiscreteFunction | None:
@@ -183,7 +174,7 @@ def wavelet_filters(chain: LatticeChain, k: int, order: int) -> list:
     """The N highpass masks m = 1..N paired with the order-N lowpass; orders 1 and even only."""
     require_order(order)
     if order > 1 and order % 2:
-        raise UnsupportedOrderError(f"no wavelet masks for odd order {order}")
+        raise LcaError(f"no wavelet masks for odd order {order}")
     return _binomial_masks(chain, k, order, range(1, order + 1))
 
 
@@ -218,11 +209,9 @@ def wavelet_time(chain: LatticeChain, k: int, filt: TrigPolynomial, phi: Discret
     phi is the time side of the level-(k+1) scaling generator (`bspline_time`).
     """
     if not chain.level(k + 1).lattice.contains(filt.step):
-        raise UnsupportedRepresentationError(
-            f"mask step {filt.step!r} is not a level-{k + 1} lattice point"
-        )
+        raise LcaError(f"mask step {filt.step!r} is not a level-{k + 1} lattice point")
     if phi is None:
-        raise UnsupportedRepresentationError("time-domain wavelets need Z or Z_N")
+        raise LcaError("time-domain wavelets need Z or Z_N")
     offsets = [j * filt.step for j in filt.shifts]
     coeffs = np.array([complex(c) for c in filt.coeffs])
     if chain.group.is_finite:  # phi(x - o) for every offset o in one gather, then one contraction with the c_j
@@ -231,7 +220,7 @@ def wavelet_time(chain: LatticeChain, k: int, filt: TrigPolynomial, phi: Discret
         return DiscreteFunction(chain.group, 0, np.einsum("j,jx->x", coeffs, rolled))
     lo = min(offsets)
     if max(offsets) - lo > MAX_ORDER * MAX_POINTS:  # a built system's masks span at most order * 2^M
-        raise ResourceLimitError(f"wavelet time side spans more than {MAX_ORDER * MAX_POINTS} points (desk-scale cap)")
+        raise LcaError(f"wavelet time side spans more than {MAX_ORDER * MAX_POINTS} points (desk-scale cap)")
     acc = np.zeros(len(phi.values) + max(offsets) - lo, dtype=complex)
     for o, c in zip(offsets, coeffs):
         acc[o - lo : o - lo + len(phi.values)] += c * phi.array

@@ -19,9 +19,7 @@ from fractions import Fraction
 
 from . import domains
 from .domains import CosetUnion, HalfOpenBox, IntegerInterval, interval
-from .exceptions import (
-    DomainParameterError, IndexRangeError, ResourceLimitError, _malformed, require, require_int, require_object
-)
+from .exceptions import LcaError, _malformed, require, require_int, require_object
 from .groups import (
     GroupSpec,
     cyclic_group,
@@ -36,7 +34,7 @@ MAX_POINTS = 2**16  # desk-scale cap on the point sets a system enumerates
 
 
 def require_desk_scale(factors, what: str):
-    """Raise ResourceLimitError when the product of the chain factors exceeds MAX_POINTS.
+    """Raise LcaError when the product of the chain factors exceeds MAX_POINTS.
 
     The product is the largest point set a system on the chain enumerates:
     Q_0 on Z, the group itself on Z_N, the top dual cell on T (on R^s, per
@@ -47,7 +45,7 @@ def require_desk_scale(factors, what: str):
     for m in factors:
         count *= m
         if count > MAX_POINTS:
-            raise ResourceLimitError(f"{what}: more than {MAX_POINTS} points to enumerate (desk-scale cap)")
+            raise LcaError(f"{what}: more than {MAX_POINTS} points to enumerate (desk-scale cap)")
 
 
 @dataclass(frozen=True)
@@ -80,13 +78,13 @@ class LatticeChain:
 
     def level(self, k: int) -> ChainLevel:
         if not self.k0 <= k <= self.k1:
-            raise IndexRangeError(f"level {k} outside index set {self.k0}..{self.k1}")
+            raise LcaError(f"level {k} outside index set {self.k0}..{self.k1}")
         return self.levels[k - self.k0]
 
     def index(self, k: int) -> int:
         d = self.level(k).index
         if d is None:
-            raise IndexRangeError(f"level {k} has no successor in {self.k0}..{self.k1}")
+            raise LcaError(f"level {k} has no successor in {self.k0}..{self.k1}")
         return d
 
     def cosets(self, k: int) -> tuple:
@@ -108,7 +106,7 @@ class LatticeChain:
 def integer_chain(M: int) -> LatticeChain:
     """Dyadic chain on Z: Lambda_k = 2^{M-k} Z for k = 0..M."""
     if require_int(M, "depth M") < 1:
-        raise DomainParameterError(f"depth M must be a positive integer, got {M}")
+        raise LcaError(f"depth M must be a positive integer, got {M}")
     require_desk_scale((2 for _ in range(M)), f"integer chain of depth {M}")
     G, Gd = integer_group(), torus_group()
     levels = []
@@ -125,7 +123,7 @@ def integer_chain(M: int) -> LatticeChain:
 def cyclic_chain(M: int) -> LatticeChain:
     """Dyadic chain on Z_{2^M}: Lambda_k = 2^{M-k} Z_{2^k} for k = 0..M."""
     if require_int(M, "depth M") < 1:
-        raise DomainParameterError(f"depth M must be a positive integer, got {M}")
+        raise LcaError(f"depth M must be a positive integer, got {M}")
     require_desk_scale((2 for _ in range(M)), f"cyclic chain of depth {M}")
     n = 2**M
     G = cyclic_group(n)
@@ -148,9 +146,9 @@ def torus_chain(m_factors: list[int]) -> LatticeChain:
     every factor at least 2.
     """
     if min([require_int(m, "chain factor") for m in m_factors] or [0]) < 2:
-        raise DomainParameterError(f"all chain factors must be integers >= 2, got {m_factors}")
+        raise LcaError(f"all chain factors must be integers >= 2, got {m_factors}")
     if m_factors[0] % 2:
-        raise DomainParameterError(f"the first chain factor must be even, got {m_factors[0]}")
+        raise LcaError(f"the first chain factor must be even, got {m_factors[0]}")
     require_desk_scale(m_factors, "torus chain factors")
     G, Gd = torus_group(), integer_group()
     levels = []
@@ -175,12 +173,12 @@ def euclidean_chain(m_table: list[list[int]]) -> LatticeChain:
     and every factor is at least 2.
     """
     if min(map(len, m_table), default=0) == 0:
-        raise DomainParameterError("factor table must be non-empty per axis")
+        raise LcaError("factor table must be non-empty per axis")
     depth = len(m_table[0])
     if any(len(row) != depth for row in m_table):
-        raise DomainParameterError("all axes need the same number of factors")
+        raise LcaError("all axes need the same number of factors")
     if min([require_int(m, "chain factor") for row in m_table for m in row]) < 2:
-        raise DomainParameterError(f"all chain factors must be integers >= 2, got {m_table}")
+        raise LcaError(f"all chain factors must be integers >= 2, got {m_table}")
     for r, row in enumerate(m_table):
         require_desk_scale(row, f"euclidean chain factors of axis {r}")
     s = len(m_table)

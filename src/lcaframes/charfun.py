@@ -28,7 +28,7 @@ from . import domains
 from .chains import LatticeChain, refined_dual_domain
 from .domains import Ball, CosetUnion, HalfOpenBox, IntegerInterval
 from .exact import ZERO, Radical, sqrt_rational
-from .exceptions import DomainParameterError, ProperSubsetError, VariantMismatchError, _malformed, require_int
+from .exceptions import LcaError, SchemaError, _malformed, require_int
 from .filters import CosetPiecewise, SamplingPlan, exact_residuals, worst_residual
 from .functions import DiscreteFunction
 from .groups import euclidean_group, point_array, torus_group
@@ -55,20 +55,20 @@ class OmegaChain:
 def _validate(chain: LatticeChain, omegas, params) -> OmegaChain:
     """The band with these sets, after checking one a level, each inside its dual cell and nested in the next."""
     if len(omegas) != len(chain.levels):
-        raise DomainParameterError(f"need {len(chain.levels)} band bounds, got {len(omegas)}")
+        raise LcaError(f"need {len(chain.levels)} band bounds, got {len(omegas)}")
     for i, om in enumerate(omegas):
         k = chain.k0 + i
         v = chain.level(k).domain_v
         if not domains.is_subset(om, v, chain.dual):
-            raise DomainParameterError(f"band set at level {k} is not inside the dual cell")
+            raise LcaError(f"band set at level {k} is not inside the dual cell")
         if i + 1 < len(omegas) and not domains.is_subset(om, omegas[i + 1], chain.dual):
-            raise DomainParameterError(f"band sets fail to nest between levels {k} and {k + 1}")
+            raise LcaError(f"band sets fail to nest between levels {k} and {k + 1}")
     return OmegaChain(chain, tuple(omegas), params)
 
 
 def _require_group(chain: LatticeChain, fits: bool, label: str):
     if not fits:
-        raise VariantMismatchError(f"a {label} band does not fit a chain on {chain.group.describe()}")
+        raise SchemaError(f"a {label} band does not fit a chain on {chain.group.describe()}")
 
 
 def band_chain_cyclic(chain: LatticeChain, bounds: list[int]) -> OmegaChain:
@@ -82,7 +82,7 @@ def band_chain_cyclic(chain: LatticeChain, bounds: list[int]) -> OmegaChain:
     for L in bounds:
         require_int(L, "band bound")
     if not bounds or bounds[-1] != chain.group.modulus - 1:
-        raise DomainParameterError(f"top band bound must exhaust the dual group ({chain.group.modulus - 1})")
+        raise LcaError(f"top band bound must exhaust the dual group ({chain.group.modulus - 1})")
     omegas = [IntegerInterval(0, L) for L in bounds]
     return _validate(chain, omegas, {"L": list(bounds)})
 
@@ -98,7 +98,7 @@ def band_chain_torus(chain: LatticeChain, bounds: list[int]) -> OmegaChain:
         require_int(L, f"band bound at level {k}")
     for k, L in enumerate(bounds):
         if k and L <= bounds[k - 1]:
-            raise DomainParameterError(f"band bounds must strictly increase at level {k}")
+            raise LcaError(f"band bounds must strictly increase at level {k}")
     omegas = [IntegerInterval(-L, L) for L in bounds]
     return _validate(chain, omegas, {"L": list(bounds)})
 
@@ -112,7 +112,7 @@ def band_chain_boxes(chain: LatticeChain, bound_table: list[list]) -> OmegaChain
     _require_group(chain, chain.group == euclidean_group(chain.group.dimension), "boxes")
     table = [[Fraction(str(x)) for x in row] for row in bound_table]
     if len(table) != chain.group.dimension or any(len(row) != len(chain.levels) for row in table):
-        raise DomainParameterError("band bound table must match the factor table shape")
+        raise LcaError("band bound table must match the factor table shape")
     omegas = [HalfOpenBox(tuple(-L for L in ls), ls) for ls in zip(*table)]
     return _validate(chain, omegas, {"L": [[str(x) for x in row] for row in table], "shape": "boxes"})
 
@@ -159,7 +159,7 @@ class IndicatorGenerator:
         """The generator as a finitely-supported function on a discrete dual."""
         dual = self.band.chain.dual
         if not dual.is_discrete:
-            raise DomainParameterError("frequency-side values need a discrete dual")
+            raise LcaError("frequency-side values need a discrete dual")
         pts = np.fromiter(domains.iter_points(self.band.omega(self.k), dual), dtype=np.int64)
         # one full period on Z_N, the smallest window holding the band on Z
         lo, size = (0, dual.modulus) if dual.is_finite else (int(pts.min()), int(np.ptp(pts)) + 1)
@@ -193,7 +193,7 @@ def bandlimited_wavelet_filters(band: OmegaChain, k: int) -> list:
     chain = band.chain
     d = chain.index(k)
     if not band.is_proper(k):
-        raise ProperSubsetError(f"level {k} band set equals the dual cell; no proper masks")
+        raise LcaError(f"level {k} band set equals the dual cell; no proper masks")
     nu = chain.cosets(k)
     v = chain.level(k).domain_v
     om = band.omega(k)
@@ -221,7 +221,7 @@ def orthonormal_wavelet_filters(band: OmegaChain, k: int) -> list:
     chain = band.chain
     d = chain.index(k)
     if band.is_proper(k):  # Omega_k = V_k then nests in Omega_{k+1}, inside V_{k+1} (`_validate`)
-        raise ProperSubsetError(f"level {k} band set must equal the dual cell")
+        raise LcaError(f"level {k} band set must equal the dual cell")
     nu = chain.cosets(k)
     v = chain.level(k).domain_v
     dom = refined_dual_domain(chain, k)

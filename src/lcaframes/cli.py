@@ -20,7 +20,7 @@ from . import frame as fr
 from . import tiles
 from . import verify
 from .chains import MAX_POINTS
-from .exceptions import LcaError, PeriodicityMismatchError, SchemaError
+from .exceptions import LcaError, SchemaError
 from .frame import build_from_descriptor, parse_seed
 from .groups import integer_group
 
@@ -68,9 +68,9 @@ def _load_system(path: str):
 def cmd_verify(args) -> int:
     for flag, count in (("--samples", args.samples), ("--trials", args.trials)):
         if count is not None and not 1 <= count <= MAX_POINTS:
-            return _fail(2, f"{flag} must lie in 1..{MAX_POINTS}, got {count}")
-    if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
-        return _fail(2, f"--tolerance must be finite and nonnegative, got {args.tolerance}")
+            raise SchemaError(f"{flag} must lie in 1..{MAX_POINTS}, got {count}")
+    if args.tolerance is not None and not (math.isfinite(args.tolerance) and args.tolerance >= 0):
+        raise SchemaError(f"--tolerance must be finite and nonnegative, got {args.tolerance}")
     system, desc = _load_system(args.system)
     seed = parse_seed(args.seed if args.seed is not None else desc.get("seed"))
     entries, status = verify.run_verification(system, args.suite, args.samples, args.trials, seed, args.tolerance)
@@ -87,7 +87,7 @@ def cmd_verify(args) -> int:
         if "level" in e:
             line += f" level={e['level']}"
         if "residual" in e:
-            line += f" residual={e['residual']:.3e} (tol {e.get('tolerance', args.tolerance):.1e})"
+            line += f" residual={e['residual']:.3e} (tol {e['tolerance']:.1e})"
         if "detail" in e:
             line += f" [{e['detail']}]"
         print(line)
@@ -126,7 +126,7 @@ def cmd_emit(args) -> int:
         print(f"wrote {path} ({len(pts)} points)")
         return 0
     if not args.system:
-        return _fail(2, "generators/figure1 emission needs a system artifact")
+        raise SchemaError("generators/figure1 emission needs a system artifact")
     system, desc = _load_system(args.system)
     digest = hashlib.sha256(Path(args.system).read_bytes()).hexdigest()[:16]  # so an edit to the filters changes it
     tag = f"system={digest} seed={parse_seed(desc.get('seed'))}"
@@ -134,7 +134,7 @@ def cmd_emit(args) -> int:
         gens = system.system_generators()
         for gen in gens:
             if (gen.time or gen.freq) is None:
-                return _fail(3, f"{gen.label} has no finite representation to emit")
+                raise LcaError(f"{gen.label} has no finite representation to emit")
         for gen in gens:
             fn = gen.time or gen.freq
             rows = [f"{fn.start + i},{z.real:.17g},{z.imag:.17g}" for i, z in enumerate(fn.values)]
@@ -150,7 +150,7 @@ def cmd_emit(args) -> int:
         and system.chain.k1 == 10
         and system.k0 <= 5 < system.k1
     ):
-        return _fail(3, "figure1 needs the integer-chain order-2 system with depth 10")
+        raise LcaError("figure1 needs the integer-chain order-2 system with depth 10")
     emitted = []
     for gen in system.wavelets:
         if gen.level == 5:
@@ -179,7 +179,7 @@ def main(argv=None) -> int:
     v.add_argument("--samples", type=int, default=4096)
     v.add_argument("--trials", type=int, default=None)
     v.add_argument("--seed", default=None, help="hex RNG seed")
-    v.add_argument("--tolerance", type=float, default=1e-10)
+    v.add_argument("--tolerance", type=float, default=None, help="one tolerance for every check in place of its own")
     v.add_argument("--report", default=None, help="write the JSON report here")
 
     e = sub.add_parser("emit", help="emit generator / plot / tile CSV data")
@@ -194,7 +194,7 @@ def main(argv=None) -> int:
     command = {"construct": cmd_construct, "verify": cmd_verify, "emit": cmd_emit}[args.command]
     try:
         return command(args)
-    except (SchemaError, PeriodicityMismatchError) as exc:
+    except SchemaError as exc:
         return _fail(2, str(exc))
     except LcaError as exc:
         return _fail(3, f"precondition violated: {exc}")

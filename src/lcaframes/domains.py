@@ -11,13 +11,14 @@ rational coordinates; the half-open convention resolves boundaries.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .exact import to_float
-from .exceptions import DomainParameterError, SchemaError, require_int, require_object
+from .exceptions import LcaError, SchemaError, require, require_int, require_object
 from .groups import GroupSpec, check_element, element_add, element_neg, point_array
 
 #: relative slack of the closed-ball test: a rational point on the sphere
@@ -32,7 +33,7 @@ class IntegerInterval:
 
     def __post_init__(self):
         if self.hi < self.lo:
-            raise DomainParameterError(f"empty integer interval [{self.lo}, {self.hi}]")
+            raise LcaError(f"empty integer interval [{self.lo}, {self.hi}]")
 
 
 @dataclass(frozen=True)
@@ -43,7 +44,7 @@ class HalfOpenBox:
     def __post_init__(self):
         if len(self.lo) != len(self.hi) or any(a >= b for a, b in zip(self.lo, self.hi)):
             lo, hi = (", ".join(map(str, c)) for c in (self.lo, self.hi))
-            raise DomainParameterError(f"degenerate box [{lo}] .. [{hi}]")
+            raise LcaError(f"degenerate box [{lo}] .. [{hi}]")
 
 
 def interval(lo, hi) -> HalfOpenBox:
@@ -63,7 +64,7 @@ class Ball:
 
     def __post_init__(self):
         if self.radius < 0:
-            raise DomainParameterError("ball radius must be nonnegative")
+            raise LcaError("ball radius must be nonnegative")
 
 
 def contains(dom, p, group: GroupSpec) -> bool:
@@ -77,7 +78,7 @@ def contains(dom, p, group: GroupSpec) -> bool:
         return sq <= dom.radius**2
     if isinstance(dom, CosetUnion):
         return any(contains(dom.base, element_add(group, p, element_neg(group, s)), group) for s in dom.shifts)
-    raise DomainParameterError(f"unknown domain {dom!r}")
+    raise LcaError(f"unknown domain {dom!r}")
 
 
 def shift_points(pts: np.ndarray, shift, group: GroupSpec) -> np.ndarray:
@@ -102,18 +103,18 @@ def contains_many(dom, pts: np.ndarray, group: GroupSpec) -> np.ndarray:
         for s in dom.shifts:
             out |= contains_many(dom.base, shift_points(pts, element_neg(group, s), group), group)
         return out
-    raise DomainParameterError(f"unknown domain {dom!r}")
+    raise LcaError(f"unknown domain {dom!r}")
 
 
 def measure(dom, group: GroupSpec) -> Fraction:
     """Exact Haar measure of dom under the group's normalization."""
     if isinstance(dom, IntegerInterval):
         if not group.is_discrete:
-            raise DomainParameterError("integer interval needs a discrete group")
+            raise LcaError("integer interval needs a discrete group")
         return (dom.hi - dom.lo + 1) * group.point_mass
     if isinstance(dom, HalfOpenBox):
         if group.is_discrete:
-            raise DomainParameterError("half-open box needs a continuous group")
+            raise LcaError("half-open box needs a continuous group")
         out = Fraction(1)
         for a, b in zip(dom.lo, dom.hi):
             out *= Fraction(b) - Fraction(a)
@@ -121,7 +122,7 @@ def measure(dom, group: GroupSpec) -> Fraction:
     if isinstance(dom, CosetUnion):
         # valid under the pairwise-disjointness the chain constructions certify
         return len(dom.shifts) * measure(dom.base, group)
-    raise DomainParameterError(f"no exact measure for {dom!r}")
+    raise LcaError(f"no exact measure for {dom!r}")
 
 
 def iter_points(dom, group: GroupSpec):
@@ -134,7 +135,7 @@ def iter_points(dom, group: GroupSpec):
             for p in iter_points(dom.base, group):
                 yield element_add(group, p, s)
         return
-    raise DomainParameterError(f"{dom!r} is not enumerable")
+    raise LcaError(f"{dom!r} is not enumerable")
 
 
 def bounds(dom, group: GroupSpec) -> tuple[tuple, tuple]:
@@ -153,7 +154,7 @@ def bounds(dom, group: GroupSpec) -> tuple[tuple, tuple]:
             tuple(blo[i] + min(s[i] for s in slo) for i in dims),
             tuple(bhi[i] + max(s[i] for s in slo) for i in dims),
         )
-    raise DomainParameterError(f"no bounds for {dom!r}")
+    raise LcaError(f"no bounds for {dom!r}")
 
 
 def is_subset(a, b, group: GroupSpec) -> bool:
@@ -167,7 +168,7 @@ def is_subset(a, b, group: GroupSpec) -> bool:
     if isinstance(a, Ball) and isinstance(b, HalfOpenBox):
         # closed ball fits in the half-open box iff radius < every half-width
         return all(bl <= -a.radius and a.radius < bh for bl, bh in zip(b.lo, b.hi))
-    raise DomainParameterError(f"no subset test for {type(a).__name__} in {type(b).__name__}")
+    raise LcaError(f"no subset test for {type(a).__name__} in {type(b).__name__}")
 
 
 def grid_points(dom, total: int, group: GroupSpec) -> np.ndarray:
@@ -202,7 +203,7 @@ def domain_to_json(dom) -> dict:
             "base": domain_to_json(dom.base),
             "shifts": [_point_json(s) for s in dom.shifts],
         }
-    raise DomainParameterError(f"unserializable domain {dom!r}")
+    raise LcaError(f"unserializable domain {dom!r}")
 
 
 _DOMAIN_KEYS = {"integer_interval": ("lo", "hi"), "box": ("lo", "hi"), "ball": ("radius",), "coset_union": ("base", "shifts")}
@@ -211,36 +212,53 @@ _DOMAIN_KEYS = {"integer_interval": ("lo", "hi"), "box": ("lo", "hi"), "ball": (
 def domain_from_json(data: dict, group: GroupSpec, path: str = "domain"):
     """A serialized domain in `group`, at `path` in its file; every coset-union shift must be an element of it.
 
-    A key that the domain's kind does not read is refused, with its path.
+    Each part is read only in the form `domain_to_json` writes, and a key that the domain's kind does not read
+    is refused, with its path.
     """
     kind = data["kind"]
     require_object(data, path, ("kind", *_DOMAIN_KEYS.get(kind, ())))
     if kind == "integer_interval":
         return IntegerInterval(require_int(data["lo"], "interval lo"), require_int(data["hi"], "interval hi"))
     if kind == "box":
-        return HalfOpenBox(tuple(Fraction(a) for a in data["lo"]), tuple(Fraction(b) for b in data["hi"]))
+        return HalfOpenBox(*(_rationals(data[end], f"{path}.{end}", "a box bound") for end in ("lo", "hi")))
     if kind == "ball":
-        return Ball(Fraction(data["radius"]))
+        return Ball(_rational(data["radius"], f"{path}.radius", "a ball radius"))
     if kind == "coset_union":
-        shifts = tuple(_point_from_json(s) for s in data["shifts"])
+        shifts = [_point_from_json(s, f"{path}.shifts[{i}]", "a coset shift") for i, s in enumerate(data["shifts"])]
         for s in shifts:
             check_element(group, s, "coset shift")
-        return CosetUnion(domain_from_json(data["base"], group, f"{path}.base"), shifts)
+        return CosetUnion(domain_from_json(data["base"], group, f"{path}.base"), tuple(shifts))
     raise SchemaError(f"{path}: unknown domain kind {kind!r}")
 
 
 def _point_json(p):
     if isinstance(p, tuple):
         return [_point_json(x) for x in p]
-    if isinstance(p, (int, float)):
-        return p
-    return str(p)  # Fraction
+    return p if isinstance(p, int) else str(p)  # Fraction
 
 
-def _point_from_json(v):
+_RATIONAL = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
+
+
+def _is_rational(v) -> bool:
+    """Whether v is a rational as the writer writes it, the `str` of a Fraction, such as '-3/4'."""
+    return isinstance(v, str) and _RATIONAL.fullmatch(v) is not None and str(Fraction(v)) == v
+
+
+def _rational(v, path: str, what: str) -> Fraction:
+    require(_is_rational(v), path, f"{what} is a rational string such as '-3/4', got {v!r}")
+    return Fraction(v)
+
+
+def _rationals(v, path: str, what: str) -> tuple:
+    require(isinstance(v, list), path, f"need a list, got {v!r}")
+    return tuple(_rational(x, f"{path}[{i}]", what) for i, x in enumerate(v))
+
+
+def _point_from_json(v, path: str, what: str):
+    """A point in the form `_point_json` writes: an int, a rational string, or a list of them; SchemaError otherwise."""
     if isinstance(v, list):
-        return tuple(_point_from_json(x) for x in v)
-    if isinstance(v, str):
-        f = Fraction(v)
-        return int(f) if f.denominator == 1 else f
-    return v
+        return tuple(_point_from_json(x, f"{path}[{i}]", what) for i, x in enumerate(v))
+    require(type(v) is int or _is_rational(v), path, f"{what} is an integer, a rational string or a list, got {v!r}")
+    f = Fraction(v)
+    return int(f) if f.denominator == 1 else f

@@ -23,6 +23,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .exceptions import SchemaError
+
 #: desk-scale cap on a radicand read from an artifact: `_square_split` of the
 #: product of two such radicands takes at most MAX_RADICAND trial divisions
 MAX_RADICAND = 2**20
@@ -155,7 +157,7 @@ def radical(re, im=0, rad: int | Fraction = 1) -> Radical:
     re, im = Fraction(re), Fraction(im)
     rad = Fraction(rad)
     if rad < 0:
-        raise ValueError("radicand must be nonnegative")
+        raise SchemaError("radicand must be nonnegative")
     if rad == 0 or (re == 0 and im == 0):
         return ZERO
     # sqrt(p/q) = sqrt(p*q)/q, then pull out the square part of p*q
@@ -180,5 +182,5 @@ def sqrt_rational(x) -> Radical:
     """sqrt(x) for nonnegative rational x, as an exact Radical."""
     x = Fraction(x)
     if x < 0:
-        raise ValueError("square root of negative rational")
+        raise SchemaError("square root of negative rational")
     return radical(1, 0, x)

@@ -1,78 +1,21 @@
-"""Error types raised across the package.
+"""The package's two errors, one for each error exit code of the command line.
 
-Everything derives from LcaError (a ValueError) so callers can catch broadly,
-while tests and the CLI can distinguish the specific failure.
+SchemaError (exit 2) is an input error: a descriptor or artifact that breaks its schema, a value of the
+wrong type or outside its group, a filter whose periodicity does not fit its level.  LcaError (exit 3) is a
+precondition violation: a parameter out of range, a construction or check that does not apply to the group,
+an uncertified level, a desk-scale limit.  The class a site raises is its exit code, and `cli.main` alone
+maps classes to codes.  SchemaError derives from LcaError (a ValueError), so catching LcaError catches both.
 """
 
 from contextlib import contextmanager
 
 
 class LcaError(ValueError):
-    """Base class for library-specific errors."""
-
-
-class VariantMismatchError(LcaError):
-    """Group/element or group/dual variants do not fit together."""
-
-
-class DomainParameterError(LcaError):
-    """A constructor parameter is outside its admissible range."""
-
-
-class IndexRangeError(LcaError):
-    """A level index falls outside the chain's index set."""
-
-
-class UnboundedWindowError(LcaError):
-    """An enumeration window is unbounded on an infinite lattice."""
-
-
-class SplittingError(LcaError):
-    """The fundamental-domain splitting between consecutive levels fails."""
-
-
-class UnsupportedIndexError(LcaError):
-    """The spline construction needs index-2 lattice nesting (d_k = 2)."""
-
-
-class UnsupportedOrderError(LcaError):
-    """No wavelet masks ship for this spline order (odd orders >= 3)."""
-
-
-class UnsupportedRepresentationError(LcaError):
-    """No finite time-domain representation exists on this group."""
-
-
-class ProperSubsetError(LcaError):
-    """The bandlimited construction needs a proper subset at this level."""
-
-
-class FilterVariantError(LcaError):
-    """Operation applies to a different filter variant."""
-
-
-class PeriodicityMismatchError(LcaError):
-    """Filter periodicity lattice does not match the chain level."""
-
-
-class EmptySamplingPlanError(LcaError):
-    """A verification was asked to run over zero sample points."""
-
-
-class UnsupportedVerificationError(LcaError):
-    """This verification is out of desk scale for the given group."""
-
-
-class UncertifiedLevelError(LcaError):
-    """A level-coupling identity was requested below an uncertified level."""
-
-
-class ResourceLimitError(LcaError):
-    """Requested computation exceeds the configured desk-scale limits."""
+    """A precondition violation (exit 3)."""
 
 
 class SchemaError(LcaError):
-    """A JSON descriptor or artifact violates its schema."""
+    """An input error (exit 2): a value that is not one its reader reads."""
 
 
 def require(cond: bool, path: str, message: str):
@@ -100,13 +43,12 @@ def require_int(value, what: str) -> int:
 def _malformed(what: str):
     """Report the errors a malformed JSON value raises as SchemaError, prefixed by `what`.
 
-    Other library errors pass through with their own meaning; a filter
-    periodicity that does not fit the chain, a value that is not an element
-    of its group, or one beyond the float range, is a schema error too.
+    A SchemaError gets the prefix, any other LcaError passes through with its
+    own meaning, and a builtin error becomes a SchemaError.
     """
     try:
         yield
-    except (SchemaError, PeriodicityMismatchError, VariantMismatchError) as exc:
+    except SchemaError as exc:
         raise SchemaError(f"{what}: {exc}") from exc
     except LcaError:
         raise

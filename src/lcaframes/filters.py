@@ -48,10 +48,7 @@ import numpy as np
 from . import domains
 from .chains import MAX_POINTS, LatticeChain, refined_dual_domain
 from .exact import MAX_RADICAND, ZERO, Radical, cis_many, radical, to_float
-from .exceptions import (
-    EmptySamplingPlanError, FilterVariantError, PeriodicityMismatchError, ResourceLimitError, SchemaError, require,
-    require_object,
-)
+from .exceptions import LcaError, SchemaError, require, require_object
 from .functions import uniform
 from .groups import GroupSpec, dual_group, element_scale, phase, point_array, residue
 from .lattices import ScaledLattice
@@ -237,7 +234,7 @@ def coefficient_grid(rows, lattice: ScaledLattice, nus=None) -> np.ndarray | Non
     _, cols, xs, table, at, _ = _row_tables(rows, (), dual_group(lattice.group), nus, False)
     coords = {step: lattice.coordinates(step) for step in dict.fromkeys(step for step, _ in xs)}
     if None in coords.values():
-        raise PeriodicityMismatchError(f"a trig filter shift is off the lattice of steps {lattice.step}")
+        raise SchemaError(f"a trig filter shift is off the lattice of steps {lattice.step}")
     cells = [lattice.centred([-j * c for c in coords[step]]) for step, j in xs]
     lo = [min(c) for c in zip(*cells)]
     cells = [[j - a for j, a in zip(js, lo)] for js in cells]
@@ -305,11 +302,11 @@ class UepMatrix:
 def assemble_uep(chain: LatticeChain, k: int, h, g_list) -> UepMatrix:
     """Stack the refinement filter over the wavelet filters at level k."""
     if not g_list:
-        raise PeriodicityMismatchError("at least one wavelet filter is required")
+        raise SchemaError("at least one wavelet filter is required")
     target = chain.level(k + 1).annihilator
     for f in (h, *g_list):
         if f.lattice != target:
-            raise PeriodicityMismatchError(f"filter periodicity {f.lattice} does not match level {k + 1} annihilator")
+            raise SchemaError(f"filter periodicity {f.lattice} does not match level {k + 1} annihilator")
     return UepMatrix(chain, k, (h, *g_list))
 
 
@@ -321,7 +318,7 @@ class SamplingPlan:
     def __post_init__(self):
         object.__setattr__(self, "points", np.asarray(self.points))
         if len(self.points) == 0:
-            raise EmptySamplingPlanError("sampling plan has no points")
+            raise LcaError("sampling plan has no points")
 
     def point(self, i: int):
         """Point i as a plain number, or a tuple on R^s."""
@@ -477,7 +474,7 @@ def _value_from_json(data, parsed: dict, path: str) -> object:
     if key not in parsed:
         rad = int(key[2])
         if rad > MAX_RADICAND:
-            raise ResourceLimitError(f"radicand {rad} exceeds {MAX_RADICAND} (desk-scale cap)")
+            raise LcaError(f"radicand {rad} exceeds {MAX_RADICAND} (desk-scale cap)")
         value = radical(key[0], key[1], rad)  # refuses a negative radicand
         if value.rad != rad:  # square-free, as Radical.mul needs, and positive
             raise SchemaError(f"{path}: radicand {rad} is not the value's own: square-free, and 1 for zero")
@@ -499,7 +496,7 @@ def filter_to_json(f) -> dict:
             "kind": "piecewise",
             "pieces": [{"domain": domains.domain_to_json(d), "value": _value_json(v)} for d, v in f.pieces],
         }
-    raise FilterVariantError(f"cannot serialize {type(f).__name__}")
+    raise LcaError(f"cannot serialize {type(f).__name__}")
 
 
 _FILTER_KEYS = {"trig": ("eta", "shifts", "coeffs"), "piecewise": ("pieces",)}
@@ -516,13 +513,13 @@ def filter_from_json(data: dict, chain: LatticeChain, k: int, parsed: dict | Non
     lattice = chain.level(k + 1).annihilator
     require_object(data, path, ("kind", *_FILTER_KEYS.get(data["kind"], ())))
     if data["kind"] == "trig":
-        step, shifts = domains._point_from_json(data["eta"]), data["shifts"]
+        step, shifts = domains._point_from_json(data["eta"], f"{path}.eta", "a trig step eta"), data["shifts"]
         ascending = all(type(j) is int for j in shifts) and all(a < b for a, b in zip(shifts, shifts[1:]))
         well_formed = shifts and ascending and len(data["coeffs"]) == len(shifts)
         require(well_formed and chain.level(k + 1).lattice.contains(step), path, "a trig filter needs strictly "
                 f"ascending integer shifts, one coefficient each, and a level-{k + 1} lattice step")
         if shifts[-1] - shifts[0] >= MAX_POINTS or max(map(abs, (*shifts, *chain.group.coords(step)))) >= MAX_SHIFT:
-            raise ResourceLimitError(f"trig filter shifts span {MAX_POINTS} points, or shifts or step reach {MAX_SHIFT} (desk-scale cap)")
+            raise LcaError(f"trig filter shifts span {MAX_POINTS} points, or shifts or step reach {MAX_SHIFT} (desk-scale cap)")
         coeffs = tuple(_value_from_json(c, parsed, f"{path}.coeffs[{i}]") for i, c in enumerate(data["coeffs"]))
         require(not any(c in (0, ZERO) for c in coeffs), f"{path}.coeffs", "a zero coefficient is not stored")
         return TrigPolynomial(chain.group, step, tuple(shifts), coeffs, lattice)

@@ -44,16 +44,7 @@ from . import bspline as bsp
 from . import charfun as cf
 from . import domains
 from .chains import LatticeChain, chain_from_params
-from .exceptions import (
-    DomainParameterError,
-    ProperSubsetError,
-    SchemaError,
-    UncertifiedLevelError,
-    UnsupportedVerificationError,
-    _malformed,
-    require,
-    require_object,
-)
+from .exceptions import LcaError, SchemaError, _malformed, require, require_object
 from .filters import (
     DEFAULT_SEED,
     TrigPolynomial,
@@ -123,7 +114,7 @@ def _levels(chain: LatticeChain, k0, k1) -> tuple[int, int]:
     k0 = chain.k0 if k0 is None else k0
     k1 = chain.k1 if k1 is None else k1
     if not chain.k0 <= k0 < k1 <= chain.k1:
-        raise DomainParameterError(f"need k0 < k1 within {chain.k0}..{chain.k1}")
+        raise LcaError(f"need k0 < k1 within {chain.k0}..{chain.k1}")
     return k0, k1
 
 
@@ -143,15 +134,13 @@ def build_charfun_system(band: cf.OmegaChain, mode: str, k0=None, k1=None) -> Fr
     chain = band.chain
     k0, k1 = _levels(chain, k0, k1)
     if mode not in ("proper", "shannon"):
-        raise DomainParameterError(f"unknown band mode {mode!r}")
+        raise LcaError(f"unknown band mode {mode!r}")
     if mode == "shannon" and band.params:  # its artifact states the mode alone, and loads the full band
-        raise DomainParameterError("a shannon system is built on the full band, `full_band_chain`")
+        raise LcaError("a shannon system is built on the full band, `full_band_chain`")
     level_filters = []
     for k in range(k0, k1):
         if mode == "proper" and not band.is_proper(k):
-            raise ProperSubsetError(
-                f"level {k} band set equals the dual cell; start the system higher"
-            )
+            raise LcaError(f"level {k} band set equals the dual cell; start the system higher")
         h = cf.indicator_refinement_filter(band, k)
         gs = (
             cf.bandlimited_wavelet_filters(band, k)
@@ -215,9 +204,7 @@ def _default_side(system: FrameSystem) -> str | None:
 def _generator_function(system, gen: Generator, side: str) -> DiscreteFunction:
     fn = gen.time if side == "time" else gen.freq
     if fn is None:
-        raise UnsupportedVerificationError(
-            f"{gen.label} has no finite {side}-side representation on {system.chain.group.describe()}"
-        )
+        raise LcaError(f"{gen.label} has no finite {side}-side representation on {system.chain.group.describe()}")
     return fn
 
 
@@ -335,7 +322,7 @@ def _stack_of_one(system: FrameSystem, f: DiscreteFunction) -> tuple[str, int, n
     chain = system.chain
     side = next((side for side in ("time", "freq") if f.group == _side_group(system, side)), None)
     if side is None:
-        raise UnsupportedVerificationError(
+        raise LcaError(
             f"test function lives on {f.group.describe()}, "
             f"expected {chain.group.describe()} or its dual {chain.dual.describe()}"
         )
@@ -360,7 +347,7 @@ def analysis(system: FrameSystem, f: DiscreteFunction) -> dict:
 def parseval_residual(system: FrameSystem, f: DiscreteFunction) -> float:
     """|sum of squared coefficients - ||f||^2| / ||f||^2."""
     if f.norm2() == 0:
-        raise DomainParameterError("zero test function")
+        raise LcaError("zero test function")
     return float(_parseval_of(system, *_energy_table(system, *_stack_of_one(system, f), scaling_rows=0))[0])
 
 
@@ -375,7 +362,7 @@ def frame_operator(system: FrameSystem) -> np.ndarray:
     """
     chain = system.chain
     if not chain.group.is_finite:
-        raise UnsupportedVerificationError("brute-force frame operator needs a finite group")
+        raise LcaError("brute-force frame operator needs a finite group")
     n = chain.group.modulus
     S = np.zeros((n, n), dtype=complex)
     x = np.arange(n)
@@ -423,7 +410,7 @@ def fiber_identity_sides(lat, v_domain, F: DiscreteFunction, Phi: DiscreteFuncti
     integral over the cell of the squared annihilator-fiber sums, one gather.
     """
     if not lat.group.is_finite:
-        raise UnsupportedVerificationError("fiber identity oracle runs on Z_N")
+        raise LcaError("fiber identity oracle runs on Z_N")
     return tuple(float(side[0]) for side in _fiber_sides(lat, v_domain, F.group, (F.array * Phi.array.conj())[None]))
 
 
@@ -442,7 +429,7 @@ def ensure_certified(system: FrameSystem, k: int, tol: float = 1e-9):
     plan = partial(dual_sampling_plan, system.chain, k, grid=256, random=64)
     failure = certification_failure(k, verify_uep(system.uep_matrix(k), plan), tol)
     if failure is not None:
-        raise UncertifiedLevelError(failure)
+        raise LcaError(failure)
 
 
 def certification_failure(k: int, report, tol: float) -> str | None:
@@ -459,7 +446,7 @@ def telescoping_residual(system: FrameSystem, k: int, f: DiscreteFunction) -> fl
     once from its own UEP reports and then reads the gaps from its energy table.
     """
     if not system.k0 <= k < system.k1:
-        raise DomainParameterError(f"need a level with a successor, got {k}")
+        raise LcaError(f"need a level with a successor, got {k}")
     ensure_certified(system, k)
     return float(_gaps_of(system, k, *_energy_table(system, *_stack_of_one(system, f)))[0])
 

@@ -13,7 +13,7 @@ from random import Random
 
 import numpy as np
 
-from .exceptions import DomainParameterError, VariantMismatchError
+from .exceptions import LcaError, SchemaError
 from .groups import GroupSpec
 
 
@@ -25,12 +25,12 @@ class DiscreteFunction:
 
     def __post_init__(self):
         if not self.group.is_discrete:
-            raise VariantMismatchError("discrete functions need a discrete group")
+            raise SchemaError("discrete functions need a discrete group")
         values = np.array(self.values, dtype=complex)
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
         if self.group.is_finite and (self.start != 0 or len(values) != self.group.modulus):
-            raise DomainParameterError("cyclic functions store one full period starting at 0")
+            raise LcaError("cyclic functions store one full period starting at 0")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DiscreteFunction):
@@ -71,7 +71,7 @@ class DiscreteFunction:
         """Smallest [first, last] window of nonzero values (cyclic: in 0..N-1)."""
         nz = np.nonzero(np.abs(self.array) > 0)[0]
         if len(nz) == 0:
-            raise DomainParameterError("zero function has no support")
+            raise LcaError("zero function has no support")
         return self.start + int(nz[0]), self.start + int(nz[-1])
 
 

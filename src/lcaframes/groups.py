@@ -30,7 +30,7 @@ from numbers import Real
 import numpy as np
 
 from .exact import cis_many
-from .exceptions import DomainParameterError, VariantMismatchError
+from .exceptions import LcaError, SchemaError
 
 CYCLIC = "cyclic"
 INTEGERS = "integers"
@@ -83,7 +83,7 @@ class GroupSpec:
 
 def cyclic_group(modulus: int, point_mass=1) -> GroupSpec:
     if not isinstance(modulus, int) or modulus < 2:
-        raise DomainParameterError(f"cyclic modulus must be an integer >= 2, got {modulus}")
+        raise LcaError(f"cyclic modulus must be an integer >= 2, got {modulus}")
     return GroupSpec(CYCLIC, modulus=modulus, point_mass=Fraction(point_mass))
 
 
@@ -97,7 +97,7 @@ def torus_group() -> GroupSpec:
 
 def euclidean_group(dimension: int) -> GroupSpec:
     if not isinstance(dimension, int) or dimension < 1:
-        raise DomainParameterError(f"euclidean dimension must be a positive integer, got {dimension}")
+        raise LcaError(f"euclidean dimension must be a positive integer, got {dimension}")
     return GroupSpec(EUCLIDEAN, dimension=dimension)
 
 
@@ -120,16 +120,14 @@ def check_element(group: GroupSpec, x, what: str = "element"):
     """Validate and canonicalize a coordinate for this group."""
     if group.kind in (CYCLIC, INTEGERS):
         if type(x) is not int:
-            raise VariantMismatchError(f"{what} of {group.describe()} must be an integer, got {x!r}")
+            raise SchemaError(f"{what} of {group.describe()} must be an integer, got {x!r}")
         return x % group.modulus if group.kind == CYCLIC else x
     if group.kind == TORUS:
         if not _is_real(x):
-            raise VariantMismatchError(f"{what} of T must be a finite real number, got {x!r}")
+            raise SchemaError(f"{what} of T must be a finite real number, got {x!r}")
         return Fraction(x) % 1 if isinstance(x, (int, Fraction)) else float(x) % 1.0
     if not (isinstance(x, tuple) and len(x) == group.dimension and all(_is_real(c) for c in x)):
-        raise VariantMismatchError(
-            f"{what} of {group.describe()} must be a {group.dimension}-tuple of finite reals, got {x!r}"
-        )
+        raise SchemaError(f"{what} of {group.describe()} must be a {group.dimension}-tuple of finite reals, got {x!r}")
     return x
 
 

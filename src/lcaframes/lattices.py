@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exceptions import DomainParameterError, UnboundedWindowError
+from .exceptions import LcaError
 from .groups import GroupSpec, dual_group
 
 
@@ -25,7 +25,7 @@ class ScaledLattice:
 
     def __post_init__(self):
         if any(s <= 0 for s in self.step):
-            raise DomainParameterError("lattice steps must be positive")
+            raise LcaError("lattice steps must be positive")
 
     @property
     def is_finite(self) -> bool:
@@ -34,7 +34,7 @@ class ScaledLattice:
     @property
     def size(self) -> int:
         if self.order is None:
-            raise DomainParameterError("infinite lattice has no size")
+            raise LcaError("infinite lattice has no size")
         return math.prod(self.order)
 
     def _point(self, js) -> object:
@@ -60,14 +60,14 @@ class ScaledLattice:
     def points(self) -> list:
         """The points of a finite lattice, in increasing order of j."""
         if self.order is None:
-            raise UnboundedWindowError("an infinite lattice has no finite point list")
+            raise LcaError("an infinite lattice has no finite point list")
         return [self._point(js) for js in itertools.product(*(range(n) for n in self.order))]
 
 
 def cyclic_annihilator(lat: ScaledLattice) -> ScaledLattice:
     """Annihilator of a cyclic sublattice, inside the dual copy of Z_N."""
     if not lat.group.is_finite:
-        raise DomainParameterError("cyclic_annihilator needs a Z_N lattice")
+        raise LcaError("cyclic_annihilator needs a Z_N lattice")
     n = lat.group.modulus
     g = int(lat.step[0])
     dual = dual_group(lat.group)

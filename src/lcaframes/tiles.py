@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exceptions import DomainParameterError, ResourceLimitError
+from .exceptions import LcaError
 
 MAX_ITERATIONS = 24
 
@@ -30,18 +30,18 @@ class TileSpec:
     def __post_init__(self):
         m = self.matrix
         if any(not isinstance(x, int) for row in m for x in row):
-            raise DomainParameterError("dilation matrix must have integer entries")
+            raise LcaError("dilation matrix must have integer entries")
         det, trace = self.det, m[0][0] + m[1][1]
         if abs(det) != 2:
-            raise DomainParameterError(f"determinant must be +-2, got {det}")
+            raise LcaError(f"determinant must be +-2, got {det}")
         # the roots of x^2 - trace x + det lie outside the unit circle exactly when they are complex of
         # modulus sqrt 2 (det 2, |trace| <= 2) or +-sqrt 2 (det -2, trace 0); decided in integers
         if not (abs(trace) <= 2 if det == 2 else trace == 0):
-            raise DomainParameterError("all eigenvalues must lie outside the unit circle")
+            raise LcaError("all eigenvalues must lie outside the unit circle")
         if not (isinstance(self.digit, tuple) and len(self.digit) == 2):
-            raise DomainParameterError("digit must be an integer pair")
+            raise LcaError("digit must be an integer pair")
         if _in_image(m, self.digit, det):
-            raise DomainParameterError(f"digit {self.digit} lies in A Z^2")
+            raise LcaError(f"digit {self.digit} lies in A Z^2")
 
     @property
     def det(self) -> int:
@@ -71,12 +71,12 @@ def _check_r(spec: TileSpec, r: int):
     in integers before any array is built.
     """
     if r < 0:
-        raise DomainParameterError("iteration count must be nonnegative")
+        raise LcaError("iteration count must be nonnegative")
     if r > MAX_ITERATIONS:
-        raise ResourceLimitError(f"iteration count {r} exceeds the cap {MAX_ITERATIONS}")
+        raise LcaError(f"iteration count {r} exceeds the cap {MAX_ITERATIONS}")
     c, e = max(abs(a) + abs(b) for a, b in spec.matrix), max(map(abs, spec.digit))
     if max(c, e, sum(c**i * e << (r - i) for i in range(1, r + 1))) >= 2**63:
-        raise ResourceLimitError(f"tile points at r = {r} of this matrix and digit could leave int64 (desk-scale cap)")
+        raise LcaError(f"tile points at r = {r} of this matrix and digit could leave int64 (desk-scale cap)")
 
 
 def scaled_points(spec: TileSpec, r: int) -> np.ndarray:
@@ -124,7 +124,7 @@ def selfsimilarity_holds(spec: TileSpec, r: int, claimed: np.ndarray | None = No
     the check is not vacuous.
     """
     if r < 1:
-        raise DomainParameterError("self-similarity needs r >= 1")
+        raise LcaError("self-similarity needs r >= 1")
     _check_r(spec, r)
     c = spec.doubled_dual_map()
     eta = np.array(spec.digit, dtype=np.int64)
@@ -144,7 +144,7 @@ def measure_estimate(spec: TileSpec, r: int, h: Fraction) -> tuple[float, float]
     """
     h = Fraction(h)
     if h <= 0 or h > 1 or (1 / h).denominator != 1:
-        raise DomainParameterError(f"cell size must divide 1 exactly, got {h}")
+        raise LcaError(f"cell size must divide 1 exactly, got {h}")
     per_unit, denom = int(1 / h), 2**r
     keyed = {}
     for x, y in scaled_points(spec, r).tolist():

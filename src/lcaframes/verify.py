@@ -3,7 +3,10 @@
 `run_verification` runs the requested suite and returns one entry per check.
 Each entry names the condition it certifies and carries its status (`pass`,
 `fail` or `skip`), and, where the check measures one, the residual and the
-tolerance it was held to.
+tolerance it was held to: its shipped one (IDENTITY_TOL for the UEP,
+refinement and telescope identities and the Z_N frame operator, PARSEVAL_TOL
+for the relative Parseval trials), or one tolerance for every check when the
+run is given one.
 
 A run builds each shared input when a check first reads it, and no other:
 each level's sampling plan (band refinement at level k reads level k+1's on
@@ -47,6 +50,8 @@ ALL_CONDITIONS = (
 
 SUITES = ("uep", "refinement", "fiber", "telescope", "parseval", "all")
 
+IDENTITY_TOL, PARSEVAL_TOL = 1e-12, 1e-10  # the shipped tolerances
+
 
 def _entry(cond, status, *, level=None, residual=None, tolerance=None, detail=None, **extra):
     out = {"condition": cond, "status": status}
@@ -68,9 +73,10 @@ def _measured(cond, residual: float, tol: float, **extra) -> dict:
     return _entry(cond, status, residual=residual, tolerance=tol, **extra)
 
 
-def run_verification(system: fr.FrameSystem, suite: str, samples: int, trials: int | None, seed: int, tol: float):
-    """All requested checks; each entry names the condition it certifies."""
+def run_verification(system: fr.FrameSystem, suite: str, samples: int, trials: int | None, seed: int, tolerance=None):
+    """All requested checks; each entry names the condition it certifies and holds its own tolerance or `tolerance`."""
     entries = []
+    tol, tol_parseval = (IDENTITY_TOL, PARSEVAL_TOL) if tolerance is None else (tolerance, tolerance)
     chain = system.chain
     selected = SUITES[:-1] if suite == "all" else (suite,)
     # telescope and parseval need a side where every generator has finite values
@@ -130,7 +136,7 @@ def run_verification(system: fr.FrameSystem, suite: str, samples: int, trials: i
         if side is None:
             entries.append(_entry(COND_PARSEVAL, "skip", detail=no_side))
         else:
-            entries.append(_measured(COND_PARSEVAL, energies()[0], tol, trials=n_par))
+            entries.append(_measured(COND_PARSEVAL, energies()[0], tol_parseval, trials=n_par))
             if chain.group.is_finite:  # ||S - I||_F >= max |S - I| for the frame operator S
                 detail = "frame operator vs identity: Frobenius norm from Fourier blocks"
                 entries.append(_measured(COND_PARSEVAL, fr._frame_residual(system), tol, detail=detail))

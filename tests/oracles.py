@@ -20,7 +20,6 @@ import numpy as np
 from lcaframes import domains
 from lcaframes.charfun import indicator_generator, indicator_refinement_filter
 from lcaframes.exact import Radical, _square_split, radical
-from lcaframes.exceptions import FilterVariantError
 from lcaframes.filters import CosetPiecewise, TrigPolynomial, UepMatrix, pointwise_residuals, worst_residual
 from lcaframes.frame import _fiber_sides
 from lcaframes.functions import uniform
@@ -215,7 +214,7 @@ def scale_filter(f, factor: complex):
     if isinstance(f, CosetPiecewise):
         pieces = tuple((d, complex(v) * factor) for d, v in f.pieces)
         return CosetPiecewise(f.dual, pieces, f.domain, f.lattice)
-    raise FilterVariantError(f"cannot scale {type(f).__name__}")
+    raise TypeError(f"cannot scale {type(f).__name__}")
 
 
 def trig_values(P: UepMatrix, gamma) -> np.ndarray:

@@ -23,12 +23,7 @@ from lcaframes.bspline import (
     wavelet_time,
 )
 from lcaframes.chains import cyclic_chain, euclidean_chain, integer_chain, torus_chain
-from lcaframes.exceptions import (
-    SplittingError,
-    UnsupportedIndexError,
-    UnsupportedOrderError,
-    UnsupportedRepresentationError,
-)
+from lcaframes.exceptions import LcaError
 from lcaframes.filters import dual_sampling_plan
 from lcaframes.frame import build_bspline_system, system_from_json, system_to_json
 from lcaframes.groups import element_scale
@@ -196,7 +191,7 @@ def test_lowpass_filter_values():
 
 def test_lowpass_needs_index_two():
     tch = torus_chain([2, 3])
-    with pytest.raises(UnsupportedIndexError):
+    with pytest.raises(LcaError, match="index-2 lattice nesting, level 0 has d=3"):
         refinement_filter(tch, 0, 1)  # d_0 = 3
 
 
@@ -279,7 +274,7 @@ def test_refinement_splitting_witness():
     ch = integer_chain(2)
     bad_level = dataclasses.replace(ch.levels[0], splitter=1)  # true splitter is 2
     bad = dataclasses.replace(ch, levels=(bad_level,) + ch.levels[1:])
-    with pytest.raises(SplittingError):
+    with pytest.raises(LcaError, match="overlap witness 1"):
         check_refinement_splitting(bad, 0)
 
 
@@ -321,9 +316,9 @@ def test_even_order_energy_identity(order):
 
 def test_odd_orders_have_no_masks():
     ch = integer_chain(3)
-    with pytest.raises(UnsupportedOrderError):
+    with pytest.raises(LcaError, match="no wavelet masks for odd order 3"):
         wavelet_filters(ch, 0, 3)
-    with pytest.raises(UnsupportedOrderError):
+    with pytest.raises(LcaError, match="order must be an integer >= 1, got 0"):
         wavelet_filters(ch, 0, 0)
     # lowpass side still exists for odd orders
     assert refinement_filter(ch, 0, 3) is not None
@@ -380,7 +375,7 @@ def test_wavelet_support_arithmetic():
 def test_wavelet_time_step_must_be_lattice_point():
     ch = integer_chain(2)
     fine = wavelet_filters(ch, 1, 1)[0]  # step 1
-    with pytest.raises(UnsupportedRepresentationError):
+    with pytest.raises(LcaError, match="mask step 1 is not a level-1 lattice point"):
         wavelet_time(ch, 0, fine, bspline_time(ch, 1, 1))  # level-1 lattice is 2Z; step 1 not in it
 
 

@@ -15,7 +15,7 @@ from lcaframes.chains import (
 )
 from lcaframes.domains import HalfOpenBox, IntegerInterval, interval
 from lcaframes.charfun import band_chain_cyclic
-from lcaframes.exceptions import DomainParameterError, IndexRangeError, ResourceLimitError, UnboundedWindowError
+from lcaframes.exceptions import LcaError
 from lcaframes.groups import pairing
 
 
@@ -66,9 +66,9 @@ def test_torus_chain_level_data():
 
 
 def test_torus_chain_validation():
-    with pytest.raises(DomainParameterError):
+    with pytest.raises(LcaError, match="the first chain factor must be even, got 3"):
         torus_chain([3, 2])  # odd leading factor
-    with pytest.raises(DomainParameterError):
+    with pytest.raises(LcaError, match=r"all chain factors must be integers >= 2, got \[2, 1\]"):
         torus_chain([2, 1])
 
 
@@ -95,7 +95,7 @@ def test_euclidean_cell_measure():
 
 def test_chain_depth_validation():
     for builder in (integer_chain, cyclic_chain):
-        with pytest.raises(DomainParameterError):
+        with pytest.raises(LcaError, match="depth M must be a positive integer, got 0"):
             builder(0)
 
 
@@ -117,7 +117,7 @@ def test_refined_dual_domain_cyclic():
 
 def test_refined_dual_domain_index_error():
     ch = integer_chain(2)
-    with pytest.raises(IndexRangeError):
+    with pytest.raises(LcaError, match=r"level 2 has no successor in 0\.\.2"):
         refined_dual_domain(ch, 2)
 
 
@@ -130,7 +130,7 @@ def test_lattice_points_examples():
 
 def test_lattice_points_unbounded_window():
     ch = integer_chain(2)
-    with pytest.raises(UnboundedWindowError):
+    with pytest.raises(LcaError, match="an infinite lattice has no finite point list"):
         ch.level(0).lattice.points()
 
 
@@ -208,9 +208,9 @@ def _lattice_points(lat, count: int = 8) -> list:
 
 def test_level_outside_index_set():
     ch = integer_chain(2)
-    with pytest.raises(IndexRangeError):
+    with pytest.raises(LcaError, match=r"level 3 outside index set 0\.\.2"):
         ch.level(3)
-    with pytest.raises(IndexRangeError):
+    with pytest.raises(LcaError, match=r"level 2 has no successor in 0\.\.2"):
         ch.index(2)  # top level has no successor
 
 
@@ -225,5 +225,5 @@ def test_level_outside_index_set():
     ids=["integer", "cyclic", "torus", "cyclic-band"],
 )
 def test_chains_above_desk_scale_raise_before_enumerating(build):
-    with pytest.raises(ResourceLimitError, match="desk-scale"):
+    with pytest.raises(LcaError, match="points to enumerate \\(desk-scale cap\\)"):
         build()

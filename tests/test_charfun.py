@@ -21,7 +21,7 @@ from lcaframes.charfun import (
     orthonormal_wavelet_filters,
 )
 from lcaframes.domains import Ball, IntegerInterval
-from lcaframes.exceptions import DomainParameterError, ProperSubsetError, VariantMismatchError
+from lcaframes.exceptions import LcaError, SchemaError
 from lcaframes.filters import assemble_uep, dual_sampling_plan, verify_uep
 from lcaframes.groups import pairing
 from oracles import indicator_hat_exact, value_at
@@ -40,11 +40,11 @@ def test_cyclic_band_sets():
 
 
 def test_cyclic_band_validation():
-    with pytest.raises(DomainParameterError, match="level 1"):
+    with pytest.raises(LcaError, match="band set at level 1 is not inside the dual cell"):
         band_chain_cyclic(cyclic_chain(3), [0, 2, 3, 7])  # L_1 > 2^1 - 1
-    with pytest.raises(DomainParameterError, match="nest between levels 1 and 2"):
+    with pytest.raises(LcaError, match="band sets fail to nest between levels 1 and 2"):
         band_chain_cyclic(cyclic_chain(3), [0, 1, 0, 7])  # decreasing
-    with pytest.raises(DomainParameterError, match="top band"):
+    with pytest.raises(LcaError, match="top band bound must exhaust the dual group"):
         band_chain_cyclic(cyclic_chain(3), [0, 1, 3, 6])
     # non-strict repeats are fine on the cyclic chain
     assert band_chain_cyclic(cyclic_chain(3), [0, 0, 0, 7]) is not None
@@ -58,23 +58,23 @@ def test_torus_band_sets():
 
 
 def test_torus_band_strictly_increasing():
-    with pytest.raises(DomainParameterError, match="strictly"):
+    with pytest.raises(LcaError, match="band bounds must strictly increase at level 1"):
         band_chain_torus(torus_chain([2, 3]), [0, 0])
-    with pytest.raises(DomainParameterError, match="level 1 is not inside the dual cell"):
+    with pytest.raises(LcaError, match="band set at level 1 is not inside the dual cell"):
         band_chain_torus(torus_chain([2, 3]), [0, 3])
 
 
 def test_ball_band_rejects_large_radius():
-    with pytest.raises(DomainParameterError, match="level 0 is not inside the dual cell"):
+    with pytest.raises(LcaError, match="band set at level 0 is not inside the dual cell"):
         band_chain_balls(euclidean_chain([[2, 2], [2, 2]]), [Fraction(1), Fraction(3, 2)])  # radius = min N/2
     band = band_chain_balls(euclidean_chain([[2, 2], [2, 2]]), [Fraction(9, 10), Fraction(19, 10)])
     assert band.omega(0) == Ball(Fraction(9, 10))
 
 
 def test_box_band_validation():
-    with pytest.raises(DomainParameterError, match="degenerate box"):
+    with pytest.raises(LcaError, match=r"degenerate box \[0\] \.\. \[0\]"):
         band_chain_boxes(euclidean_chain([[2, 2]]), [[0, 1]])
-    with pytest.raises(DomainParameterError, match="level 0 is not inside the dual cell"):
+    with pytest.raises(LcaError, match="band set at level 0 is not inside the dual cell"):
         band_chain_boxes(euclidean_chain([[2, 2]]), [[Fraction(3, 2), 2]])
 
 
@@ -162,7 +162,7 @@ def test_proper_masks_gram_identity_both_cases():
 
 def test_proper_masks_refuse_full_band():
     band = band_chain_cyclic(cyclic_chain(3), [0, 1, 3, 7])
-    with pytest.raises(ProperSubsetError):
+    with pytest.raises(LcaError, match="level 1 band set equals the dual cell; no proper masks"):
         bandlimited_wavelet_filters(band, 1)  # Omega_1 = {0,1} = V_1
 
 
@@ -180,7 +180,7 @@ def test_orthonormal_masks_scaled_identity():
 
 def test_orthonormal_masks_need_full_band():
     band = band_chain_cyclic(cyclic_chain(3), [0, 1, 2, 7])
-    with pytest.raises(ProperSubsetError):
+    with pytest.raises(LcaError, match="level 2 band set must equal the dual cell"):
         orthonormal_wavelet_filters(band, 2)
 
 
@@ -261,18 +261,18 @@ def test_torus_deep_level_translate_disjointness():
 
 
 def test_band_mismatch_lengths():
-    with pytest.raises(DomainParameterError):
+    with pytest.raises(LcaError, match="need 4 band bounds, got 3"):
         band_chain_cyclic(cyclic_chain(3), [0, 1, 7])
-    with pytest.raises(DomainParameterError):
+    with pytest.raises(LcaError, match="need 2 band bounds, got 1"):
         band_chain_torus(torus_chain([2, 3]), [0])
-    with pytest.raises(DomainParameterError):
+    with pytest.raises(LcaError, match="need 2 band bounds, got 3"):
         band_chain_balls(euclidean_chain([[2, 2]]), [Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)])
 
 
 def test_band_refuses_a_chain_on_another_group():
-    with pytest.raises(VariantMismatchError, match="torus band does not fit a chain on Z_8"):
+    with pytest.raises(SchemaError, match="a torus band does not fit a chain on Z_8"):
         band_chain_torus(cyclic_chain(3), [0, 1, 3])
-    with pytest.raises(VariantMismatchError):
+    with pytest.raises(SchemaError, match="a cyclic band does not fit a chain on T"):
         band_chain_cyclic(torus_chain([2, 2, 2]), [0, 1, 7])
-    with pytest.raises(VariantMismatchError):
+    with pytest.raises(SchemaError, match="a balls band does not fit a chain on T"):
         band_chain_balls(torus_chain([2, 2]), ["1/2", "1"])

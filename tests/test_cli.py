@@ -45,6 +45,11 @@ T_BAND = {
     "chain": {"M_seq": [2, 2, 2]},
     "family": {"charfun": {"mode": "proper", "L": [0, 1, 3]}},
 }
+Z16_SPLINE = {
+    "group": {"variant": "cyclic", "params": {"modulus": 16}},
+    "chain": {"M": 4},
+    "family": {"bspline": {"order": 2}},
+}
 R2_BALLS = {
     "group": {"variant": "euclidean", "params": {"dimension": 2}},
     "chain": {"M_table": [[2, 2, 2], [2, 3, 2]]},
@@ -527,7 +532,7 @@ def test_ball_radius_beyond_float_square_fails(tmp_path):
         "family": {"charfun": {"mode": "proper", "L": ["1/4", "1/2", "1"], "shape": "balls"}},
     }
     data = json.loads(construct(tmp_path, desc).read_text())
-    data["filters"][0]["h"]["pieces"][0]["domain"]["radius"] = "1e308"
+    data["filters"][0]["h"]["pieces"][0]["domain"]["radius"] = str(10**308)  # the writer's form of 1e308
     cpath, rpath = tmp_path / "huge.json", tmp_path / "report.json"
     cpath.write_text(json.dumps(data))
     assert main(["verify", str(cpath), "--suite", "uep", "--samples", "256", "--report", str(rpath)]) == 1
@@ -880,6 +885,13 @@ def test_construct_malformed_descriptor_exit_2(tmp_path, capsys, desc, message):
         (EUCLID_BOXES, lambda data: data["descriptor"].update(family={"charfun": {"mode": "shannon", "shape": "boxes"}})),
         # an artifact is its format, descriptor and filters: a field of an earlier format is refused
         (Z_BSPLINE, lambda data: data.update(seed=1)),
+        # a step eta, a coset shift, a box bound or a ball radius is read only in the form the writer writes
+        (Z16_SPLINE, lambda data: data["filters"][0]["g"][0].update(eta=8.0)),
+        (Z_BSPLINE, lambda data: data["filters"][0]["g"][0].update(eta=4.0)),
+        (Z16_SPLINE, lambda data: data["filters"][0]["h"].update(eta=8.0)),
+        (EUCLID_BOXES, lambda data: data["filters"][0]["h"]["pieces"][0]["domain"]["lo"].__setitem__(0, -0.75)),
+        (Z16_SPLINE, lambda data: data["filters"][3]["g"][0].update(eta=True)),
+        (Z16_SPLINE, lambda data: data["filters"][3]["h"].update(eta=True)),
     ],
     ids=[
         "family-without-order",
@@ -927,6 +939,12 @@ def test_construct_malformed_descriptor_exit_2(tmp_path, capsys, desc, message):
         "shannon-with-bounds",
         "shannon-with-shape",
         "artifact-extra-key",
+        "Z16-wavelet-eta-float",
+        "Z-wavelet-eta-float",
+        "Z16-lowpass-eta-float",
+        "box-bound-float",
+        "Z16-wavelet-eta-bool",
+        "Z16-lowpass-eta-bool",
     ],
 )
 def test_verify_malformed_artifact_exit_2(tmp_path, capsys, desc, corrupt):

@@ -11,19 +11,23 @@ small artifact, loads it and holds every UEP and refinement entry of `verify` to
 An oracle residual within a factor of 10 of the tolerance is skipped: float roundoff on either side may
 put it on either side of the tolerance.  An edit that changes nothing (scaling a zero value, moving a
 bound under an earlier piece) passes on both sides, and an edit the loader refuses decides nothing here.
+
+On a continuous dual the spline UEP entries are `method: coefficients` bounds, and a finite set of phases
+decides them (`_phase_oracle`).
 """
 
 import copy
 from fractions import Fraction
 from functools import cache
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcaframes import domains
 from lcaframes.exceptions import LcaError
 from lcaframes.frame import build_from_descriptor, system_from_json, system_to_json
-from lcaframes.verify import run_verification
+from lcaframes.verify import IDENTITY_TOL, run_verification
 
 from oracles import band_refinement_at, gram_residual, spline_refinement_at
 
@@ -132,3 +136,49 @@ def test_every_uep_and_refinement_entry_is_true_on_a_corrupted_artifact(data):
                 assert truth <= TOL, where
             elif entry.get("method") != "coefficients":
                 assert truth > TOL, where
+
+
+#: the spline systems on continuous duals whose UEP entries are bounds from coefficients: z10-spline of the
+#: benchmark manifest and the R^1 order-4 system of the CI workflow
+BOUNDED = {
+    "z10-spline": {"group": {"variant": "integers", "params": {}}, "chain": {"M": 10},
+                   "family": {"bspline": {"order": 2}}},
+    "r1-spline": {"group": {"variant": "euclidean", "params": {"dimension": 1}}, "chain": {"M_table": [[2, 2, 2]]},
+                  "family": {"bspline": {"order": 4}}},
+}
+
+
+def _phase_oracle(P, order: int) -> float:
+    """The largest Gram residual of a level at L = 2 order + 2 equally spaced phases gamma = j / (L eta_k).
+
+    Every row is a polynomial in z = (-eta_k, gamma), and (-eta_k, gamma + nu_l) is z times a constant, so
+    each entry of P*P - dI is a Laurent polynomial in z.  Its exponents lie in [-order, order], since the
+    shifts of each row span at most the order.  Its values at L > 2 order + 1 points of the circle give its
+    2 order + 1 coefficients by a DFT, so they decide it on the whole dual, as N-th roots of unity do for a
+    Z_N twin.
+    """
+    (eta,) = {f.step for f in P.rows}
+    assert all(f.shifts[-1] - f.shifts[0] <= order for f in P.rows)
+    group, n = P.rows[0].group, 2 * order + 2
+    return max(gram_residual(P, group.element([Fraction(j, n) / c for c in group.coords(eta)])) for j in range(n))
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDED))
+def test_coefficient_bounds_agree_with_the_phase_oracle(name):
+    order = BOUNDED[name]["family"]["bspline"]["order"]
+    artifact = system_to_json(build_from_descriptor(BOUNDED[name]), SEED)
+    corrupted = copy.deepcopy(artifact)
+    for level in corrupted["filters"]:  # one wavelet coefficient of each level, scaled by 1 + 1e-6
+        exact = level["g"][0]["coeffs"][0]["exact"]
+        exact.update({part: str(Fraction(exact[part]) * (1 + Fraction(1, 10**6))) for part in ("re", "im")})
+    for data, broken in ((artifact, False), (corrupted, True)):
+        system = system_from_json(data)
+        entries = run_verification(system, "uep", 4096, None, SEED)[0]
+        assert len(entries) == len(system.level_filters)
+        for entry in entries:
+            oracle = _phase_oracle(system.uep_matrix(entry["level"]), order)
+            assert entry["method"] == "coefficients", entry
+            if broken:
+                assert entry["status"] == "fail" and entry["residual"] >= oracle > IDENTITY_TOL, (entry, oracle)
+            else:
+                assert oracle <= 1e-12 and entry["status"] == "pass", (entry, oracle)

@@ -20,7 +20,7 @@ from lcaframes.charfun import (
 )
 from lcaframes.domains import shift_points
 from lcaframes.exact import radical
-from lcaframes.exceptions import EmptySamplingPlanError, PeriodicityMismatchError
+from lcaframes.exceptions import LcaError, SchemaError
 from lcaframes.filters import (
     SamplingPlan,
     TrigPolynomial,
@@ -107,9 +107,9 @@ def test_assemble_haar_matrix_at_zero(zchain):
 
 def test_assemble_checks_periodicity(zchain):
     h, gs = haar_pair(zchain, 0)
-    with pytest.raises(PeriodicityMismatchError):
+    with pytest.raises(SchemaError, match="does not match level 2 annihilator"):
         assemble_uep(zchain, 1, h, gs)  # level-0 filters bound at level 1
-    with pytest.raises(PeriodicityMismatchError):
+    with pytest.raises(SchemaError, match="at least one wavelet filter is required"):
         assemble_uep(zchain, 0, h, [])
 
 
@@ -155,7 +155,7 @@ def test_verify_uep_invalid_duplicate_row(z8chain):
 
 
 def test_verify_uep_empty_plan():
-    with pytest.raises(EmptySamplingPlanError):
+    with pytest.raises(LcaError, match="sampling plan has no points"):
         SamplingPlan((), "empty")
 
 

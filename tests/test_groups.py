@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lcaframes.exact import MAX_RADICAND, ZERO, Radical, _square_split, cis_many, radical, sqrt_rational
-from lcaframes.exceptions import DomainParameterError, VariantMismatchError
+from lcaframes.exceptions import LcaError, SchemaError
 from lcaframes.groups import (
     cyclic_group,
     dual_group,
@@ -82,9 +82,9 @@ def test_pairing_is_a_character(x, y, gamma):
 
 
 def test_variant_mismatch():
-    with pytest.raises(VariantMismatchError):
+    with pytest.raises(SchemaError, match="group element of Z must be an integer, got 0.5"):
         pairing(Z, 0.5, 0.3)  # non-integer element of Z
-    with pytest.raises(VariantMismatchError):
+    with pytest.raises(SchemaError, match="group element of R\\^2 must be a 2-tuple of finite reals"):
         pairing(euclidean_group(2), (1.0,), (0.0, 0.0))  # wrong dimension
 
 
@@ -97,9 +97,9 @@ def test_dual_round_trip_and_masses():
 
 
 def test_group_validation():
-    with pytest.raises(DomainParameterError):
+    with pytest.raises(LcaError, match="cyclic modulus must be an integer >= 2, got 1"):
         cyclic_group(1)
-    with pytest.raises(DomainParameterError):
+    with pytest.raises(LcaError, match="euclidean dimension must be a positive integer, got 0"):
         euclidean_group(0)
 
 

@@ -1,7 +1,7 @@
 """Every public function, method and module constant in `src/lcaframes` has a caller.
 
-The README's library quick tour runs as written, and no module but `groups`
-names a group kind.
+The README's library quick tour runs as written, no module but `groups`
+names a group kind, and the package raises its two error classes only.
 
 A name counts as used when it is referenced somewhere in the package outside
 its own definition (as a name or an attribute), or when `lcaframes/__init__.py`
@@ -129,6 +129,20 @@ def test_group_kinds_are_decided_in_groups_only():
 def test_method_names_shared_by_classes_are_listed():
     # the caller check above cannot tell such methods apart, so each is kept on purpose
     assert sorted(shared_method_names()) == sorted(SHARED)
+
+
+def test_every_raise_names_one_of_the_two_error_classes():
+    # the class a site raises is its exit code, SchemaError 2 and LcaError 3, and `cli.main` alone maps them
+    classes = [n.name for n in ast.parse((PACKAGE / "exceptions.py").read_text()).body if isinstance(n, ast.ClassDef)]
+    assert classes == ["LcaError", "SchemaError"]
+    others = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:  # a bare raise re-raises
+                exc = node.exc
+                if not (isinstance(exc, ast.Call) and isinstance(exc.func, ast.Name) and exc.func.id in classes):
+                    others.append(f"{path.stem}:{node.lineno}")
+    assert others == []
 
 
 def test_readme_quick_tour_runs():

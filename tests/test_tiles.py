@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lcaframes.exceptions import DomainParameterError, ResourceLimitError
+from lcaframes.exceptions import LcaError
 from lcaframes.tiles import (
     TileSpec,
     measure_estimate,
@@ -23,13 +23,13 @@ HALF = Fraction(1, 2)
 
 
 def test_spec_validation():
-    with pytest.raises(DomainParameterError, match="determinant"):
+    with pytest.raises(LcaError, match="determinant must be \\+-2, got 1"):
         TileSpec(((1, 0), (0, 1)), (1, 0))
-    with pytest.raises(DomainParameterError, match="unit circle"):
+    with pytest.raises(LcaError, match="all eigenvalues must lie outside the unit circle"):
         TileSpec(((1, 1), (0, 2)), (1, 0))  # eigenvalue 1
-    with pytest.raises(DomainParameterError, match="A Z"):
+    with pytest.raises(LcaError, match="digit \\(1, 1\\) lies in A Z"):
         TileSpec(((1, -1), (1, 1)), (1, 1))  # (1,1) = A(1,0)
-    with pytest.raises(DomainParameterError, match="integer"):
+    with pytest.raises(LcaError, match="dilation matrix must have integer entries"):
         TileSpec(((1.5, -1), (1, 1)), (1, 0))
 
 
@@ -69,21 +69,21 @@ def test_selfsimilarity_detects_corruption():
 
 
 def test_selfsimilarity_needs_positive_r():
-    with pytest.raises(DomainParameterError):
+    with pytest.raises(LcaError, match="self-similarity needs r >= 1"):
         selfsimilarity_holds(TWIN, 0)
 
 
 def test_iteration_cap():
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(LcaError, match="iteration count 25 exceeds the cap 24"):
         tile_points(TWIN, 25)
-    with pytest.raises(DomainParameterError):
+    with pytest.raises(LcaError, match="iteration count must be nonnegative"):
         tile_points(TWIN, -1)
 
 
 def test_measure_estimate_degenerate_cases():
-    with pytest.raises(DomainParameterError):
+    with pytest.raises(LcaError, match="cell size must divide 1 exactly, got 3/10"):
         measure_estimate(TWIN, 4, Fraction(3, 10))  # 10/3 cells per unit
-    with pytest.raises(DomainParameterError):
+    with pytest.raises(LcaError, match="cell size must divide 1 exactly, got 0"):
         measure_estimate(TWIN, 4, Fraction(0))
     est, _ = measure_estimate(TWIN, 0, Fraction(1, 64))
     assert est == pytest.approx((1 / 64) ** 2)  # a single point hits one cell
@@ -127,7 +127,7 @@ def test_expansive_check_is_exact_and_agrees_with_the_eigenvalues():
         try:
             TileSpec(((a, b), (c, d)), (1, 0))
             accepted = True
-        except DomainParameterError as exc:
+        except LcaError as exc:
             accepted = "A Z" in str(exc)  # a digit in A Z^2 is refused after the eigenvalue check
         assert accepted == expansive, (a, b, c, d)
 
@@ -152,7 +152,7 @@ def _exact_tile(spec: TileSpec, r: int) -> list:
 def test_points_that_could_leave_int64_are_refused_before_any_array(spec, r, monkeypatch):
     monkeypatch.setattr(np, "array", lambda *a, **k: pytest.fail("an array was built"))
     for run in (tile_points, scaled_points, scaled_points_digits, selfsimilarity_holds):
-        with pytest.raises(ResourceLimitError, match="int64"):
+        with pytest.raises(LcaError, match="could leave int64 \\(desk-scale cap\\)"):
             run(spec, r)
 
 
