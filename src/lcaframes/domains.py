@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .exact import to_float
-from .exceptions import LcaError, SchemaError, require, require_int, require_object
+from .exceptions import LcaError, SchemaError, require_int, require_object
 from .groups import GroupSpec, check_element, element_add, element_neg, point_array
 
 #: relative slack of the closed-ball test: a rational point on the sphere
@@ -240,25 +240,24 @@ def _point_json(p):
 _RATIONAL = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 
 
-def _is_rational(v) -> bool:
-    """Whether v is a rational as the writer writes it, the `str` of a Fraction, such as '-3/4'."""
-    return isinstance(v, str) and _RATIONAL.fullmatch(v) is not None and str(Fraction(v)) == v
-
-
 def _rational(v, path: str, what: str) -> Fraction:
-    require(_is_rational(v), path, f"{what} is a rational string such as '-3/4', got {v!r}")
-    return Fraction(v)
+    """v read as the writer writes a rational, the `str` of a Fraction such as '-3/4'; SchemaError otherwise."""
+    if not (isinstance(v, str) and _RATIONAL.fullmatch(v) and str(q := Fraction(v)) == v):
+        raise SchemaError(f"{path}: {what} must be a rational string such as '-3/4', got {v!r}")  # only on a refusal
+    return q
 
 
 def _rationals(v, path: str, what: str) -> tuple:
-    require(isinstance(v, list), path, f"need a list, got {v!r}")
+    if not isinstance(v, list):
+        raise SchemaError(f"{path}: need a list, got {v!r}")
     return tuple(_rational(x, f"{path}[{i}]", what) for i, x in enumerate(v))
 
 
 def _point_from_json(v, path: str, what: str):
-    """A point in the form `_point_json` writes: an int, a rational string, or a list of them; SchemaError otherwise."""
+    """A point in the form `_point_json` writes: an int, a rational string (`_rational`), or a list of them."""
     if isinstance(v, list):
         return tuple(_point_from_json(x, f"{path}[{i}]", what) for i, x in enumerate(v))
-    require(type(v) is int or _is_rational(v), path, f"{what} is an integer, a rational string or a list, got {v!r}")
-    f = Fraction(v)
+    if type(v) is int:
+        return v
+    f = _rational(v, path, f"{what} that is not an integer or a list")
     return int(f) if f.denominator == 1 else f
