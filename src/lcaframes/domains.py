@@ -11,7 +11,6 @@ rational coordinates; the half-open convention resolves boundaries.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -237,12 +236,13 @@ def _point_json(p):
     return p if isinstance(p, int) else str(p)  # Fraction
 
 
-_RATIONAL = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
-
-
 def _rational(v, path: str, what: str) -> Fraction:
     """v read as the writer writes a rational, the `str` of a Fraction such as '-3/4'; SchemaError otherwise."""
-    if not (isinstance(v, str) and _RATIONAL.fullmatch(v) and str(q := Fraction(v)) == v):
+    try:
+        q = Fraction(v) if isinstance(v, str) else None
+    except (ValueError, ZeroDivisionError):
+        q = None
+    if q is None or str(q) != v:
         raise SchemaError(f"{path}: {what} must be a rational string such as '-3/4', got {v!r}")  # only on a refusal
     return q
 
